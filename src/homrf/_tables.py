@@ -15,6 +15,12 @@ def table_shape(scope, label_counts):
     return tuple(label_counts[v] for v in scope)
 
 
+def embed_shape(scope, target_scope, label_counts):
+    """Shape under which a `scope` table broadcasts against a `target_scope`
+    table: `embed` as a reshape known before the table exists."""
+    return tuple([label_counts[v] if v in scope else 1 for v in target_scope])
+
+
 def embed(table, scope, target_scope):
     """View of `table` (over `scope`) broadcastable against a `target_scope` table."""
     if scope == target_scope:
@@ -24,12 +30,21 @@ def embed(table, scope, target_scope):
     return table.reshape(shape)
 
 
-def reduce_min(table, scope, keep_scope):
-    """Minimize out the axes of `scope` that are not in `keep_scope`."""
-    axes = tuple(i for i, v in enumerate(scope) if v not in keep_scope)
+def drop_axes(scope, keep_scope):
+    """Axes of a `scope` table that are not in `keep_scope`."""
+    return tuple(i for i, v in enumerate(scope) if v not in keep_scope)
+
+
+def min_over(table, axes):
+    """Minimize out `axes`; a fresh copy when there are none."""
     if not axes:
         return table.copy()
     return table.min(axis=axes)
+
+
+def reduce_min(table, scope, keep_scope):
+    """Minimize out the axes of `scope` that are not in `keep_scope`."""
+    return min_over(table, drop_axes(scope, keep_scope))
 
 
 def accumulate(pairs, target_scope, label_counts):

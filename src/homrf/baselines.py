@@ -110,7 +110,7 @@ def subgradient_pass(decomp, state):
     js = decomp.jstructure
     values, labelings = {}, {}
     for t in range(len(decomp.chains)):
-        v, lab, cells = _chain_dp(decomp, state.params, t, want_argmin=True)
+        v, lab, cells = _chain_dp(decomp, state.params.tables[t], t, want_argmin=True)
         values[t] = v
         labelings[t] = lab
         state.meff += cells

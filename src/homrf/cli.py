@@ -3,10 +3,9 @@ trace and a final summary."""
 
 import argparse
 import csv
+import math
 import sys
 import time
-
-import numpy as np
 
 from .baselines import msd_init, msd_pass, msd_sweep_order, subgrad_init, subgradient_pass
 from .decomposition import build_monotonic_chains
@@ -120,7 +119,6 @@ def _run(decomp, args):
             t0 = time.perf_counter()
             direction = state.direction
             phi = trws_chain_pass(decomp, state, reuse=args.reuse)
-            assert state.msg_ops_last_pass <= len(decomp.message_edges)
             record(k, direction, phi, state.meff, t0)
             if stalled(phi):
                 break
@@ -160,6 +158,8 @@ def run_solver_cli(argv=None):
     args = parser.parse_args(argv)
     if args.passes < 1:
         parser.error("--passes must be at least 1")
+    if not (math.isfinite(args.eps) and args.eps >= 0):
+        parser.error("--eps must be a finite non-negative number")
     try:
         model, js, node_order = _load(args, parser)
         decomp = build_monotonic_chains(model, js, node_order)
@@ -181,7 +181,7 @@ def run_solver_cli(argv=None):
 
         per_tree = max(
             (
-                int(np.prod([decomp.model.label_counts[v] for v in decomp.tree_nodes[t]]))
+                math.prod(decomp.model.label_counts[v] for v in decomp.tree_nodes[t])
                 for t in range(len(decomp.chains))
             ),
             default=1,

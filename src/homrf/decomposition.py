@@ -9,9 +9,11 @@ separators that the solvers sweep.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
+from ._plan import build_sweep_plan
 from ._tables import table_shape
 from .errors import MissingSeparatorFactor
 from .model import Factor, Model, close_j
@@ -52,8 +54,18 @@ def sep_bounds(jstructure, node_order, chain, outer_factor):
     """
     pos = _node_pos(node_order)
     i = list(chain).index(outer_factor)
+    return _sep_bounds(jstructure, pos, _scope_index(jstructure), chain, i)
+
+
+def _scope_index(jstructure):
+    return {s: f for f, s in enumerate(jstructure.scopes)}
+
+
+def _sep_bounds(jstructure, pos, index, chain, i):
+    # `sep_bounds` for chain member i, given the node positions and the
+    # scope -> factor index, which stay fixed across a whole decomposition
+    outer_factor = chain[i]
     scope = jstructure.scope(outer_factor)
-    index = {jstructure.scope(f): f for f in range(len(jstructure.scopes))}
 
     def lookup(s, side):
         fid = index.get(s)
@@ -180,6 +192,12 @@ class Decomposition:
     def node_pos(self):
         return _node_pos(self.node_order)
 
+    @cached_property
+    def _sweep_plan(self):
+        # built by the first sweep or bound, not at construction: set-up
+        # that never solves pays nothing for it
+        return build_sweep_plan(self)
+
 
 def build_monotonic_chains(model, jstructure, node_order=None):
     """Cover the outer factors with monotonic chains.
@@ -258,9 +276,10 @@ def build_monotonic_chains(model, jstructure, node_order=None):
 
     sep_minus, sep_plus, windows = {}, {}, {}
     rank = {b: i for i, b in enumerate(separator_order)}
+    index = _scope_index(js)
     for chain in chains:
-        for a in chain:
-            lo, hi = sep_bounds(js, node_order, chain, a)
+        for i, a in enumerate(chain):
+            lo, hi = _sep_bounds(js, pos, index, chain, i)
             sep_minus[a] = lo
             sep_plus[a] = hi
             if lo is None:

@@ -61,6 +61,14 @@ class ReuseOrderViolation(HomrfError):
     """Message reuse requested for factors that are not adjacent in the processing order."""
 
 
+class UnconsumedPreemptiveMessage(HomrfError):
+    """A sweep ended with a preemptively refreshed message it never reached."""
+
+
+class ExcessMessageOps(HomrfError):
+    """A sweep ran more message operations than there are message edges."""
+
+
 class InvalidStepSize(HomrfError):
     """Subgradient step-size base must be positive."""
 

@@ -6,7 +6,9 @@ min-marginals before averaging it.  The chain sweep exploits the separator
 windows so that one message per subproblem suffices.  The message-form sweep
 stores only the cumulative reparameterization as messages on
 outer-to-separator edges plus cached separator tables, and is the production
-path; it also supports the two nested-separator reuse shortcuts.
+path; it also supports the two nested-separator reuse shortcuts.  It and the
+chain dynamic program behind every bound run from the decomposition's sweep
+plan (`homrf._plan`), so a pass does no structural bookkeeping of its own.
 """
 
 import time
@@ -14,14 +16,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._tables import accumulate, embed, reduce_min, table_shape
+from ._plan import nested_recipe
+from ._tables import accumulate, embed, min_over, reduce_min, table_shape
 from .errors import (
+    ExcessMessageOps,
     FactorNotInTree,
     InvalidEdge,
     NotASeparator,
     ReuseOrderViolation,
     StaleMessage,
     StateNotInitialized,
+    UnconsumedPreemptiveMessage,
 )
 
 
@@ -94,11 +99,6 @@ def send_message(decomp, params, t, src, dst):
     return delta
 
 
-def _joint_separator(decomp, t, i):
-    # separator factor shared by chain members i and i+1
-    return decomp.sep_plus[decomp.chains[t][i]]
-
-
 def tree_min_marginal(decomp, params, t, target):
     """Reparameterize subproblem `t` so the target's local sum is the exact
     min-marginal of the subproblem energy, and return that table.
@@ -112,9 +112,9 @@ def tree_min_marginal(decomp, params, t, target):
     chain = decomp.chains[t]
     root_idx = next(i for i, a in enumerate(chain) if target in js.locals[a])
     for i in range(root_idx):
-        send_message(decomp, params, t, chain[i], _joint_separator(decomp, t, i))
+        send_message(decomp, params, t, chain[i], decomp.sep_plus[chain[i]])
     for i in range(len(chain) - 1, root_idx, -1):
-        send_message(decomp, params, t, chain[i], _joint_separator(decomp, t, i - 1))
+        send_message(decomp, params, t, chain[i], decomp.sep_plus[chain[i - 1]])
     root = chain[root_idx]
     if root != target:
         send_message(decomp, params, t, root, target)
@@ -140,44 +140,34 @@ def average_factor(decomp, params, b, sums=None):
     return avg
 
 
-def _chain_dp(decomp, params, t, want_argmin=False):
+def _chain_dp(decomp, tables, t, want_argmin=False):
     """Exact minimization of one subproblem by sweeping its chain.
 
-    Every local table is folded into the first chain member that covers it;
-    the running intersection property guarantees a node never reappears after
-    it has been minimized out.  Returns (value, labeling or None, cells).
+    `tables[c]` is factor c's table in subproblem `t`: a `TreeParams` chain
+    dict, or one per-factor sequence shared by every chain.  Every local table
+    is folded into the first chain member that covers it; the running
+    intersection property guarantees a node never reappears after it has been
+    minimized out.  Returns (value, labeling or None, cells).
     """
-    js = decomp.jstructure
-    chain = decomp.chains[t]
-    counts = decomp.model.label_counts
-    attributed = set()
-    stages = []
-    for a in chain:
-        pairs = []
-        for c in sorted(js.locals[a]):
-            if c in attributed:
-                continue
-            attributed.add(c)
-            pairs.append((js.scope(c), params.tables[t][c]))
-        stages.append(accumulate(pairs, js.scope(a), counts))
-
     cells = 0
     carry = None
     hs = []
-    for i, a in enumerate(chain):
-        scope = js.scope(a)
-        h = stages[i]
+    for stage in decomp._sweep_plan.stages[t]:
+        h = np.zeros(stage.shape)
+        for c, shape in stage.terms:
+            h += tables[c].reshape(shape)
         if carry is not None:
-            h = h + embed(carry[1], carry[0], scope)
+            h += carry
         cells += h.size
         hs.append(h)
-        if i + 1 < len(chain):
-            s_scope = js.scope(_joint_separator(decomp, t, i))
-            carry = (s_scope, reduce_min(h, scope, s_scope))
+        if stage.carry_axes is not None:
+            carry = min_over(h, stage.carry_axes).reshape(stage.carry_shape)
     value = float(hs[-1].min())
     if not want_argmin:
         return value, None, cells
 
+    js = decomp.jstructure
+    chain = decomp.chains[t]
     labeling = {}
     for i in reversed(range(len(chain))):
         scope = js.scope(chain[i])
@@ -198,26 +188,25 @@ def _chain_dp(decomp, params, t, want_argmin=False):
 
 
 def tree_minimum(decomp, params, t):
-    return _chain_dp(decomp, params, t)[0]
+    return _chain_dp(decomp, params.tables[t], t)[0]
 
 
 def tree_argmin(decomp, params, t):
     """Exact minimum of one subproblem with a minimizing node assignment."""
-    value, labeling, _ = _chain_dp(decomp, params, t, want_argmin=True)
+    value, labeling, _ = _chain_dp(decomp, params.tables[t], t, want_argmin=True)
     return value, labeling
 
 
 def bound(decomp, params):
     """Lower bound: probability-weighted sum of exact subproblem minima."""
-    return float(
-        sum(decomp.rho[t] * tree_minimum(decomp, params, t) for t in range(len(decomp.chains)))
-    )
+    return _bound_cells(decomp, params.tables)[0]
 
 
-def _bound_cells(decomp, params):
+def _bound_cells(decomp, chain_tables):
+    # chain_tables[t]: the tables `_chain_dp` reads for subproblem t
     total, cells = 0.0, 0
-    for t in range(len(decomp.chains)):
-        v, _, c = _chain_dp(decomp, params, t)
+    for t, tables in enumerate(chain_tables):
+        v, _, c = _chain_dp(decomp, tables, t)
         total += decomp.rho[t] * v
         cells += c
     return float(total), cells
@@ -324,7 +313,6 @@ class ChainSolverState:
     direction: str = "forward"
     pass_index: int = 0
     valid_child: dict = field(default_factory=dict)
-    cur: dict = field(default_factory=dict)
     meff: int = 0
     diag_cells: int = 0
     msg_ops_last_pass: int = 0
@@ -349,23 +337,37 @@ def chain_state_init(decomp):
     )
 
 
-def _eq20_message(decomp, state, a, b):
+def _net_table(source, subtract, messages):
+    # copy of `source` minus the listed messages, each at its broadcast shape
+    out = source.copy()
+    for key, shape in subtract:
+        out -= messages[key].reshape(shape)
+    return out
+
+
+def _eq20_message(state, rec):
     """Fresh message on an edge: minimize the source cost net of its other
     outgoing messages plus the weighted separator costs the target lacks."""
-    js = decomp.jstructure
-    scope_a = js.scope(a)
-    bracket = decomp.model.table(a).copy()
-    for c in decomp.local_separators[a]:
-        if c == b:
-            continue
-        bracket -= embed(state.messages[(a, c)], js.scope(c), scope_a)
-    ra = decomp.rho_factor[a]
-    for c in decomp.eq20_extra[(a, b)]:
-        bracket += (ra / decomp.rho_factor[c]) * embed(
-            state.theta_sep[c], js.scope(c), scope_a
-        )
+    bracket = _net_table(rec.source, rec.subtract, state.messages)
+    for coef, c, shape in rec.extra:
+        bracket += coef * state.theta_sep[c].reshape(shape)
     state.meff += bracket.size
-    return reduce_min(bracket, scope_a, js.scope(b))
+    return min_over(bracket, rec.axes)
+
+
+def _fold_nested(state, rec, total):
+    # add the superset's weighted locals outside the target's, minimize onto it
+    for coef, c, shape in rec.terms:
+        total += coef * state.theta_sep[c].reshape(shape)
+    state.meff += total.size
+    return min_over(total, rec.axes)
+
+
+def _nested(decomp, a, p, b):
+    js = decomp.jstructure
+    if not set(js.scope(b)) < set(js.scope(p)):
+        raise ReuseOrderViolation(f"factor {b} is not nested inside {p}")
+    return nested_recipe(decomp, a, p, b)
 
 
 def reuse_after(decomp, state, a, p, b, check=True):
@@ -376,22 +378,14 @@ def reuse_after(decomp, state, a, p, b, check=True):
     usual normalization the offsets cancel and the result matches the direct
     update exactly.
     """
-    js = decomp.jstructure
-    scope_p, scope_b = js.scope(p), js.scope(b)
-    if not set(scope_b) < set(scope_p):
-        raise ReuseOrderViolation(f"factor {b} is not nested inside {p}")
+    rec = _nested(decomp, a, p, b)
     if check and state.valid_child.get(a) != p:
         raise StaleMessage(f"edge ({a}, {p}) does not hold the current message")
-    ra = decomp.rho_factor[a]
-    total = np.zeros(table_shape(scope_p, decomp.model.label_counts))
-    for c in sorted(js.locals[p]):
-        if c in js.locals[b]:
-            continue
-        total += (ra / decomp.rho_factor[c]) * embed(
-            state.theta_sep[c], js.scope(c), scope_p
-        )
-    state.meff += total.size
-    return reduce_min(total, scope_p, scope_b)
+    return _reuse_after(state, rec)
+
+
+def _reuse_after(state, rec):
+    return _fold_nested(state, rec, np.zeros(rec.shape))
 
 
 def reuse_before(decomp, state, a, p, b, normalize=True):
@@ -402,42 +396,31 @@ def reuse_before(decomp, state, a, p, b, normalize=True):
     normalization still applies), and the superset's cached table is left
     stale until the superset itself is processed.
     """
-    js = decomp.jstructure
-    scope_p, scope_b = js.scope(p), js.scope(b)
-    if not set(scope_b) < set(scope_p):
-        raise ReuseOrderViolation(f"factor {b} is not nested inside {p}")
+    rec = _nested(decomp, a, p, b)
     window = decomp.local_separators[a]
     fwd = state.direction == "forward"
     seq = window if fwd else tuple(reversed(window))
     i = seq.index(b)
     if i + 1 >= len(seq) or seq[i + 1] != p:
         raise ReuseOrderViolation(f"factor {p} is not processed right after {b}")
+    return _reuse_before(state, rec, decomp._sweep_plan.fresh[(a, p)], normalize)
 
-    m_old_p = state.messages[(a, p)]
-    m_new_p = _eq20_message(decomp, state, a, p)
-    delta_ap = m_new_p - m_old_p
 
-    ra = decomp.rho_factor[a]
-    total = delta_ap.copy()
-    for c in sorted(js.locals[p]):
-        if c in js.locals[b]:
-            continue
-        total += (ra / decomp.rho_factor[c]) * embed(
-            state.theta_sep[c], js.scope(c), scope_p
-        )
-    state.meff += total.size
-    delta = reduce_min(total, scope_p, scope_b)
+def _reuse_before(state, rec, fresh_p, normalize):
+    m_old_p = state.messages[rec.key_p]
+    m_new_p = _eq20_message(state, fresh_p)
+    delta = _fold_nested(state, rec, m_new_p - m_old_p)
 
-    m_b = state.messages[(a, b)] + delta
+    m_b = state.messages[rec.key_b] + delta
     applied = delta
     if normalize:
         gamma = float(m_b.min())
         m_b = m_b - gamma
         applied = delta - gamma
-    state.messages[(a, b)] = m_b
-    state.messages[(a, p)] = m_new_p - embed(applied, scope_b, scope_p)
-    state.pending_noop.add((a, p))
-    return m_b, state.messages[(a, p)]
+    state.messages[rec.key_b] = m_b
+    state.messages[rec.key_p] = m_new_p - applied.reshape(rec.b_in_p)
+    state.pending_noop.add(rec.key_p)
+    return m_b, state.messages[rec.key_p]
 
 
 def trws_chain_pass(decomp, state, direction=None, reuse="none", normalize=True):
@@ -447,6 +430,8 @@ def trws_chain_pass(decomp, state, direction=None, reuse="none", normalize=True)
     messages; an edge's message is refreshed unless the separator is the edge's
     trailing bound for this direction, whose message stays valid from the
     previous sweep.  Returns the bound after the sweep.
+
+    The sweep runs from the decomposition's plan, which the first pass builds.
     """
     if not isinstance(state, ChainSolverState) or not state.ready:
         raise StateNotInitialized("chain solver state must come from chain_state_init")
@@ -454,97 +439,70 @@ def trws_chain_pass(decomp, state, direction=None, reuse="none", normalize=True)
         direction = state.direction
     state.direction = direction
     forward = direction == "forward"
-    js = decomp.jstructure
-    order = decomp.separator_order if forward else tuple(reversed(decomp.separator_order))
-    state.cur = {
-        t: (chain[0] if forward else chain[-1]) for t, chain in enumerate(decomp.chains)
-    }
+    plan = decomp._sweep_plan
+    use_after = reuse in ("after", "before-after")
+    use_before = reuse == "before-after"
+    messages = state.messages
+    pending = state.pending_noop
+    valid_child = state.valid_child
 
     ops = 0
-    for b in order:
-        theta_b = decomp.model.table(b).copy()
-        for a in decomp.sep_in_edges[b]:
-            key = (a, b)
-            skip_sep = decomp.sep_minus[a] if forward else decomp.sep_plus[a]
-            if b != skip_sep:
-                window = decomp.local_separators[a]
-                seq = window if forward else tuple(reversed(window))
-                i = seq.index(b)
-                pred = seq[i - 1] if i > 0 else None
-                succ = seq[i + 1] if i + 1 < len(seq) else None
-                scope_b = set(js.scope(b))
-                if key in state.pending_noop:
-                    state.pending_noop.discard(key)
+    for b, source, edges in plan.forward if forward else plan.backward:
+        theta_b = source.copy()
+        for a, key, skip, pred, fresh, after, before in edges:
+            if not skip:
+                if key in pending:
+                    pending.discard(key)
                     if normalize:
-                        m = state.messages[key]
-                        state.messages[key] = m - float(m.min())
-                elif (
-                    reuse in ("after", "before-after")
-                    and pred is not None
-                    and scope_b < set(js.scope(pred))
-                    and state.valid_child.get(a) == pred
-                ):
-                    inc = reuse_after(decomp, state, a, pred, b)
-                    m = state.messages[key] + inc
+                        m = messages[key]
+                        messages[key] = m - float(m.min())
+                elif use_after and after is not None and valid_child.get(a) == pred:
+                    m = messages[key] + _reuse_after(state, after)
                     if normalize:
                         m = m - float(m.min())
-                    state.messages[key] = m
+                    messages[key] = m
                     ops += 1
-                elif (
-                    reuse == "before-after"
-                    and succ is not None
-                    and scope_b < set(js.scope(succ))
-                    and (a, succ) not in state.pending_noop
-                ):
-                    reuse_before(decomp, state, a, succ, b, normalize=normalize)
+                elif use_before and before is not None and before.key_p not in pending:
+                    _reuse_before(state, before, plan.fresh[before.key_p], normalize)
                     ops += 1
                 else:
-                    m = _eq20_message(decomp, state, a, b)
+                    m = _eq20_message(state, fresh)
                     if normalize:
                         m = m - float(m.min())
-                    state.messages[key] = m
+                    messages[key] = m
                     ops += 1
-                state.valid_child[a] = b
-            theta_b += state.messages[key]
+                valid_child[a] = b
+            theta_b += messages[key]
         state.theta_sep[b] = theta_b
 
-        for t in decomp.trees_of.get(b, ()):
-            a = state.cur.get(t)
-            if a is None or decomp.sep_minus[a] is None:
-                continue
-            edge_sep = decomp.sep_plus[a] if forward else decomp.sep_minus[a]
-            if b == edge_sep:
-                chain = decomp.chains[t]
-                k = chain.index(a)
-                nxt = k + 1 if forward else k - 1
-                if 0 <= nxt < len(chain):
-                    state.cur[t] = chain[nxt]
-
-    assert not state.pending_noop, "preemptive messages left unconsumed"
-    assert ops <= len(decomp.message_edges), "more than one message operation per edge"
+    if pending:
+        raise UnconsumedPreemptiveMessage(
+            f"preemptive messages left unconsumed: {sorted(pending)}"
+        )
+    if ops > len(decomp.message_edges):
+        raise ExcessMessageOps(
+            f"{ops} message operations for {len(decomp.message_edges)} edges in one pass"
+        )
     state.msg_ops_last_pass = ops
     state.pass_index += 1
     state.direction = "backward" if forward else "forward"
 
-    params = chain_state_tree_params(decomp, state)
-    phi, cells = _bound_cells(decomp, params)
+    tables = chain_state_factor_tables(decomp, state)
+    for fid, tbl in enumerate(tables):
+        tbl /= decomp.rho_factor[fid]
+    phi, cells = _bound_cells(decomp, [tables] * len(decomp.chains))
     state.diag_cells += cells
     return phi
 
 
 def chain_state_factor_tables(decomp, state):
     """Current reparameterized cost of every factor under the stored messages."""
-    js = decomp.jstructure
-    out = []
-    for fid in range(len(decomp.model.factors)):
-        if fid in js.outer:
-            t = decomp.model.table(fid).copy()
-            for c in decomp.local_separators[fid]:
-                t -= embed(state.messages[(fid, c)], js.scope(c), js.scope(fid))
-            out.append(t)
-        else:
-            out.append(state.theta_sep[fid].copy())
-    return out
+    return [
+        state.theta_sep[fid].copy()
+        if subtract is None
+        else _net_table(decomp.model.table(fid), subtract, state.messages)
+        for fid, subtract in enumerate(decomp._sweep_plan.net)
+    ]
 
 
 def chain_state_tree_params(decomp, state):

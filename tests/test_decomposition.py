@@ -13,7 +13,7 @@ from homrf.decomposition import (
 from homrf.errors import MissingSeparatorFactor
 from homrf.model import build_model, close_j, energy
 
-from conftest import figure_chain_instance, random_decomposed
+from conftest import figure_chain_instance, random_decomposed, random_instance
 
 
 def _pairwise_model(n, scopes, rng):
@@ -81,6 +81,16 @@ class TestSepBounds:
         ab, bc = chain
         assert d.sep_plus[ab] == d.sep_minus[bc]
         assert d.jstructure.scope(d.sep_plus[ab]) == (1,)
+
+    def test_decomposition_bounds_match_public_sep_bounds(self, rng):
+        for _ in range(20):
+            model, js = random_instance(rng, nested=True)
+            order = rng.permutation(model.node_count)
+            d = build_monotonic_chains(model, js, order)
+            for chain in d.chains:
+                for a in chain:
+                    got = sep_bounds(d.jstructure, d.node_order, chain, a)
+                    assert got == (d.sep_minus[a], d.sep_plus[a])
 
     def test_missing_separator_factor(self, rng):
         model, js = _pairwise_model(3, [(0, 1), (1, 2)], rng)

@@ -187,6 +187,23 @@ class TestCli:
             meff = [int(r["meff"]) for r in rows]
             assert all(m2 > m1 for m1, m2 in zip(meff, meff[1:]))
 
+    def test_wide_grid_skips_agreement_check(self, capsys):
+        # 8**30 joint states per chain: the size guard must not wrap around
+        code = main(
+            ["--gen", "stereo", "--width", "30", "--height", "3", "--labels", "8", "--passes", "2"]
+        )
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert "final bound" in captured.out
+        assert "tree agreement" not in captured.out
+
+    @pytest.mark.parametrize("eps", ["nan", "inf", "-1e-3"])
+    def test_bad_eps_exit_2(self, capsys, eps):
+        with pytest.raises(SystemExit) as exc:
+            main(["--gen", "potts2x2", "--width", "2", "--height", "2", f"--eps={eps}"])
+        assert exc.value.code == 2
+        assert "--eps" in capsys.readouterr().err
+
     def test_missing_input_file(self, capsys):
         code = main(["--input", "missing.txt", "--method", "trws"])
         assert code == 1

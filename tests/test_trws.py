@@ -8,7 +8,9 @@ from homrf.errors import (
     NotASeparator,
     StaleMessage,
     StateNotInitialized,
+    UnconsumedPreemptiveMessage,
 )
+from homrf.generators import gen_stereo_second_order
 from homrf.model import build_model, close_j, energy
 from homrf.oracle import brute_force_map, brute_force_min_marginals, tree_total_table
 from homrf.trws import (
@@ -16,6 +18,7 @@ from homrf.trws import (
     bound,
     chain_state_factor_tables,
     chain_state_init,
+    chain_state_tree_params,
     explicit_chain_init,
     init_tree_params,
     nu_table,
@@ -477,6 +480,36 @@ class TestChainPassMessageForm:
                 assert a == pytest.approx(b, abs=1e-9)
             for m in st_on.messages.values():
                 assert m.min() >= -1e-12
+
+
+    def test_unconsumed_preemptive_message_raises(self, rng):
+        d = random_decomposed(rng, nested=True)
+        st = chain_state_init(d)
+        st.pending_noop.add((-1, -1))
+        with pytest.raises(UnconsumedPreemptiveMessage):
+            trws_chain_pass(d, st)
+
+
+# meff, diag_cells and msg_ops_last_pass after 6 passes of the stereo instance
+# below: pinned, so that reorganizing the sweep cannot change the work it does
+STEREO_8X8_COUNTERS = {
+    "none": (589824, 294912, 192),
+    "after": (410624, 294912, 192),
+    "before-after": (338944, 294912, 176),
+}
+
+
+class TestProductionBound:
+    @pytest.mark.parametrize("reuse", ["none", "after", "before-after"])
+    def test_pass_bound_equals_reference_bound(self, rng, reuse):
+        decomps = [random_decomposed(rng, nested=True) for _ in range(10)]
+        stereo = build_monotonic_chains(*gen_stereo_second_order(8, 8, labels=8, seed=3))
+        for d in decomps + [stereo]:
+            st = chain_state_init(d)
+            for _ in range(6):
+                phi = trws_chain_pass(d, st, reuse=reuse)
+                assert phi == bound(d, chain_state_tree_params(d, st))
+        assert (st.meff, st.diag_cells, st.msg_ops_last_pass) == STEREO_8X8_COUNTERS[reuse]
 
 
 class TestReuse:
