@@ -59,7 +59,6 @@ from .trws import (
     solve_trws,
     tree_argmin,
     tree_min_marginal,
-    tree_minimum,
     trws_chain_pass,
     trws_explicit_pass,
     trws_general_pass,

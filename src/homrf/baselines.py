@@ -12,8 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._tables import embed, reduce_min, restrict
+from .decomposition import sigma_key
 from .errors import InvalidStepSize
-from .trws import TreeParams, _chain_dp, init_tree_params
+from .trws import TreeParams, _chain_dp, _run_passes, init_tree_params
 
 
 def psi_bound(tables):
@@ -35,8 +36,6 @@ def msd_init(model):
 def msd_sweep_order(jstructure, node_order=None):
     """Closed edges ordered by target then source scope, matching the
     separator sweep of the chain solver."""
-    from .decomposition import sigma_key
-
     n_nodes = 1 + max((v for s in jstructure.scopes for v in s), default=-1)
     if node_order is None:
         node_order = tuple(range(n_nodes))
@@ -67,20 +66,22 @@ def msd_pass(model, jstructure, state, order=None):
     return psi_bound(state.tables)
 
 
+def _msd_steps(decomp):
+    # diffusion state on the decomposition's model and its pass step for `_run_passes`
+    state = msd_init(decomp.model)
+    order = msd_sweep_order(decomp.jstructure, decomp.node_order)
+
+    def step(k):
+        return "forward", msd_pass(decomp.model, decomp.jstructure, state, order), state.meff
+
+    return state, step
+
+
 def solve_msd(decomp, passes=500, eps=1e-7):
     """Run diffusion on a decomposition's (augmented) model until the bound
     stalls; returns (bounds per pass, final state)."""
-    state = msd_init(decomp.model)
-    order = msd_sweep_order(decomp.jstructure, decomp.node_order)
-    bounds = []
-    prev = None
-    for _ in range(passes):
-        psi = msd_pass(decomp.model, decomp.jstructure, state, order)
-        bounds.append(psi)
-        if prev is not None and abs(psi - prev) <= eps * max(1.0, abs(psi)):
-            break
-        prev = psi
-    return bounds, state
+    state, step = _msd_steps(decomp)
+    return [r.bound for r in _run_passes(step, passes, eps, "msd")], state
 
 
 @dataclass
@@ -139,11 +140,22 @@ def subgradient_pass(decomp, state):
     return phi
 
 
-def solve_subgradient(decomp, step_base=1.0, passes=500):
-    """Run subgradient ascent; returns (bounds per pass, final state)."""
+def _subgrad_steps(decomp, step_base):
+    # subgradient state and its pass step for `_run_passes`
     state = subgrad_init(decomp, step_base)
-    bounds = [subgradient_pass(decomp, state) for _ in range(passes)]
-    return bounds, state
+
+    def step(k):
+        return "forward", subgradient_pass(decomp, state), state.meff
+
+    return state, step
+
+
+def solve_subgradient(decomp, step_base=1.0, passes=500):
+    """Run subgradient ascent for the whole pass budget (the step size is
+    diminishing, so there is no stop rule); returns (bounds per pass, final
+    state)."""
+    state, step = _subgrad_steps(decomp, step_base)
+    return [r.bound for r in _run_passes(step, passes, None, "subgrad")], state
 
 
 def select_step_size(decomp, grid=(0.1, 1.0, 10.0), passes=500):

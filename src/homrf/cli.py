@@ -5,11 +5,10 @@ import argparse
 import csv
 import math
 import sys
-import time
 
-from .baselines import msd_init, msd_pass, msd_sweep_order, subgrad_init, subgradient_pass
+from .baselines import _msd_steps, _subgrad_steps
 from .decomposition import build_monotonic_chains
-from .errors import HomrfError, TooLarge
+from .errors import HomrfError
 from .fileio import parse_model_file
 from .generators import gen_potts_2x2, gen_stereo_second_order
 from .model import energy
@@ -20,11 +19,10 @@ from .oracle import (
     extract_primal,
 )
 from .trws import (
-    TraceRow,
-    chain_state_init,
+    _run_passes,
+    _trws_steps,
     chain_state_tree_params,
     init_tree_params,
-    trws_chain_pass,
     trws_general_pass,
 )
 
@@ -57,100 +55,91 @@ def build_parser():
     return p
 
 
+def _read(path):
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise HomrfError(f"cannot read {path}: {exc}") from exc
+
+
 def _load(args, parser):
     node_order = None
     if args.input:
         if args.separators is not None:
             parser.error("--separators applies only to generated instances")
-        try:
-            with open(args.input) as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise HomrfError(f"cannot read {args.input}: {exc}") from exc
-        model, js, node_order = parse_model_file(text)
+        model, js, node_order = parse_model_file(_read(args.input))
     else:
         separators = args.separators or "singleton"
-        if args.gen == "stereo":
-            model, js = gen_stereo_second_order(
-                args.width,
-                args.height,
-                labels=args.labels or 8,
-                smooth_weight=args.stereo_lambda,
-                seed=args.seed,
-                separators=separators,
-            )
-        else:
-            model, js = gen_potts_2x2(
-                args.width,
-                args.height,
-                labels=args.labels or 4,
-                block_weight=args.block_weight,
-                seed=args.seed,
-                separators=separators,
-                variant=args.potts_variant,
-            )
+        try:
+            if args.gen == "stereo":
+                model, js = gen_stereo_second_order(
+                    args.width,
+                    args.height,
+                    labels=8 if args.labels is None else args.labels,
+                    smooth_weight=args.stereo_lambda,
+                    seed=args.seed,
+                    separators=separators,
+                )
+            else:
+                model, js = gen_potts_2x2(
+                    args.width,
+                    args.height,
+                    labels=4 if args.labels is None else args.labels,
+                    block_weight=args.block_weight,
+                    seed=args.seed,
+                    separators=separators,
+                    variant=args.potts_variant,
+                )
+        except ValueError as exc:
+            parser.error(f"--gen {args.gen}: {exc}")
     if args.node_order != "input":
         try:
-            with open(args.node_order) as fh:
-                node_order = tuple(int(tok) for tok in fh.read().split())
-        except OSError as exc:
-            raise HomrfError(f"cannot read {args.node_order}: {exc}") from exc
+            node_order = tuple(int(tok) for tok in _read(args.node_order).split())
+        except ValueError:
+            raise HomrfError(f"{args.node_order}: node ids must be integers") from None
+        if sorted(node_order) != list(range(model.node_count)):
+            raise HomrfError(
+                f"{args.node_order}: not a permutation of the {model.node_count} nodes"
+            )
     return model, js, node_order
 
 
+def _general_steps(decomp):
+    # explicit-table state and its pass step, alternating the separator order
+    params = init_tree_params(decomp)
+    orders = {"forward": decomp.separator_order, "backward": decomp.separator_order[::-1]}
+
+    def step(k):
+        direction = "backward" if k % 2 else "forward"
+        return direction, trws_general_pass(decomp, params, orders[direction]), params.cells
+
+    return params, step
+
+
+# method -> (state, pass step) for the shared pass/stop loop
+_STEPS = {
+    "trws": lambda decomp, args: _trws_steps(decomp, args.reuse),
+    "trws-general": lambda decomp, args: _general_steps(decomp),
+    "msd": lambda decomp, args: _msd_steps(decomp),
+    "subgrad": lambda decomp, args: _subgrad_steps(decomp, args.step_base),
+}
+
+
 def _run(decomp, args):
-    rows = []
-    prev = None
-
-    def record(k, direction, phi, meff, t0):
-        rows.append(
-            TraceRow(k, direction, args.method, phi, meff, (time.perf_counter() - t0) * 1e3)
-        )
-
-    def stalled(phi):
-        nonlocal prev
-        done = prev is not None and abs(phi - prev) <= args.eps * max(1.0, abs(phi))
-        prev = phi
-        return done
-
+    state, step = _STEPS[args.method](decomp, args)
+    if args.method == "subgrad":
+        # diminishing steps, no stop rule: run the budget, report the best bound
+        rows = _run_passes(step, args.passes, None, args.method)
+        return rows, state.best_params or state.params, state.best
+    rows = _run_passes(step, args.passes, args.eps, args.method)
     if args.method == "trws":
-        state = chain_state_init(decomp)
-        for k in range(args.passes):
-            t0 = time.perf_counter()
-            direction = state.direction
-            phi = trws_chain_pass(decomp, state, reuse=args.reuse)
-            record(k, direction, phi, state.meff, t0)
-            if stalled(phi):
-                break
-        return rows, state, chain_state_tree_params(decomp, state), phi
-    if args.method == "trws-general":
-        params = init_tree_params(decomp)
-        for k in range(args.passes):
-            t0 = time.perf_counter()
-            direction = "forward" if k % 2 == 0 else "backward"
-            order = decomp.separator_order if k % 2 == 0 else tuple(reversed(decomp.separator_order))
-            phi = trws_general_pass(decomp, params, order)
-            record(k, direction, phi, params.cells, t0)
-            if stalled(phi):
-                break
-        return rows, params, params, phi
-    if args.method == "msd":
-        state = msd_init(decomp.model)
-        order = msd_sweep_order(decomp.jstructure, decomp.node_order)
-        for k in range(args.passes):
-            t0 = time.perf_counter()
-            psi = msd_pass(decomp.model, decomp.jstructure, state, order)
-            record(k, "forward", psi, state.meff, t0)
-            if stalled(psi):
-                break
-        return rows, state, state.tables, psi
-    # subgradient
-    state = subgrad_init(decomp, args.step_base)
-    for k in range(args.passes):
-        t0 = time.perf_counter()
-        phi = subgradient_pass(decomp, state)
-        record(k, "forward", phi, state.meff, t0)
-    return rows, state, state.best_params or state.params, state.best
+        primal_source = chain_state_tree_params(decomp, state)
+    elif args.method == "msd":
+        primal_source = state.tables
+    else:
+        primal_source = state
+    return rows, primal_source, rows[-1].bound
 
 
 def run_solver_cli(argv=None):
@@ -163,7 +152,7 @@ def run_solver_cli(argv=None):
     try:
         model, js, node_order = _load(args, parser)
         decomp = build_monotonic_chains(model, js, node_order)
-        rows, state, primal_source, final_bound = _run(decomp, args)
+        rows, primal_source, final_bound = _run(decomp, args)
 
         if args.trace:
             with open(args.trace, "w", newline="") as fh:
@@ -187,17 +176,13 @@ def run_solver_cli(argv=None):
             default=1,
         )
         if args.method in ("trws", "trws-general") and per_tree <= STATE_SPACE_GUARD:
-            params = primal_source if args.method == "trws-general" else chain_state_tree_params(decomp, state)
-            report = check_ewta(decomp, params)
+            report = check_ewta(decomp, primal_source)
             print(f"tree agreement: {'yes' if report.holds else 'no'}")
         elif args.method == "msd":
-            report = check_j_consistency_enhanced(state.tables, decomp.jstructure)
+            report = check_j_consistency_enhanced(primal_source, decomp.jstructure)
             print(f"edge consistency: {'yes' if report.holds else 'no'}")
         return 0
-    except TooLarge as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except HomrfError as exc:
+    except (HomrfError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

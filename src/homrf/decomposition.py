@@ -131,41 +131,49 @@ def _rip_preserved(chain_scopes, new_scope):
 
 @dataclass
 class Decomposition:
-    """A chain cover of the outer factors plus everything derived from it."""
+    """A chain cover of the outer factors plus everything derived from it.
+
+    Only the cover itself is passed in; every other field is derived from it
+    on construction, so `dataclasses.replace` re-derives them too.
+    """
 
     model: Model
     jstructure: object
     node_order: tuple
     chains: tuple
     rho: tuple
-    rho_factor: dict
     sep_minus: dict
     sep_plus: dict
-    local_separators: dict
     separator_order: tuple
     augmented_factors: tuple = ()
 
-    sep_rank: dict = field(default_factory=dict, repr=False)
-    tree_of: dict = field(default_factory=dict, repr=False)
-    trees_of: dict = field(default_factory=dict, repr=False)
-    tree_factors: tuple = ()
-    tree_nodes: tuple = ()
-    message_edges: tuple = ()
-    sep_in_edges: dict = field(default_factory=dict, repr=False)
-    eq20_extra: dict = field(default_factory=dict, repr=False)
+    rho_factor: dict = field(init=False)
+    local_separators: dict = field(init=False)
+    sep_rank: dict = field(init=False, repr=False)
+    trees_of: dict = field(init=False, repr=False)
+    tree_factors: tuple = field(init=False)
+    tree_nodes: tuple = field(init=False)
+    message_edges: tuple = field(init=False)
+    sep_in_edges: dict = field(init=False, repr=False)
+    eq20_extra: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         js = self.jstructure
         self.sep_rank = {b: i for i, b in enumerate(self.separator_order)}
-        self.tree_of = {a: t for t, chain in enumerate(self.chains) for a in chain}
+        self.local_separators = {
+            a: local_separator_window(self, a) for chain in self.chains for a in chain
+        }
         self.tree_factors = tuple(
             frozenset().union(*(js.locals[a] for a in chain)) for chain in self.chains
         )
         trees_of = {}
+        rho_factor = {}
         for t, fs in enumerate(self.tree_factors):
             for c in fs:
                 trees_of.setdefault(c, []).append(t)
+                rho_factor[c] = rho_factor.get(c, 0.0) + self.rho[t]
         self.trees_of = {c: tuple(ts) for c, ts in trees_of.items()}
+        self.rho_factor = rho_factor
         self.tree_nodes = tuple(
             tuple(sorted({v for a in chain for v in js.scope(a)}))
             for chain in self.chains
@@ -274,41 +282,20 @@ def build_monotonic_chains(model, jstructure, node_order=None):
     chains = tuple(tuple(c) for c in chains)
     separator_order = extend_order_to_separators(js, node_order)
 
-    sep_minus, sep_plus, windows = {}, {}, {}
-    rank = {b: i for i, b in enumerate(separator_order)}
+    sep_minus, sep_plus = {}, {}
     index = _scope_index(js)
     for chain in chains:
         for i, a in enumerate(chain):
-            lo, hi = _sep_bounds(js, pos, index, chain, i)
-            sep_minus[a] = lo
-            sep_plus[a] = hi
-            if lo is None:
-                windows[a] = ()
-            else:
-                members = [
-                    b
-                    for b in js.locals[a]
-                    if b in js.separators and rank[lo] <= rank[b] <= rank[hi]
-                ]
-                windows[a] = tuple(sorted(members, key=rank.__getitem__))
-
-    rho = tuple([1.0 / len(chains)] * len(chains)) if chains else ()
-    tree_factors = [frozenset().union(*(js.locals[a] for a in chain)) for chain in chains]
-    rho_factor = {}
-    for t, fs in enumerate(tree_factors):
-        for c in fs:
-            rho_factor[c] = rho_factor.get(c, 0.0) + rho[t]
+            sep_minus[a], sep_plus[a] = _sep_bounds(js, pos, index, chain, i)
 
     return Decomposition(
         model=model,
         jstructure=js,
         node_order=node_order,
         chains=chains,
-        rho=rho,
-        rho_factor=rho_factor,
+        rho=tuple([1.0 / len(chains)] * len(chains)) if chains else (),
         sep_minus=sep_minus,
         sep_plus=sep_plus,
-        local_separators=windows,
         separator_order=separator_order,
         augmented_factors=tuple(added),
     )

@@ -76,6 +76,9 @@ def parse_model_file(text):
     if n <= 0:
         raise ParseError(f"line {toks.last_line}: node count must be positive")
     label_counts = [toks.next_int(f"label count of node {v}") for v in range(n)]
+    for v, c in enumerate(label_counts):
+        if c <= 0:
+            raise ParseError(f"line {toks.last_line}: node {v} has label count {c}")
 
     k = toks.next_int("factor count")
     factors = []

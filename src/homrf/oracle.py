@@ -11,9 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._tables import accumulate, embed, reduce_min, restrict
+from ._tables import accumulate, embed, reduce_min
+from .decomposition import sigma_key
 from .errors import NotAtFixpoint, TooLarge
-from .model import check_labeling
 from .trws import (
     ChainSolverState,
     TreeParams,
@@ -255,8 +255,6 @@ def map_jconsistent_to_wta(decomp, tables, tol=1e-9, check=True):
             )
     work = [t.copy() for t in tables]
     pos = decomp.node_pos
-    from .decomposition import sigma_key
-
     sig = {a: sigma_key(js.scope(a), pos) for a in js.outer}
     for b in decomp.separator_order:
         covers = sorted((a for a in js.outer if b in js.locals[a]), key=sig.__getitem__)
@@ -310,13 +308,3 @@ def extract_primal(decomp, source):
         labeling[v] = int(np.argmin(scores))
     return tuple(labeling)
 
-
-def energy_of(model, tables, labeling):
-    """Energy of a labeling under arbitrary per-factor tables."""
-    labeling = check_labeling(model, labeling)
-    return float(
-        sum(
-            tables[fid][restrict(labeling, model.scope(fid))]
-            for fid in range(len(model.factors))
-        )
-    )

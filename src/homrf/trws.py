@@ -47,17 +47,19 @@ class TreeParams:
         return out
 
 
+def _split(decomp, tables):
+    # per-subproblem copies of per-factor tables, each over its appearance probability
+    return TreeParams(
+        [
+            {fid: tables[fid] / decomp.rho_factor[fid] for fid in sorted(fs)}
+            for fs in decomp.tree_factors
+        ]
+    )
+
+
 def init_tree_params(decomp):
     """Uniform split: each factor's cost over its appearance probability."""
-    out = []
-    for t in range(len(decomp.chains)):
-        out.append(
-            {
-                fid: decomp.model.table(fid) / decomp.rho_factor[fid]
-                for fid in sorted(decomp.tree_factors[t])
-            }
-        )
-    return TreeParams(out)
+    return _split(decomp, [f.table for f in decomp.model.factors])
 
 
 def cumulative_tables(decomp, params):
@@ -185,10 +187,6 @@ def _chain_dp(decomp, tables, t, want_argmin=False):
             for v, c in zip(free, coords):
                 labeling[v] = int(c)
     return value, labeling, cells
-
-
-def tree_minimum(decomp, params, t):
-    return _chain_dp(decomp, params.tables[t], t)[0]
 
 
 def tree_argmin(decomp, params, t):
@@ -508,16 +506,7 @@ def chain_state_factor_tables(decomp, state):
 def chain_state_tree_params(decomp, state):
     """Per-subproblem view of the message-form state (cumulative over
     appearance probability)."""
-    tables = chain_state_factor_tables(decomp, state)
-    out = []
-    for t in range(len(decomp.chains)):
-        out.append(
-            {
-                fid: tables[fid] / decomp.rho_factor[fid]
-                for fid in sorted(decomp.tree_factors[t])
-            }
-        )
-    return TreeParams(out)
+    return _split(decomp, chain_state_factor_tables(decomp, state))
 
 
 @dataclass
@@ -530,6 +519,26 @@ class TraceRow:
     ms: float
 
 
+def _run_passes(step, passes, eps, method):
+    """The pass/stop loop every solver shares.
+
+    Calls `step(k) -> (direction, bound, meff)` for passes k = 0, 1, ... and
+    times each into a `TraceRow`.  Stops after `passes` passes, or once the
+    relative per-pass bound change is at most `eps`; `eps=None` never stops
+    early.
+    """
+    rows = []
+    prev = None
+    for k in range(passes):
+        t0 = time.perf_counter()
+        direction, phi, meff = step(k)
+        rows.append(TraceRow(k, direction, method, phi, meff, (time.perf_counter() - t0) * 1e3))
+        if eps is not None and prev is not None and abs(phi - prev) <= eps * max(1.0, abs(phi)):
+            break
+        prev = phi
+    return rows
+
+
 @dataclass
 class SolveResult:
     rows: list
@@ -537,21 +546,21 @@ class SolveResult:
     bound: float
 
 
-def solve_trws(decomp, passes=500, eps=1e-7, reuse="after", normalize=True, method="trws"):
-    """Alternate forward and backward message sweeps until the relative
-    per-pass bound improvement drops below `eps` or the pass budget runs out."""
+def _trws_steps(decomp, reuse, normalize=True):
+    # message-form state and its pass step for `_run_passes`
     state = chain_state_init(decomp)
-    rows = []
-    prev = None
-    phi = None
-    for k in range(passes):
-        t0 = time.perf_counter()
+
+    def step(k):
         direction = state.direction
         phi = trws_chain_pass(decomp, state, reuse=reuse, normalize=normalize)
-        rows.append(
-            TraceRow(k, direction, method, phi, state.meff, (time.perf_counter() - t0) * 1e3)
-        )
-        if prev is not None and abs(phi - prev) <= eps * max(1.0, abs(phi)):
-            break
-        prev = phi
-    return SolveResult(rows=rows, state=state, bound=phi)
+        return direction, phi, state.meff
+
+    return state, step
+
+
+def solve_trws(decomp, passes=500, eps=1e-7, reuse="after", normalize=True):
+    """Alternate forward and backward message sweeps until the relative
+    per-pass bound improvement drops below `eps` or the pass budget runs out."""
+    state, step = _trws_steps(decomp, reuse, normalize)
+    rows = _run_passes(step, passes, eps, "trws")
+    return SolveResult(rows=rows, state=state, bound=rows[-1].bound if rows else None)

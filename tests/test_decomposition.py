@@ -202,6 +202,18 @@ class TestValidate:
         report = validate_decomposition(bad.model, bad.jstructure, bad)
         assert "monotonicity" in report.codes()
 
+    def test_replace_rederives_windows_and_probabilities(self, rng):
+        model, js = _pairwise_model(4, [(0, 1), (2, 3)], rng)
+        d = build_monotonic_chains(model, js)
+        assert len(d.chains) == 2
+        merged = dataclasses.replace(d, chains=(d.chains[0] + d.chains[1],), rho=(1.0,))
+        assert set(d.rho_factor.values()) == {0.5}
+        assert set(merged.rho_factor.values()) == {1.0}
+        assert merged.tree_factors == (d.tree_factors[0] | d.tree_factors[1],)
+        dropped = dataclasses.replace(d, chains=d.chains[:1])
+        assert set(dropped.local_separators) == set(d.chains[0]) != set(d.local_separators)
+        assert set(dropped.rho_factor) == set(d.tree_factors[0])
+
     def test_missing_singleton_edge_is_flagged(self, rng):
         model, js = _pairwise_model(2, [(0, 1)], rng)
         d = build_monotonic_chains(model, js)

@@ -1,8 +1,12 @@
 import csv
+import io
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from homrf.baselines import solve_msd, solve_subgradient
 from homrf.cli import main
 from homrf.decomposition import build_monotonic_chains, local_separator_window
 from homrf.errors import ParseError
@@ -14,6 +18,7 @@ from homrf.generators import (
     second_order_table,
 )
 from homrf.oracle import brute_force_map
+from homrf.trws import init_tree_params, solve_trws, trws_general_pass
 
 from conftest import figure_chain_instance, random_instance
 
@@ -54,6 +59,10 @@ class TestParse:
     def test_bad_header(self):
         with pytest.raises(ParseError, match="line 1"):
             parse_model_file("MARKOV\n1\n2\n0\n")
+
+    def test_zero_label_count(self):
+        with pytest.raises(ParseError, match="label count 0"):
+            parse_model_file("HOMRF\n1\n0\n1\n1 0\nJ\n0\n")
 
     def test_order_section(self):
         text = MINIMAL + "ORDER\n0\n"
@@ -246,3 +255,169 @@ class TestCli:
              "--node-order", str(order)]
         )
         assert code == 0
+
+
+def _exit(argv):
+    """Exit code and stderr of one in-process CLI run; usage errors included."""
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+class TestCliErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--gen", "stereo", "--width", "2"],
+            ["--gen", "potts2x2", "--width", "1"],
+            ["--gen", "stereo", "--labels", "0"],
+            ["--gen", "potts2x2", "--labels", "-1"],
+        ],
+    )
+    def test_bad_generator_parameters_exit_2(self, argv):
+        code, err = _exit(argv + ["--passes", "1"])
+        assert code == 2
+        assert "--gen" in err
+
+    @pytest.mark.parametrize("text", ["4 3 2 1 1\n", "0 1 2 x 4\n", "0 1 2 3\n"])
+    def test_bad_node_order_file_exit_1(self, tmp_path, rng, text):
+        model, js = figure_chain_instance(rng)
+        path = tmp_path / "m.txt"
+        path.write_text(serialize_model(model, js))
+        order = tmp_path / "order.txt"
+        order.write_text(text)
+        code, err = _exit(["--input", str(path), "--passes", "2", "--node-order", str(order)])
+        assert code == 1
+        assert err.startswith("error:") and "order.txt" in err
+
+    def test_unwritable_trace_exit_1(self, tmp_path):
+        trace = tmp_path / "missing" / "t.csv"
+        code, err = _exit(["--gen", "potts2x2", "--passes", "1", "--trace", str(trace)])
+        assert code == 1
+        assert err.startswith("error:") and "t.csv" in err
+
+    def test_zero_label_count_file_exit_1(self, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_text("HOMRF\n1\n0\n1\n1 0\nJ\n0\n")
+        code, err = _exit(["--input", str(path)])
+        assert code == 1
+        assert err.startswith("error:") and "label count" in err
+
+
+@given(
+    gen=st.sampled_from(["stereo", "potts2x2"]),
+    method=st.sampled_from(["trws", "trws-general", "msd", "subgrad"]),
+    width=st.integers(-1, 4),
+    height=st.integers(-1, 4),
+    labels=st.one_of(st.none(), st.integers(-1, 3)),
+    passes=st.integers(-1, 3),
+    separators=st.sampled_from(["singleton", "pair"]),
+)
+@settings(max_examples=60, deadline=None)
+def test_generator_flags_never_traceback(gen, method, width, height, labels, passes, separators):
+    argv = [
+        "--gen", gen, "--method", method, "--width", str(width), "--height", str(height),
+        "--passes", str(passes), "--separators", separators,
+    ]
+    if labels is not None:
+        argv += ["--labels", str(labels)]
+    code, err = _exit(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+
+
+_PAIR_MODEL = """HOMRF
+2
+2 2
+3
+1 0
+0.5 0
+1 1
+0 1
+2 0 1
+0 1 1 0
+J
+2
+2 0
+2 1
+ORDER
+1 0
+"""
+_TOKENS = ["HOMRF", "J", "ORDER", "0", "1", "2", "3", "-1", "0.5", "nan", "x"]
+
+
+@given(
+    edits=st.lists(
+        st.tuples(
+            st.integers(0, len(_PAIR_MODEL.split()) - 1),
+            st.sampled_from(["drop", "put"]),
+            st.sampled_from(_TOKENS),
+        ),
+        min_size=1,
+        max_size=3,
+    )
+)
+@settings(max_examples=100, deadline=None)
+def test_malformed_model_file_never_tracebacks(tmp_path_factory, edits):
+    tokens = _PAIR_MODEL.split()
+    for i, op, tok in edits:
+        if op == "drop":
+            del tokens[min(i, len(tokens) - 1)]
+        else:
+            tokens[min(i, len(tokens) - 1)] = tok
+    path = tmp_path_factory.mktemp("fuzz") / "m.txt"
+    path.write_text(" ".join(tokens))
+    code, err = _exit(["--input", str(path), "--passes", "2"])
+    assert code in (0, 1)
+    assert "Traceback" not in err
+    if code == 1:
+        assert err.startswith("error:")
+
+
+def _trace_rows(tmp_path, argv):
+    path = tmp_path / "t.csv"
+    assert main(argv + ["--trace", str(path)]) == 0
+    return [(r["pass"], r["direction"], r["method"], r["bound"], r["meff"]) for r in _read_trace(path)]
+
+
+class TestCliMatchesLibrary:
+    GEN = ["--gen", "potts2x2", "--width", "3", "--height", "3", "--labels", "2", "--separators", "pair"]
+
+    def _decomp(self):
+        model, js = gen_potts_2x2(3, 3, labels=2, seed=0, separators="pair")
+        return build_monotonic_chains(model, js)
+
+    def test_trws_rows(self, tmp_path):
+        rows = _trace_rows(tmp_path, self.GEN + ["--passes", "30", "--reuse", "before-after"])
+        want = solve_trws(self._decomp(), passes=30, reuse="before-after").rows
+        assert rows == [
+            (str(r.pass_index), r.direction, "trws", f"{r.bound:.12g}", str(r.meff)) for r in want
+        ]
+
+    def test_trws_general_rows(self, tmp_path):
+        rows = _trace_rows(tmp_path, self.GEN + ["--method", "trws-general", "--passes", "5", "--eps", "0"])
+        d = self._decomp()
+        params = init_tree_params(d)
+        want = []
+        for k in range(5):
+            order = d.separator_order if k % 2 == 0 else tuple(reversed(d.separator_order))
+            phi = trws_general_pass(d, params, order)
+            direction = "forward" if k % 2 == 0 else "backward"
+            want.append((str(k), direction, "trws-general", f"{phi:.12g}", str(params.cells)))
+        assert rows == want
+
+    def test_msd_bounds(self, tmp_path):
+        rows = _trace_rows(tmp_path, self.GEN + ["--method", "msd", "--passes", "200"])
+        bounds, _ = solve_msd(self._decomp(), passes=200)
+        assert [r[3] for r in rows] == [f"{b:.12g}" for b in bounds]
+        assert {r[1:3] for r in rows} == {("forward", "msd")}
+
+    def test_subgrad_bounds_ignore_eps(self, tmp_path):
+        rows = _trace_rows(tmp_path, self.GEN + ["--method", "subgrad", "--eps", "1", "--passes", "7"])
+        assert len(rows) == 7
+        bounds, _ = solve_subgradient(self._decomp(), 1.0, passes=7)
+        assert [r[3] for r in rows] == [f"{b:.12g}" for b in bounds]

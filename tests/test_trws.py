@@ -6,6 +6,7 @@ from homrf.errors import (
     FactorNotInTree,
     InvalidEdge,
     NotASeparator,
+    ReuseOrderViolation,
     StaleMessage,
     StateNotInitialized,
     UnconsumedPreemptiveMessage,
@@ -22,6 +23,7 @@ from homrf.trws import (
     explicit_chain_init,
     init_tree_params,
     nu_table,
+    reuse_before,
     send_message,
     tree_argmin,
     tree_min_marginal,
@@ -573,6 +575,22 @@ class TestReuse:
         b = d.model.factor_id((1,))
         with pytest.raises(StaleMessage):
             reuse_after(d, st, abc, bc, b)
+
+    def test_reuse_before_order_and_nesting_rejected(self, rng):
+        model, js = figure_chain_instance(rng)
+        d = build_monotonic_chains(model, js)
+        abc = d.model.factor_id((0, 1, 2))
+        bc = d.model.factor_id((1, 2))
+        a = d.model.factor_id((0,))
+        b = d.model.factor_id((1,))
+        assert d.local_separators[abc] == (a, b, bc)
+        reuse_before(d, chain_state_init(d), abc, bc, b)  # bc follows b going forward
+        st = chain_state_init(d)
+        st.direction = "backward"
+        with pytest.raises(ReuseOrderViolation, match="right after"):
+            reuse_before(d, st, abc, bc, b)
+        with pytest.raises(ReuseOrderViolation, match="not nested"):
+            reuse_before(d, chain_state_init(d), abc, b, a)
 
 
 class TestBoundComputation:
