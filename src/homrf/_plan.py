@@ -2,10 +2,12 @@
 on the decomposition alone.
 
 The window neighbours and skip flags of every message edge, the tables each
-update reads with the broadcast shapes and reduce axes that align them, and
-each chain's dynamic-programming stages are worked out once per decomposition
-instead of on every pass.  A plan is immutable; `Decomposition` builds it on
-first use and caches it, so it lives exactly as long as the decomposition.
+update reads with the broadcast shapes and reduce axes that align them, each
+chain's dynamic-programming stages, and the edges and end separators that the
+bound after a sweep is read off (see `homrf.trws`) are worked out once per
+decomposition instead of on every pass.  A plan is immutable; `Decomposition`
+builds it on first use and caches it, so it lives exactly as long as the
+decomposition.
 """
 
 from typing import NamedTuple
@@ -60,12 +62,23 @@ class Stage(NamedTuple):
     carry_shape: tuple  # shape of the joint separator in the next member
 
 
+class PassBound(NamedTuple):
+    """What the bound after a sweep in one direction is read off."""
+
+    edges: tuple  # (a, e) per member of a read-off chain, e its far window end
+    ends: tuple  # (rho_t / rho_e, e) per read-off chain t, e its far end separator
+    const: float  # rho_t * min(table) / rho summed over one-singleton-factor chains
+
+
 class SweepPlan(NamedTuple):
     forward: tuple  # SeparatorStep per separator, in sweep order
     backward: tuple
     fresh: dict  # (a, b) -> MessageRecipe
     net: tuple  # per factor: ((a, c), shape) of an outer factor's messages, None for separators
     stages: tuple  # per chain: its Stages
+    forward_bound: PassBound
+    backward_bound: PassBound
+    fallback: tuple  # chains with a member that is not an outer factor: the bound re-solves them
 
 
 def _shape_in(decomp):
@@ -188,4 +201,32 @@ def build_sweep_plan(decomp):
             members.append(Stage(table_shape(scopes[a], counts), tuple(terms), carry_axes, carry_shape))
         stages.append(tuple(members))
 
-    return SweepPlan(sweep(True), sweep(False), fresh, net, tuple(stages))
+    fallback = tuple(
+        t for t, chain in enumerate(d.chains) if any(a not in js.outer for a in chain)
+    )
+
+    def pass_bound(far, member):
+        # far: each member's far window end; member: index of the chain's far member
+        edges, ends, const = [], [], 0.0
+        for t, chain in enumerate(d.chains):
+            if t in fallback:
+                continue
+            e = far[chain[member]]
+            if e is None:  # one singleton outer factor: no messages, a constant minimum
+                a = chain[0]
+                const += d.rho[t] * float((model.table(a) / d.rho_factor[a]).min())
+                continue
+            edges.extend((a, far[a]) for a in chain)
+            ends.append((d.rho[t] / d.rho_factor[e], e))
+        return PassBound(tuple(edges), tuple(ends), const)
+
+    return SweepPlan(
+        sweep(True),
+        sweep(False),
+        fresh,
+        net,
+        tuple(stages),
+        pass_bound(d.sep_plus, -1),
+        pass_bound(d.sep_minus, 0),
+        fallback,
+    )

@@ -81,7 +81,7 @@ def solve_msd(decomp, passes=500, eps=1e-7):
     """Run diffusion on a decomposition's (augmented) model until the bound
     stalls; returns (bounds per pass, final state)."""
     state, step = _msd_steps(decomp)
-    return [r.bound for r in _run_passes(step, passes, eps, "msd")], state
+    return [r.bound for r in _run_passes(step, passes, eps, "msd")[0]], state
 
 
 @dataclass
@@ -155,7 +155,7 @@ def solve_subgradient(decomp, step_base=1.0, passes=500):
     diminishing, so there is no stop rule); returns (bounds per pass, final
     state)."""
     state, step = _subgrad_steps(decomp, step_base)
-    return [r.bound for r in _run_passes(step, passes, None, "subgrad")], state
+    return [r.bound for r in _run_passes(step, passes, None, "subgrad")[0]], state
 
 
 def select_step_size(decomp, grid=(0.1, 1.0, 10.0), passes=500):

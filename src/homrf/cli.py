@@ -130,16 +130,16 @@ def _run(decomp, args):
     state, step = _STEPS[args.method](decomp, args)
     if args.method == "subgrad":
         # diminishing steps, no stop rule: run the budget, report the best bound
-        rows = _run_passes(step, args.passes, None, args.method)
-        return rows, state.best_params or state.params, state.best
-    rows = _run_passes(step, args.passes, args.eps, args.method)
+        rows, stop = _run_passes(step, args.passes, None, args.method)
+        return rows, stop, state.best_params or state.params, state.best
+    rows, stop = _run_passes(step, args.passes, args.eps, args.method)
     if args.method == "trws":
         primal_source = chain_state_tree_params(decomp, state)
     elif args.method == "msd":
         primal_source = state.tables
     else:
         primal_source = state
-    return rows, primal_source, rows[-1].bound
+    return rows, stop, primal_source, rows[-1].bound
 
 
 def run_solver_cli(argv=None):
@@ -152,7 +152,7 @@ def run_solver_cli(argv=None):
     try:
         model, js, node_order = _load(args, parser)
         decomp = build_monotonic_chains(model, js, node_order)
-        rows, primal_source, final_bound = _run(decomp, args)
+        rows, stop, primal_source, final_bound = _run(decomp, args)
 
         if args.trace:
             with open(args.trace, "w", newline="") as fh:
@@ -166,6 +166,7 @@ def run_solver_cli(argv=None):
         labeling = extract_primal(decomp, primal_source)
         primal = energy(decomp.model, labeling)
         print(f"final bound: {final_bound:.9g}")
+        print(f"stopped: {stop}")
         print(f"primal energy: {primal:.9g}")
 
         per_tree = max(

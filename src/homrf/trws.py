@@ -9,8 +9,26 @@ outer-to-separator edges plus cached separator tables, and is the production
 path; it also supports the two nested-separator reuse shortcuts.  It and the
 chain dynamic program behind every bound run from the decomposition's sweep
 plan (`homrf._plan`), so a pass does no structural bookkeeping of its own.
+
+The message-form sweep reads its bound off the sweep, as TRW-S does, instead
+of re-solving every chain.  Each update records the edge's offset, the fresh
+message under the state it was computed in minus the stored one: the
+normalization shift `gamma` of a direct update, a consumed preemptive message
+or the nested edge of a reuse-before, and the superset edge's offset plus
+`gamma` for a reuse-after.  Once a sweep has refreshed the message into a
+chain member's far window end (its right separator going forward, its left
+one going backward), every other input of that message is final for the
+sweep, so the chain dynamic program's carry there is the offset over the
+chain's probability plus the separator's own locals.  The bound is therefore
+the sum of every chain member's far-end offset plus, per chain, its
+probability times the minimum of its far end separator's cached table over
+that separator's appearance probability.  A chain of one singleton outer
+factor adds the constant minimum of its table.  A chain with a member that is
+not an outer factor falls back to the dynamic program on its current tables;
+`bound` and `_chain_dp` remain the reference.
 """
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -315,6 +333,7 @@ class ChainSolverState:
     diag_cells: int = 0
     msg_ops_last_pass: int = 0
     pending_noop: set = field(default_factory=set)
+    offsets: dict = field(default_factory=dict)  # edge -> offset of its last update
     ready: bool = False
 
 
@@ -411,14 +430,24 @@ def _reuse_before(state, rec, fresh_p, normalize):
 
     m_b = state.messages[rec.key_b] + delta
     applied = delta
+    gamma = 0.0
     if normalize:
         gamma = float(m_b.min())
         m_b = m_b - gamma
         applied = delta - gamma
     state.messages[rec.key_b] = m_b
+    state.offsets[rec.key_b] = gamma
     state.messages[rec.key_p] = m_new_p - applied.reshape(rec.b_in_p)
     state.pending_noop.add(rec.key_p)
     return m_b, state.messages[rec.key_p]
+
+
+def _normalized(m, normalize):
+    # the message shifted to minimum 0 when normalizing, and the shift
+    if not normalize:
+        return m, 0.0
+    gamma = float(m.min())
+    return m - gamma, gamma
 
 
 def trws_chain_pass(decomp, state, direction=None, reuse="none", normalize=True):
@@ -427,7 +456,8 @@ def trws_chain_pass(decomp, state, direction=None, reuse="none", normalize=True)
     Each separator's cache is rebuilt from the original cost plus all incoming
     messages; an edge's message is refreshed unless the separator is the edge's
     trailing bound for this direction, whose message stays valid from the
-    previous sweep.  Returns the bound after the sweep.
+    previous sweep.  Returns the bound after the sweep, read off the sweep's
+    message offsets (see the module docstring).
 
     The sweep runs from the decomposition's plan, which the first pass builds.
     """
@@ -441,6 +471,7 @@ def trws_chain_pass(decomp, state, direction=None, reuse="none", normalize=True)
     use_after = reuse in ("after", "before-after")
     use_before = reuse == "before-after"
     messages = state.messages
+    offsets = state.offsets
     pending = state.pending_noop
     valid_child = state.valid_child
 
@@ -451,23 +482,17 @@ def trws_chain_pass(decomp, state, direction=None, reuse="none", normalize=True)
             if not skip:
                 if key in pending:
                     pending.discard(key)
-                    if normalize:
-                        m = messages[key]
-                        messages[key] = m - float(m.min())
+                    messages[key], offsets[key] = _normalized(messages[key], normalize)
                 elif use_after and after is not None and valid_child.get(a) == pred:
-                    m = messages[key] + _reuse_after(state, after)
-                    if normalize:
-                        m = m - float(m.min())
+                    m, gamma = _normalized(messages[key] + _reuse_after(state, after), normalize)
                     messages[key] = m
+                    offsets[key] = offsets[after.key_p] + gamma
                     ops += 1
                 elif use_before and before is not None and before.key_p not in pending:
                     _reuse_before(state, before, plan.fresh[before.key_p], normalize)
                     ops += 1
                 else:
-                    m = _eq20_message(state, fresh)
-                    if normalize:
-                        m = m - float(m.min())
-                    messages[key] = m
+                    messages[key], offsets[key] = _normalized(_eq20_message(state, fresh), normalize)
                     ops += 1
                 valid_child[a] = b
             theta_b += messages[key]
@@ -485,22 +510,42 @@ def trws_chain_pass(decomp, state, direction=None, reuse="none", normalize=True)
     state.pass_index += 1
     state.direction = "backward" if forward else "forward"
 
-    tables = chain_state_factor_tables(decomp, state)
-    for fid, tbl in enumerate(tables):
-        tbl /= decomp.rho_factor[fid]
-    phi, cells = _bound_cells(decomp, [tables] * len(decomp.chains))
+    phi, cells = _pass_bound(decomp, state, plan.forward_bound if forward else plan.backward_bound)
     state.diag_cells += cells
     return phi
 
 
+def _pass_bound(decomp, state, read_off):
+    # bound after a sweep and the table cells it reads: the far-end offsets and
+    # end-table minima of `read_off`, plus the chain DP over the fallback chains
+    theta = state.theta_sep
+    terms = [state.offsets[key] for key in read_off.edges]
+    terms.append(read_off.const)
+    cells = 0
+    for coef, e in read_off.ends:
+        terms.append(coef * float(theta[e].min()))
+        cells += theta[e].size
+    for t in decomp._sweep_plan.fallback:
+        tables = {
+            c: _factor_table(decomp, state, c) / decomp.rho_factor[c]
+            for c in decomp.tree_factors[t]
+        }
+        v, _, c = _chain_dp(decomp, tables, t)
+        terms.append(decomp.rho[t] * v)
+        cells += c
+    return math.fsum(terms), cells
+
+
+def _factor_table(decomp, state, fid):
+    subtract = decomp._sweep_plan.net[fid]
+    if subtract is None:
+        return state.theta_sep[fid].copy()
+    return _net_table(decomp.model.table(fid), subtract, state.messages)
+
+
 def chain_state_factor_tables(decomp, state):
     """Current reparameterized cost of every factor under the stored messages."""
-    return [
-        state.theta_sep[fid].copy()
-        if subtract is None
-        else _net_table(decomp.model.table(fid), subtract, state.messages)
-        for fid, subtract in enumerate(decomp._sweep_plan.net)
-    ]
+    return [_factor_table(decomp, state, fid) for fid in range(len(decomp.model.factors))]
 
 
 def chain_state_tree_params(decomp, state):
@@ -525,7 +570,7 @@ def _run_passes(step, passes, eps, method):
     Calls `step(k) -> (direction, bound, meff)` for passes k = 0, 1, ... and
     times each into a `TraceRow`.  Stops after `passes` passes, or once the
     relative per-pass bound change is at most `eps`; `eps=None` never stops
-    early.
+    early.  Returns the rows and why the loop stopped: `"eps"` or `"passes"`.
     """
     rows = []
     prev = None
@@ -534,9 +579,9 @@ def _run_passes(step, passes, eps, method):
         direction, phi, meff = step(k)
         rows.append(TraceRow(k, direction, method, phi, meff, (time.perf_counter() - t0) * 1e3))
         if eps is not None and prev is not None and abs(phi - prev) <= eps * max(1.0, abs(phi)):
-            break
+            return rows, "eps"
         prev = phi
-    return rows
+    return rows, "passes"
 
 
 @dataclass
@@ -544,6 +589,7 @@ class SolveResult:
     rows: list
     state: object
     bound: float
+    stop: str  # "eps" or "passes"
 
 
 def _trws_steps(decomp, reuse, normalize=True):
@@ -562,5 +608,5 @@ def solve_trws(decomp, passes=500, eps=1e-7, reuse="after", normalize=True):
     """Alternate forward and backward message sweeps until the relative
     per-pass bound improvement drops below `eps` or the pass budget runs out."""
     state, step = _trws_steps(decomp, reuse, normalize)
-    rows = _run_passes(step, passes, eps, "trws")
-    return SolveResult(rows=rows, state=state, bound=rows[-1].bound if rows else None)
+    rows, stop = _run_passes(step, passes, eps, "trws")
+    return SolveResult(rows=rows, state=state, bound=rows[-1].bound if rows else None, stop=stop)

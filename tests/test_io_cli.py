@@ -206,6 +206,23 @@ class TestCli:
         assert "final bound" in captured.out
         assert "tree agreement" not in captured.out
 
+    @pytest.mark.parametrize(
+        "method, passes, eps, stop",
+        [
+            ("trws", "500", "1e-7", "eps"),
+            ("trws", "3", "0", "passes"),
+            ("msd", "500", "1e-3", "eps"),
+            ("subgrad", "7", "1", "passes"),
+        ],
+    )
+    def test_stop_reason_follows_final_bound(self, capsys, method, passes, eps, stop):
+        argv = ["--gen", "stereo", "--width", "4", "--height", "4", "--labels", "4", "--seed", "5"]
+        code = main(argv + ["--method", method, "--passes", passes, "--eps", eps])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert lines[0].startswith("final bound: ")
+        assert lines[1] == f"stopped: {stop}"
+
     @pytest.mark.parametrize("eps", ["nan", "inf", "-1e-3"])
     def test_bad_eps_exit_2(self, capsys, eps):
         with pytest.raises(SystemExit) as exc:

@@ -11,7 +11,8 @@ from homrf.errors import (
     StateNotInitialized,
     UnconsumedPreemptiveMessage,
 )
-from homrf.generators import gen_stereo_second_order
+from homrf.decomposition import validate_decomposition
+from homrf.generators import gen_potts_2x2, gen_stereo_second_order
 from homrf.model import build_model, close_j, energy
 from homrf.oracle import brute_force_map, brute_force_min_marginals, tree_total_table
 from homrf.trws import (
@@ -25,6 +26,7 @@ from homrf.trws import (
     nu_table,
     reuse_before,
     send_message,
+    solve_trws,
     tree_argmin,
     tree_min_marginal,
     trws_chain_pass,
@@ -38,6 +40,7 @@ from conftest import (
     random_decomposed,
     random_instance,
 )
+from test_acceptance import desk_instances
 
 
 def phi_exhaustive(d, params):
@@ -493,11 +496,12 @@ class TestChainPassMessageForm:
 
 
 # meff, diag_cells and msg_ops_last_pass after 6 passes of the stereo instance
-# below: pinned, so that reorganizing the sweep cannot change the work it does
+# below: pinned, so that reorganizing the sweep cannot change the work it does.
+# diag_cells counts the bound's reads: 14 chains' 8-label end tables per pass.
 STEREO_8X8_COUNTERS = {
-    "none": (589824, 294912, 192),
-    "after": (410624, 294912, 192),
-    "before-after": (338944, 294912, 176),
+    "none": (589824, 672, 192),
+    "after": (410624, 672, 192),
+    "before-after": (338944, 672, 176),
 }
 
 
@@ -510,8 +514,110 @@ class TestProductionBound:
             st = chain_state_init(d)
             for _ in range(6):
                 phi = trws_chain_pass(d, st, reuse=reuse)
-                assert phi == bound(d, chain_state_tree_params(d, st))
+                ref = bound(d, chain_state_tree_params(d, st))
+                assert abs(phi - ref) <= 1e-12 * max(1.0, abs(ref))
         assert (st.meff, st.diag_cells, st.msg_ops_last_pass) == STEREO_8X8_COUNTERS[reuse]
+
+
+REUSE_MODES = ("none", "after", "before-after")
+DIRECTION_RUNS = ((None,) * 4, ("forward",) * 4, ("backward",) * 4)  # alternating, one-way
+READ_OFF_CONFIGS = [
+    (reuse, normalize, directions)
+    for reuse in REUSE_MODES
+    for normalize in (True, False)
+    for directions in DIRECTION_RUNS
+]
+
+
+def assert_pass_bounds_match_dp(d, reuse, normalize, directions):
+    # every bound read off the sweep against the chain DP on the state's tables
+    st = chain_state_init(d)
+    for direction in directions:
+        phi = trws_chain_pass(d, st, direction=direction, reuse=reuse, normalize=normalize)
+        ref = bound(d, chain_state_tree_params(d, st))
+        assert abs(phi - ref) <= 1e-12 * max(1.0, abs(ref)), (reuse, normalize, direction)
+
+
+def criterion_instances(criterion):
+    """The random instance set of acceptance criterion 1, 5 or 6, same seeds."""
+    if criterion == 5:
+        return desk_instances(505, 30, nested=True)
+    if criterion == 1:
+        rng = np.random.default_rng(101)
+        return [
+            random_decomposed(rng, n_nodes=int(rng.integers(4, 13)), max_labels=4, nested=(i % 3 == 0))
+            for i in range(100)
+        ]
+    out = [build_monotonic_chains(*figure_chain_instance(np.random.default_rng(6060 + i))) for i in range(15)]
+    rng = np.random.default_rng(606)
+    while len(out) < 50:
+        d = random_decomposed(rng, n_nodes=int(rng.integers(4, 10)), nested=True)
+        if any(len(d.jstructure.scope(b)) >= 2 for b in d.jstructure.separators):
+            out.append(d)
+    return out
+
+
+def separator_chained_instance():
+    """(0,1,2), (1,2,3) and (1,2) with singleton edges only: the chain builder
+    chains (1,2) on its own, and it then becomes the other chain's joint
+    separator, so one chain holds a factor that is not outer."""
+    rng = np.random.default_rng(5)
+    labels = [2, 3, 2, 3]
+    scopes = [(0,), (1,), (2,), (3,), (0, 1, 2), (1, 2, 3), (1, 2)]
+    model = build_model(
+        labels, [(s, rng.uniform(-2, 2, size=int(np.prod([labels[v] for v in s])))) for s in scopes]
+    )
+    edges = {(model.factor_id(s), model.factor_id((v,))) for s in scopes if len(s) > 1 for v in s}
+    return build_monotonic_chains(model, close_j(model.scopes, edges))
+
+
+class TestPassBoundReadOff:
+    """The bound a pass returns is read off its message offsets; it must equal
+    the chain DP's bound on the state's tables."""
+
+    @pytest.mark.parametrize("criterion", [1, 5, 6])
+    def test_criterion_instance_sets(self, criterion):
+        # each instance takes the next reuse/normalize/direction configuration
+        for i, d in enumerate(criterion_instances(criterion)):
+            assert_pass_bounds_match_dp(d, *READ_OFF_CONFIGS[i % len(READ_OFF_CONFIGS)])
+
+    @pytest.mark.parametrize("reuse, normalize, directions", READ_OFF_CONFIGS)
+    def test_figure_instance(self, reuse, normalize, directions):
+        d = build_monotonic_chains(*figure_chain_instance(np.random.default_rng(3)))
+        assert_pass_bounds_match_dp(d, reuse, normalize, directions)
+
+    @pytest.mark.parametrize("reuse", REUSE_MODES)
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: gen_stereo_second_order(8, 8, labels=4, seed=1, separators="pair"),
+            lambda: gen_potts_2x2(8, 8, labels=3, seed=1, separators="pair"),
+        ],
+        ids=["stereo", "potts"],
+    )
+    def test_pair_separator_grids(self, make, reuse):
+        d = build_monotonic_chains(*make())
+        assert_pass_bounds_match_dp(d, reuse, True, DIRECTION_RUNS[0])
+        assert_pass_bounds_match_dp(d, reuse, False, DIRECTION_RUNS[1] + DIRECTION_RUNS[2])
+
+    @pytest.mark.parametrize("reuse", REUSE_MODES)
+    def test_chain_with_a_separator_member_falls_back_to_dp(self, reuse):
+        d = separator_chained_instance()
+        scopes = [[d.jstructure.scope(a) for a in chain] for chain in d.chains]
+        assert scopes == [[(0, 1, 2), (1, 2, 3)], [(1, 2)]]
+        assert validate_decomposition(d.model, d.jstructure, d).codes() == ["outer-cover"]
+        assert d._sweep_plan.fallback == (1,)
+        for normalize in (True, False):
+            for directions in DIRECTION_RUNS:
+                assert_pass_bounds_match_dp(d, reuse, normalize, directions)
+
+    def test_diag_cells_count_end_tables_and_fallback_dp(self):
+        d = separator_chained_instance()
+        st = chain_state_init(d)
+        trws_chain_pass(d, st)
+        # chain 0 reads its 3-label end table (node 3); chain 1 re-runs the DP
+        # over its one member, the 3x2 table of (1, 2)
+        assert st.diag_cells == 3 + 6
 
 
 class TestReuse:
@@ -619,3 +725,13 @@ class TestBoundComputation:
             for _ in range(5):
                 phi = trws_chain_pass(d, st)
                 assert phi <= value + 1e-9
+
+
+class TestSolveTrws:
+    def test_stop_reason(self, rng):
+        tree = build_monotonic_chains(*path_instance(rng, n_nodes=6))
+        converged = solve_trws(tree, passes=50)
+        assert converged.stop == "eps" and len(converged.rows) < 50
+        grid = build_monotonic_chains(*gen_stereo_second_order(4, 4, labels=4, seed=5))
+        budget = solve_trws(grid, passes=3, eps=0.0)
+        assert budget.stop == "passes" and len(budget.rows) == 3
