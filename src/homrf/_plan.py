@@ -3,8 +3,8 @@ on the decomposition alone.
 
 The window neighbours and skip flags of every message edge, the tables each
 update reads with the broadcast shapes and reduce axes that align them, each
-chain's dynamic-programming stages, and the edges and end separators that the
-bound after a sweep is read off (see `homrf.trws`) are worked out once per
+chain's dynamic-programming stages, and the end separators that the bound
+after a sweep is read off (see `homrf.trws`) are worked out once per
 decomposition instead of on every pass.  A plan is immutable; `Decomposition`
 builds it on first use and caches it, so it lives exactly as long as the
 decomposition.
@@ -63,9 +63,10 @@ class Stage(NamedTuple):
 
 
 class PassBound(NamedTuple):
-    """What the bound after a sweep in one direction is read off."""
+    """What the bound after a sweep in one direction is read off: the sum of
+    each chain's probability times its minimum, which the unnormalized sweep
+    leaves in the cached table of the chain's far end separator."""
 
-    edges: tuple  # (a, e) per member of a read-off chain, e its far window end
     ends: tuple  # (rho_t / rho_e, e) per read-off chain t, e its far end separator
     const: float  # rho_t * min(table) / rho summed over one-singleton-factor chains
 
@@ -207,7 +208,7 @@ def build_sweep_plan(decomp):
 
     def pass_bound(far, member):
         # far: each member's far window end; member: index of the chain's far member
-        edges, ends, const = [], [], 0.0
+        ends, const = [], 0.0
         for t, chain in enumerate(d.chains):
             if t in fallback:
                 continue
@@ -216,9 +217,8 @@ def build_sweep_plan(decomp):
                 a = chain[0]
                 const += d.rho[t] * float((model.table(a) / d.rho_factor[a]).min())
                 continue
-            edges.extend((a, far[a]) for a in chain)
             ends.append((d.rho[t] / d.rho_factor[e], e))
-        return PassBound(tuple(edges), tuple(ends), const)
+        return PassBound(tuple(ends), const)
 
     return SweepPlan(
         sweep(True),

@@ -25,7 +25,6 @@ def psi_bound(tables):
 @dataclass
 class MsdState:
     tables: list
-    pass_index: int = 0
     meff: int = 0
 
 
@@ -62,7 +61,6 @@ def msd_pass(model, jstructure, state, order=None):
         delta = 0.5 * gap
         state.tables[b] = state.tables[b] + delta
         state.tables[a] = state.tables[a] - embed(delta, scope_b, scope_a)
-    state.pass_index += 1
     return psi_bound(state.tables)
 
 
@@ -91,7 +89,6 @@ class SubgradState:
     inferior: int = 0
     best: float = -np.inf
     best_params: TreeParams = None
-    pass_index: int = 0
     meff: int = 0
 
 
@@ -136,7 +133,6 @@ def subgradient_pass(decomp, state):
             g = -avg.copy()
             g[restrict(labelings[t], scope)] += 1.0
             state.params.tables[t][fid] = state.params.tables[t][fid] + alpha * g
-    state.pass_index += 1
     return phi
 
 

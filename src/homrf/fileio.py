@@ -19,7 +19,7 @@ Values are written with 17 significant digits so a serialize/parse round trip
 reproduces every double bit-exactly.
 """
 
-import numpy as np
+import math
 
 from .errors import ParseError
 from .model import build_model, close_j
@@ -90,7 +90,7 @@ def parse_model_file(text):
         for v in scope:
             if v < 0 or v >= n:
                 raise ParseError(f"line {toks.last_line}: factor {f} references node {v}")
-        cells = int(np.prod([label_counts[v] for v in scope]))
+        cells = math.prod(label_counts[v] for v in scope)
         values = []
         for _ in range(cells):
             if toks.exhausted:

@@ -9,6 +9,7 @@ relaxation enforces; their closure adds every edge implied by transitivity
 and by shared sources with nested targets.
 """
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -91,7 +92,7 @@ def build_model(node_label_counts, factor_list):
 
         table = np.array(table_in, dtype=float)
         shape_in = table_shape(scope_in, label_counts)
-        want = int(np.prod(shape_in))
+        want = math.prod(shape_in)
         if table.size != want:
             raise TableShapeMismatch(
                 f"factor {k}: table has {table.size} entries, scope {scope_in} needs {want}"
@@ -234,7 +235,7 @@ def reparameterized_costs(model, jstructure, messages):
             raise InvalidMessageEdge(f"({a}, {b}) is not an outer-to-separator edge")
         m = np.asarray(m, dtype=float)
         scope_b = jstructure.scope(b)
-        if m.size != int(np.prod(table_shape(scope_b, model.label_counts))):
+        if m.size != math.prod(table_shape(scope_b, model.label_counts)):
             raise TableShapeMismatch(f"message on ({a}, {b}) has wrong length")
         if not np.isfinite(m).all():
             raise NonFiniteCost(f"message on ({a}, {b}) is not finite")

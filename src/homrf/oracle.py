@@ -157,14 +157,7 @@ def check_j_consistency_enhanced(tables, jstructure, tol=1e-9):
         fid: argmin_relation(tables[fid], js.scope(fid), tol)
         for fid in range(len(js.scopes))
     }
-    per_edge, witnesses = {}, {}
-    for a, b in sorted(js.closed_edges):
-        proj = rel[a].project(js.scope(b))
-        ok = bool(np.array_equal(proj.mask, rel[b].mask))
-        per_edge[(a, b)] = ok
-        if not ok:
-            witnesses[(a, b)] = (proj.states(), rel[b].states())
-    return ConsistencyReport(per_edge, witnesses)
+    return check_j_consistency_relational(tables, js, rel, tol)
 
 
 def witness_j_relations(decomp, params, tol=1e-9):

@@ -11,21 +11,18 @@ chain dynamic program behind every bound run from the decomposition's sweep
 plan (`homrf._plan`), so a pass does no structural bookkeeping of its own.
 
 The message-form sweep reads its bound off the sweep, as TRW-S does, instead
-of re-solving every chain.  Each update records the edge's offset, the fresh
-message under the state it was computed in minus the stored one: the
-normalization shift `gamma` of a direct update, a consumed preemptive message
-or the nested edge of a reuse-before, and the superset edge's offset plus
-`gamma` for a reuse-after.  Once a sweep has refreshed the message into a
-chain member's far window end (its right separator going forward, its left
-one going backward), every other input of that message is final for the
-sweep, so the chain dynamic program's carry there is the offset over the
-chain's probability plus the separator's own locals.  The bound is therefore
-the sum of every chain member's far-end offset plus, per chain, its
-probability times the minimum of its far end separator's cached table over
-that separator's appearance probability.  A chain of one singleton outer
-factor adds the constant minimum of its table.  A chain with a member that is
-not an outer factor falls back to the dynamic program on its current tables;
-`bound` and `_chain_dp` remain the reference.
+of re-solving every chain.  Messages are stored rather than accumulated, so
+they are never normalized: each update writes the fresh message under the
+state it was computed in.  Once a sweep has refreshed the message into a chain
+member's far window end (its right separator going forward, its left one
+going backward), every other input of that message is final for the sweep, so
+the chain dynamic program's carry there is exactly that separator's own
+locals, and the chain's minimum is the minimum of its far end separator's
+cached table over that separator's appearance probability.  The bound is
+therefore, per chain, its probability times that minimum.  A chain of one
+singleton outer factor adds the constant minimum of its table.  A chain with a
+member that is not an outer factor falls back to the dynamic program on its
+current tables; `bound` and `_chain_dp` remain the reference.
 """
 
 import math
@@ -327,13 +324,11 @@ class ChainSolverState:
     messages: dict
     theta_sep: dict
     direction: str = "forward"
-    pass_index: int = 0
     valid_child: dict = field(default_factory=dict)
     meff: int = 0
     diag_cells: int = 0
     msg_ops_last_pass: int = 0
     pending_noop: set = field(default_factory=set)
-    offsets: dict = field(default_factory=dict)  # edge -> offset of its last update
     ready: bool = False
 
 
@@ -387,16 +382,15 @@ def _nested(decomp, a, p, b):
     return nested_recipe(decomp, a, p, b)
 
 
-def reuse_after(decomp, state, a, p, b, check=True):
+def reuse_after(decomp, state, a, p, b):
     """Message increment toward a separator nested in the one just processed,
     scanning only the superset's states.
 
-    Valid when the edge to the superset holds the current message; with the
-    usual normalization the offsets cancel and the result matches the direct
-    update exactly.
+    Valid when the edge to the superset holds the current message; the stored
+    message plus the increment then equals the direct update exactly.
     """
     rec = _nested(decomp, a, p, b)
-    if check and state.valid_child.get(a) != p:
+    if state.valid_child.get(a) != p:
         raise StaleMessage(f"edge ({a}, {p}) does not hold the current message")
     return _reuse_after(state, rec)
 
@@ -405,13 +399,13 @@ def _reuse_after(state, rec):
     return _fold_nested(state, rec, np.zeros(rec.shape))
 
 
-def reuse_before(decomp, state, a, p, b, normalize=True):
+def reuse_before(decomp, state, a, p, b):
     """Message toward a separator nested in the next one to be processed,
     obtained by preemptively refreshing the superset's message.
 
-    The later sweep step for the superset edge becomes a no-op (only the
-    normalization still applies), and the superset's cached table is left
-    stale until the superset itself is processed.
+    The later sweep step for the superset edge becomes a no-op, and the
+    superset's cached table is left stale until the superset itself is
+    processed.
     """
     rec = _nested(decomp, a, p, b)
     window = decomp.local_separators[a]
@@ -420,44 +414,29 @@ def reuse_before(decomp, state, a, p, b, normalize=True):
     i = seq.index(b)
     if i + 1 >= len(seq) or seq[i + 1] != p:
         raise ReuseOrderViolation(f"factor {p} is not processed right after {b}")
-    return _reuse_before(state, rec, decomp._sweep_plan.fresh[(a, p)], normalize)
+    return _reuse_before(state, rec, decomp._sweep_plan.fresh[(a, p)])
 
 
-def _reuse_before(state, rec, fresh_p, normalize):
+def _reuse_before(state, rec, fresh_p):
     m_old_p = state.messages[rec.key_p]
     m_new_p = _eq20_message(state, fresh_p)
     delta = _fold_nested(state, rec, m_new_p - m_old_p)
 
     m_b = state.messages[rec.key_b] + delta
-    applied = delta
-    gamma = 0.0
-    if normalize:
-        gamma = float(m_b.min())
-        m_b = m_b - gamma
-        applied = delta - gamma
     state.messages[rec.key_b] = m_b
-    state.offsets[rec.key_b] = gamma
-    state.messages[rec.key_p] = m_new_p - applied.reshape(rec.b_in_p)
+    state.messages[rec.key_p] = m_new_p - delta.reshape(rec.b_in_p)
     state.pending_noop.add(rec.key_p)
     return m_b, state.messages[rec.key_p]
 
 
-def _normalized(m, normalize):
-    # the message shifted to minimum 0 when normalizing, and the shift
-    if not normalize:
-        return m, 0.0
-    gamma = float(m.min())
-    return m - gamma, gamma
-
-
-def trws_chain_pass(decomp, state, direction=None, reuse="none", normalize=True):
+def trws_chain_pass(decomp, state, direction=None, reuse="none"):
     """One message-form sweep over the separators.
 
     Each separator's cache is rebuilt from the original cost plus all incoming
     messages; an edge's message is refreshed unless the separator is the edge's
     trailing bound for this direction, whose message stays valid from the
     previous sweep.  Returns the bound after the sweep, read off the sweep's
-    message offsets (see the module docstring).
+    end separator tables (see the module docstring).
 
     The sweep runs from the decomposition's plan, which the first pass builds.
     """
@@ -471,7 +450,6 @@ def trws_chain_pass(decomp, state, direction=None, reuse="none", normalize=True)
     use_after = reuse in ("after", "before-after")
     use_before = reuse == "before-after"
     messages = state.messages
-    offsets = state.offsets
     pending = state.pending_noop
     valid_child = state.valid_child
 
@@ -482,17 +460,14 @@ def trws_chain_pass(decomp, state, direction=None, reuse="none", normalize=True)
             if not skip:
                 if key in pending:
                     pending.discard(key)
-                    messages[key], offsets[key] = _normalized(messages[key], normalize)
                 elif use_after and after is not None and valid_child.get(a) == pred:
-                    m, gamma = _normalized(messages[key] + _reuse_after(state, after), normalize)
-                    messages[key] = m
-                    offsets[key] = offsets[after.key_p] + gamma
+                    messages[key] = messages[key] + _reuse_after(state, after)
                     ops += 1
                 elif use_before and before is not None and before.key_p not in pending:
-                    _reuse_before(state, before, plan.fresh[before.key_p], normalize)
+                    _reuse_before(state, before, plan.fresh[before.key_p])
                     ops += 1
                 else:
-                    messages[key], offsets[key] = _normalized(_eq20_message(state, fresh), normalize)
+                    messages[key] = _eq20_message(state, fresh)
                     ops += 1
                 valid_child[a] = b
             theta_b += messages[key]
@@ -507,7 +482,6 @@ def trws_chain_pass(decomp, state, direction=None, reuse="none", normalize=True)
             f"{ops} message operations for {len(decomp.message_edges)} edges in one pass"
         )
     state.msg_ops_last_pass = ops
-    state.pass_index += 1
     state.direction = "backward" if forward else "forward"
 
     phi, cells = _pass_bound(decomp, state, plan.forward_bound if forward else plan.backward_bound)
@@ -516,11 +490,10 @@ def trws_chain_pass(decomp, state, direction=None, reuse="none", normalize=True)
 
 
 def _pass_bound(decomp, state, read_off):
-    # bound after a sweep and the table cells it reads: the far-end offsets and
-    # end-table minima of `read_off`, plus the chain DP over the fallback chains
+    # bound after a sweep and the table cells it reads: the end-table minima of
+    # `read_off`, plus the chain DP over the fallback chains
     theta = state.theta_sep
-    terms = [state.offsets[key] for key in read_off.edges]
-    terms.append(read_off.const)
+    terms = [read_off.const]
     cells = 0
     for coef, e in read_off.ends:
         terms.append(coef * float(theta[e].min()))
@@ -592,21 +565,21 @@ class SolveResult:
     stop: str  # "eps" or "passes"
 
 
-def _trws_steps(decomp, reuse, normalize=True):
+def _trws_steps(decomp, reuse):
     # message-form state and its pass step for `_run_passes`
     state = chain_state_init(decomp)
 
     def step(k):
         direction = state.direction
-        phi = trws_chain_pass(decomp, state, reuse=reuse, normalize=normalize)
+        phi = trws_chain_pass(decomp, state, reuse=reuse)
         return direction, phi, state.meff
 
     return state, step
 
 
-def solve_trws(decomp, passes=500, eps=1e-7, reuse="after", normalize=True):
+def solve_trws(decomp, passes=500, eps=1e-7, reuse="after"):
     """Alternate forward and backward message sweeps until the relative
     per-pass bound improvement drops below `eps` or the pass budget runs out."""
-    state, step = _trws_steps(decomp, reuse, normalize)
+    state, step = _trws_steps(decomp, reuse)
     rows, stop = _run_passes(step, passes, eps, "trws")
     return SolveResult(rows=rows, state=state, bound=rows[-1].bound if rows else None, stop=stop)

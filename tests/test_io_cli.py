@@ -324,6 +324,16 @@ class TestCliErrors:
         assert code == 1
         assert err.startswith("error:") and "label count" in err
 
+    @pytest.mark.parametrize("n", [63, 64])
+    def test_table_size_past_int64_exit_1(self, tmp_path, n):
+        # one factor over n binary nodes: 2**63 and 2**64 cells wrap an int64
+        path = tmp_path / "m.txt"
+        nodes = " ".join(str(v) for v in range(n))
+        path.write_text(f"HOMRF\n{n}\n{' '.join(['2'] * n)}\n1\n{n} {nodes}\n0 1\nJ\n0\n")
+        code, err = _exit(["--input", str(path)])
+        assert code == 1
+        assert err.startswith("error:") and "table value of factor 0" in err
+
 
 @given(
     gen=st.sampled_from(["stereo", "potts2x2"]),
