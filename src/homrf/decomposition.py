@@ -117,18 +117,6 @@ def _eq15_holds(prev_scope, next_scope, pos):
     return left < lo and hi < right
 
 
-def _rip_preserved(chain_scopes, new_scope):
-    """Running intersection on the chain extended by `new_scope`."""
-    scopes = list(chain_scopes) + [new_scope]
-    last = set(new_scope)
-    for i in range(len(scopes) - 1):
-        inter = set(scopes[i]) & last
-        for j in range(i + 1, len(scopes) - 1):
-            if not inter <= set(scopes[j]):
-                return False
-    return True
-
-
 @dataclass
 class Decomposition:
     """A chain cover of the outer factors plus everything derived from it.
@@ -247,22 +235,23 @@ def build_monotonic_chains(model, jstructure, node_order=None):
             for v in s:
                 edges.add((fid, index[(v,)]))
 
-    js = close_j(scopes, edges)
+    if edges == jstructure.edges and tuple(scopes) == jstructure.scopes:
+        js = jstructure
+    else:
+        js = close_j(scopes, edges)
 
+    # Monotonicity alone keeps running intersection: a node a member does not
+    # share with its successor precedes every node of that successor, hence
+    # of every later member, so no later member can hold it again.
     sig = {a: sigma_key(js.scope(a), pos) for a in js.outer}
     chains = []
     for a in sorted(js.outer, key=lambda f: sig[f]):
         scope_a = js.scope(a)
-        placed = False
         for chain in chains:
-            tail = js.scope(chain[-1])
-            if _eq15_holds(tail, scope_a, pos) and _rip_preserved(
-                [js.scope(f) for f in chain], scope_a
-            ):
+            if _eq15_holds(js.scope(chain[-1]), scope_a, pos):
                 chain.append(a)
-                placed = True
                 break
-        if not placed:
+        else:
             chains.append([a])
 
     for chain in chains:

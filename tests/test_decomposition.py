@@ -4,16 +4,25 @@ import numpy as np
 import pytest
 
 from homrf.decomposition import (
+    _eq15_holds,
     build_monotonic_chains,
     extend_order_to_separators,
     local_separator_window,
     sep_bounds,
+    sigma_key,
     validate_decomposition,
 )
 from homrf.errors import MissingSeparatorFactor
+from homrf.generators import gen_potts_2x2, gen_stereo_second_order
 from homrf.model import build_model, close_j, energy
 
-from conftest import figure_chain_instance, random_decomposed, random_instance
+from conftest import (
+    figure_chain_instance,
+    path_instance,
+    random_decomposed,
+    random_instance,
+    submodular_grid,
+)
 
 
 def _pairwise_model(n, scopes, rng):
@@ -186,6 +195,97 @@ class TestBuildChains:
                 assert d.rho_factor[fid] == pytest.approx(
                     sum(d.rho[t] for t in ts), abs=1e-12
                 )
+
+
+def _reference_cover(model, jstructure, node_order):
+    """The builder's first-fit chain cover by definition: J is closed anew
+    after each augmentation stage, and running intersection is checked over
+    every pair of chain members.  Returns the chains, the added scopes and
+    the final closure."""
+    pos = {v: i for i, v in enumerate(node_order)}
+    scopes = list(model.scopes)
+    scopes += [(v,) for v in range(model.node_count) if (v,) not in scopes]
+    edges = set(jstructure.edges)
+    for fid, s in enumerate(scopes):
+        if len(s) >= 2:
+            edges.update((fid, scopes.index((v,))) for v in s)
+    js = close_j(scopes, edges)
+    chains = []
+    for a in sorted(js.outer, key=lambda f: sigma_key(js.scope(f), pos)):
+        new = set(js.scope(a))
+        for chain in chains:
+            members = [set(js.scope(f)) for f in chain]
+            rip = all(
+                members[i] & new <= members[j]
+                for i in range(len(chain))
+                for j in range(i + 1, len(chain))
+            )
+            if _eq15_holds(js.scope(chain[-1]), js.scope(a), pos) and rip:
+                chain.append(a)
+                break
+        else:
+            chains.append([a])
+    for chain in chains:
+        for a, b in zip(chain, chain[1:]):
+            s = tuple(sorted(set(js.scope(a)) & set(js.scope(b))))
+            if s not in scopes:
+                scopes.append(s)
+            edges.update({(a, scopes.index(s)), (b, scopes.index(s))})
+    added = tuple(scopes[len(model.scopes) :])
+    return tuple(tuple(c) for c in chains), added, close_j(scopes, edges)
+
+
+def _builder_sample():
+    rng = np.random.default_rng(6)
+    for _ in range(30):
+        model, js = random_instance(rng, nested=True)
+        yield model, js, tuple(rng.permutation(model.node_count).tolist())
+    for _ in range(10):
+        model, js = random_instance(rng, max_arity=3)
+        yield model, js, tuple(range(model.node_count))
+    for _ in range(5):
+        # no singleton factors or edges, and node n - 1 in no factor: the
+        # builder adds singletons, edges and a chain of their own
+        n = int(rng.integers(5, 8))
+        scopes = {tuple(sorted(rng.choice(n - 1, size=3, replace=False).tolist())) for _ in range(4)}
+        model = build_model([2] * n, [(s, rng.uniform(-1, 1, 8)) for s in sorted(scopes)])
+        yield model, close_j(model.scopes, set()), tuple(rng.permutation(n).tolist())
+        # singletons present but no edges into them
+        model, _ = random_instance(rng, max_arity=3)
+        yield model, close_j(model.scopes, set()), tuple(range(model.node_count))
+    for make in (path_instance, lambda r: submodular_grid(r, 4, 3)):
+        model, js = make(rng)
+        yield model, js, tuple(range(model.node_count))
+    for sep in ("singleton", "pair"):
+        for gen in (gen_stereo_second_order, gen_potts_2x2):
+            model, js = gen(width=5, height=4, labels=2, seed=3, separators=sep)
+            yield model, js, tuple(range(model.node_count))
+            yield model, js, tuple(rng.permutation(model.node_count).tolist())
+
+
+class TestBuilderMatchesDefinition:
+    def test_cover_and_derived_fields(self):
+        for model, js, order in _builder_sample():
+            d = build_monotonic_chains(model, js, order)
+            chains, added, rjs = _reference_cover(model, js, order)
+            assert d.chains == chains
+            assert d.augmented_factors == added
+            got = d.jstructure
+            assert got.scopes == rjs.scopes
+            assert got.edges == rjs.edges and got.closed_edges == rjs.closed_edges
+            assert got.outer == rjs.outer and got.locals == rjs.locals
+            ref = dataclasses.replace(
+                d,
+                jstructure=rjs,
+                chains=chains,
+                sep_minus={a: sep_bounds(rjs, order, c, a)[0] for c in chains for a in c},
+                sep_plus={a: sep_bounds(rjs, order, c, a)[1] for c in chains for a in c},
+                separator_order=extend_order_to_separators(rjs, order),
+            )
+            assert d.sep_minus == ref.sep_minus and d.sep_plus == ref.sep_plus
+            assert d.separator_order == ref.separator_order
+            assert d.message_edges == ref.message_edges
+            assert d.rho == tuple([1.0 / len(chains)] * len(chains))
 
 
 class TestValidate:

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from homrf.baselines import solve_msd, solve_subgradient
 from homrf.cli import main
 from homrf.decomposition import build_monotonic_chains, local_separator_window
-from homrf.errors import ParseError
+from homrf.errors import NonFiniteCost, ParseError
 from homrf.fileio import parse_model_file, serialize_model
 from homrf.generators import (
     gen_potts_2x2,
@@ -82,6 +82,118 @@ class TestParse:
             for f1, f2 in zip(model.factors, model2.factors):
                 assert np.array_equal(f1.table, f2.table)
             assert serialize_model(model2, js2, order2) == text
+
+
+# two nodes with 2 and 3 labels; factor 1's six-cell table is line 8 on
+_SPLIT_TABLE = [
+    "HOMRF",
+    "2",
+    "2 3",
+    "2",
+    "1 0",
+    "0 1",
+    "2 0 1",
+    "0 1 2",
+    "3 4 5",
+    "J",
+    "0",
+]
+
+
+def _parse_error(lines):
+    with pytest.raises(ParseError) as exc:
+        parse_model_file("\n".join(lines) + "\n")
+    return str(exc.value)
+
+
+class TestParseCursor:
+    def test_split_table_parses(self):
+        model, _, _ = parse_model_file("\n".join(_SPLIT_TABLE) + "\n")
+        assert model.table(1).tolist() == [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]]
+
+    def test_bad_token_mid_table(self):
+        lines = _SPLIT_TABLE[:7] + ["0 1 x 3 4 5"] + _SPLIT_TABLE[9:]
+        assert _parse_error(lines) == "line 8: expected table value of factor 1, got 'x'"
+
+    def test_bad_token_on_second_line_of_split_table(self):
+        lines = _SPLIT_TABLE[:8] + ["3 x 5"] + _SPLIT_TABLE[9:]
+        assert _parse_error(lines) == "line 9: expected table value of factor 1, got 'x'"
+
+    def test_first_bad_token_is_reported(self):
+        lines = _SPLIT_TABLE[:7] + ["1e500 y z", "3 x 5"] + _SPLIT_TABLE[9:]
+        assert _parse_error(lines) == "line 8: expected table value of factor 1, got 'y'"
+
+    def test_table_runs_into_j(self):
+        lines = _SPLIT_TABLE[:7] + ["0 1 2 3"] + _SPLIT_TABLE[9:]
+        assert _parse_error(lines) == "line 9: expected table value of factor 1, got 'J'"
+
+    def test_table_truncated_at_end_of_file(self):
+        # blank lines after the last token do not move the reported line
+        lines = _SPLIT_TABLE[:8] + ["", ""]
+        assert _parse_error(lines) == "line 8: table of factor 1 is truncated"
+
+    def test_end_of_file_names_last_token_line(self):
+        assert _parse_error(["HOMRF", "", "2", "2 3", ""]) == (
+            "line 4: unexpected end of file, expected factor count"
+        )
+
+    def test_negative_factor_count(self):
+        assert _parse_error(["HOMRF", "1", "2", "-3"]) == (
+            "line 4: factor count must be non-negative"
+        )
+
+    def test_negative_edge_count(self):
+        lines = ["HOMRF", "1", "2", "1", "1 0", "0 1", "J", "-2"]
+        assert _parse_error(lines) == "line 8: edge count must be non-negative"
+
+    def test_nan_table_value_is_non_finite(self):
+        with pytest.raises(NonFiniteCost):
+            parse_model_file(MINIMAL.replace("0 1\n", "0 nan\n"))
+
+    @pytest.mark.parametrize(
+        "tok",
+        ["0.1", "1_0", "1__0", "+.5", "5.", ".", "1e-400", "4.9e-324", "1.7976931348623157e308",
+         "١٢", "１２", "0x10", "1,5", "1d3", "nan", "-inf", "Infinity", "1e500"],
+    )
+    def test_table_token_reads_as_float_does(self, tok):
+        text = MINIMAL.replace("0 1\n", f"0 {tok}\n")
+        try:
+            want = float(tok)
+        except ValueError:
+            with pytest.raises(ParseError) as exc:
+                parse_model_file(text)
+            assert str(exc.value) == f"line 6: expected table value of factor 0, got {tok!r}"
+            return
+        if not np.isfinite(want):
+            with pytest.raises(NonFiniteCost):
+                parse_model_file(text)
+            return
+        model, _, _ = parse_model_file(text)
+        assert model.table(0)[1].tobytes() == np.float64(want).tobytes()
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_wrapped_tables_parse_bit_for_bit(self, rng, width):
+        for _ in range(5):
+            model, js = random_instance(rng, nested=True)
+            order = tuple(rng.permutation(model.node_count).tolist())
+            text = serialize_model(model, js, order)
+            lines = text.splitlines()
+            k = len(model.factors)
+            wrapped = lines[:4]
+            for f in range(k):
+                wrapped.append(lines[4 + 2 * f])
+                cells = lines[5 + 2 * f].split()
+                w = min(width, len(cells) - 1)
+                wrapped += [" ".join(cells[i : i + w]) for i in range(0, len(cells), w)]
+            wrapped += lines[4 + 2 * k :]
+            a = parse_model_file(text)
+            b = parse_model_file("\n".join(wrapped) + "\n")
+            assert b[0].label_counts == a[0].label_counts
+            assert b[0].scopes == a[0].scopes
+            for fa, fb in zip(a[0].factors, b[0].factors):
+                assert fb.table.tobytes() == fa.table.tobytes()
+            assert b[1].closed_edges == a[1].closed_edges
+            assert b[2] == a[2] == order
 
 
 class TestGenerators:
@@ -323,6 +435,17 @@ class TestCliErrors:
         code, err = _exit(["--input", str(path)])
         assert code == 1
         assert err.startswith("error:") and "label count" in err
+
+    @pytest.mark.parametrize(
+        "text",
+        ["HOMRF\n1\n2\n-3\n", "HOMRF\n1\n2\n1\n1 0\n0 1\nJ\n-2\n"],
+    )
+    def test_negative_count_file_exit_1(self, tmp_path, text):
+        path = tmp_path / "m.txt"
+        path.write_text(text)
+        code, err = _exit(["--input", str(path)])
+        assert code == 1
+        assert err.startswith("error:") and "count must be non-negative" in err
 
     @pytest.mark.parametrize("n", [63, 64])
     def test_table_size_past_int64_exit_1(self, tmp_path, n):
