@@ -36,6 +36,7 @@ from .model import (
 )
 from .oracle import (
     Relation,
+    average_factor,
     brute_force_map,
     brute_force_min_marginals,
     check_ewta,
@@ -43,25 +44,24 @@ from .oracle import (
     extract_primal,
     map_jconsistent_to_wta,
     map_wta_to_jconsistent,
+    send_message,
+    tree_min_marginal,
+    trws_explicit_pass,
+    trws_general_pass,
 )
 from .trws import (
     ChainSolverState,
     TraceRow,
     TreeParams,
-    average_factor,
     bound,
     chain_state_init,
     chain_state_tree_params,
     init_tree_params,
     reuse_after,
     reuse_before,
-    send_message,
     solve_trws,
     tree_argmin,
-    tree_min_marginal,
     trws_chain_pass,
-    trws_explicit_pass,
-    trws_general_pass,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

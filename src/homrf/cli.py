@@ -14,17 +14,12 @@ from .generators import gen_potts_2x2, gen_stereo_second_order
 from .model import energy
 from .oracle import (
     STATE_SPACE_GUARD,
+    _general_steps,
     check_ewta,
     check_j_consistency_enhanced,
     extract_primal,
 )
-from .trws import (
-    _run_passes,
-    _trws_steps,
-    chain_state_tree_params,
-    init_tree_params,
-    trws_general_pass,
-)
+from .trws import _run_passes, _trws_steps, chain_state_tree_params
 
 
 def build_parser():
@@ -103,18 +98,6 @@ def _load(args, parser):
                 f"{args.node_order}: not a permutation of the {model.node_count} nodes"
             )
     return model, js, node_order
-
-
-def _general_steps(decomp):
-    # explicit-table state and its pass step, alternating the separator order
-    params = init_tree_params(decomp)
-    orders = {"forward": decomp.separator_order, "backward": decomp.separator_order[::-1]}
-
-    def step(k):
-        direction = "backward" if k % 2 else "forward"
-        return direction, trws_general_pass(decomp, params, orders[direction]), params.cells
-
-    return params, step
 
 
 # method -> (state, pass step) for the shared pass/stop loop

@@ -121,8 +121,14 @@ def _eq15_holds(prev_scope, next_scope, pos):
 class Decomposition:
     """A chain cover of the outer factors plus everything derived from it.
 
-    Only the cover itself is passed in; every other field is derived from it
-    on construction, so `dataclasses.replace` re-derives them too.
+    The inputs are the fields up to `augmented_factors`: the model, its J
+    structure, the node order, the chains and their probabilities `rho`, the
+    window bounds `sep_minus` and `sep_plus`, the `separator_order` and the
+    augmented factors.  The `field(init=False)` fields are derived from them
+    in `__post_init__`, so `dataclasses.replace` re-derives those.  An input
+    that `replace` is not given is passed through as the very same object:
+    `replace(d, chains=...)` keeps `d`'s `sep_minus`, `sep_plus` and
+    `separator_order`, which must still fit the new chains.
     """
 
     model: Model

@@ -1,10 +1,18 @@
-"""Exhaustive oracles and fixpoint diagnostics.
+"""Oracles that check the fast solvers, and fixpoint diagnostics.
 
-Everything here enumerates joint states, guarded by a hard cap, and exists to
-check the fast solvers: exact minimization, exact min-marginals, agreement of
-subproblem minimizer sets across a decomposition, per-edge minimizer
-consistency, the two bound-preserving mappings between the chain and the
-per-factor dual fixpoints, and a greedy primal rounding.
+The exhaustive oracles enumerate joint states, guarded by a hard cap: exact
+minimization, exact min-marginals, agreement of subproblem minimizer sets
+across a decomposition, per-edge minimizer consistency, the two
+bound-preserving mappings between the chain and the per-factor dual
+fixpoints, and a greedy primal rounding.
+
+The reference sweeps work on explicit per-subproblem tables, the steps by
+which the paper reaches the message-form sweep of `homrf.trws`.  The general
+sweep brings each separator to exact min-marginals in every subproblem
+containing it before averaging it.  The chain sweep exploits the separator
+windows so that one message per subproblem suffices.  Both are equivalent to
+the message-form sweep, and the general sweep backs the CLI's `trws-general`
+method.
 """
 
 from dataclasses import dataclass
@@ -13,13 +21,13 @@ import numpy as np
 
 from ._tables import accumulate, embed, reduce_min
 from .decomposition import sigma_key
-from .errors import NotAtFixpoint, TooLarge
+from .errors import FactorNotInTree, InvalidEdge, NotASeparator, NotAtFixpoint, TooLarge
 from .trws import (
     ChainSolverState,
     TreeParams,
+    bound,
     chain_state_factor_tables,
-    cumulative_tables,
-    send_message,
+    init_tree_params,
 )
 
 STATE_SPACE_GUARD = 10**7
@@ -301,3 +309,182 @@ def extract_primal(decomp, source):
         labeling[v] = int(np.argmin(scores))
     return tuple(labeling)
 
+
+def cumulative_tables(decomp, params):
+    """Probability-weighted sum of the per-subproblem tables, per factor."""
+    out = [np.zeros_like(f.table) for f in decomp.model.factors]
+    for t in range(len(decomp.chains)):
+        for fid, tbl in params.tables[t].items():
+            out[fid] = out[fid] + decomp.rho[t] * tbl
+    return out
+
+
+def nu_table(decomp, params, t, fid):
+    """Local sum at a factor: its own table plus all nested local tables."""
+    js = decomp.jstructure
+    scope = js.scope(fid)
+    pairs = [(js.scope(c), params.tables[t][c]) for c in sorted(js.locals[fid])]
+    return accumulate(pairs, scope, decomp.model.label_counts)
+
+
+def send_message(decomp, params, t, src, dst):
+    """Shift cost from `src` to `dst` so the edge holds a valid message.
+
+    The shift is the gap between the source's min-marginal over the target
+    scope and the target's local sum; afterwards the two agree for every
+    target state.  The subproblem's energy function is unchanged.
+    """
+    js = decomp.jstructure
+    if (src, dst) not in js.closed_edges:
+        raise InvalidEdge(f"({src}, {dst}) is not a closed marginalization edge")
+    if src not in decomp.tree_factors[t] or dst not in decomp.tree_factors[t]:
+        raise FactorNotInTree(f"edge ({src}, {dst}) leaves subproblem {t}")
+    scope_s, scope_d = js.scope(src), js.scope(dst)
+    nu_s = nu_table(decomp, params, t, src)
+    nu_d = nu_table(decomp, params, t, dst)
+    params.cells += nu_s.size
+    delta = reduce_min(nu_s, scope_s, scope_d) - nu_d
+    params.tables[t][src] = params.tables[t][src] - embed(delta, scope_d, scope_s)
+    params.tables[t][dst] = params.tables[t][dst] + delta
+    return delta
+
+
+def tree_min_marginal(decomp, params, t, target):
+    """Reparameterize subproblem `t` so the target's local sum is the exact
+    min-marginal of the subproblem energy, and return that table.
+
+    Messages are sent inward along the chain toward a member containing the
+    target, then once from that member to the target itself.
+    """
+    if target not in decomp.tree_factors[t]:
+        raise FactorNotInTree(f"factor {target} is not in subproblem {t}")
+    js = decomp.jstructure
+    chain = decomp.chains[t]
+    root_idx = next(i for i, a in enumerate(chain) if target in js.locals[a])
+    for i in range(root_idx):
+        send_message(decomp, params, t, chain[i], decomp.sep_plus[chain[i]])
+    for i in range(len(chain) - 1, root_idx, -1):
+        send_message(decomp, params, t, chain[i], decomp.sep_plus[chain[i - 1]])
+    root = chain[root_idx]
+    if root != target:
+        send_message(decomp, params, t, root, target)
+    return nu_table(decomp, params, t, target)
+
+
+def collect_local_sums(decomp, params, b):
+    return {t: nu_table(decomp, params, t, b) for t in decomp.trees_of.get(b, ())}
+
+
+def average_factor(decomp, params, b, sums=None):
+    """Replace each subproblem's local sum at a separator by their
+    probability-weighted mean, shifting only the separator's own table."""
+    if b not in decomp.jstructure.separators:
+        raise NotASeparator(f"factor {b} is not a separator")
+    if sums is None:
+        sums = collect_local_sums(decomp, params, b)
+    if not sums:
+        return None
+    avg = sum(decomp.rho[t] * nu for t, nu in sums.items()) / decomp.rho_factor[b]
+    for t, nu in sums.items():
+        params.tables[t][b] = params.tables[t][b] + (avg - nu)
+    return avg
+
+
+def trws_general_pass(decomp, params, order=None, monitor=None):
+    """One full sweep of min-marginal averaging over the separators.
+
+    Every separator is brought to exact min-marginals in every subproblem
+    containing it before being averaged, so the bound cannot decrease at any
+    single averaging.  `monitor(b, before, after)` sees the bound around each
+    averaging when supplied.  Returns the bound after the sweep.
+    """
+    if order is None:
+        order = decomp.separator_order
+    for b in order:
+        sums = {}
+        for t in decomp.trees_of.get(b, ()):
+            sums[t] = tree_min_marginal(decomp, params, t, b)
+        before = bound(decomp, params) if monitor is not None else None
+        average_factor(decomp, params, b, sums=sums)
+        if monitor is not None:
+            monitor(b, before, bound(decomp, params))
+    return bound(decomp, params)
+
+
+def _general_steps(decomp):
+    # explicit-table state and its pass step, alternating the separator order
+    params = init_tree_params(decomp)
+    orders = {"forward": decomp.separator_order, "backward": decomp.separator_order[::-1]}
+
+    def step(k):
+        direction = "backward" if k % 2 else "forward"
+        return direction, trws_general_pass(decomp, params, orders[direction]), params.cells
+
+    return params, step
+
+
+@dataclass
+class ExplicitChainState:
+    """Chain sweep bookkeeping over explicit per-subproblem tables."""
+
+    params: TreeParams
+    child: dict
+    direction: str = "forward"
+    pass_index: int = 0
+
+
+def explicit_chain_init(decomp):
+    child = {a: decomp.sep_minus[a] for a in decomp.jstructure.outer}
+    return ExplicitChainState(params=init_tree_params(decomp), child=child)
+
+
+def trws_explicit_pass(decomp, state, direction=None, on_average=None, check_invariants=False):
+    """Chain sweep with one message per separator and subproblem.
+
+    Each chain tracks its current member; each outer factor remembers its last
+    message target, which stays valid across steps, so a single send per
+    subproblem restores exact min-marginals at the separator being averaged
+    (from the second sweep onward).  `on_average` receives
+    (pass_index, direction, separator, {subproblem: local sum}) right before
+    each averaging.
+    """
+    if direction is None:
+        direction = state.direction
+    forward = direction == "forward"
+    order = decomp.separator_order if forward else tuple(reversed(decomp.separator_order))
+    cur = {
+        t: (chain[0] if forward else chain[-1]) for t, chain in enumerate(decomp.chains)
+    }
+
+    for b in order:
+        for t in decomp.trees_of.get(b, ()):
+            a = cur[t]
+            if check_invariants:
+                assert b in decomp.local_separators[a], (b, a)
+                chain = decomp.chains[t]
+                k = chain.index(a)
+                for j, other in enumerate(chain):
+                    if decomp.sep_minus[other] is None:
+                        continue
+                    if j < k:
+                        assert state.child[other] == decomp.sep_plus[other]
+                    elif j > k:
+                        assert state.child[other] == decomp.sep_minus[other]
+            if state.child[a] != b:
+                send_message(decomp, state.params, t, a, b)
+                state.child[a] = b
+            edge_sep = decomp.sep_plus[a] if forward else decomp.sep_minus[a]
+            if b == edge_sep:
+                chain = decomp.chains[t]
+                k = chain.index(a)
+                nxt = k + 1 if forward else k - 1
+                if 0 <= nxt < len(chain):
+                    cur[t] = chain[nxt]
+        sums = collect_local_sums(decomp, state.params, b)
+        if on_average is not None:
+            on_average(state.pass_index, direction, b, sums)
+        average_factor(decomp, state.params, b, sums=sums)
+
+    state.pass_index += 1
+    state.direction = "backward" if forward else "forward"
+    return bound(decomp, state.params)

@@ -1,14 +1,12 @@
 """Sequential block-coordinate dual ascent over junction-chain decompositions.
 
-Three equivalent formulations are provided.  The general sweep works on
-explicit per-subproblem tables and brings each separator to exact
-min-marginals before averaging it.  The chain sweep exploits the separator
-windows so that one message per subproblem suffices.  The message-form sweep
-stores only the cumulative reparameterization as messages on
-outer-to-separator edges plus cached separator tables, and is the production
-path; it also supports the two nested-separator reuse shortcuts.  It and the
-chain dynamic program behind every bound run from the decomposition's sweep
-plan (`homrf._plan`), so a pass does no structural bookkeeping of its own.
+This module holds the production path, the message-form sweep.  It stores
+only the cumulative reparameterization, as messages on outer-to-separator
+edges plus cached separator tables, and supports the two nested-separator
+reuse shortcuts.  It and the chain dynamic program behind every bound run
+from the decomposition's sweep plan (`homrf._plan`), so a pass does no
+structural bookkeeping of its own.  The explicit-table reference sweeps it is
+checked against live in `homrf.oracle`.
 
 The message-form sweep reads its bound off the sweep, as TRW-S does, instead
 of re-solving every chain.  Messages are stored rather than accumulated, so
@@ -32,12 +30,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._plan import nested_recipe
-from ._tables import accumulate, embed, min_over, reduce_min, table_shape
+from ._tables import min_over, table_shape
 from .errors import (
     ExcessMessageOps,
-    FactorNotInTree,
-    InvalidEdge,
-    NotASeparator,
     ReuseOrderViolation,
     StaleMessage,
     StateNotInitialized,
@@ -75,86 +70,6 @@ def _split(decomp, tables):
 def init_tree_params(decomp):
     """Uniform split: each factor's cost over its appearance probability."""
     return _split(decomp, [f.table for f in decomp.model.factors])
-
-
-def cumulative_tables(decomp, params):
-    """Probability-weighted sum of the per-subproblem tables, per factor."""
-    out = [np.zeros_like(f.table) for f in decomp.model.factors]
-    for t in range(len(decomp.chains)):
-        for fid, tbl in params.tables[t].items():
-            out[fid] = out[fid] + decomp.rho[t] * tbl
-    return out
-
-
-def nu_table(decomp, params, t, fid):
-    """Local sum at a factor: its own table plus all nested local tables."""
-    js = decomp.jstructure
-    scope = js.scope(fid)
-    pairs = [(js.scope(c), params.tables[t][c]) for c in sorted(js.locals[fid])]
-    return accumulate(pairs, scope, decomp.model.label_counts)
-
-
-def send_message(decomp, params, t, src, dst):
-    """Shift cost from `src` to `dst` so the edge holds a valid message.
-
-    The shift is the gap between the source's min-marginal over the target
-    scope and the target's local sum; afterwards the two agree for every
-    target state.  The subproblem's energy function is unchanged.
-    """
-    js = decomp.jstructure
-    if (src, dst) not in js.closed_edges:
-        raise InvalidEdge(f"({src}, {dst}) is not a closed marginalization edge")
-    if src not in decomp.tree_factors[t] or dst not in decomp.tree_factors[t]:
-        raise FactorNotInTree(f"edge ({src}, {dst}) leaves subproblem {t}")
-    scope_s, scope_d = js.scope(src), js.scope(dst)
-    nu_s = nu_table(decomp, params, t, src)
-    nu_d = nu_table(decomp, params, t, dst)
-    params.cells += nu_s.size
-    delta = reduce_min(nu_s, scope_s, scope_d) - nu_d
-    params.tables[t][src] = params.tables[t][src] - embed(delta, scope_d, scope_s)
-    params.tables[t][dst] = params.tables[t][dst] + delta
-    return delta
-
-
-def tree_min_marginal(decomp, params, t, target):
-    """Reparameterize subproblem `t` so the target's local sum is the exact
-    min-marginal of the subproblem energy, and return that table.
-
-    Messages are sent inward along the chain toward a member containing the
-    target, then once from that member to the target itself.
-    """
-    if target not in decomp.tree_factors[t]:
-        raise FactorNotInTree(f"factor {target} is not in subproblem {t}")
-    js = decomp.jstructure
-    chain = decomp.chains[t]
-    root_idx = next(i for i, a in enumerate(chain) if target in js.locals[a])
-    for i in range(root_idx):
-        send_message(decomp, params, t, chain[i], decomp.sep_plus[chain[i]])
-    for i in range(len(chain) - 1, root_idx, -1):
-        send_message(decomp, params, t, chain[i], decomp.sep_plus[chain[i - 1]])
-    root = chain[root_idx]
-    if root != target:
-        send_message(decomp, params, t, root, target)
-    return nu_table(decomp, params, t, target)
-
-
-def collect_local_sums(decomp, params, b):
-    return {t: nu_table(decomp, params, t, b) for t in decomp.trees_of.get(b, ())}
-
-
-def average_factor(decomp, params, b, sums=None):
-    """Replace each subproblem's local sum at a separator by their
-    probability-weighted mean, shifting only the separator's own table."""
-    if b not in decomp.jstructure.separators:
-        raise NotASeparator(f"factor {b} is not a separator")
-    if sums is None:
-        sums = collect_local_sums(decomp, params, b)
-    if not sums:
-        return None
-    avg = sum(decomp.rho[t] * nu for t, nu in sums.items()) / decomp.rho_factor[b]
-    for t, nu in sums.items():
-        params.tables[t][b] = params.tables[t][b] + (avg - nu)
-    return avg
 
 
 def _chain_dp(decomp, tables, t, want_argmin=False):
@@ -212,108 +127,10 @@ def tree_argmin(decomp, params, t):
 
 def bound(decomp, params):
     """Lower bound: probability-weighted sum of exact subproblem minima."""
-    return _bound_cells(decomp, params.tables)[0]
-
-
-def _bound_cells(decomp, chain_tables):
-    # chain_tables[t]: the tables `_chain_dp` reads for subproblem t
-    total, cells = 0.0, 0
-    for t, tables in enumerate(chain_tables):
-        v, _, c = _chain_dp(decomp, tables, t)
-        total += decomp.rho[t] * v
-        cells += c
-    return float(total), cells
-
-
-def trws_general_pass(decomp, params, order=None, monitor=None):
-    """One full sweep of min-marginal averaging over the separators.
-
-    Every separator is brought to exact min-marginals in every subproblem
-    containing it before being averaged, so the bound cannot decrease at any
-    single averaging.  `monitor(b, before, after)` sees the bound around each
-    averaging when supplied.  Returns the bound after the sweep.
-    """
-    if order is None:
-        order = decomp.separator_order
-    for b in order:
-        sums = {}
-        for t in decomp.trees_of.get(b, ()):
-            sums[t] = tree_min_marginal(decomp, params, t, b)
-        before = bound(decomp, params) if monitor is not None else None
-        average_factor(decomp, params, b, sums=sums)
-        if monitor is not None:
-            monitor(b, before, bound(decomp, params))
-    return bound(decomp, params)
-
-
-@dataclass
-class ExplicitChainState:
-    """Chain sweep bookkeeping over explicit per-subproblem tables."""
-
-    params: TreeParams
-    child: dict
-    direction: str = "forward"
-    pass_index: int = 0
-
-
-def explicit_chain_init(decomp, params=None):
-    if params is None:
-        params = init_tree_params(decomp)
-    child = {a: decomp.sep_minus[a] for a in decomp.jstructure.outer}
-    return ExplicitChainState(params=params, child=child)
-
-
-def trws_explicit_pass(decomp, state, direction=None, on_average=None, check_invariants=False):
-    """Chain sweep with one message per separator and subproblem.
-
-    Each chain tracks its current member; each outer factor remembers its last
-    message target, which stays valid across steps, so a single send per
-    subproblem restores exact min-marginals at the separator being averaged
-    (from the second sweep onward).  `on_average` receives
-    (pass_index, direction, separator, {subproblem: local sum}) right before
-    each averaging.
-    """
-    if direction is None:
-        direction = state.direction
-    forward = direction == "forward"
-    js = decomp.jstructure
-    order = decomp.separator_order if forward else tuple(reversed(decomp.separator_order))
-    cur = {
-        t: (chain[0] if forward else chain[-1]) for t, chain in enumerate(decomp.chains)
-    }
-
-    for b in order:
-        for t in decomp.trees_of.get(b, ()):
-            a = cur[t]
-            if check_invariants:
-                assert b in decomp.local_separators[a], (b, a)
-                chain = decomp.chains[t]
-                k = chain.index(a)
-                for j, other in enumerate(chain):
-                    if decomp.sep_minus[other] is None:
-                        continue
-                    if j < k:
-                        assert state.child[other] == decomp.sep_plus[other]
-                    elif j > k:
-                        assert state.child[other] == decomp.sep_minus[other]
-            if state.child[a] != b:
-                send_message(decomp, state.params, t, a, b)
-                state.child[a] = b
-            edge_sep = decomp.sep_plus[a] if forward else decomp.sep_minus[a]
-            if b == edge_sep:
-                chain = decomp.chains[t]
-                k = chain.index(a)
-                nxt = k + 1 if forward else k - 1
-                if 0 <= nxt < len(chain):
-                    cur[t] = chain[nxt]
-        sums = collect_local_sums(decomp, state.params, b)
-        if on_average is not None:
-            on_average(state.pass_index, direction, b, sums)
-        average_factor(decomp, state.params, b, sums=sums)
-
-    state.pass_index += 1
-    state.direction = "backward" if forward else "forward"
-    return bound(decomp, state.params)
+    total = 0.0
+    for t, tables in enumerate(params.tables):
+        total += decomp.rho[t] * _chain_dp(decomp, tables, t)[0]
+    return float(total)
 
 
 @dataclass
@@ -407,13 +224,13 @@ def reuse_before(decomp, state, a, p, b):
     superset's cached table is left stale until the superset itself is
     processed.
     """
+    window = decomp.local_separators.get(a)
+    if window is None:
+        raise ReuseOrderViolation(f"factor {a} is not a chain member")
     rec = _nested(decomp, a, p, b)
-    window = decomp.local_separators[a]
-    fwd = state.direction == "forward"
-    seq = window if fwd else tuple(reversed(window))
-    i = seq.index(b)
-    if i + 1 >= len(seq) or seq[i + 1] != p:
-        raise ReuseOrderViolation(f"factor {p} is not processed right after {b}")
+    seq = window if state.direction == "forward" else window[::-1]
+    if (b, p) not in zip(seq, seq[1:]):
+        raise ReuseOrderViolation(f"factor {p} is not processed right after {b} in {a}'s window")
     return _reuse_before(state, rec, decomp._sweep_plan.fresh[(a, p)])
 
 

@@ -22,18 +22,18 @@ from homrf.oracle import (
     brute_force_min_marginals,
     check_ewta,
     check_j_consistency_enhanced,
+    explicit_chain_init,
     map_jconsistent_to_wta,
     map_wta_to_jconsistent,
+    trws_explicit_pass,
+    trws_general_pass,
 )
 from homrf.trws import (
     bound,
     chain_state_init,
     chain_state_tree_params,
-    explicit_chain_init,
     solve_trws,
     trws_chain_pass,
-    trws_explicit_pass,
-    trws_general_pass,
 )
 
 from conftest import figure_chain_instance, path_instance, random_decomposed, submodular_grid

@@ -15,8 +15,7 @@ from homrf.baselines import (
 from homrf.decomposition import build_monotonic_chains
 from homrf.errors import InvalidStepSize
 from homrf.model import build_model, close_j, energy
-from homrf.oracle import brute_force_map
-from homrf.trws import cumulative_tables
+from homrf.oracle import brute_force_map, cumulative_tables
 
 from conftest import random_decomposed, submodular_grid
 

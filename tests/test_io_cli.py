@@ -17,8 +17,8 @@ from homrf.generators import (
     potts_block_table,
     second_order_table,
 )
-from homrf.oracle import brute_force_map
-from homrf.trws import init_tree_params, solve_trws, trws_general_pass
+from homrf.oracle import brute_force_map, trws_general_pass
+from homrf.trws import init_tree_params, solve_trws
 
 from conftest import figure_chain_instance, random_instance
 

@@ -8,6 +8,7 @@ from homrf.model import build_model, close_j, energy
 from homrf.oracle import (
     Relation,
     argmin_relation,
+    average_factor,
     brute_force_map,
     brute_force_min_marginals,
     check_ewta,
@@ -17,16 +18,15 @@ from homrf.oracle import (
     map_jconsistent_to_wta,
     map_wta_to_jconsistent,
     tree_argmin_relation,
+    tree_min_marginal,
     witness_j_relations,
 )
 from homrf.trws import (
-    average_factor,
     bound,
     chain_state_init,
     chain_state_tree_params,
     init_tree_params,
     solve_trws,
-    tree_min_marginal,
     trws_chain_pass,
 )
 

@@ -22,3 +22,28 @@ PUBLIC = [
 
 def test_public_names_are_pinned():
     assert sorted(homrf.__all__) == sorted(PUBLIC)
+
+
+# explicit-table reference sweeps: they live in `homrf.oracle`, apart from the
+# production sweep in `homrf.trws`
+MOVED_PUBLIC = [
+    "average_factor", "send_message", "tree_min_marginal", "trws_explicit_pass",
+    "trws_general_pass",
+]
+MOVED = MOVED_PUBLIC + [
+    "ExplicitChainState", "collect_local_sums", "cumulative_tables", "explicit_chain_init",
+    "nu_table",
+]
+
+
+def test_reference_sweeps_live_in_oracle():
+    for name in MOVED_PUBLIC:
+        assert getattr(homrf, name).__module__ == "homrf.oracle", name
+    for name in MOVED:
+        assert getattr(homrf.oracle, name).__module__ == "homrf.oracle", name
+    assert [name for name in MOVED if hasattr(homrf.trws, name)] == []
+    from_oracle = [
+        name for name, obj in vars(homrf.trws).items()
+        if getattr(obj, "__module__", None) == "homrf.oracle"
+    ]
+    assert from_oracle == []

@@ -14,24 +14,28 @@ from homrf.errors import (
 from homrf.decomposition import validate_decomposition
 from homrf.generators import gen_potts_2x2, gen_stereo_second_order
 from homrf.model import build_model, close_j, energy
-from homrf.oracle import brute_force_map, brute_force_min_marginals, tree_total_table
-from homrf.trws import (
+from homrf.oracle import (
     average_factor,
+    brute_force_map,
+    brute_force_min_marginals,
+    explicit_chain_init,
+    nu_table,
+    send_message,
+    tree_min_marginal,
+    tree_total_table,
+    trws_explicit_pass,
+    trws_general_pass,
+)
+from homrf.trws import (
     bound,
     chain_state_factor_tables,
     chain_state_init,
     chain_state_tree_params,
-    explicit_chain_init,
     init_tree_params,
-    nu_table,
     reuse_before,
-    send_message,
     solve_trws,
     tree_argmin,
-    tree_min_marginal,
     trws_chain_pass,
-    trws_explicit_pass,
-    trws_general_pass,
 )
 
 from conftest import (
@@ -704,6 +708,25 @@ class TestReuse:
             reuse_before(d, st, abc, bc, b)
         with pytest.raises(ReuseOrderViolation, match="not nested"):
             reuse_before(d, chain_state_init(d), abc, b, a)
+
+    def test_reuse_before_separator_outside_the_window_rejected(self, rng):
+        model, js = figure_chain_instance(rng)
+        d = build_monotonic_chains(model, js)
+        abc = d.model.factor_id((0, 1, 2))
+        bc = d.model.factor_id((1, 2))
+        c = d.model.factor_id((2,))
+        assert c not in d.local_separators[abc]
+        with pytest.raises(ReuseOrderViolation, match="right after"):
+            reuse_before(d, chain_state_init(d), abc, bc, c)
+
+    def test_reuse_before_from_a_non_member_rejected(self, rng):
+        model, js = figure_chain_instance(rng)
+        d = build_monotonic_chains(model, js)
+        bc = d.model.factor_id((1, 2))
+        b = d.model.factor_id((1,))
+        assert all(bc not in chain for chain in d.chains)
+        with pytest.raises(ReuseOrderViolation, match="not a chain member"):
+            reuse_before(d, chain_state_init(d), bc, bc, b)
 
 
 class TestBoundComputation:
