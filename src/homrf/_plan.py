@@ -50,7 +50,7 @@ class EdgeStep(NamedTuple):
 class SeparatorStep(NamedTuple):
     b: int
     source: object  # original cost table of b
-    edges: tuple  # EdgeStep per incoming window edge, in `sep_in_edges` order
+    edges: tuple  # EdgeStep per incoming window edge, sources in sigma order
 
 
 class Stage(NamedTuple):
@@ -137,6 +137,7 @@ def build_sweep_plan(decomp):
     )
 
     fresh = {}
+    sources = {b: [] for b in d.separator_order}  # message_edges are in sigma order
     for a, b in d.message_edges:
         ra = d.rho_factor[a]
         fresh[(a, b)] = MessageRecipe(
@@ -144,10 +145,12 @@ def build_sweep_plan(decomp):
             tuple(term for term in net[a] if term[0][1] != b),
             tuple(
                 (ra / d.rho_factor[c], c, shape_in(c, a))
-                for c in d.eq20_extra[(a, b)]
+                for c in sorted(js.locals[a] - js.locals[b])
+                if c in js.separators
             ),
             drop_axes(scopes[a], sets[b]),
         )
+        sources[b].append(a)
 
     nested = {}  # one recipe per (a, p, b), shared by the two directions
 
@@ -171,7 +174,7 @@ def build_sweep_plan(decomp):
         steps = []
         for b in order:
             edges = []
-            for a in d.sep_in_edges[b]:
+            for a in sources[b]:
                 key = (a, b)
                 trailing = d.sep_minus[a] if forward else d.sep_plus[a]
                 if b == trailing:

@@ -121,14 +121,13 @@ def _eq15_holds(prev_scope, next_scope, pos):
 class Decomposition:
     """A chain cover of the outer factors plus everything derived from it.
 
-    The inputs are the fields up to `augmented_factors`: the model, its J
-    structure, the node order, the chains and their probabilities `rho`, the
-    window bounds `sep_minus` and `sep_plus`, the `separator_order` and the
-    augmented factors.  The `field(init=False)` fields are derived from them
-    in `__post_init__`, so `dataclasses.replace` re-derives those.  An input
-    that `replace` is not given is passed through as the very same object:
-    `replace(d, chains=...)` keeps `d`'s `sep_minus`, `sep_plus` and
-    `separator_order`, which must still fit the new chains.
+    The inputs are the model, its J structure, the node order, the chains,
+    their probabilities `rho` and the augmented factors.  Every other field
+    follows from them and is derived in `__post_init__`: the node positions,
+    the separator order, each outer factor's window bounds `sep_minus` /
+    `sep_plus` and window, the per-factor probabilities, the subproblems and
+    the message edges.  `dataclasses.replace` therefore re-derives them all.
+    A chain whose window bound is not a factor raises `MissingSeparatorFactor`.
     """
 
     model: Model
@@ -136,24 +135,30 @@ class Decomposition:
     node_order: tuple
     chains: tuple
     rho: tuple
-    sep_minus: dict
-    sep_plus: dict
-    separator_order: tuple
     augmented_factors: tuple = ()
 
+    node_pos: dict = field(init=False, repr=False)
+    separator_order: tuple = field(init=False)
+    sep_rank: dict = field(init=False, repr=False)
+    sep_minus: dict = field(init=False)
+    sep_plus: dict = field(init=False)
     rho_factor: dict = field(init=False)
     local_separators: dict = field(init=False)
-    sep_rank: dict = field(init=False, repr=False)
     trees_of: dict = field(init=False, repr=False)
     tree_factors: tuple = field(init=False)
     tree_nodes: tuple = field(init=False)
     message_edges: tuple = field(init=False)
-    sep_in_edges: dict = field(init=False, repr=False)
-    eq20_extra: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         js = self.jstructure
+        pos = self.node_pos = _node_pos(self.node_order)
+        self.separator_order = extend_order_to_separators(js, self.node_order)
         self.sep_rank = {b: i for i, b in enumerate(self.separator_order)}
+        index = _scope_index(js)
+        self.sep_minus, self.sep_plus = {}, {}
+        for chain in self.chains:
+            for i, a in enumerate(chain):
+                self.sep_minus[a], self.sep_plus[a] = _sep_bounds(js, pos, index, chain, i)
         self.local_separators = {
             a: local_separator_window(self, a) for chain in self.chains for a in chain
         }
@@ -172,27 +177,11 @@ class Decomposition:
             tuple(sorted({v for a in chain for v in js.scope(a)}))
             for chain in self.chains
         )
-        pos = _node_pos(self.node_order)
-        sig = {a: sigma_key(js.scope(a), pos) for a in js.outer}
-        edges = []
-        sep_in = {b: [] for b in self.separator_order}
-        for a in sorted(js.outer, key=lambda f: sig[f]):
-            for b in self.local_separators.get(a, ()):
-                edges.append((a, b))
-                sep_in[b].append(a)
-        self.message_edges = tuple(edges)
-        self.sep_in_edges = {b: tuple(sorted(srcs, key=lambda f: sig[f])) for b, srcs in sep_in.items()}
-        extra = {}
-        for a, b in edges:
-            fb = js.locals[b]
-            extra[(a, b)] = tuple(
-                sorted(c for c in js.locals[a] if c in js.separators and c not in fb)
-            )
-        self.eq20_extra = extra
-
-    @property
-    def node_pos(self):
-        return _node_pos(self.node_order)
+        self.message_edges = tuple(
+            (a, b)
+            for a in sorted(js.outer, key=lambda f: sigma_key(js.scope(f), pos))
+            for b in self.local_separators.get(a, ())
+        )
 
     @cached_property
     def _sweep_plan(self):
@@ -274,24 +263,12 @@ def build_monotonic_chains(model, jstructure, node_order=None):
         )
         js = close_j(scopes, edges)
 
-    chains = tuple(tuple(c) for c in chains)
-    separator_order = extend_order_to_separators(js, node_order)
-
-    sep_minus, sep_plus = {}, {}
-    index = _scope_index(js)
-    for chain in chains:
-        for i, a in enumerate(chain):
-            sep_minus[a], sep_plus[a] = _sep_bounds(js, pos, index, chain, i)
-
     return Decomposition(
         model=model,
         jstructure=js,
         node_order=node_order,
-        chains=chains,
+        chains=tuple(tuple(c) for c in chains),
         rho=tuple([1.0 / len(chains)] * len(chains)) if chains else (),
-        sep_minus=sep_minus,
-        sep_plus=sep_plus,
-        separator_order=separator_order,
         augmented_factors=tuple(added),
     )
 
@@ -323,7 +300,7 @@ def validate_decomposition(model, jstructure, decomposition):
     """
     d = decomposition
     js = jstructure
-    pos = _node_pos(d.node_order)
+    pos = d.node_pos
     index = {js.scope(f): f for f in range(len(js.scopes))}
     out = []
 

@@ -438,7 +438,7 @@ def explicit_chain_init(decomp):
     return ExplicitChainState(params=init_tree_params(decomp), child=child)
 
 
-def trws_explicit_pass(decomp, state, direction=None, on_average=None, check_invariants=False):
+def trws_explicit_pass(decomp, state, direction=None, on_average=None):
     """Chain sweep with one message per separator and subproblem.
 
     Each chain tracks its current member; each outer factor remembers its last
@@ -459,17 +459,6 @@ def trws_explicit_pass(decomp, state, direction=None, on_average=None, check_inv
     for b in order:
         for t in decomp.trees_of.get(b, ()):
             a = cur[t]
-            if check_invariants:
-                assert b in decomp.local_separators[a], (b, a)
-                chain = decomp.chains[t]
-                k = chain.index(a)
-                for j, other in enumerate(chain):
-                    if decomp.sep_minus[other] is None:
-                        continue
-                    if j < k:
-                        assert state.child[other] == decomp.sep_plus[other]
-                    elif j > k:
-                        assert state.child[other] == decomp.sep_minus[other]
             if state.child[a] != b:
                 send_message(decomp, state.params, t, a, b)
                 state.child[a] = b

@@ -274,18 +274,23 @@ class TestBuilderMatchesDefinition:
             assert got.scopes == rjs.scopes
             assert got.edges == rjs.edges and got.closed_edges == rjs.closed_edges
             assert got.outer == rjs.outer and got.locals == rjs.locals
-            ref = dataclasses.replace(
-                d,
-                jstructure=rjs,
-                chains=chains,
-                sep_minus={a: sep_bounds(rjs, order, c, a)[0] for c in chains for a in c},
-                sep_plus={a: sep_bounds(rjs, order, c, a)[1] for c in chains for a in c},
-                separator_order=extend_order_to_separators(rjs, order),
-            )
-            assert d.sep_minus == ref.sep_minus and d.sep_plus == ref.sep_plus
-            assert d.separator_order == ref.separator_order
+            assert d.sep_minus == {a: sep_bounds(rjs, order, c, a)[0] for c in chains for a in c}
+            assert d.sep_plus == {a: sep_bounds(rjs, order, c, a)[1] for c in chains for a in c}
+            assert d.separator_order == extend_order_to_separators(rjs, order)
+            ref = dataclasses.replace(d, jstructure=rjs, chains=chains)
             assert d.message_edges == ref.message_edges
             assert d.rho == tuple([1.0 / len(chains)] * len(chains))
+
+    def test_replace_rederives_windows_and_order(self, rng):
+        for _ in range(10):
+            d = random_decomposed(rng, nested=True)
+            reordered = dataclasses.replace(d, node_order=d.node_order[::-1])
+            assert reordered.separator_order != d.separator_order
+            for new in (dataclasses.replace(d, chains=d.chains[:1]), reordered):
+                js, order, chains = new.jstructure, new.node_order, new.chains
+                assert new.sep_minus == {a: sep_bounds(js, order, c, a)[0] for c in chains for a in c}
+                assert new.sep_plus == {a: sep_bounds(js, order, c, a)[1] for c in chains for a in c}
+                assert new.separator_order == extend_order_to_separators(js, order)
 
 
 class TestValidate:
@@ -303,13 +308,21 @@ class TestValidate:
         assert "monotonicity" in report.codes()
 
     def test_replace_rederives_windows_and_probabilities(self, rng):
+        model, js = _pairwise_model(3, [(0, 1), (1, 2)], rng)
+        d = build_monotonic_chains(model, js)
+        (chain,) = d.chains
+        split = dataclasses.replace(d, chains=((chain[0],), (chain[1],)), rho=(0.5, 0.5))
+        assert set(d.rho_factor.values()) == {1.0}
+        assert split.rho_factor[d.model.factor_id((1,))] == 1.0
+        assert set(split.rho_factor.values()) == {0.5, 1.0}
+        assert split.tree_factors[0] | split.tree_factors[1] == d.tree_factors[0]
+
         model, js = _pairwise_model(4, [(0, 1), (2, 3)], rng)
         d = build_monotonic_chains(model, js)
         assert len(d.chains) == 2
-        merged = dataclasses.replace(d, chains=(d.chains[0] + d.chains[1],), rho=(1.0,))
-        assert set(d.rho_factor.values()) == {0.5}
-        assert set(merged.rho_factor.values()) == {1.0}
-        assert merged.tree_factors == (d.tree_factors[0] | d.tree_factors[1],)
+        # the merged chain's members share no nodes, so no joint separator
+        with pytest.raises(MissingSeparatorFactor):
+            dataclasses.replace(d, chains=(d.chains[0] + d.chains[1],), rho=(1.0,))
         dropped = dataclasses.replace(d, chains=d.chains[:1])
         assert set(dropped.local_separators) == set(d.chains[0]) != set(d.local_separators)
         assert set(dropped.rho_factor) == set(d.tree_factors[0])

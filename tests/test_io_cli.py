@@ -1,11 +1,16 @@
 import csv
 import io
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import homrf
 from homrf.baselines import solve_msd, solve_subgradient
 from homrf.cli import main
 from homrf.decomposition import build_monotonic_chains, local_separator_window
@@ -384,6 +389,18 @@ class TestCli:
              "--node-order", str(order)]
         )
         assert code == 0
+
+    def test_python_dash_m_runs_quietly(self, tmp_path):
+        # `python -m homrf` is the package's __main__, so no runpy warning
+        path = [str(Path(homrf.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        run = subprocess.run(
+            [sys.executable, "-m", "homrf", "--gen", "stereo", "--width", "3", "--height", "3", "--passes", "1"],
+            cwd=tmp_path, env=env, capture_output=True, text=True,
+        )
+        assert run.returncode == 0
+        assert run.stderr == ""
+        assert "final bound" in run.stdout
 
 
 def _exit(argv):

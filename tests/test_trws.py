@@ -369,8 +369,29 @@ class TestChainPassEquivalences:
         for _ in range(5):
             d = random_decomposed(rng, nested=True)
             st = explicit_chain_init(d)
+            averaged = []
+
+            def on_average(pass_index, direction, b, sums):
+                # each chain holding b sits at a member k whose window holds
+                # b and which last sent to b; the members before k have sent
+                # to their right bound, the members after k to their left one
+                for t in d.trees_of.get(b, ()):
+                    chain = d.chains[t]
+                    assert any(
+                        b in d.local_separators[a]
+                        and st.child[a] == b
+                        and all(
+                            st.child[o] == (d.sep_plus[o] if j < k else d.sep_minus[o])
+                            for j, o in enumerate(chain)
+                            if j != k and d.sep_minus[o] is not None
+                        )
+                        for k, a in enumerate(chain)
+                    ), (b, t)
+                averaged.append(b)
+
             for _ in range(4):
-                trws_explicit_pass(d, st, check_invariants=True)
+                trws_explicit_pass(d, st, on_average=on_average)
+            assert averaged
 
     def test_shared_tables_agree_across_trees(self, rng):
         for _ in range(4):
@@ -445,12 +466,11 @@ class TestChainPassMessageForm:
         st = chain_state_init(d)
         for _ in range(3):
             trws_chain_pass(d, st)
-        js = d.jstructure
-        for b in js.separators:
-            want = d.model.table(b).copy()
-            for a in d.sep_in_edges[b]:
-                want = want + st.messages[(a, b)]
-            assert np.allclose(st.theta_sep[b], want, atol=1e-12)
+        want = {b: d.model.table(b).copy() for b in d.jstructure.separators}
+        for a, b in d.message_edges:
+            want[b] = want[b] + st.messages[(a, b)]
+        for b, table in want.items():
+            assert np.allclose(st.theta_sep[b], table, atol=1e-12)
 
     def test_explicit_direction_matches_default_alternation(self, rng):
         d = random_decomposed(rng, nested=True)
