@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._tables import embed, reduce_min, restrict
-from .decomposition import sigma_key
+from .decomposition import sigma_sorted
 from .errors import InvalidStepSize
 from .trws import TreeParams, _chain_dp, _run_passes, init_tree_params
 
@@ -39,10 +39,9 @@ def msd_sweep_order(jstructure, node_order=None):
     if node_order is None:
         node_order = tuple(range(n_nodes))
     pos = {v: i for i, v in enumerate(node_order)}
-    sig = {fid: sigma_key(jstructure.scope(fid), pos) for fid in range(len(jstructure.scopes))}
-    return tuple(
-        sorted(jstructure.closed_edges, key=lambda e: (sig[e[1]], sig[e[0]]))
-    )
+    fids = sigma_sorted(jstructure, pos, range(len(jstructure.scopes)))
+    rank = {fid: i for i, fid in enumerate(fids)}
+    return tuple(sorted(jstructure.closed_edges, key=lambda e: (rank[e[1]], rank[e[0]])))
 
 
 def msd_pass(model, jstructure, state, order=None):

@@ -19,7 +19,7 @@ from .oracle import (
     check_j_consistency_enhanced,
     extract_primal,
 )
-from .trws import _run_passes, _trws_steps, chain_state_tree_params
+from .trws import REUSE_MODES, _run_passes, _trws_steps, chain_state_tree_params
 
 
 def build_parser():
@@ -43,7 +43,7 @@ def build_parser():
     )
     p.add_argument("--passes", type=int, default=500)
     p.add_argument("--eps", type=float, default=1e-7, help="relative per-pass stop threshold")
-    p.add_argument("--reuse", choices=["none", "after", "before-after"], default="after")
+    p.add_argument("--reuse", choices=REUSE_MODES, default="after")
     p.add_argument("--lambda", dest="step_base", type=float, default=1.0, help="subgradient step base")
     p.add_argument("--node-order", default="input", help="'input' or a file with a node permutation")
     p.add_argument("--trace", help="write a CSV trace to this file")

@@ -8,6 +8,7 @@ order on separator factors; each outer factor then owns a contiguous window of
 separators that the solvers sweep.
 """
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -27,6 +28,11 @@ def sigma_key(scope, pos):
     return (ranks[0], ranks[-1], *ranks[1:-1])
 
 
+def sigma_sorted(jstructure, pos, fids):
+    """The factor ids `fids` sorted by `sigma_key` under node positions `pos`."""
+    return sorted(fids, key=lambda f: sigma_key(jstructure.scope(f), pos))
+
+
 def extend_order_to_separators(jstructure, node_order):
     """Total order on separator factors extending the node order.
 
@@ -34,9 +40,7 @@ def extend_order_to_separators(jstructure, node_order):
     first on min and then on max guarantees that windows of consecutive chain
     factors meet exactly at their shared separator.
     """
-    pos = _node_pos(node_order)
-    seps = sorted(jstructure.separators, key=lambda f: sigma_key(jstructure.scope(f), pos))
-    return tuple(seps)
+    return tuple(sigma_sorted(jstructure, _node_pos(node_order), jstructure.separators))
 
 
 def _node_pos(node_order):
@@ -69,8 +73,10 @@ def _sep_bounds(jstructure, pos, index, chain, i):
 
     def lookup(s, side):
         fid = index.get(s)
-        if fid is None:
-            raise MissingSeparatorFactor(f"{side} separator {s} of factor {outer_factor} is absent")
+        if fid not in jstructure.separators:
+            raise MissingSeparatorFactor(
+                f"{side} separator {s} of factor {outer_factor} is not a separator factor"
+            )
         return fid
 
     if len(scope) == 1:
@@ -127,7 +133,8 @@ class Decomposition:
     the separator order, each outer factor's window bounds `sep_minus` /
     `sep_plus` and window, the per-factor probabilities, the subproblems and
     the message edges.  `dataclasses.replace` therefore re-derives them all.
-    A chain whose window bound is not a factor raises `MissingSeparatorFactor`.
+    A chain whose window bound is not a separator factor of the J structure
+    raises `MissingSeparatorFactor`.
     """
 
     model: Model
@@ -179,7 +186,7 @@ class Decomposition:
         )
         self.message_edges = tuple(
             (a, b)
-            for a in sorted(js.outer, key=lambda f: sigma_key(js.scope(f), pos))
+            for a in sigma_sorted(js, pos, js.outer)
             for b in self.local_separators.get(a, ())
         )
 
@@ -238,9 +245,8 @@ def build_monotonic_chains(model, jstructure, node_order=None):
     # Monotonicity alone keeps running intersection: a node a member does not
     # share with its successor precedes every node of that successor, hence
     # of every later member, so no later member can hold it again.
-    sig = {a: sigma_key(js.scope(a), pos) for a in js.outer}
     chains = []
-    for a in sorted(js.outer, key=lambda f: sig[f]):
+    for a in sigma_sorted(js, pos, js.outer):
         scope_a = js.scope(a)
         for chain in chains:
             if _eq15_holds(js.scope(chain[-1]), scope_a, pos):
@@ -292,16 +298,18 @@ class ValidationReport:
 
 
 def validate_decomposition(model, jstructure, decomposition):
-    """Check every structural requirement of a chain decomposition.
+    """Check the structural requirements of a chain decomposition.
 
     Violations are reported, not raised, so a deliberately broken structure
-    can be inspected.  Covers the chain-cover requirements, the derived facts
-    about nested locals and window coverage, and the probability bookkeeping.
+    can be inspected.  Checks what a chain cover, and the J structure passed
+    with it, can break: the cover itself, nested locals, window coverage and
+    bounds, and the chain probabilities.  What `Decomposition` derives by
+    construction (the separator order, the window bound lookups, the
+    per-factor probabilities) is not checked again.
     """
     d = decomposition
     js = jstructure
     pos = d.node_pos
-    index = {js.scope(f): f for f in range(len(js.scopes))}
     out = []
 
     def bad(code, detail):
@@ -326,30 +334,22 @@ def validate_decomposition(model, jstructure, decomposition):
                             f"chain {t}: {chain[i]} and {chain[j]} intersect outside {chain[k]}",
                         )
 
-    # consecutive intersections are factors known to both neighbors
+    # the joint separator of consecutive members is local to both
     for t, chain in enumerate(d.chains):
-        for i in range(len(chain) - 1):
-            a, b = chain[i], chain[i + 1]
-            s = tuple(sorted(set(js.scope(a)) & set(js.scope(b))))
-            fid = index.get(s)
-            if fid is None:
-                bad("neighbor-separator", f"chain {t}: intersection {s} of {a},{b} is not a factor")
-                continue
+        for a, b in zip(chain, chain[1:]):
+            fid = d.sep_plus[a]
             if fid not in js.locals[a] or fid not in js.locals[b]:
                 bad("neighbor-separator", f"chain {t}: factor {fid} not local to both {a} and {b}")
 
     # singleton locals everywhere
     for fid, scope in enumerate(js.scopes):
         for v in scope:
-            single = index.get((v,))
+            single = model.factor_id((v,))
             if single is None or (single != fid and single not in js.locals[fid]):
                 bad("singleton-local", f"factor {fid} lacks the singleton of node {v}")
 
     # every outer factor in exactly one chain
-    seen = {}
-    for t, chain in enumerate(d.chains):
-        for a in chain:
-            seen[a] = seen.get(a, 0) + 1
+    seen = Counter(a for chain in d.chains for a in chain)
     for a in js.outer:
         if seen.get(a, 0) != 1:
             bad("outer-cover", f"outer factor {a} appears in {seen.get(a, 0)} chains")
@@ -363,18 +363,6 @@ def validate_decomposition(model, jstructure, decomposition):
             if not _eq15_holds(js.scope(chain[i]), js.scope(chain[i + 1]), pos):
                 bad("monotonicity", f"chain {t}: {chain[i]} -> {chain[i + 1]} breaks the node order")
 
-    # separator order extends the node order
-    sep = list(d.separator_order)
-    for i, a in enumerate(sep):
-        for b in sep[i + 1 :]:
-            sa, sb = js.scope(a), js.scope(b)
-            mina, maxa = min(pos[v] for v in sa), max(pos[v] for v in sa)
-            minb, maxb = min(pos[v] for v in sb), max(pos[v] for v in sb)
-            if mina > minb and maxa > maxb:
-                bad("order-extension", f"separators {a} before {b} contradict the node order")
-            if maxa > maxb and mina >= minb:
-                bad("order-extension", f"separator {a} should follow {b}")
-
     # nested members of one subproblem are locals of each other
     for t in range(len(d.chains)):
         fs = sorted(d.tree_factors[t])
@@ -385,37 +373,24 @@ def validate_decomposition(model, jstructure, decomposition):
 
     # windows of a chain's factors cover exactly its separators
     for t, chain in enumerate(d.chains):
-        union = set()
-        for a in chain:
-            union |= set(d.local_separators.get(a, ()))
+        union = set().union(*(d.local_separators.get(a, ()) for a in chain))
         want = {c for c in d.tree_factors[t] if c in js.separators}
         if union != want:
             bad("window-cover", f"chain {t}: windows cover {sorted(union)} != {sorted(want)}")
 
-    # window bounds are increasing and consecutive windows share their joint
+    # each window's right bound follows its left one, which is the previous
+    # member's right bound, so the bounds advance along the chain
     rank = d.sep_rank
     for t, chain in enumerate(d.chains):
         if len(js.scope(chain[0])) == 1:
             continue
-        prev_hi = None
         for a in chain:
-            lo, hi = d.sep_minus[a], d.sep_plus[a]
-            if rank[lo] > rank[hi]:
-                bad("window-bounds", f"factor {a}: left separator after right one")
-            if prev_hi is not None:
-                if lo != prev_hi:
-                    bad("window-bounds", f"factor {a}: left separator is not the previous right one")
-                if rank[prev_hi] >= rank[hi]:
-                    bad("window-bounds", f"factor {a}: right separator does not advance")
-            prev_hi = hi
+            if rank[d.sep_minus[a]] >= rank[d.sep_plus[a]]:
+                bad("window-bounds", f"chain {t}: window of factor {a} does not advance")
 
     # probability bookkeeping
     if d.chains and abs(sum(d.rho) - 1.0) > 1e-12:
         bad("probabilities", f"chain probabilities sum to {sum(d.rho)}")
-    for c, ts in d.trees_of.items():
-        want = sum(d.rho[t] for t in ts)
-        if abs(d.rho_factor.get(c, 0.0) - want) > 1e-12:
-            bad("probabilities", f"factor {c}: appearance probability {d.rho_factor.get(c)} != {want}")
     for b in js.separators:
         if not d.trees_of.get(b):
             bad("separator-cover", f"separator {b} belongs to no chain")

@@ -15,16 +15,18 @@ the message-form sweep, and the general sweep backs the CLI's `trws-general`
 method.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._tables import accumulate, embed, reduce_min
-from .decomposition import sigma_key
+from .decomposition import sigma_sorted
 from .errors import FactorNotInTree, InvalidEdge, NotASeparator, NotAtFixpoint, TooLarge
 from .trws import (
     ChainSolverState,
     TreeParams,
+    _check_option,
     bound,
     chain_state_factor_tables,
     init_tree_params,
@@ -33,15 +35,8 @@ from .trws import (
 STATE_SPACE_GUARD = 10**7
 
 
-def _space(label_counts, nodes):
-    total = 1
-    for v in nodes:
-        total *= label_counts[v]
-    return total
-
-
 def _guard(label_counts, nodes, what):
-    size = _space(label_counts, nodes)
+    size = math.prod(label_counts[v] for v in nodes)
     if size > STATE_SPACE_GUARD:
         raise TooLarge(f"{what}: {size} joint states exceeds the guard")
     return size
@@ -107,6 +102,11 @@ def tree_argmin_relation(decomp, params, t, tol=1e-9):
     return argmin_relation(total, decomp.tree_nodes[t], tol)
 
 
+def _tree_argmin_relations(decomp, params, tol):
+    # every subproblem's minimizer set, indexed by chain
+    return [tree_argmin_relation(decomp, params, t, tol) for t in range(len(decomp.chains))]
+
+
 @dataclass
 class AgreementReport:
     per_factor: dict
@@ -124,10 +124,7 @@ def check_ewta(decomp, params, tol=1e-9):
     """Do all subproblems sharing a factor project their minimizer sets onto
     it identically?  Factors in at most one subproblem hold vacuously."""
     js = decomp.jstructure
-    relations = {
-        t: tree_argmin_relation(decomp, params, t, tol)
-        for t in range(len(decomp.chains))
-    }
+    relations = _tree_argmin_relations(decomp, params, tol)
     per_factor, witnesses = {}, {}
     for fid in range(len(js.scopes)):
         ts = decomp.trees_of.get(fid, ())
@@ -175,10 +172,7 @@ def witness_j_relations(decomp, params, tol=1e-9):
     subproblem is used; these relations witness the relational consistency of
     the collapsed vector."""
     out = {}
-    relations = {
-        t: tree_argmin_relation(decomp, params, t, tol)
-        for t in range(len(decomp.chains))
-    }
+    relations = _tree_argmin_relations(decomp, params, tol)
     for fid in range(len(decomp.jstructure.scopes)):
         ts = decomp.trees_of.get(fid, ())
         if not ts:
@@ -255,13 +249,13 @@ def map_jconsistent_to_wta(decomp, tables, tol=1e-9, check=True):
                 f"minimizer consistency fails on edges {report.failing()}"
             )
     work = [t.copy() for t in tables]
-    pos = decomp.node_pos
-    sig = {a: sigma_key(js.scope(a), pos) for a in js.outer}
+    # each factor's first covering outer factor in sigma order (last write wins)
+    outer = sigma_sorted(js, decomp.node_pos, js.outer)
+    first_cover = {c: a for a in reversed(outer) for c in js.locals[a]}
     for b in decomp.separator_order:
-        covers = sorted((a for a in js.outer if b in js.locals[a]), key=sig.__getitem__)
-        if not covers:
+        a = first_cover.get(b)
+        if a is None:
             raise NotAtFixpoint(f"separator {b} has no covering outer factor")
-        a = covers[0]
         work[a] = work[a] + embed(work[b], js.scope(b), js.scope(a))
         work[b] = np.zeros_like(work[b])
     out = []
@@ -450,6 +444,7 @@ def trws_explicit_pass(decomp, state, direction=None, on_average=None):
     """
     if direction is None:
         direction = state.direction
+    _check_option("direction", direction, ("forward", "backward"))
     forward = direction == "forward"
     order = decomp.separator_order if forward else tuple(reversed(decomp.separator_order))
     cur = {

@@ -39,6 +39,14 @@ from .errors import (
     UnconsumedPreemptiveMessage,
 )
 
+REUSE_MODES = ("none", "after", "before-after")
+
+
+def _check_option(name, value, accepted):
+    # a misspelt mode must not silently run as another one
+    if value not in accepted:
+        raise ValueError(f"{name} must be one of {', '.join(accepted)}, not {value!r}")
+
 
 class TreeParams:
     """Per-subproblem cost tables.  Factors outside a subproblem are zero.
@@ -261,6 +269,8 @@ def trws_chain_pass(decomp, state, direction=None, reuse="none"):
         raise StateNotInitialized("chain solver state must come from chain_state_init")
     if direction is None:
         direction = state.direction
+    _check_option("direction", direction, ("forward", "backward"))
+    _check_option("reuse", reuse, REUSE_MODES)
     state.direction = direction
     forward = direction == "forward"
     plan = decomp._sweep_plan

@@ -112,6 +112,16 @@ class TestSepBounds:
         with pytest.raises(MissingSeparatorFactor):
             sep_bounds(bad, tuple(range(3)) + (99,), [model.factor_id((0, 1))], model.factor_id((0, 1)))
 
+    def test_window_bound_that_is_not_a_separator(self, rng):
+        model, js = _pairwise_model(2, [(0, 1)], rng)
+        d = build_monotonic_chains(model, js)
+        ab, b = model.factor_id((0, 1)), model.factor_id((1,))
+        # without the edge into it, (1,) is an outer factor, not a separator
+        doctored = close_j(js.scopes, set(js.edges) - {(ab, b)})
+        assert b in doctored.outer
+        with pytest.raises(MissingSeparatorFactor, match="not a separator"):
+            dataclasses.replace(d, jstructure=doctored)
+
 
 class TestWindows:
     def test_overlapping_chain_windows(self, rng):
@@ -306,6 +316,21 @@ class TestValidate:
         bad = dataclasses.replace(d, chains=(tuple(reversed(d.chains[0])),))
         report = validate_decomposition(bad.model, bad.jstructure, bad)
         assert "monotonicity" in report.codes()
+        assert "window-bounds" in report.codes()
+
+    def test_joint_separator_not_local_to_the_next_member(self, rng):
+        model, js = _pairwise_model(3, [(0, 1), (1, 2)], rng)
+        d = build_monotonic_chains(model, js)
+        first, second = d.chains[0]
+        doctored = close_j(js.scopes, set(js.edges) - {(second, d.sep_plus[first])})
+        report = validate_decomposition(d.model, doctored, d)
+        assert "neighbor-separator" in report.codes()
+
+    def test_probabilities_not_summing_to_one(self, rng):
+        model, js = _pairwise_model(3, [(0, 1), (1, 2)], rng)
+        d = build_monotonic_chains(model, js)
+        report = validate_decomposition(d.model, d.jstructure, dataclasses.replace(d, rho=(0.5,)))
+        assert report.codes() == ["probabilities"]
 
     def test_replace_rederives_windows_and_probabilities(self, rng):
         model, js = _pairwise_model(3, [(0, 1), (1, 2)], rng)

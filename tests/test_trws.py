@@ -3,6 +3,7 @@ import pytest
 
 from homrf.decomposition import build_monotonic_chains
 from homrf.errors import (
+    ExcessMessageOps,
     FactorNotInTree,
     InvalidEdge,
     NotASeparator,
@@ -530,6 +531,26 @@ class TestChainPassMessageForm:
         st.pending_noop.add((-1, -1))
         with pytest.raises(UnconsumedPreemptiveMessage):
             trws_chain_pass(d, st)
+
+    def test_excess_message_ops_raises(self):
+        d = build_monotonic_chains(*gen_stereo_second_order(4, 4, labels=2, seed=1))
+        st = chain_state_init(d)
+        trws_chain_pass(d, st)
+        # the cached plan still sweeps every edge, now more than d claims
+        d.message_edges = d.message_edges[:1]
+        with pytest.raises(ExcessMessageOps, match="32 message operations for 1 edges"):
+            trws_chain_pass(d, st)
+
+    def test_unknown_reuse_or_direction_rejected(self):
+        d = build_monotonic_chains(*figure_chain_instance(np.random.default_rng(3)))
+        with pytest.raises(ValueError, match="before-after"):
+            trws_chain_pass(d, chain_state_init(d), reuse="before_after")
+        with pytest.raises(ValueError, match="reuse"):
+            solve_trws(d, passes=8, eps=0, reuse="After")
+        with pytest.raises(ValueError, match="backward"):
+            trws_chain_pass(d, chain_state_init(d), direction="Forward")
+        with pytest.raises(ValueError, match="backward"):
+            trws_explicit_pass(d, explicit_chain_init(d), direction="Forward")
 
 
 # meff, diag_cells and msg_ops_last_pass after 6 passes of the stereo instance
