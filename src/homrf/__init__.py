@@ -57,8 +57,6 @@ from .trws import (
     chain_state_init,
     chain_state_tree_params,
     init_tree_params,
-    reuse_after,
-    reuse_before,
     solve_trws,
     tree_argmin,
     trws_chain_pass,

@@ -97,9 +97,8 @@ def _shape_in(decomp):
     return shape_in
 
 
-def nested_recipe(decomp, a, p, b, shape_in=None):
+def _nested_recipe(decomp, a, p, b, shape_in):
     """Recipe for reusing the (a, p) message toward b, with b nested in p."""
-    shape_in = shape_in or _shape_in(decomp)
     js = decomp.jstructure
     scope_p = js.scope(p)
     ra = decomp.rho_factor[a]
@@ -159,7 +158,7 @@ def build_sweep_plan(decomp):
             return None
         rec = nested.get((a, p, b))
         if rec is None:
-            rec = nested[(a, p, b)] = nested_recipe(d, a, p, b, shape_in)
+            rec = nested[(a, p, b)] = _nested_recipe(d, a, p, b, shape_in)
         return rec
 
     around = {}

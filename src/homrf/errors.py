@@ -53,14 +53,6 @@ class StateNotInitialized(HomrfError):
     """Solver state was not created through the proper initializer."""
 
 
-class StaleMessage(HomrfError):
-    """Message reuse requested through an edge that does not hold a valid message."""
-
-
-class ReuseOrderViolation(HomrfError):
-    """Message reuse requested for factors that are not adjacent in the processing order."""
-
-
 class UnconsumedPreemptiveMessage(HomrfError):
     """A sweep ended with a preemptively refreshed message it never reached."""
 

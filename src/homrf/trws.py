@@ -2,11 +2,13 @@
 
 This module holds the production path, the message-form sweep.  It stores
 only the cumulative reparameterization, as messages on outer-to-separator
-edges plus cached separator tables, and supports the two nested-separator
-reuse shortcuts.  It and the chain dynamic program behind every bound run
-from the decomposition's sweep plan (`homrf._plan`), so a pass does no
-structural bookkeeping of its own.  The explicit-table reference sweeps it is
-checked against live in `homrf.oracle`.
+edges plus cached separator tables.  The two nested-separator reuse shortcuts
+are modes of the sweep (`reuse="after"` and `reuse="before-after"`), not steps
+of their own: the sweep decides per edge whether one applies.  The sweep and
+the chain dynamic program behind every bound run from the decomposition's
+sweep plan (`homrf._plan`), so a pass does no structural bookkeeping of its
+own.  The explicit-table reference sweeps it is checked against live in
+`homrf.oracle`.
 
 The message-form sweep reads its bound off the sweep, as TRW-S does, instead
 of re-solving every chain.  Messages are stored rather than accumulated, so
@@ -29,12 +31,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._plan import nested_recipe
 from ._tables import min_over, table_shape
 from .errors import (
     ExcessMessageOps,
-    ReuseOrderViolation,
-    StaleMessage,
     StateNotInitialized,
     UnconsumedPreemptiveMessage,
 )
@@ -193,65 +192,29 @@ def _eq20_message(state, rec):
 
 
 def _fold_nested(state, rec, total):
-    # add the superset's weighted locals outside the target's, minimize onto it
+    """Fold p's weighted locals outside b's into `total`, a table over the
+    superset p, and minimize onto b.  With a zero `total` this is the
+    `reuse="after"` increment: while (a, p) holds this sweep's message, the
+    stored (a, b) message plus it equals the direct update, scanning only p."""
     for coef, c, shape in rec.terms:
         total += coef * state.theta_sep[c].reshape(shape)
     state.meff += total.size
     return min_over(total, rec.axes)
 
 
-def _nested(decomp, a, p, b):
-    js = decomp.jstructure
-    if not set(js.scope(b)) < set(js.scope(p)):
-        raise ReuseOrderViolation(f"factor {b} is not nested inside {p}")
-    return nested_recipe(decomp, a, p, b)
-
-
-def reuse_after(decomp, state, a, p, b):
-    """Message increment toward a separator nested in the one just processed,
-    scanning only the superset's states.
-
-    Valid when the edge to the superset holds the current message; the stored
-    message plus the increment then equals the direct update exactly.
-    """
-    rec = _nested(decomp, a, p, b)
-    if state.valid_child.get(a) != p:
-        raise StaleMessage(f"edge ({a}, {p}) does not hold the current message")
-    return _reuse_after(state, rec)
-
-
-def _reuse_after(state, rec):
-    return _fold_nested(state, rec, np.zeros(rec.shape))
-
-
-def reuse_before(decomp, state, a, p, b):
-    """Message toward a separator nested in the next one to be processed,
-    obtained by preemptively refreshing the superset's message.
-
-    The later sweep step for the superset edge becomes a no-op, and the
-    superset's cached table is left stale until the superset itself is
-    processed.
-    """
-    window = decomp.local_separators.get(a)
-    if window is None:
-        raise ReuseOrderViolation(f"factor {a} is not a chain member")
-    rec = _nested(decomp, a, p, b)
-    seq = window if state.direction == "forward" else window[::-1]
-    if (b, p) not in zip(seq, seq[1:]):
-        raise ReuseOrderViolation(f"factor {p} is not processed right after {b} in {a}'s window")
-    return _reuse_before(state, rec, decomp._sweep_plan.fresh[(a, p)])
-
-
-def _reuse_before(state, rec, fresh_p):
+def _preempt_nested(state, rec, fresh_p):
+    """The `reuse="before-after"` step toward b, nested in the superset p
+    processed next in a's window: refresh (a, p) preemptively and fold its
+    increment into (a, b), which then equals the direct update.  p's own step
+    later in the sweep becomes a no-op (`pending_noop`), and p's cached table
+    stays stale until that step rebuilds it."""
     m_old_p = state.messages[rec.key_p]
     m_new_p = _eq20_message(state, fresh_p)
     delta = _fold_nested(state, rec, m_new_p - m_old_p)
 
-    m_b = state.messages[rec.key_b] + delta
-    state.messages[rec.key_b] = m_b
+    state.messages[rec.key_b] = state.messages[rec.key_b] + delta
     state.messages[rec.key_p] = m_new_p - delta.reshape(rec.b_in_p)
     state.pending_noop.add(rec.key_p)
-    return m_b, state.messages[rec.key_p]
 
 
 def trws_chain_pass(decomp, state, direction=None, reuse="none"):
@@ -262,6 +225,10 @@ def trws_chain_pass(decomp, state, direction=None, reuse="none"):
     trailing bound for this direction, whose message stays valid from the
     previous sweep.  Returns the bound after the sweep, read off the sweep's
     end separator tables (see the module docstring).
+
+    `reuse` names the nested-separator shortcuts the sweep may take: none,
+    `_fold_nested` (`"after"`) or both it and `_preempt_nested`.  Each gives the
+    messages of the direct update.
 
     The sweep runs from the decomposition's plan, which the first pass builds.
     """
@@ -288,10 +255,10 @@ def trws_chain_pass(decomp, state, direction=None, reuse="none"):
                 if key in pending:
                     pending.discard(key)
                 elif use_after and after is not None and valid_child.get(a) == pred:
-                    messages[key] = messages[key] + _reuse_after(state, after)
+                    messages[key] = messages[key] + _fold_nested(state, after, np.zeros(after.shape))
                     ops += 1
-                elif use_before and before is not None and before.key_p not in pending:
-                    _reuse_before(state, before, plan.fresh[before.key_p])
+                elif use_before and before is not None:
+                    _preempt_nested(state, before, plan.fresh[before.key_p])
                     ops += 1
                 else:
                     messages[key] = _eq20_message(state, fresh)

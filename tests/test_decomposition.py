@@ -332,6 +332,23 @@ class TestValidate:
         report = validate_decomposition(d.model, d.jstructure, dataclasses.replace(d, rho=(0.5,)))
         assert report.codes() == ["probabilities"]
 
+    def test_reordered_row_chain_breaks_running_intersection(self):
+        d = build_monotonic_chains(*gen_stereo_second_order(5, 3, labels=2, seed=0))
+        row = tuple(d.model.factor_id(s) for s in [(5, 6, 7), (6, 7, 8), (7, 8, 9)])
+        t = d.chains.index(row)
+        # (5,6,7) and (7,8,9) meet in node 7 outside the (6,7,8) after them
+        chains = d.chains[:t] + ((row[0], row[2], row[1]),) + d.chains[t + 1 :]
+        bad = dataclasses.replace(d, chains=chains)
+        codes = validate_decomposition(bad.model, bad.jstructure, bad).codes()
+        assert {"running-intersection", "monotonicity"} <= set(codes)
+
+    def test_dropped_chain_leaves_separators_uncovered(self):
+        d = build_monotonic_chains(*gen_stereo_second_order(5, 3, labels=2, seed=0))
+        k = len(d.chains) - 1
+        bad = dataclasses.replace(d, chains=d.chains[:k], rho=(1 / k,) * k)
+        report = validate_decomposition(bad.model, bad.jstructure, bad)
+        assert report.codes() == ["outer-cover", "separator-cover"]
+
     def test_replace_rederives_windows_and_probabilities(self, rng):
         model, js = _pairwise_model(3, [(0, 1), (1, 2)], rng)
         d = build_monotonic_chains(model, js)

@@ -1,5 +1,8 @@
-"""The package's public names are pinned: adding or removing one is a
-deliberate change to this list."""
+"""The package's public surface.  Its names are pinned: adding or removing
+one is a deliberate change to this list.  The README's library example runs."""
+
+import re
+from pathlib import Path
 
 import homrf
 
@@ -13,10 +16,10 @@ PUBLIC = [
     "gen_stereo_second_order", "generators", "init_tree_params", "local_separator_window",
     "map_jconsistent_to_wta", "map_wta_to_jconsistent", "message_edges", "model", "msd_init",
     "msd_pass", "oracle", "parse_model_file", "psi_bound", "reparameterized_costs",
-    "reuse_after", "reuse_before", "run_solver_cli", "select_step_size", "send_message",
-    "sep_bounds", "serialize_model", "solve_msd", "solve_subgradient", "solve_trws",
-    "subgrad_init", "subgradient_pass", "tree_argmin", "tree_min_marginal", "trws",
-    "trws_chain_pass", "trws_explicit_pass", "trws_general_pass", "validate_decomposition",
+    "run_solver_cli", "select_step_size", "send_message", "sep_bounds", "serialize_model",
+    "solve_msd", "solve_subgradient", "solve_trws", "subgrad_init", "subgradient_pass",
+    "tree_argmin", "tree_min_marginal", "trws", "trws_chain_pass", "trws_explicit_pass",
+    "trws_general_pass", "validate_decomposition",
 ]
 
 
@@ -47,3 +50,12 @@ def test_reference_sweeps_live_in_oracle():
         if getattr(obj, "__module__", None) == "homrf.oracle"
     ]
     assert from_oracle == []
+
+
+def test_readme_library_example_runs():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    (example,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    scope = {}
+    exec(compile(example, "README.md", "exec"), scope)
+    rounded = scope["energy"](scope["decomp"].model, scope["labeling"])
+    assert scope["result"].bound <= rounded + 1e-9

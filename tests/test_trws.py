@@ -7,8 +7,6 @@ from homrf.errors import (
     FactorNotInTree,
     InvalidEdge,
     NotASeparator,
-    ReuseOrderViolation,
-    StaleMessage,
     StateNotInitialized,
     UnconsumedPreemptiveMessage,
 )
@@ -33,7 +31,6 @@ from homrf.trws import (
     chain_state_init,
     chain_state_tree_params,
     init_tree_params,
-    reuse_before,
     solve_trws,
     tree_argmin,
     trws_chain_pass,
@@ -673,26 +670,28 @@ class TestPassBoundReadOff:
 
 
 class TestReuse:
-    def test_reuse_after_equals_direct(self, rng):
+    @pytest.mark.parametrize("direction", [None, "forward", "backward"])
+    def test_after_mode_equals_direct(self, rng, direction):
         for _ in range(25):
             d = random_decomposed(rng, nested=True)
             st0 = chain_state_init(d)
             st1 = chain_state_init(d)
             for _ in range(6):
-                p0 = trws_chain_pass(d, st0, reuse="none")
-                p1 = trws_chain_pass(d, st1, reuse="after")
+                p0 = trws_chain_pass(d, st0, direction, reuse="none")
+                p1 = trws_chain_pass(d, st1, direction, reuse="after")
                 assert p1 == pytest.approx(p0, abs=1e-12)
             for key in st0.messages:
                 assert np.allclose(st0.messages[key], st1.messages[key], atol=1e-12)
 
-    def test_reuse_before_after_equals_direct(self, rng):
+    @pytest.mark.parametrize("direction", [None, "forward", "backward"])
+    def test_before_after_mode_equals_direct(self, rng, direction):
         for _ in range(25):
             d = random_decomposed(rng, nested=True)
             st0 = chain_state_init(d)
             st1 = chain_state_init(d)
             for _ in range(6):
-                p0 = trws_chain_pass(d, st0, reuse="none")
-                p1 = trws_chain_pass(d, st1, reuse="before-after")
+                p0 = trws_chain_pass(d, st0, direction, reuse="none")
+                p1 = trws_chain_pass(d, st1, direction, reuse="before-after")
                 assert p1 == pytest.approx(p0, abs=1e-12)
             for key in st0.messages:
                 assert np.allclose(st0.messages[key], st1.messages[key], atol=1e-12)
@@ -721,53 +720,6 @@ class TestReuse:
             trws_chain_pass(d, st_direct, reuse="none")
             trws_chain_pass(d, st_reuse, reuse="after")
         assert st_reuse.meff < st_direct.meff
-
-    def test_stale_message_rejected(self, rng):
-        from homrf.trws import reuse_after
-
-        model, js = figure_chain_instance(rng)
-        d = build_monotonic_chains(model, js)
-        st = chain_state_init(d)
-        abc = d.model.factor_id((0, 1, 2))
-        bc = d.model.factor_id((1, 2))
-        b = d.model.factor_id((1,))
-        with pytest.raises(StaleMessage):
-            reuse_after(d, st, abc, bc, b)
-
-    def test_reuse_before_order_and_nesting_rejected(self, rng):
-        model, js = figure_chain_instance(rng)
-        d = build_monotonic_chains(model, js)
-        abc = d.model.factor_id((0, 1, 2))
-        bc = d.model.factor_id((1, 2))
-        a = d.model.factor_id((0,))
-        b = d.model.factor_id((1,))
-        assert d.local_separators[abc] == (a, b, bc)
-        reuse_before(d, chain_state_init(d), abc, bc, b)  # bc follows b going forward
-        st = chain_state_init(d)
-        st.direction = "backward"
-        with pytest.raises(ReuseOrderViolation, match="right after"):
-            reuse_before(d, st, abc, bc, b)
-        with pytest.raises(ReuseOrderViolation, match="not nested"):
-            reuse_before(d, chain_state_init(d), abc, b, a)
-
-    def test_reuse_before_separator_outside_the_window_rejected(self, rng):
-        model, js = figure_chain_instance(rng)
-        d = build_monotonic_chains(model, js)
-        abc = d.model.factor_id((0, 1, 2))
-        bc = d.model.factor_id((1, 2))
-        c = d.model.factor_id((2,))
-        assert c not in d.local_separators[abc]
-        with pytest.raises(ReuseOrderViolation, match="right after"):
-            reuse_before(d, chain_state_init(d), abc, bc, c)
-
-    def test_reuse_before_from_a_non_member_rejected(self, rng):
-        model, js = figure_chain_instance(rng)
-        d = build_monotonic_chains(model, js)
-        bc = d.model.factor_id((1, 2))
-        b = d.model.factor_id((1,))
-        assert all(bc not in chain for chain in d.chains)
-        with pytest.raises(ReuseOrderViolation, match="not a chain member"):
-            reuse_before(d, chain_state_init(d), bc, bc, b)
 
 
 class TestBoundComputation:
