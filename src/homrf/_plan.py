@@ -1,10 +1,10 @@
 """Sweep plan: what the message-form sweep and its bound look up that depends
 on the decomposition alone.
 
-The window neighbours and skip flags of every message edge, the tables each
-update reads with the broadcast shapes and reduce axes that align them, each
-chain's dynamic-programming stages, and the end separators that the bound
-after a sweep is read off (see `homrf.trws`) are worked out once per
+The skip and lead flags and nested-reuse recipes of every message edge, the
+tables each update reads with the broadcast shapes and reduce axes that align
+them, each chain's dynamic-programming stages, and the end separators that the
+bound after a sweep is read off (see `homrf.trws`) are worked out once per
 decomposition instead of on every pass.  A plan is immutable; `Decomposition`
 builds it on first use and caches it, so it lives exactly as long as the
 decomposition.
@@ -29,6 +29,7 @@ class NestedRecipe(NamedTuple):
 
     key_p: tuple  # (a, p)
     key_b: tuple  # (a, b)
+    fresh_p: MessageRecipe  # fresh message on (a, p), for the preemptive refresh
     shape: tuple  # table shape of p
     terms: tuple  # (rho_a / rho_c, c, shape of c in p) for locals of p outside b's
     axes: tuple  # axes of p minimized out to reach b
@@ -36,15 +37,16 @@ class NestedRecipe(NamedTuple):
 
 
 class EdgeStep(NamedTuple):
-    """One message edge (a, b) at its separator's step of a sweep."""
+    """One message edge (a, b) at its separator's step of a sweep.  With
+    `lead` set, `after` reads the trailing bound's message, which this sweep
+    skips: it is current only if the last completed sweep ran the other way."""
 
-    a: int
-    key: tuple
+    key: tuple  # (a, b)
     skip: bool  # b is a's trailing window bound: the message stays as it is
-    pred: object  # window neighbour processed just before b, or None
+    lead: bool  # the window neighbour swept just before b is a's trailing bound
     fresh: MessageRecipe
-    after: NestedRecipe  # b nested in pred, else None
-    before: NestedRecipe  # b nested in the next window neighbour, else None
+    after: NestedRecipe  # b nested in the neighbour swept just before it, else None
+    before: NestedRecipe  # b nested in the neighbour swept just after it, else None
 
 
 class SeparatorStep(NamedTuple):
@@ -72,9 +74,10 @@ class PassBound(NamedTuple):
 
 
 class SweepPlan(NamedTuple):
+    """What sweeps and bounds look up; edge recipes live in the separator steps."""
+
     forward: tuple  # SeparatorStep per separator, in sweep order
     backward: tuple
-    fresh: dict  # (a, b) -> MessageRecipe
     net: tuple  # per factor: ((a, c), shape) of an outer factor's messages, None for separators
     stages: tuple  # per chain: its Stages
     forward_bound: PassBound
@@ -97,7 +100,7 @@ def _shape_in(decomp):
     return shape_in
 
 
-def _nested_recipe(decomp, a, p, b, shape_in):
+def _nested_recipe(decomp, a, p, b, fresh_p, shape_in):
     """Recipe for reusing the (a, p) message toward b, with b nested in p."""
     js = decomp.jstructure
     scope_p = js.scope(p)
@@ -111,6 +114,7 @@ def _nested_recipe(decomp, a, p, b, shape_in):
     return NestedRecipe(
         (a, p),
         (a, b),
+        fresh_p,
         table_shape(scope_p, decomp.model.label_counts),
         terms,
         drop_axes(scope_p, js.scope(b)),
@@ -158,7 +162,7 @@ def build_sweep_plan(decomp):
             return None
         rec = nested.get((a, p, b))
         if rec is None:
-            rec = nested[(a, p, b)] = _nested_recipe(d, a, p, b, shape_in)
+            rec = nested[(a, p, b)] = _nested_recipe(d, a, p, b, fresh[(a, p)], shape_in)
         return rec
 
     around = {}
@@ -177,12 +181,11 @@ def build_sweep_plan(decomp):
                 key = (a, b)
                 trailing = d.sep_minus[a] if forward else d.sep_plus[a]
                 if b == trailing:
-                    edges.append(EdgeStep(a, key, True, None, None, None, None))
+                    edges.append(EdgeStep(key, True, False, None, None, None))
                     continue
                 pred, succ = around[key] if forward else around[key][::-1]
-                edges.append(
-                    EdgeStep(a, key, False, pred, fresh[key], reuse(a, pred, b), reuse(a, succ, b))
-                )
+                after, before = reuse(a, pred, b), reuse(a, succ, b)
+                edges.append(EdgeStep(key, False, pred == trailing, fresh[key], after, before))
             steps.append(SeparatorStep(b, model.table(b), tuple(edges)))
         return tuple(steps)
 
@@ -225,7 +228,6 @@ def build_sweep_plan(decomp):
     return SweepPlan(
         sweep(True),
         sweep(False),
-        fresh,
         net,
         tuple(stages),
         pass_bound(d.sep_plus, -1),

@@ -16,7 +16,7 @@ import numpy as np
 
 from ._plan import build_sweep_plan
 from ._tables import table_shape
-from .errors import MissingSeparatorFactor
+from .errors import HomrfError, MissingSeparatorFactor
 from .model import Factor, Model, close_j
 
 
@@ -134,7 +134,8 @@ class Decomposition:
     `sep_plus` and window, the per-factor probabilities, the subproblems and
     the message edges.  `dataclasses.replace` therefore re-derives them all.
     A chain whose window bound is not a separator factor of the J structure
-    raises `MissingSeparatorFactor`.
+    raises `MissingSeparatorFactor`, and a `rho` without one entry per chain
+    raises `HomrfError`.
     """
 
     model: Model
@@ -157,6 +158,8 @@ class Decomposition:
     message_edges: tuple = field(init=False)
 
     def __post_init__(self):
+        if len(self.rho) != len(self.chains):
+            raise HomrfError(f"{len(self.rho)} chain probabilities for {len(self.chains)} chains")
         js = self.jstructure
         pos = self.node_pos = _node_pos(self.node_order)
         self.separator_order = extend_order_to_separators(js, self.node_order)

@@ -7,8 +7,6 @@ the pair mode additionally materializes the overlap pairs used by chain
 decompositions as explicit zero-cost factors with their own edges.
 """
 
-import os
-
 import numpy as np
 
 from ._tables import assignments, table_shape
@@ -23,8 +21,6 @@ def _unaries(source, n, labels, seed, high):
     if source is None:
         rng = np.random.default_rng(seed)
         return rng.uniform(0.0, high, size=(n, labels))
-    if isinstance(source, (str, os.PathLike)):
-        source = np.loadtxt(source)
     return np.asarray(source, dtype=float).reshape(n, labels)
 
 

@@ -26,7 +26,6 @@ from .errors import FactorNotInTree, InvalidEdge, NotASeparator, NotAtFixpoint, 
 from .trws import (
     ChainSolverState,
     TreeParams,
-    _check_option,
     bound,
     chain_state_factor_tables,
     init_tree_params,
@@ -432,8 +431,9 @@ def explicit_chain_init(decomp):
     return ExplicitChainState(params=init_tree_params(decomp), child=child)
 
 
-def trws_explicit_pass(decomp, state, direction=None, on_average=None):
-    """Chain sweep with one message per separator and subproblem.
+def trws_explicit_pass(decomp, state, on_average=None):
+    """Chain sweep with one message per separator and subproblem, in the
+    direction `state.direction`, which it then flips.
 
     Each chain tracks its current member; each outer factor remembers its last
     message target, which stays valid across steps, so a single send per
@@ -442,9 +442,7 @@ def trws_explicit_pass(decomp, state, direction=None, on_average=None):
     (pass_index, direction, separator, {subproblem: local sum}) right before
     each averaging.
     """
-    if direction is None:
-        direction = state.direction
-    _check_option("direction", direction, ("forward", "backward"))
+    direction = state.direction
     forward = direction == "forward"
     order = decomp.separator_order if forward else tuple(reversed(decomp.separator_order))
     cur = {

@@ -2,13 +2,14 @@
 
 This module holds the production path, the message-form sweep.  It stores
 only the cumulative reparameterization, as messages on outer-to-separator
-edges plus cached separator tables.  The two nested-separator reuse shortcuts
-are modes of the sweep (`reuse="after"` and `reuse="before-after"`), not steps
-of their own: the sweep decides per edge whether one applies.  The sweep and
-the chain dynamic program behind every bound run from the decomposition's
-sweep plan (`homrf._plan`), so a pass does no structural bookkeeping of its
-own.  The explicit-table reference sweeps it is checked against live in
-`homrf.oracle`.
+edges plus cached separator tables.  Sweeps alternate forward and backward.
+The two nested-separator reuse shortcuts are modes of the sweep
+(`reuse="after"` and `reuse="before-after"`), not steps of their own: whether
+one applies to an edge follows from the plan and the direction of this and of
+the last completed sweep.  The sweep and the chain dynamic program behind
+every bound run from the decomposition's sweep plan (`homrf._plan`), so a
+pass does no structural bookkeeping of its own.  The explicit-table reference
+sweeps it is checked against live in `homrf.oracle`.
 
 The message-form sweep reads its bound off the sweep, as TRW-S does, instead
 of re-solving every chain.  Messages are stored rather than accumulated, so
@@ -27,7 +28,7 @@ current tables; `bound` and `_chain_dp` remain the reference.
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,12 +40,6 @@ from .errors import (
 )
 
 REUSE_MODES = ("none", "after", "before-after")
-
-
-def _check_option(name, value, accepted):
-    # a misspelt mode must not silently run as another one
-    if value not in accepted:
-        raise ValueError(f"{name} must be one of {', '.join(accepted)}, not {value!r}")
 
 
 class TreeParams:
@@ -147,12 +142,11 @@ class ChainSolverState:
 
     messages: dict
     theta_sep: dict
-    direction: str = "forward"
-    valid_child: dict = field(default_factory=dict)
+    direction: str = "forward"  # of the next sweep
+    last_direction: str = None  # of the last completed sweep; None before the first
     meff: int = 0
     diag_cells: int = 0
     msg_ops_last_pass: int = 0
-    pending_noop: set = field(default_factory=set)
     ready: bool = False
 
 
@@ -165,12 +159,7 @@ def chain_state_init(decomp):
         for (a, b) in decomp.message_edges
     }
     theta_sep = {b: decomp.model.table(b).copy() for b in js.separators}
-    return ChainSolverState(
-        messages=messages,
-        theta_sep=theta_sep,
-        valid_child={a: None for a in js.outer},
-        ready=True,
-    )
+    return ChainSolverState(messages=messages, theta_sep=theta_sep, ready=True)
 
 
 def _net_table(source, subtract, messages):
@@ -202,23 +191,23 @@ def _fold_nested(state, rec, total):
     return min_over(total, rec.axes)
 
 
-def _preempt_nested(state, rec, fresh_p):
+def _preempt_nested(state, rec):
     """The `reuse="before-after"` step toward b, nested in the superset p
     processed next in a's window: refresh (a, p) preemptively and fold its
-    increment into (a, b), which then equals the direct update.  p's own step
-    later in the sweep becomes a no-op (`pending_noop`), and p's cached table
+    increment into (a, b), which then equals the direct update.  The caller
+    turns p's own step later in the sweep into a no-op, and p's cached table
     stays stale until that step rebuilds it."""
     m_old_p = state.messages[rec.key_p]
-    m_new_p = _eq20_message(state, fresh_p)
+    m_new_p = _eq20_message(state, rec.fresh_p)
     delta = _fold_nested(state, rec, m_new_p - m_old_p)
 
     state.messages[rec.key_b] = state.messages[rec.key_b] + delta
     state.messages[rec.key_p] = m_new_p - delta.reshape(rec.b_in_p)
-    state.pending_noop.add(rec.key_p)
 
 
-def trws_chain_pass(decomp, state, direction=None, reuse="none"):
-    """One message-form sweep over the separators.
+def trws_chain_pass(decomp, state, reuse="none"):
+    """One message-form sweep over the separators, in the direction
+    `state.direction`, which it then flips.
 
     Each separator's cache is rebuilt from the original cost plus all incoming
     messages; an edge's message is refreshed unless the separator is the edge's
@@ -228,44 +217,44 @@ def trws_chain_pass(decomp, state, direction=None, reuse="none"):
 
     `reuse` names the nested-separator shortcuts the sweep may take: none,
     `_fold_nested` (`"after"`) or both it and `_preempt_nested`.  Each gives the
-    messages of the direct update.
+    messages of the direct update; see `homrf._plan.EdgeStep` for when
+    `"after"` applies.
 
     The sweep runs from the decomposition's plan, which the first pass builds.
     """
     if not isinstance(state, ChainSolverState) or not state.ready:
         raise StateNotInitialized("chain solver state must come from chain_state_init")
-    if direction is None:
-        direction = state.direction
-    _check_option("direction", direction, ("forward", "backward"))
-    _check_option("reuse", reuse, REUSE_MODES)
-    state.direction = direction
+    if reuse not in REUSE_MODES:  # a misspelt mode must not silently run as another one
+        raise ValueError(f"reuse must be one of {', '.join(REUSE_MODES)}, not {reuse!r}")
+    direction = state.direction
     forward = direction == "forward"
     plan = decomp._sweep_plan
     use_after = reuse in ("after", "before-after")
     use_before = reuse == "before-after"
+    lead_current = state.last_direction not in (None, direction)
     messages = state.messages
-    pending = state.pending_noop
-    valid_child = state.valid_child
+    pending = set()  # (a, p) refreshed preemptively: p's step is a no-op
 
     ops = 0
     for b, source, edges in plan.forward if forward else plan.backward:
         theta_b = source.copy()
-        for a, key, skip, pred, fresh, after, before in edges:
+        for key, skip, lead, fresh, after, before in edges:
             if not skip:
                 if key in pending:
                     pending.discard(key)
-                elif use_after and after is not None and valid_child.get(a) == pred:
+                elif use_after and after is not None and (lead_current or not lead):
                     messages[key] = messages[key] + _fold_nested(state, after, np.zeros(after.shape))
                     ops += 1
                 elif use_before and before is not None:
-                    _preempt_nested(state, before, plan.fresh[before.key_p])
+                    _preempt_nested(state, before)
+                    pending.add(before.key_p)
                     ops += 1
                 else:
                     messages[key] = _eq20_message(state, fresh)
                     ops += 1
-                valid_child[a] = b
             theta_b += messages[key]
         state.theta_sep[b] = theta_b
+    state.last_direction = direction
 
     if pending:
         raise UnconsumedPreemptiveMessage(

@@ -12,7 +12,7 @@ from homrf.decomposition import (
     sigma_key,
     validate_decomposition,
 )
-from homrf.errors import MissingSeparatorFactor
+from homrf.errors import HomrfError, MissingSeparatorFactor
 from homrf.generators import gen_potts_2x2, gen_stereo_second_order
 from homrf.model import build_model, close_j, energy
 
@@ -296,7 +296,7 @@ class TestBuilderMatchesDefinition:
             d = random_decomposed(rng, nested=True)
             reordered = dataclasses.replace(d, node_order=d.node_order[::-1])
             assert reordered.separator_order != d.separator_order
-            for new in (dataclasses.replace(d, chains=d.chains[:1]), reordered):
+            for new in (dataclasses.replace(d, chains=d.chains[:1], rho=(1.0,)), reordered):
                 js, order, chains = new.jstructure, new.node_order, new.chains
                 assert new.sep_minus == {a: sep_bounds(js, order, c, a)[0] for c in chains for a in c}
                 assert new.sep_plus == {a: sep_bounds(js, order, c, a)[1] for c in chains for a in c}
@@ -349,6 +349,14 @@ class TestValidate:
         report = validate_decomposition(bad.model, bad.jstructure, bad)
         assert report.codes() == ["outer-cover", "separator-cover"]
 
+    def test_probabilities_not_one_per_chain(self):
+        d = build_monotonic_chains(*gen_stereo_second_order(5, 3, labels=2, seed=0))
+        assert len(d.chains) == 6
+        with pytest.raises(HomrfError, match="3 chain probabilities for 6 chains"):
+            dataclasses.replace(d, rho=d.rho[:3])
+        with pytest.raises(HomrfError, match="6 chain probabilities for 5 chains"):
+            dataclasses.replace(d, chains=d.chains[:5])
+
     def test_replace_rederives_windows_and_probabilities(self, rng):
         model, js = _pairwise_model(3, [(0, 1), (1, 2)], rng)
         d = build_monotonic_chains(model, js)
@@ -365,7 +373,7 @@ class TestValidate:
         # the merged chain's members share no nodes, so no joint separator
         with pytest.raises(MissingSeparatorFactor):
             dataclasses.replace(d, chains=(d.chains[0] + d.chains[1],), rho=(1.0,))
-        dropped = dataclasses.replace(d, chains=d.chains[:1])
+        dropped = dataclasses.replace(d, chains=d.chains[:1], rho=(1.0,))
         assert set(dropped.local_separators) == set(d.chains[0]) != set(d.local_separators)
         assert set(dropped.rho_factor) == set(d.tree_factors[0])
 

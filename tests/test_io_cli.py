@@ -1,6 +1,8 @@
 import csv
+import importlib
 import io
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -401,6 +403,20 @@ class TestCli:
         assert run.returncode == 0
         assert run.stderr == ""
         assert "final bound" in run.stdout
+
+    def test_console_script_runs(self, monkeypatch):
+        # the `homrf` command an install creates calls this target with no
+        # arguments, so it reads sys.argv
+        text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        (target,) = re.findall(r'^\[project\.scripts\]\nhomrf = "([\w.]+:\w+)"$', text, re.M)
+        module, attr = target.split(":")
+        entry = getattr(importlib.import_module(module), attr)
+        argv = ["homrf", "--gen", "stereo", "--width", "4", "--height", "4", "--passes", "3"]
+        monkeypatch.setattr(sys, "argv", argv)
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert entry() == 0
+        assert "final bound" in out.getvalue()
 
 
 def _exit(argv):

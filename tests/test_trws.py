@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -470,32 +472,6 @@ class TestChainPassMessageForm:
         for b, table in want.items():
             assert np.allclose(st.theta_sep[b], table, atol=1e-12)
 
-    def test_explicit_direction_matches_default_alternation(self, rng):
-        d = random_decomposed(rng, nested=True)
-        st_default = chain_state_init(d)
-        st_explicit = chain_state_init(d)
-        dirs = ["forward", "backward", "forward", "backward"]
-        for k in range(4):
-            a = trws_chain_pass(d, st_default, reuse="before-after")
-            b = trws_chain_pass(d, st_explicit, direction=dirs[k], reuse="before-after")
-            assert b == pytest.approx(a, abs=1e-12)
-        for key in st_default.messages:
-            assert np.allclose(st_default.messages[key], st_explicit.messages[key], atol=1e-12)
-
-    def test_repeated_forward_passes_keep_reparameterization(self, rng):
-        d = random_decomposed(rng, nested=True)
-        st = chain_state_init(d)
-        for _ in range(3):
-            trws_chain_pass(d, st, direction="forward")
-        tables = chain_state_factor_tables(d, st)
-        for _ in range(10):
-            lab = [int(rng.integers(0, c)) for c in d.model.label_counts]
-            got = sum(
-                tables[fid][tuple(lab[v] for v in d.model.scope(fid))]
-                for fid in range(len(d.model.factors))
-            )
-            assert got == pytest.approx(energy(d.model, lab), abs=1e-9)
-
     @pytest.mark.parametrize("reuse", ["none", "after", "before-after"])
     def test_unnormalized_messages_stay_bounded(self, rng, reuse):
         # messages are stored, not accumulated, so without normalization they
@@ -522,12 +498,18 @@ class TestChainPassMessageForm:
                 )
                 assert got == pytest.approx(energy(d.model, lab), abs=1e-9)
 
-    def test_unconsumed_preemptive_message_raises(self, rng):
-        d = random_decomposed(rng, nested=True)
-        st = chain_state_init(d)
-        st.pending_noop.add((-1, -1))
-        with pytest.raises(UnconsumedPreemptiveMessage):
-            trws_chain_pass(d, st)
+    def test_unconsumed_preemptive_message_raises(self):
+        d = build_monotonic_chains(*figure_chain_instance(np.random.default_rng(3)))
+        plan = d._sweep_plan
+        queued = next(e.before.key_p for step in plan.forward for e in step.edges if e.before)
+        # the cached plan loses the step that consumes the preemptive refresh of `queued`
+        forward = tuple(
+            step._replace(edges=tuple(e for e in step.edges if e.key != queued))
+            for step in plan.forward
+        )
+        d._sweep_plan = plan._replace(forward=forward)
+        with pytest.raises(UnconsumedPreemptiveMessage, match=re.escape(str([queued]))):
+            trws_chain_pass(d, chain_state_init(d), reuse="before-after")
 
     def test_excess_message_ops_raises(self):
         d = build_monotonic_chains(*gen_stereo_second_order(4, 4, labels=2, seed=1))
@@ -538,16 +520,12 @@ class TestChainPassMessageForm:
         with pytest.raises(ExcessMessageOps, match="32 message operations for 1 edges"):
             trws_chain_pass(d, st)
 
-    def test_unknown_reuse_or_direction_rejected(self):
+    def test_unknown_reuse_rejected(self):
         d = build_monotonic_chains(*figure_chain_instance(np.random.default_rng(3)))
         with pytest.raises(ValueError, match="before-after"):
             trws_chain_pass(d, chain_state_init(d), reuse="before_after")
         with pytest.raises(ValueError, match="reuse"):
             solve_trws(d, passes=8, eps=0, reuse="After")
-        with pytest.raises(ValueError, match="backward"):
-            trws_chain_pass(d, chain_state_init(d), direction="Forward")
-        with pytest.raises(ValueError, match="backward"):
-            trws_explicit_pass(d, explicit_chain_init(d), direction="Forward")
 
 
 # meff, diag_cells and msg_ops_last_pass after 6 passes of the stereo instance
@@ -575,17 +553,15 @@ class TestProductionBound:
 
 
 REUSE_MODES = ("none", "after", "before-after")
-DIRECTION_RUNS = ((None,) * 4, ("forward",) * 4, ("backward",) * 4)  # alternating, one-way
-READ_OFF_CONFIGS = [(reuse, directions) for reuse in REUSE_MODES for directions in DIRECTION_RUNS]
 
 
-def assert_pass_bounds_match_dp(d, reuse, directions):
+def assert_pass_bounds_match_dp(d, reuse, passes=4):
     # every bound read off the sweep against the chain DP on the state's tables
     st = chain_state_init(d)
-    for direction in directions:
-        phi = trws_chain_pass(d, st, direction=direction, reuse=reuse)
+    for k in range(passes):
+        phi = trws_chain_pass(d, st, reuse=reuse)
         ref = bound(d, chain_state_tree_params(d, st))
-        assert abs(phi - ref) <= 1e-12 * max(1.0, abs(ref)), (reuse, direction)
+        assert abs(phi - ref) <= 1e-12 * max(1.0, abs(ref)), (reuse, k)
 
 
 def criterion_instances(criterion):
@@ -627,14 +603,14 @@ class TestPassBoundReadOff:
 
     @pytest.mark.parametrize("criterion", [1, 5, 6])
     def test_criterion_instance_sets(self, criterion):
-        # each instance takes the next reuse/direction configuration
+        # each instance takes the next reuse mode
         for i, d in enumerate(criterion_instances(criterion)):
-            assert_pass_bounds_match_dp(d, *READ_OFF_CONFIGS[i % len(READ_OFF_CONFIGS)])
+            assert_pass_bounds_match_dp(d, REUSE_MODES[i % len(REUSE_MODES)])
 
-    @pytest.mark.parametrize("reuse, directions", READ_OFF_CONFIGS)
-    def test_figure_instance(self, reuse, directions):
+    @pytest.mark.parametrize("reuse", REUSE_MODES)
+    def test_figure_instance(self, reuse):
         d = build_monotonic_chains(*figure_chain_instance(np.random.default_rng(3)))
-        assert_pass_bounds_match_dp(d, reuse, directions)
+        assert_pass_bounds_match_dp(d, reuse)
 
     @pytest.mark.parametrize("reuse", REUSE_MODES)
     @pytest.mark.parametrize(
@@ -646,9 +622,7 @@ class TestPassBoundReadOff:
         ids=["stereo", "potts"],
     )
     def test_pair_separator_grids(self, make, reuse):
-        d = build_monotonic_chains(*make())
-        assert_pass_bounds_match_dp(d, reuse, DIRECTION_RUNS[0])
-        assert_pass_bounds_match_dp(d, reuse, DIRECTION_RUNS[1] + DIRECTION_RUNS[2])
+        assert_pass_bounds_match_dp(build_monotonic_chains(*make()), reuse, passes=8)
 
     @pytest.mark.parametrize("reuse", REUSE_MODES)
     def test_chain_with_a_separator_member_falls_back_to_dp(self, reuse):
@@ -657,8 +631,7 @@ class TestPassBoundReadOff:
         assert scopes == [[(0, 1, 2), (1, 2, 3)], [(1, 2)]]
         assert validate_decomposition(d.model, d.jstructure, d).codes() == ["outer-cover"]
         assert d._sweep_plan.fallback == (1,)
-        for directions in DIRECTION_RUNS:
-            assert_pass_bounds_match_dp(d, reuse, directions)
+        assert_pass_bounds_match_dp(d, reuse)
 
     def test_diag_cells_count_end_tables_and_fallback_dp(self):
         d = separator_chained_instance()
@@ -670,28 +643,26 @@ class TestPassBoundReadOff:
 
 
 class TestReuse:
-    @pytest.mark.parametrize("direction", [None, "forward", "backward"])
-    def test_after_mode_equals_direct(self, rng, direction):
+    def test_after_mode_equals_direct(self, rng):
         for _ in range(25):
             d = random_decomposed(rng, nested=True)
             st0 = chain_state_init(d)
             st1 = chain_state_init(d)
             for _ in range(6):
-                p0 = trws_chain_pass(d, st0, direction, reuse="none")
-                p1 = trws_chain_pass(d, st1, direction, reuse="after")
+                p0 = trws_chain_pass(d, st0, reuse="none")
+                p1 = trws_chain_pass(d, st1, reuse="after")
                 assert p1 == pytest.approx(p0, abs=1e-12)
             for key in st0.messages:
                 assert np.allclose(st0.messages[key], st1.messages[key], atol=1e-12)
 
-    @pytest.mark.parametrize("direction", [None, "forward", "backward"])
-    def test_before_after_mode_equals_direct(self, rng, direction):
+    def test_before_after_mode_equals_direct(self, rng):
         for _ in range(25):
             d = random_decomposed(rng, nested=True)
             st0 = chain_state_init(d)
             st1 = chain_state_init(d)
             for _ in range(6):
-                p0 = trws_chain_pass(d, st0, direction, reuse="none")
-                p1 = trws_chain_pass(d, st1, direction, reuse="before-after")
+                p0 = trws_chain_pass(d, st0, reuse="none")
+                p1 = trws_chain_pass(d, st1, reuse="before-after")
                 assert p1 == pytest.approx(p0, abs=1e-12)
             for key in st0.messages:
                 assert np.allclose(st0.messages[key], st1.messages[key], atol=1e-12)
