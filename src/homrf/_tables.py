@@ -36,10 +36,12 @@ def drop_axes(scope, keep_scope):
 
 
 def min_over(table, axes):
-    """Minimize out `axes`; a fresh copy when there are none."""
-    if not axes:
-        return table.copy()
-    return table.min(axis=axes)
+    """Minimize out `axes` (all of them when None); a fresh copy when there
+    are none.
+
+    Calls the ufunc reduction that `ndarray.min` dispatches to, without its
+    Python wrapper: this runs on every message and every chain stage."""
+    return np.minimum.reduce(table, axis=axes)
 
 
 def reduce_min(table, scope, keep_scope):

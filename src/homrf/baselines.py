@@ -5,13 +5,19 @@ between each source's min-marginal and its target, and maximizes the sum of
 per-factor minima.  Subgradient ascent keeps explicit per-subproblem tables
 and steps shared factors toward agreement of the subproblem minimizers with a
 diminishing step size.
+
+Each solve compiles what its passes need once, in the closure of its pass
+step: the diffusion edges with their reduce axes and broadcast shapes, and the
+shared factors of the subgradient step with their chains.  The public
+one-pass functions compile per call.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._tables import embed, reduce_min, restrict
+from ._tables import drop_axes, embed_shape, min_over
 from .decomposition import sigma_sorted
 from .errors import InvalidStepSize
 from .trws import TreeParams, _chain_dp, _run_passes, init_tree_params
@@ -19,16 +25,20 @@ from .trws import TreeParams, _chain_dp, _run_passes, init_tree_params
 
 def psi_bound(tables):
     """Sum of per-factor minima."""
-    return float(sum(t.min() for t in tables))
+    return float(sum(min_over(t, None) for t in tables))
 
 
 @dataclass
 class MsdState:
+    """Diffusion state: one reparameterized table per factor, which the
+    sweep updates in place, and the cells it has minimized over."""
+
     tables: list
     meff: int = 0
 
 
 def msd_init(model):
+    """Fresh diffusion state holding copies of the model's tables."""
     return MsdState(tables=[f.table.copy() for f in model.factors])
 
 
@@ -44,32 +54,53 @@ def msd_sweep_order(jstructure, node_order=None):
     return tuple(sorted(jstructure.closed_edges, key=lambda e: (rank[e[1]], rank[e[0]])))
 
 
+def _msd_plan(model, jstructure, order):
+    # the sweep's edges compiled once: (source, target, axes minimized out of
+    # the source, target's broadcast shape in the source)
+    scopes = jstructure.scopes
+    counts = model.label_counts
+    return tuple(
+        (a, b, drop_axes(scopes[a], scopes[b]), embed_shape(scopes[b], scopes[a], counts))
+        for a, b in order
+    )
+
+
+def _msd_sweep(plan, state):
+    # one diffusion sweep, in place on the state's tables; returns the bound.
+    # `min_over`'s ufunc is bound once for the loop
+    minimum = np.minimum.reduce
+    tables = state.tables
+    for a, b, axes, shape in plan:
+        delta = minimum(tables[a], axis=axes)
+        state.meff += tables[a].size
+        delta -= tables[b]
+        delta *= 0.5
+        tables[b] += delta
+        tables[a] -= delta.reshape(shape)
+    return psi_bound(tables)
+
+
 def msd_pass(model, jstructure, state, order=None):
     """One diffusion sweep; returns the per-factor bound afterwards.
 
     For each edge, half the gap between the source's min-marginal and the
-    target moves from source to target, equalizing the two.
+    target moves from source to target, equalizing the two.  The state's
+    tables are updated in place.
     """
     if order is None:
         order = msd_sweep_order(jstructure)
-    js = jstructure
-    for a, b in order:
-        scope_a, scope_b = js.scope(a), js.scope(b)
-        gap = reduce_min(state.tables[a], scope_a, scope_b) - state.tables[b]
-        state.meff += state.tables[a].size
-        delta = 0.5 * gap
-        state.tables[b] = state.tables[b] + delta
-        state.tables[a] = state.tables[a] - embed(delta, scope_b, scope_a)
-    return psi_bound(state.tables)
+    return _msd_sweep(_msd_plan(model, jstructure, order), state)
 
 
 def _msd_steps(decomp):
-    # diffusion state on the decomposition's model and its pass step for `_run_passes`
+    # diffusion state on the decomposition's model and its pass step for
+    # `_run_passes`, sweeping an edge plan compiled once for the solve
     state = msd_init(decomp.model)
     order = msd_sweep_order(decomp.jstructure, decomp.node_order)
+    plan = _msd_plan(decomp.model, decomp.jstructure, order)
 
     def step(k):
-        return "forward", msd_pass(decomp.model, decomp.jstructure, state, order), state.meff
+        return "forward", _msd_sweep(plan, state), state.meff
 
     return state, step
 
@@ -92,9 +123,55 @@ class SubgradState:
 
 
 def subgrad_init(decomp, step_base=1.0):
-    if step_base <= 0:
-        raise InvalidStepSize(f"step-size base {step_base} must be positive")
+    if not (math.isfinite(step_base) and step_base > 0):
+        raise InvalidStepSize(f"step-size base {step_base} must be finite and positive")
     return SubgradState(params=init_tree_params(decomp), step_base=step_base)
+
+
+def _subgrad_shared(decomp):
+    # the factors more than one chain holds, compiled once:
+    # (factor, scope, its chains, zero table, appearance probability)
+    model, js = decomp.model, decomp.jstructure
+    return tuple(
+        (f, js.scope(f), tuple(ts), np.zeros_like(model.table(f)), decomp.rho_factor[f])
+        for f, ts in decomp.trees_of.items()
+        if len(ts) >= 2
+    )
+
+
+def _subgrad_step(decomp, state, shared):
+    # one subgradient step over the compiled shared factors
+    rho = decomp.rho
+    tables = state.params.tables
+    values, labelings = [], []
+    for t in range(len(decomp.chains)):
+        v, lab, cells = _chain_dp(decomp, tables[t], t, want_argmin=True)
+        values.append(v)
+        labelings.append(lab)
+        state.meff += cells
+    phi = float(sum(rho[t] * v for t, v in enumerate(values)))
+
+    if phi < state.best:
+        state.inferior += 1
+    else:
+        state.best = phi
+        # updates rebind table entries and never write into an array, so a
+        # shallow copy of the chain dicts is a snapshot
+        state.best_params = TreeParams([dict(d) for d in tables])
+        state.best_params.cells = state.params.cells
+    alpha = state.step_base / (state.inferior + 1)
+
+    for fid, scope, ts, zero, rho_f in shared:
+        picks = [(t, tuple(labelings[t][v] for v in scope)) for t in ts]
+        avg = zero.copy()
+        for t, idx in picks:
+            avg[idx] += rho[t]
+        avg /= rho_f
+        for t, idx in picks:
+            g = -avg
+            g[idx] += 1.0
+            tables[t][fid] = tables[t][fid] + alpha * g
+    return phi
 
 
 def subgradient_pass(decomp, state):
@@ -102,45 +179,20 @@ def subgradient_pass(decomp, state):
 
     Each subproblem contributes a minimizing assignment; shared factors move
     toward the probability-weighted indicator average with step
-    base / (1 + number of inferior iterations so far).
+    base / (1 + number of inferior iterations so far).  Every update rebinds
+    a table entry, so `state.best_params` keeps the tables it was taken with.
     """
-    js = decomp.jstructure
-    values, labelings = {}, {}
-    for t in range(len(decomp.chains)):
-        v, lab, cells = _chain_dp(decomp, state.params.tables[t], t, want_argmin=True)
-        values[t] = v
-        labelings[t] = lab
-        state.meff += cells
-    phi = float(sum(decomp.rho[t] * values[t] for t in values))
-
-    if phi < state.best:
-        state.inferior += 1
-    else:
-        state.best = phi
-        state.best_params = state.params.copy()
-    alpha = state.step_base / (state.inferior + 1)
-
-    for fid, ts in decomp.trees_of.items():
-        if len(ts) < 2:
-            continue
-        scope = js.scope(fid)
-        avg = np.zeros_like(decomp.model.table(fid))
-        for t in ts:
-            avg[restrict(labelings[t], scope)] += decomp.rho[t]
-        avg /= decomp.rho_factor[fid]
-        for t in ts:
-            g = -avg.copy()
-            g[restrict(labelings[t], scope)] += 1.0
-            state.params.tables[t][fid] = state.params.tables[t][fid] + alpha * g
-    return phi
+    return _subgrad_step(decomp, state, _subgrad_shared(decomp))
 
 
 def _subgrad_steps(decomp, step_base):
-    # subgradient state and its pass step for `_run_passes`
+    # subgradient state and its pass step for `_run_passes`, over shared
+    # factors compiled once for the solve
     state = subgrad_init(decomp, step_base)
+    shared = _subgrad_shared(decomp)
 
     def step(k):
-        return "forward", subgradient_pass(decomp, state), state.meff
+        return "forward", _subgrad_step(decomp, state, shared), state.meff
 
     return state, step
 

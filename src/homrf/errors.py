@@ -62,7 +62,7 @@ class ExcessMessageOps(HomrfError):
 
 
 class InvalidStepSize(HomrfError):
-    """Subgradient step-size base must be positive."""
+    """Subgradient step-size base must be finite and positive."""
 
 
 class NotAtFixpoint(HomrfError):

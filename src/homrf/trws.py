@@ -96,7 +96,7 @@ def _chain_dp(decomp, tables, t, want_argmin=False):
         hs.append(h)
         if stage.carry_axes is not None:
             carry = min_over(h, stage.carry_axes).reshape(stage.carry_shape)
-    value = float(hs[-1].min())
+    value = float(min_over(hs[-1], None))
     if not want_argmin:
         return value, None, cells
 
@@ -115,7 +115,7 @@ def _chain_dp(decomp, tables, t, want_argmin=False):
                 free.append(v)
         sub = hs[i][tuple(idx)]
         if free:
-            coords = np.unravel_index(int(np.argmin(sub)), sub.shape)
+            coords = np.unravel_index(int(sub.argmin()), sub.shape)
             for v, c in zip(free, coords):
                 labeling[v] = int(c)
     return value, labeling, cells

@@ -1,5 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
+
+from homrf._tables import embed, reduce_min
 
 from homrf.baselines import (
     msd_init,
@@ -29,6 +33,28 @@ def _ising_fixpoint_instance():
     )
     js = close_j(model.scopes, {(2, 0), (2, 1)})
     return build_monotonic_chains(model, js)
+
+
+def _bits(x):
+    return struct.pack("d", x)
+
+
+def _reference_msd_pass(model, jstructure, state, order):
+    # one diffusion sweep edge by edge, re-deriving every axis and shape from
+    # the scopes and rebinding each updated table
+    js = jstructure
+    for a, b in order:
+        scope_a, scope_b = js.scope(a), js.scope(b)
+        gap = reduce_min(state.tables[a], scope_a, scope_b) - state.tables[b]
+        state.meff += state.tables[a].size
+        delta = 0.5 * gap
+        state.tables[b] = state.tables[b] + delta
+        state.tables[a] = state.tables[a] - embed(delta, scope_b, scope_a)
+    return float(sum(t.min() for t in state.tables))
+
+
+def _table_bytes(params):
+    return [{f: t.tobytes() for f, t in d.items()} for d in params.tables]
 
 
 class TestMsd:
@@ -79,12 +105,84 @@ class TestMsd:
                 )
                 assert got == pytest.approx(want, abs=1e-9)
 
+    @pytest.mark.parametrize("pass_order", [False, True])
+    def test_compiled_sweep_matches_per_edge_reference(self, rng, pass_order):
+        for _ in range(6):
+            d = random_decomposed(rng, nested=True)
+            order = msd_sweep_order(d.jstructure, d.node_order) if pass_order else None
+            ref_order = order if pass_order else msd_sweep_order(d.jstructure)
+            st, ref = msd_init(d.model), msd_init(d.model)
+            for _ in range(30):
+                got = msd_pass(d.model, d.jstructure, st, order)
+                want = _reference_msd_pass(d.model, d.jstructure, ref, ref_order)
+                assert _bits(got) == _bits(want)
+            assert st.meff == ref.meff
+            for t, r in zip(st.tables, ref.tables):
+                assert t.shape == r.shape and t.tobytes() == r.tobytes()
+
+    def test_solve_matches_per_edge_reference(self, rng):
+        # the solve compiles its plan once, in the decomposition's node order
+        for _ in range(6):
+            d = random_decomposed(rng, nested=True)
+            bounds, st = solve_msd(d, passes=30, eps=None)
+            ref = msd_init(d.model)
+            order = msd_sweep_order(d.jstructure, d.node_order)
+            want = [_reference_msd_pass(d.model, d.jstructure, ref, order) for _ in range(30)]
+            assert [_bits(b) for b in bounds] == [_bits(b) for b in want]
+            assert st.meff == ref.meff
+            for t, r in zip(st.tables, ref.tables):
+                assert t.tobytes() == r.tobytes()
+
+    def test_pass_never_writes_model_tables(self, rng):
+        for _ in range(4):
+            d = random_decomposed(rng, nested=True)
+            before = [f.table.tobytes() for f in d.model.factors]
+            for f in d.model.factors:
+                f.table.setflags(write=False)
+            st = msd_init(d.model)
+            for _ in range(30):
+                msd_pass(d.model, d.jstructure, st)
+            assert [f.table.tobytes() for f in d.model.factors] == before
+
 
 class TestSubgradient:
     def test_rejects_bad_step(self, rng):
         d = random_decomposed(rng)
         with pytest.raises(InvalidStepSize):
             subgrad_init(d, 0.0)
+
+    @pytest.mark.parametrize("step_base", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_step(self, rng, step_base):
+        d = random_decomposed(rng)
+        with pytest.raises(InvalidStepSize):
+            subgrad_init(d, step_base)
+
+    def test_best_params_snapshots_stay_unchanged(self, rng):
+        moved = 0
+        for _ in range(6):
+            d = random_decomposed(rng, nested=True)
+            st = subgrad_init(d, 1.0)
+            snapshots = []
+            for _ in range(40):
+                subgradient_pass(d, st)
+                if not snapshots or st.best_params is not snapshots[-1][0]:
+                    snapshots.append((st.best_params, _table_bytes(st.best_params)))
+            for params, frozen in snapshots:
+                assert _table_bytes(params) == frozen
+            moved += _table_bytes(snapshots[0][0]) != _table_bytes(st.params)
+        assert moved  # some instance's tables changed after its first snapshot
+
+    def test_tables_are_never_written_in_place(self, rng):
+        # every table read-only, the initial split included: updates rebind
+        # table entries, which is what makes a shallow `best_params` snapshot safe
+        for _ in range(4):
+            d = random_decomposed(rng, nested=True)
+            st = subgrad_init(d, 1.0)
+            for _ in range(50):
+                for tables in st.params.tables:
+                    for t in tables.values():
+                        t.setflags(write=False)
+                subgradient_pass(d, st)
 
     def test_agreeing_trees_do_not_move(self):
         # strong unaries force both chains to the same labeling

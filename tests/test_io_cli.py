@@ -490,6 +490,13 @@ class TestCliErrors:
         assert code == 1
         assert err.startswith("error:") and "table value of factor 0" in err
 
+    @pytest.mark.parametrize("step_base", ["nan", "inf", "-inf", "-1"])
+    def test_bad_step_base_exit_1(self, step_base):
+        argv = ["--gen", "stereo", "--width", "4", "--height", "4", "--method", "subgrad"]
+        code, err = _exit(argv + ["--passes", "3", f"--lambda={step_base}"])
+        assert code == 1
+        assert err.startswith("error:") and "step-size base" in err
+
 
 @given(
     gen=st.sampled_from(["stereo", "potts2x2"]),
