@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._plan import build_sweep_plan
+from ._plan import build_sweep_plan, storage_layout
 from ._tables import table_shape
 from .errors import HomrfError, MissingSeparatorFactor
 from .model import Factor, Model, close_j
@@ -198,6 +198,12 @@ class Decomposition:
         # built by the first sweep or bound, not at construction: set-up
         # that never solves pays nothing for it
         return build_sweep_plan(self)
+
+    @cached_property
+    def _layout(self):
+        # rows of a solver state's stacked messages and separator caches,
+        # from the message edges and separator order alone
+        return storage_layout(self)
 
 
 def build_monotonic_chains(model, jstructure, node_order=None):

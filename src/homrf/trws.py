@@ -6,10 +6,19 @@ edges plus cached separator tables.  Sweeps alternate forward and backward.
 The two nested-separator reuse shortcuts are modes of the sweep
 (`reuse="after"` and `reuse="before-after"`), not steps of their own: whether
 one applies to an edge follows from the plan and the direction of this and of
-the last completed sweep.  The sweep and the chain dynamic program behind
-every bound run from the decomposition's sweep plan (`homrf._plan`), so a
-pass does no structural bookkeeping of its own.  The explicit-table reference
-sweeps it is checked against live in `homrf.oracle`.
+the last completed sweep.  The explicit-table reference sweeps it is checked
+against live in `homrf.oracle`.
+
+Messages and separator caches are rows of stacked arrays, one stack per
+separator table shape; the state's `messages` and `theta_sep` are read-only
+views of those rows.  A sweep runs level by level from the level schedule
+that the decomposition's sweep plan (`homrf._plan`) compiles for its
+direction and reuse mode: the separator steps of one level commute, and the
+updates of one recipe shape at a level run as one batched
+gather-subtract-add-min-scatter, then the caches of the level are rebuilt
+the same way.  The results are byte-identical to a sweep one separator at a
+time.  The chain dynamic program behind every bound also runs from the
+plan, so a pass does no structural bookkeeping of its own.
 
 The message-form sweep reads its bound off the sweep, as TRW-S does, instead
 of re-solving every chain.  Messages are stored rather than accumulated, so
@@ -28,18 +37,18 @@ current tables; `bound` and `_chain_dp` remain the reference.
 
 import math
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
-from ._tables import min_over, table_shape
-from .errors import (
-    ExcessMessageOps,
-    StateNotInitialized,
-    UnconsumedPreemptiveMessage,
-)
+from ._plan import AFTER, FRESH, sweep_schedule
+from ._tables import min_over
+from .errors import ExcessMessageOps, StateNotInitialized
 
 REUSE_MODES = ("none", "after", "before-after")
+_ALL = slice(None)
 
 
 class TreeParams:
@@ -86,7 +95,8 @@ def _chain_dp(decomp, tables, t, want_argmin=False):
     cells = 0
     carry = None
     hs = []
-    for stage in decomp._sweep_plan.stages[t]:
+    stages = decomp._sweep_plan.stages[t]
+    for stage in stages:
         h = np.zeros(stage.shape)
         for c, shape in stage.terms:
             h += tables[c].reshape(shape)
@@ -100,24 +110,16 @@ def _chain_dp(decomp, tables, t, want_argmin=False):
     if not want_argmin:
         return value, None, cells
 
-    js = decomp.jstructure
-    chain = decomp.chains[t]
     labeling = {}
-    for i in reversed(range(len(chain))):
-        scope = js.scope(chain[i])
-        idx = []
-        free = []
-        for j, v in enumerate(scope):
-            if v in labeling:
-                idx.append(labeling[v])
-            else:
-                idx.append(slice(None))
-                free.append(v)
-        sub = hs[i][tuple(idx)]
-        if free:
-            coords = np.unravel_index(int(sub.argmin()), sub.shape)
-            for v, c in zip(free, coords):
-                labeling[v] = int(c)
+    for stage, h in zip(reversed(stages), reversed(hs)):
+        if stage.free:
+            sub = h[tuple([_ALL if v is None else labeling[v] for v in stage.pick])]
+            flat = int(sub.argmin())
+            coords = []
+            for v, size in reversed(stage.free):  # unravel the flat index
+                flat, c = divmod(flat, size)
+                coords.append((v, c))
+            labeling.update(reversed(coords))
     return value, labeling, cells
 
 
@@ -138,28 +140,58 @@ def bound(decomp, params):
 @dataclass
 class ChainSolverState:
     """Message-form solver state: messages on outer-to-separator window edges
-    plus cached reparameterized separator tables."""
+    plus cached reparameterized separator tables.
 
-    messages: dict
-    theta_sep: dict
+    Both live as rows of stacked arrays, one stack per separator table shape
+    (`message_stacks`, `separator_stacks`; rows as in `homrf._plan.Layout`).
+    `messages` and `theta_sep` are read-only mappings of read-only views of
+    those rows, keyed by edge (a, b) and by separator."""
+
+    messages: Mapping
+    theta_sep: Mapping
     direction: str = "forward"  # of the next sweep
     last_direction: str = None  # of the last completed sweep; None before the first
     meff: int = 0
     diag_cells: int = 0
     msg_ops_last_pass: int = 0
     ready: bool = False
+    message_stacks: list = None
+    separator_stacks: list = None
+
+
+class _Rows(Mapping):
+    """Read-only mapping of keys to read-only views of their stacked rows."""
+
+    def __init__(self, rows, stacks):
+        self._rows = rows  # key -> (stack, row)
+        self._stacks = stacks
+
+    def __getitem__(self, key):
+        s, row = self._rows[key]
+        view = self._stacks[s][row]
+        view.flags.writeable = False
+        return view
+
+    def __iter__(self):
+        return iter(self._rows)
+
+    def __len__(self):
+        return len(self._rows)
 
 
 def chain_state_init(decomp):
     """Zero messages; separator caches start at the original costs."""
-    js = decomp.jstructure
-    counts = decomp.model.label_counts
-    messages = {
-        (a, b): np.zeros(table_shape(js.scope(b), counts))
-        for (a, b) in decomp.message_edges
-    }
-    theta_sep = {b: decomp.model.table(b).copy() for b in js.separators}
-    return ChainSolverState(messages=messages, theta_sep=theta_sep, ready=True)
+    layout = decomp._layout
+    table = decomp.model.table
+    messages = [np.zeros((len(keys),) + shape) for keys, shape in zip(layout.edges, layout.shapes)]
+    caches = [np.array([table(b) for b in seps]) for seps in layout.separators]
+    return ChainSolverState(
+        messages=_Rows(layout.edge_row, messages),
+        theta_sep=_Rows(layout.sep_row, caches),
+        ready=True,
+        message_stacks=messages,
+        separator_stacks=caches,
+    )
 
 
 def _net_table(source, subtract, messages):
@@ -170,39 +202,27 @@ def _net_table(source, subtract, messages):
     return out
 
 
-def _eq20_message(state, rec):
-    """Fresh message on an edge: minimize the source cost net of its other
-    outgoing messages plus the weighted separator costs the target lacks."""
-    bracket = _net_table(rec.source, rec.subtract, state.messages)
-    for coef, c, shape in rec.extra:
-        bracket += coef * state.theta_sep[c].reshape(shape)
-    state.meff += bracket.size
-    return min_over(bracket, rec.axes)
+def _fresh(M, T, bracket):
+    """Fresh messages of a group's edges (a, b): minimize each source cost net
+    of its other outgoing messages plus the weighted separator costs the
+    target lacks."""
+    gather, subtract, extra, axes = bracket
+    out = gather()
+    for s, rows, shape in subtract:
+        out -= M[s][rows].reshape(shape)
+    for coef, s, rows, shape in extra:
+        out += coef * T[s][rows].reshape(shape)
+    return min_over(out, axes)
 
 
-def _fold_nested(state, rec, total):
-    """Fold p's weighted locals outside b's into `total`, a table over the
-    superset p, and minimize onto b.  With a zero `total` this is the
+def _fold(T, fold, total):
+    """Add the weighted caches of p's locals outside b's to `total`, tables
+    over the superset p, and minimize onto b.  With a zero `total` this is the
     `reuse="after"` increment: while (a, p) holds this sweep's message, the
     stored (a, b) message plus it equals the direct update, scanning only p."""
-    for coef, c, shape in rec.terms:
-        total += coef * state.theta_sep[c].reshape(shape)
-    state.meff += total.size
-    return min_over(total, rec.axes)
-
-
-def _preempt_nested(state, rec):
-    """The `reuse="before-after"` step toward b, nested in the superset p
-    processed next in a's window: refresh (a, p) preemptively and fold its
-    increment into (a, b), which then equals the direct update.  The caller
-    turns p's own step later in the sweep into a no-op, and p's cached table
-    stays stale until that step rebuilds it."""
-    m_old_p = state.messages[rec.key_p]
-    m_new_p = _eq20_message(state, rec.fresh_p)
-    delta = _fold_nested(state, rec, m_new_p - m_old_p)
-
-    state.messages[rec.key_b] = state.messages[rec.key_b] + delta
-    state.messages[rec.key_p] = m_new_p - delta.reshape(rec.b_in_p)
+    for coef, s, rows, shape in fold.terms:
+        total += coef * T[s][rows].reshape(shape)
+    return min_over(total, fold.axes)
 
 
 def trws_chain_pass(decomp, state, reuse="none"):
@@ -216,11 +236,14 @@ def trws_chain_pass(decomp, state, reuse="none"):
     end separator tables (see the module docstring).
 
     `reuse` names the nested-separator shortcuts the sweep may take: none,
-    `_fold_nested` (`"after"`) or both it and `_preempt_nested`.  Each gives the
-    messages of the direct update; see `homrf._plan.EdgeStep` for when
-    `"after"` applies.
+    the `after` read-off from the superset swept just before (`"after"`), or
+    both it and the `before` step (`"before-after"`), which refreshes the
+    superset swept just after preemptively and folds its increment in; that
+    superset's own update is then a no-op.  Each gives the messages of the
+    direct update.
 
-    The sweep runs from the decomposition's plan, which the first pass builds.
+    The sweep runs the level schedule of its direction and mode
+    (`homrf._plan`), which the first pass in that mode compiles.
     """
     if not isinstance(state, ChainSolverState) or not state.ready:
         raise StateNotInitialized("chain solver state must come from chain_state_init")
@@ -229,37 +252,38 @@ def trws_chain_pass(decomp, state, reuse="none"):
     direction = state.direction
     forward = direction == "forward"
     plan = decomp._sweep_plan
-    use_after = reuse in ("after", "before-after")
-    use_before = reuse == "before-after"
+    levels = sweep_schedule(decomp, reuse)[0 if forward else 1]
+    # a lead edge's `after` reads the trailing bound's message, which this
+    # sweep skips: it is current only if the last sweep ran the other way
     lead_current = state.last_direction not in (None, direction)
-    messages = state.messages
-    pending = set()  # (a, p) refreshed preemptively: p's step is a no-op
+    M, T = state.message_stacks, state.separator_stacks
 
-    ops = 0
-    for b, source, edges in plan.forward if forward else plan.backward:
-        theta_b = source.copy()
-        for key, skip, lead, fresh, after, before in edges:
-            if not skip:
-                if key in pending:
-                    pending.discard(key)
-                elif use_after and after is not None and (lead_current or not lead):
-                    messages[key] = messages[key] + _fold_nested(state, after, np.zeros(after.shape))
-                    ops += 1
-                elif use_before and before is not None:
-                    _preempt_nested(state, before)
-                    pending.add(before.key_p)
-                    ops += 1
-                else:
-                    messages[key] = _eq20_message(state, fresh)
-                    ops += 1
-            theta_b += messages[key]
-        state.theta_sep[b] = theta_b
+    ops = cells = 0
+    for messages, caches in levels:
+        for kind, cond, edges, n, bracket, fold, (s, rows), sup in messages:
+            if cond is not None and cond is not lead_current:
+                continue
+            if kind is FRESH:
+                M[s][rows] = _fresh(M, T, bracket)
+            elif kind is AFTER:
+                M[s][rows] += _fold(T, fold, np.zeros(fold.shape))
+            else:
+                sp, rows_p, b_in_p = sup
+                m_new = _fresh(M, T, bracket)
+                delta = _fold(T, fold, m_new - M[sp][rows_p])
+                M[s][rows] += delta
+                M[sp][rows_p] = m_new - delta.reshape(b_in_p)
+            ops += len(edges)
+            cells += n
+        for gather, s, incoming, rows in caches:
+            theta = gather()
+            stack = M[s]
+            for r in incoming:
+                theta += stack[r]
+            T[s][rows] = theta
+    state.meff += cells
     state.last_direction = direction
 
-    if pending:
-        raise UnconsumedPreemptiveMessage(
-            f"preemptive messages left unconsumed: {sorted(pending)}"
-        )
     if ops > len(decomp.message_edges):
         raise ExcessMessageOps(
             f"{ops} message operations for {len(decomp.message_edges)} edges in one pass"
@@ -275,12 +299,11 @@ def trws_chain_pass(decomp, state, reuse="none"):
 def _pass_bound(decomp, state, read_off):
     # bound after a sweep and the table cells it reads: the end-table minima of
     # `read_off`, plus the chain DP over the fallback chains
-    theta = state.theta_sep
+    T = state.separator_stacks
     terms = [read_off.const]
-    cells = 0
-    for coef, e in read_off.ends:
-        terms.append(coef * float(theta[e].min()))
-        cells += theta[e].size
+    for s, rows, axes, coefs in read_off.ends:
+        terms += map(mul, coefs, min_over(T[s][rows], axes).tolist())
+    cells = read_off.cells
     for t in decomp._sweep_plan.fallback:
         tables = {
             c: _factor_table(decomp, state, c) / decomp.rho_factor[c]

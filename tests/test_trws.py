@@ -13,6 +13,7 @@ from homrf.errors import (
     UnconsumedPreemptiveMessage,
 )
 from homrf.decomposition import validate_decomposition
+from homrf._tables import drop_axes, embed_shape
 from homrf.generators import gen_potts_2x2, gen_stereo_second_order
 from homrf.model import build_model, close_j, energy
 from homrf.oracle import (
@@ -27,6 +28,7 @@ from homrf.oracle import (
     trws_explicit_pass,
     trws_general_pass,
 )
+from homrf._plan import Level, sweep_schedule
 from homrf.trws import (
     bound,
     chain_state_factor_tables,
@@ -499,17 +501,18 @@ class TestChainPassMessageForm:
                 assert got == pytest.approx(energy(d.model, lab), abs=1e-9)
 
     def test_unconsumed_preemptive_message_raises(self):
-        d = build_monotonic_chains(*figure_chain_instance(np.random.default_rng(3)))
-        plan = d._sweep_plan
-        queued = next(e.before.key_p for step in plan.forward for e in step.edges if e.before)
-        # the cached plan loses the step that consumes the preemptive refresh of `queued`
-        forward = tuple(
-            step._replace(edges=tuple(e for e in step.edges if e.key != queued))
-            for step in plan.forward
-        )
-        d._sweep_plan = plan._replace(forward=forward)
+        make = lambda: build_monotonic_chains(*figure_chain_instance(np.random.default_rng(3)))
+        probe = make()
+        forward, _ = sweep_schedule(probe, "before-after")
+        stack, row, _ = next(g.sup for level in forward for g in level.messages if g.sup)
+        queued = probe._layout.edges[stack][row]
+        # the sweep order loses the step that consumes the preemptive refresh
+        # of `queued`; the schedule compiled from it must not run
+        d = make()
+        st = chain_state_init(d)
+        d.separator_order = tuple(b for b in d.separator_order if b != queued[1])
         with pytest.raises(UnconsumedPreemptiveMessage, match=re.escape(str([queued]))):
-            trws_chain_pass(d, chain_state_init(d), reuse="before-after")
+            trws_chain_pass(d, st, reuse="before-after")
 
     def test_excess_message_ops_raises(self):
         d = build_monotonic_chains(*gen_stereo_second_order(4, 4, labels=2, seed=1))
@@ -640,6 +643,177 @@ class TestPassBoundReadOff:
         # chain 0 reads its 3-label end table (node 3); chain 1 re-runs the DP
         # over its one member, the 3x2 table of (1, 2)
         assert st.diag_cells == 3 + 6
+
+
+def schedule_instances():
+    """Factories of the decompositions the level-schedule tests sweep: a Potts
+    grid with pair separators, a stereo grid and random nested models."""
+    makes = [
+        lambda: gen_potts_2x2(6, 6, labels=3, seed=1, separators="pair"),
+        lambda: gen_stereo_second_order(6, 5, labels=4, seed=2),
+    ]
+    makes += [
+        lambda seed=seed: random_instance(np.random.default_rng(seed), nested=True)
+        for seed in range(700, 712)
+    ]
+    return [lambda make=make: build_monotonic_chains(*make()) for make in makes]
+
+
+def sequential_pass(d, messages, theta, reuse, forward, lead_current):
+    """Reference sweep, one separator and one edge at a time, over dicts of
+    messages and separator caches, with the elementwise operations in the
+    order the production sweep keeps.  Returns the edges it updated: all but
+    the trailing bounds and the no-ops that consume a preemptive refresh."""
+    js, model = d.jstructure, d.model
+    scope, table, rho = model.scope, model.table, d.rho_factor
+    order = d.separator_order if forward else d.separator_order[::-1]
+    trailing = d.sep_minus if forward else d.sep_plus
+    sources = {}
+    for a, b in d.message_edges:
+        sources.setdefault(b, []).append(a)
+
+    def shape_in(c, a):
+        return embed_shape(scope(c), scope(a), model.label_counts)
+
+    def nested(p, b):
+        return p is not None and set(scope(b)) < set(scope(p))
+
+    def fresh(a, b):
+        out = table(a).copy()
+        for c in d.local_separators[a]:
+            if c != b:
+                out -= messages[(a, c)].reshape(shape_in(c, a))
+        for c in sorted(js.locals[a] - js.locals[b]):
+            if c in js.separators:
+                out += rho[a] / rho[c] * theta[c].reshape(shape_in(c, a))
+        return np.minimum.reduce(out, axis=drop_axes(scope(a), scope(b)))
+
+    def fold(a, p, b, total):
+        for c in sorted(js.locals[p]):
+            if c not in js.locals[b]:
+                total += rho[a] / rho[c] * theta[c].reshape(shape_in(c, p))
+        return np.minimum.reduce(total, axis=drop_axes(scope(p), scope(b)))
+
+    pending, updated = set(), []
+    for b in order:
+        cache = table(b).copy()
+        for a in sources.get(b, ()):
+            key = (a, b)
+            if b != trailing[a] and key in pending:
+                pending.discard(key)
+            elif b != trailing[a]:
+                window = d.local_separators[a]
+                k = window.index(b)
+                pred = window[k - 1] if k else None
+                succ = window[k + 1] if k + 1 < len(window) else None
+                if not forward:
+                    pred, succ = succ, pred
+                if reuse != "none" and nested(pred, b) and (lead_current or pred != trailing[a]):
+                    messages[key] = messages[key] + fold(a, pred, b, np.zeros(table(pred).shape))
+                elif reuse == "before-after" and nested(succ, b):
+                    m_new = fresh(a, succ)
+                    delta = fold(a, succ, b, m_new - messages[(a, succ)])
+                    messages[key] = messages[key] + delta
+                    messages[(a, succ)] = m_new - delta.reshape(shape_in(b, succ))
+                    pending.add((a, succ))
+                else:
+                    messages[key] = fresh(a, b)
+                updated.append(key)
+            cache += messages[key]
+        theta[b] = cache
+    return updated
+
+
+def sequential_updates(d, reuse, forward, lead_current):
+    # the edges `sequential_pass` updates, from zero messages
+    messages = {key: np.zeros(d.model.table(key[1]).shape) for key in d.message_edges}
+    theta = {b: d.model.table(b).copy() for b in d.separator_order}
+    return sequential_pass(d, messages, theta, reuse, forward, lead_current)
+
+
+def reversed_levels(levels):
+    return tuple(Level(lv.messages[::-1], lv.caches[::-1]) for lv in levels)
+
+
+def stacks_bytes(state):
+    return [x.tobytes() for x in state.message_stacks + state.separator_stacks]
+
+
+class TestLevelSchedule:
+    """The sweep runs level by level, one group per recipe shape; the steps
+    of a level must commute and every update must run exactly once."""
+
+    @pytest.mark.parametrize("reuse", REUSE_MODES)
+    def test_byte_identical_to_a_sequential_sweep(self, reuse):
+        for make in schedule_instances():
+            d = make()
+            st = chain_state_init(d)
+            messages = {key: np.zeros(d.model.table(key[1]).shape) for key in d.message_edges}
+            theta = {b: d.model.table(b).copy() for b in d.separator_order}
+            for k in range(6):
+                trws_chain_pass(d, st, reuse=reuse)
+                sequential_pass(d, messages, theta, reuse, k % 2 == 0, k > 0)
+                for key, m in messages.items():
+                    assert st.messages[key].tobytes() == m.tobytes(), (k, key)
+                for b, t in theta.items():
+                    assert st.theta_sep[b].tobytes() == t.tobytes(), (k, b)
+
+    @pytest.mark.parametrize("reuse", REUSE_MODES)
+    def test_groups_of_a_level_run_in_any_order(self, reuse):
+        multi = 0
+        for make in schedule_instances():
+            d, e = make(), make()
+            st_d, st_e = chain_state_init(d), chain_state_init(e)
+            forward, backward = sweep_schedule(e, reuse)
+            multi += sum(len(lv.messages) > 1 or len(lv.caches) > 1 for lv in forward)
+            e._sweep_plan.sweeps[reuse] = (reversed_levels(forward), reversed_levels(backward))
+            for _ in range(6):
+                phi = trws_chain_pass(d, st_d, reuse=reuse)
+                assert trws_chain_pass(e, st_e, reuse=reuse) == phi
+                assert stacks_bytes(st_d) == stacks_bytes(st_e)
+                assert (st_d.meff, st_d.msg_ops_last_pass) == (st_e.meff, st_e.msg_ops_last_pass)
+        assert multi > 0  # some level holds more than one group to reorder
+
+    @pytest.mark.parametrize("reuse", REUSE_MODES)
+    def test_every_update_runs_in_exactly_one_group(self, reuse):
+        for make in schedule_instances():
+            d = make()
+            for forward, levels in zip((True, False), sweep_schedule(d, reuse)):
+                for lead_current in (False, True):
+                    written = [
+                        e
+                        for lv in levels
+                        for g in lv.messages
+                        if g.cond is None or g.cond is lead_current
+                        for e in g.edges
+                    ]
+                    want = sequential_updates(d, reuse, forward, lead_current)
+                    assert len(written) == len(set(written))
+                    assert sorted(written) == sorted(want)
+            # the first pass runs the variant where lead edges may not take `after`
+            st = chain_state_init(d)
+            for k in range(3):
+                trws_chain_pass(d, st, reuse=reuse)
+                want = sequential_updates(d, reuse, k % 2 == 0, k > 0)
+                assert st.msg_ops_last_pass == len(want)
+
+    @pytest.mark.parametrize("reuse", REUSE_MODES)
+    def test_state_views_are_read_only(self, reuse):
+        d = build_monotonic_chains(*figure_chain_instance(np.random.default_rng(3)))
+        st = chain_state_init(d)
+        key, b = d.message_edges[0], d.separator_order[0]
+        for k in range(3):
+            with pytest.raises(ValueError):
+                st.messages[key][...] = 1.0
+            with pytest.raises(ValueError):
+                st.theta_sep[b] += 1.0
+            with pytest.raises(TypeError):
+                st.messages[key] = np.zeros_like(st.messages[key])
+            trws_chain_pass(d, st, reuse=reuse)
+        # the views follow the stacks the sweep writes
+        stack, row = d._layout.edge_row[key]
+        assert np.shares_memory(st.messages[key], st.message_stacks[stack])
+        assert np.array_equal(st.messages[key], st.message_stacks[stack][row])
 
 
 class TestReuse:
