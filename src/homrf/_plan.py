@@ -37,10 +37,13 @@ end separators that the bound after a sweep is read off (see
 `homrf.trws`).  `Decomposition` builds the plan on first use and caches it,
 and the plan compiles a reuse mode's two schedules the first time a pass
 runs that mode, so everything lives exactly as long as the decomposition.
+Every state on the decomposition shares the schedules; each binds them to
+its own stacks (see `homrf.trws`) and keeps the binding in its `Bindings`.
 """
 
 import gc
-from functools import partial, wraps
+from functools import wraps
+from operator import is_
 from typing import NamedTuple
 
 import numpy as np
@@ -66,7 +69,7 @@ class Bracket(NamedTuple):
     other window messages, plus the weighted caches of the separators b
     lacks, minimized onto b."""
 
-    gather: object  # returns a fresh copy of the tables of a
+    sources: tuple  # the table of each a, in edge order
     subtract: tuple  # (stack, rows, shape in a) per other window message
     extra: tuple  # (coefficients, stack, rows, shape in a) per separator cache added
     axes: tuple  # axes of a minimized out
@@ -100,7 +103,7 @@ class CacheGroup(NamedTuple):
     separator's original table plus its incoming messages, in sigma order of
     their sources."""
 
-    gather: object  # returns a fresh copy of the separators' original tables
+    sources: tuple  # the separators' original tables, in row order
     stack: int
     incoming: tuple  # rows of the k-th incoming messages, k = 0, 1, ...
     rows: object  # rows of the caches
@@ -141,6 +144,21 @@ class SweepPlan(NamedTuple):
     forward_bound: PassBound
     backward_bound: PassBound
     fallback: tuple  # chains with a member that is not an outer factor: the bound re-solves them
+
+
+class Bindings(dict):
+    """A solver state's operands bound to its own arrays, keyed by what they
+    were bound for.  Every copy of it is empty, so a deep copy or a pickle of
+    a state binds its own arrays instead of running on the original's."""
+
+    def __reduce__(self):
+        return Bindings, ()
+
+
+def same_objects(xs, ys):
+    """Whether two sequences hold the same objects in the same order: the
+    arrays a binding was made for are still those it would run on."""
+    return len(xs) == len(ys) and all(map(is_, xs, ys))
 
 
 def _gc_paused(build):
@@ -276,7 +294,7 @@ def _compile_sweeps(decomp, reuse):
         # a's table net of its other window messages, plus the weighted
         # caches of the separators b lacks
         t = table(a)
-        copy, size = t.copy, t.size  # shared by a's recipes
+        sources, size = (t,), t.size  # shared by a's recipes
         ra = rho[a]
         seps = []  # (c, class part, extra term, read) per separator local c
         terms = {}  # c -> (class part, subtract term) for the window's c
@@ -299,7 +317,9 @@ def _compile_sweeps(decomp, reuse):
             axes = canon(drop_axes(scopes[a], scopes[b]))
             parts = (tuple([w[2] for w in others]), tuple([x[1] for x in lack]))
             cls = class_id((t.shape, *parts, axes))
-            bracket = Bracket(copy, tuple([w[3] for w in others]), tuple([x[2] for x in lack]), axes)
+            bracket = Bracket(
+                sources, tuple([w[3] for w in others]), tuple([x[2] for x in lack]), axes
+            )
             yield cls, bracket, size, tuple([w[1] for w in others] + [x[3] for x in lack])
 
     by_source = {}
@@ -338,19 +358,6 @@ def _compile_sweeps(decomp, reuse):
             )
         return rec
 
-    one_row = {}
-
-    def gather(fids):
-        # callable returning a fresh stack of the factors' tables
-        views = []
-        for f in fids:
-            view = one_row.get(f)
-            if view is None:
-                t = table(f)
-                view = one_row[f] = t.reshape((1,) + t.shape)
-            views.append(view)
-        return partial(np.concatenate, tuple(views))
-
     def batched(terms, g, ndim):
         # the k-th terms of g recipes as one batched read
         coef, s, _, sh = terms[0]
@@ -365,7 +372,7 @@ def _compile_sweeps(decomp, reuse):
         first = brackets[0]
         ndim = table(edges[ids[0]][0]).ndim
         return Bracket(
-            gather([edges[i][0] for i in ids]),
+            tuple([br.sources[0] for br in brackets]),
             tuple(
                 (s, _index([br.subtract[k][1] for br in brackets]), (g,) + sh)
                 for k, (s, _, sh) in enumerate(first.subtract)
@@ -431,7 +438,7 @@ def _compile_sweeps(decomp, reuse):
         seps.sort()
         bs = [b for _, b in seps]
         group = CacheGroup(
-            table(bs[0]).copy if len(bs) == 1 else gather(bs),
+            tuple([table(b) for b in bs]),
             key[0],
             tuple(_index([erow[incoming[b][k]][1] for b in bs]) for k in range(key[1])),
             _index([row for row, _ in seps]),

@@ -7,20 +7,32 @@ and steps shared factors toward agreement of the subproblem minimizers with a
 diminishing step size.
 
 Each solve compiles what its passes need once, in the closure of its pass
-step: the diffusion edges with their reduce axes and broadcast shapes, and the
-shared factors of the subgradient step with their chains.  The public
-one-pass functions compile per call.
+step: the diffusion edges bound to the state's tables, and the shared
+factors of the subgradient step with their chains.  The public one-pass
+functions compile per call.
+
+A diffusion state keeps its tables as views of one flat buffer.  Binding an
+edge (a, b) fixes its operands: a's table, b's table, a scratch gap in b's
+shape and the same gap in a's broadcast shape, and the axes minimized out of
+a; a sweep then makes five numpy calls per edge, all in place.  The bound is
+read off the buffer with one `np.minimum.reduceat` and summed in factor
+order, as `psi_bound`, which stays the reference, sums it.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._plan import Bindings, same_objects
 from ._tables import drop_axes, embed_shape, min_over
 from .decomposition import sigma_sorted
 from .errors import InvalidStepSize
 from .trws import TreeParams, _chain_dp, _run_passes, init_tree_params
+
+
+_HALF = np.array(0.5)  # a 0-d array: cheaper in a ufunc call than a Python float
+_HALF.flags.writeable = False
 
 
 def psi_bound(tables):
@@ -31,15 +43,43 @@ def psi_bound(tables):
 @dataclass
 class MsdState:
     """Diffusion state: one reparameterized table per factor, which the
-    sweep updates in place, and the cells it has minimized over."""
+    sweep updates in place, and the cells it has minimized over.
+
+    The tables are views of one flat buffer, in factor order.  A state whose
+    tables are not (built by hand, or deep-copied) has them copied into a new
+    buffer by its next pass, which then replaces `tables` with the views."""
 
     tables: list
     meff: int = 0
+    # the buffer behind `tables`, the views into it and their offsets
+    _bound: Bindings = field(default_factory=Bindings, init=False, repr=False, compare=False)
+
+
+def _flat_tables(state):
+    # (buffer, table views, offsets) of the state's tables, moved into a new
+    # buffer unless they are the views of the state's own
+    flat = state._bound.get("tables")
+    tables = state.tables
+    if flat is None or not same_objects(flat[1], tables):
+        sizes = [t.size for t in tables]
+        offsets = np.cumsum([0] + sizes)[:-1]
+        buffer = np.empty(sum(sizes))
+        views = tuple(
+            [buffer[o : o + n].reshape(t.shape) for o, n, t in zip(offsets.tolist(), sizes, tables)]
+        )
+        for view, t in zip(views, tables):
+            view[...] = t
+        state.tables = list(views)
+        flat = state._bound["tables"] = (buffer, views, offsets)
+    return flat
 
 
 def msd_init(model):
-    """Fresh diffusion state holding copies of the model's tables."""
-    return MsdState(tables=[f.table.copy() for f in model.factors])
+    """Fresh diffusion state holding the model's tables, copied into one
+    buffer."""
+    state = MsdState(tables=[f.table for f in model.factors])
+    _flat_tables(state)
+    return state
 
 
 def msd_sweep_order(jstructure, node_order=None):
@@ -54,30 +94,37 @@ def msd_sweep_order(jstructure, node_order=None):
     return tuple(sorted(jstructure.closed_edges, key=lambda e: (rank[e[1]], rank[e[0]])))
 
 
-def _msd_plan(model, jstructure, order):
-    # the sweep's edges compiled once: (source, target, axes minimized out of
-    # the source, target's broadcast shape in the source)
+def _msd_bind(model, jstructure, order, state):
+    # the sweep's edges bound to the state's tables: (source, target, the
+    # gap toward the target in scratch, the same scratch in the source's
+    # shape, axes minimized out of the source), plus the cells one sweep
+    # minimizes over and the flat buffer with its offsets
+    buffer, tables, offsets = _flat_tables(state)
     scopes = jstructure.scopes
     counts = model.label_counts
-    return tuple(
-        (a, b, drop_axes(scopes[a], scopes[b]), embed_shape(scopes[b], scopes[a], counts))
-        for a, b in order
-    )
+    scratch = np.empty(max([tables[b].size for _, b in order], default=0))
+    edges = []
+    for a, b in order:
+        gap = scratch[: tables[b].size].reshape(tables[b].shape)
+        in_a = gap.reshape(embed_shape(scopes[b], scopes[a], counts))
+        edges.append((tables[a], tables[b], gap, in_a, drop_axes(scopes[a], scopes[b])))
+    return tuple(edges), sum([tables[a].size for a, _ in order]), buffer, offsets
 
 
-def _msd_sweep(plan, state):
-    # one diffusion sweep, in place on the state's tables; returns the bound.
-    # `min_over`'s ufunc is bound once for the loop
-    minimum = np.minimum.reduce
-    tables = state.tables
-    for a, b, axes, shape in plan:
-        delta = minimum(tables[a], axis=axes)
-        state.meff += tables[a].size
-        delta -= tables[b]
-        delta *= 0.5
-        tables[b] += delta
-        tables[a] -= delta.reshape(shape)
-    return psi_bound(tables)
+def _msd_sweep(bound, state):
+    # one diffusion sweep over bound edges, in place on the state's tables;
+    # returns the bound, the sum of per-factor minima in factor order as in
+    # `psi_bound`, read off the buffer with one reduction
+    edges, cells, buffer, offsets = bound
+    minimum, add, subtract, multiply = np.minimum.reduce, np.add, np.subtract, np.multiply
+    for source, target, gap, in_source, axes in edges:
+        minimum(source, axes, None, gap)
+        subtract(gap, target, gap)
+        multiply(gap, _HALF, gap)
+        add(target, gap, target)
+        subtract(source, in_source, source)
+    state.meff += cells
+    return float(sum(np.minimum.reduceat(buffer, offsets)))
 
 
 def msd_pass(model, jstructure, state, order=None):
@@ -85,11 +132,11 @@ def msd_pass(model, jstructure, state, order=None):
 
     For each edge, half the gap between the source's min-marginal and the
     target moves from source to target, equalizing the two.  The state's
-    tables are updated in place.
+    tables are updated in place (see `MsdState`).
     """
     if order is None:
         order = msd_sweep_order(jstructure)
-    return _msd_sweep(_msd_plan(model, jstructure, order), state)
+    return _msd_sweep(_msd_bind(model, jstructure, order, state), state)
 
 
 def _msd_steps(decomp):
@@ -97,10 +144,10 @@ def _msd_steps(decomp):
     # `_run_passes`, sweeping an edge plan compiled once for the solve
     state = msd_init(decomp.model)
     order = msd_sweep_order(decomp.jstructure, decomp.node_order)
-    plan = _msd_plan(decomp.model, decomp.jstructure, order)
+    bound = _msd_bind(decomp.model, decomp.jstructure, order, state)
 
     def step(k):
-        return "forward", _msd_sweep(plan, state), state.meff
+        return "forward", _msd_sweep(bound, state), state.meff
 
     return state, step
 

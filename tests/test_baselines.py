@@ -1,3 +1,4 @@
+import copy
 import struct
 
 import numpy as np
@@ -6,6 +7,8 @@ import pytest
 from homrf._tables import embed, reduce_min
 
 from homrf.baselines import (
+    MsdState,
+    _msd_steps,
     msd_init,
     msd_pass,
     msd_sweep_order,
@@ -132,6 +135,54 @@ class TestMsd:
             assert st.meff == ref.meff
             for t, r in zip(st.tables, ref.tables):
                 assert t.tobytes() == r.tobytes()
+
+    def test_read_off_bound_equals_psi_bound(self, rng):
+        # psi_bound stays the reference for the bound read off the flat buffer
+        for _ in range(6):
+            d = random_decomposed(rng, nested=True)
+            st = msd_init(d.model)
+            solved, step = _msd_steps(d)
+            for k in range(30):
+                assert _bits(msd_pass(d.model, d.jstructure, st)) == _bits(psi_bound(st.tables))
+                assert _bits(step(k)[1]) == _bits(psi_bound(solved.tables))
+
+    def test_hand_built_state_matches_reference(self, rng):
+        # tables that are not views of the state's buffer move into a new
+        # one; the model's own tables are never written
+        for _ in range(6):
+            d = random_decomposed(rng, nested=True)
+            for f in d.model.factors:
+                f.table.setflags(write=False)
+            before = [f.table.tobytes() for f in d.model.factors]
+            st = MsdState(tables=[f.table for f in d.model.factors])
+            ref = MsdState(tables=[f.table.copy() for f in d.model.factors])
+            order = msd_sweep_order(d.jstructure)
+            for k in range(30):
+                if k == 15:  # tables swapped between passes move into a new buffer too
+                    st.tables = [t.copy() for t in st.tables]
+                got = msd_pass(d.model, d.jstructure, st)
+                assert _bits(got) == _bits(_reference_msd_pass(d.model, d.jstructure, ref, order))
+            assert st.meff == ref.meff
+            assert [t.tobytes() for t in st.tables] == [t.tobytes() for t in ref.tables]
+            assert [f.table.tobytes() for f in d.model.factors] == before
+
+    def test_deep_copied_state_matches_reference(self, rng):
+        for _ in range(6):
+            d = random_decomposed(rng, nested=True)
+            order = msd_sweep_order(d.jstructure)
+            st, ref = msd_init(d.model), msd_init(d.model)
+            for _ in range(10):
+                msd_pass(d.model, d.jstructure, st)
+                _reference_msd_pass(d.model, d.jstructure, ref, order)
+            twin = copy.deepcopy(st)
+            frozen = [t.tobytes() for t in st.tables]
+            for _ in range(20):
+                got = msd_pass(d.model, d.jstructure, twin)
+                assert _bits(got) == _bits(_reference_msd_pass(d.model, d.jstructure, ref, order))
+            assert [t.tobytes() for t in st.tables] == frozen
+            assert twin.meff == ref.meff
+            assert [t.tobytes() for t in twin.tables] == [t.tobytes() for t in ref.tables]
+            assert "_bound" not in repr(twin)
 
     def test_pass_never_writes_model_tables(self, rng):
         for _ in range(4):

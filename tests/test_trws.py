@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import re
 
 import numpy as np
@@ -814,6 +816,132 @@ class TestLevelSchedule:
         stack, row = d._layout.edge_row[key]
         assert np.shares_memory(st.messages[key], st.message_stacks[stack])
         assert np.array_equal(st.messages[key], st.message_stacks[stack][row])
+
+    @pytest.mark.parametrize("reuse", REUSE_MODES)
+    def test_instances_reach_views_and_index_arrays(self, reuse):
+        # a bound group reads and writes a row set given by an index or a
+        # slice through views, and one given by an index array through
+        # scratch; the instances above must exercise both
+        found = set()
+        for make in schedule_instances():
+            for levels in sweep_schedule(make(), reuse):
+                for lv in levels:
+                    for rows in (r for g in lv.messages + lv.caches for r in row_sets(g)):
+                        found.add(isinstance(rows, np.ndarray))
+        assert found == {False, True}
+
+
+def row_sets(group):
+    # every row set a message or cache group reads or writes
+    if not hasattr(group, "kind"):
+        yield group.rows
+        yield from group.incoming
+        return
+    yield group.out[1]
+    if group.sup is not None:
+        yield group.sup[1]
+    if group.bracket is not None:
+        yield from (rows for _, rows, _ in group.bracket.subtract)
+        yield from (rows for _, _, rows, _ in group.bracket.extra)
+    if group.fold is not None:
+        yield from (rows for _, _, rows, _ in group.fold.terms)
+
+
+def state_signature(st):
+    return (
+        stacks_bytes(st),
+        st.meff,
+        st.diag_cells,
+        st.msg_ops_last_pass,
+        st.direction,
+        st.last_direction,
+    )
+
+
+class TestBoundSweeps:
+    """A state binds each reuse mode's schedules to its stacks on its first
+    pass in that mode.  Whatever happens to the state or to the schedules
+    between passes, the passes must run byte-identical to a fresh state on
+    the same inputs, and never write another state's arrays."""
+
+    PASSES = 6
+
+    def reference(self, make, reuse):
+        d = make()
+        st = chain_state_init(d)
+        phis = [trws_chain_pass(d, st, reuse=reuse) for _ in range(self.PASSES)]
+        return phis, state_signature(st)
+
+    @pytest.mark.parametrize("reuse", REUSE_MODES)
+    def test_deep_copy_binds_its_own_stacks(self, reuse):
+        for make in schedule_instances():
+            want_phis, want = self.reference(make, reuse)
+            d = make()
+            st = chain_state_init(d)
+            head = [trws_chain_pass(d, st, reuse=reuse) for _ in range(2)]
+            twin = copy.deepcopy(st)
+            before = state_signature(st)
+            tail = [trws_chain_pass(d, twin, reuse=reuse) for _ in range(self.PASSES - 2)]
+            assert state_signature(st) == before
+            assert head + tail == want_phis and state_signature(twin) == want
+            tail = [trws_chain_pass(d, st, reuse=reuse) for _ in range(self.PASSES - 2)]
+            assert head + tail == want_phis and state_signature(st) == want
+
+    @pytest.mark.parametrize("reuse", REUSE_MODES)
+    def test_replaced_state_and_new_stacks_rebind(self, reuse):
+        for make in schedule_instances():
+            want_phis, want = self.reference(make, reuse)
+            d = make()
+            st = chain_state_init(d)
+            phis = [trws_chain_pass(d, st, reuse=reuse) for _ in range(2)]
+            st = dataclasses.replace(st)
+            phis += [trws_chain_pass(d, st, reuse=reuse) for _ in range(2)]
+            old = st.message_stacks + st.separator_stacks
+            frozen = [x.tobytes() for x in old]
+            st.message_stacks = [x.copy() for x in st.message_stacks]
+            st.separator_stacks = [x.copy() for x in st.separator_stacks]
+            phis += [trws_chain_pass(d, st, reuse=reuse) for _ in range(self.PASSES - 4)]
+            assert [x.tobytes() for x in old] == frozen
+            assert phis == want_phis and state_signature(st) == want
+
+    @pytest.mark.parametrize("reuse", REUSE_MODES)
+    def test_two_states_on_one_decomposition(self, reuse):
+        for make in schedule_instances():
+            want_phis, want = self.reference(make, reuse)
+            d = make()
+            first = chain_state_init(d)
+            phis = [[trws_chain_pass(d, first, reuse=reuse) for _ in range(2)], []]
+            second = chain_state_init(d)
+            for _ in range(self.PASSES - 2):
+                phis[0].append(trws_chain_pass(d, first, reuse=reuse))
+                phis[1].append(trws_chain_pass(d, second, reuse=reuse))
+            phis[1] += [trws_chain_pass(d, second, reuse=reuse) for _ in range(2)]
+            assert phis == [want_phis, want_phis]
+            assert state_signature(first) == want and state_signature(second) == want
+
+    @pytest.mark.parametrize("reuse", REUSE_MODES)
+    def test_replaced_schedule_rebinds(self, reuse):
+        for make in schedule_instances():
+            want_phis, want = self.reference(make, reuse)
+            d = make()
+            st = chain_state_init(d)
+            phis = [trws_chain_pass(d, st, reuse=reuse) for _ in range(2)]
+            forward, backward = sweep_schedule(d, reuse)
+            d._sweep_plan.sweeps[reuse] = (reversed_levels(forward), reversed_levels(backward))
+            phis += [trws_chain_pass(d, st, reuse=reuse) for _ in range(self.PASSES - 2)]
+            assert phis == want_phis and state_signature(st) == want
+            # the pass runs the schedule now in place: an empty one updates nothing
+            d._sweep_plan.sweeps[reuse] = ((), ())
+            before = stacks_bytes(st)
+            trws_chain_pass(d, st, reuse=reuse)
+            assert st.msg_ops_last_pass == 0 and stacks_bytes(st) == before
+
+    def test_bindings_stay_out_of_repr_and_comparisons(self):
+        d = build_monotonic_chains(*gen_stereo_second_order(4, 4, labels=2, seed=1))
+        st = chain_state_init(d)
+        trws_chain_pass(d, st, reuse="after")
+        assert "_bound" not in repr(st)
+        assert not any(f.compare or f.init for f in dataclasses.fields(st) if f.name == "_bound")
 
 
 class TestReuse:
