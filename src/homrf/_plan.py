@@ -1,5 +1,5 @@
-"""Sweep plan: what the message-form sweep and its bound look up that depends
-on the decomposition alone.
+"""Sweep plan and sweep programs: what the message-form sweep and its bound
+look up.
 
 Storage.  A message-form state keeps its messages and separator caches as
 rows of stacked arrays, one stack per separator table shape (`Layout`).  A
@@ -8,40 +8,48 @@ message edge's row is its rank among the edges of its shape in
 `separator_order`, so the layout follows from the decomposition alone and a
 state needs no plan to be set up.
 
-Schedule.  A sweep in one direction under one reuse mode compiles into a
-level schedule, a tuple of `Level`s.  Which update each message edge takes
-(skip, the `after` or `before` nested reuse, the no-op that consumes a
-preemptive refresh, or a fresh message) is fixed per mode and direction, up
-to one choice made per pass: a `lead` edge, whose window neighbour swept just
-before it is its trailing bound, may take `after` only once a sweep in the
-other direction has completed.  Such an edge gets both variants, as sibling
-groups whose `cond` says which pass runs them.
+Program.  A sweep in one direction under one reuse mode compiles into a
+program on one state's stacks (`compile_sweeps`).  Which update each message
+edge takes (skip, the `after` or `before` nested reuse, the no-op that
+consumes a preemptive refresh, or a fresh message) is fixed per mode and
+direction, up to one choice made per pass: a `lead` edge, whose window
+neighbour swept just before it is its trailing bound, may take `after` only
+once a sweep in the other direction has completed.  The program holds one
+run of phases per choice, its lead variant.
 
 A separator step reads messages and separator caches and writes its
 messages (a preemptive `(a, p)` one included) and its cache.  Each step goes
 to the first level after every earlier step it conflicts with (read after
 write, write after read, write after write) under either variant, so the
 steps of one level commute.  Within a level, the message updates of one
-recipe shape run as one `Group`: gather the source tables and the stacked
-rows they read, subtract, add, minimize and scatter, with the elementwise
+recipe class run as one group: gather the source tables and the stacked rows
+they read, subtract, add, minimize and scatter, with the elementwise
 operations of a one-edge update in the same order, so the results are
 byte-identical to a sweep one separator at a time.  The separator caches of
-one shape and in-degree are then rebuilt as one `CacheGroup`.  A group reads
-a single row by its index, rows that step evenly by a basic slice and other
-rows by an index array; a batch of g rows adds a leading axis of length g to
-every shape and reduce axis.
+one shape and in-degree are then rebuilt as one group.  A batch of g rows
+adds a leading axis of length g to every shape and reduce axis.
 
-Besides the schedules, the plan holds each chain's dynamic-programming
-stages, each outer factor's messages (for its reparameterized table) and the
-end separators that the bound after a sweep is read off (see
-`homrf.trws`).  `Decomposition` builds the plan on first use and caches it,
-and the plan compiles a reuse mode's two schedules the first time a pass
-runs that mode, so everything lives exactly as long as the decomposition.
-Every state on the decomposition shares the schedules; each binds them to
-its own stacks (see `homrf.trws`) and keeps the binding in its `Bindings`.
+Each group compiles to a short run of numpy calls on fixed operands.  Rows
+named by an index or by a basic slice (rows that step evenly) are read as
+views of their stack, reshaped to the shape they broadcast in; fresh minima
+are written with `out=` straight into their message rows, `after` and
+`before` increments are added in place and caches are rebuilt into their
+rows.  Rows that only an index array can name cannot be views: they are
+staged in scratch, read in with `take` before the group's arithmetic and
+stored back after it.  A program keeps its level boundaries: each level
+runs in two phases, its message groups and then its cache groups, and the
+groups of one phase commute.
+
+The sweep plan (`SweepPlan`) holds each chain's dynamic-programming stages, each outer
+factor's messages (for its reparameterized table) and the end separators
+that the bound after a sweep is read off (see `homrf.trws`).
+`Decomposition` builds the plan on first use and caches it, so it lives
+exactly as long as the decomposition.  Programs are compiled per state, on
+its first pass in a reuse mode, and kept in its `Bindings`.
 """
 
 import gc
+import math
 from functools import wraps
 from operator import is_
 from typing import NamedTuple
@@ -64,54 +72,15 @@ class Layout(NamedTuple):
     sep_row: dict  # b -> (stack, row)
 
 
-class Bracket(NamedTuple):
-    """Fresh messages of a group's edges (a, b): each a's table net of its
-    other window messages, plus the weighted caches of the separators b
-    lacks, minimized onto b."""
+class SweepProgram(NamedTuple):
+    """A reuse mode's forward and backward sweeps compiled onto one state's
+    stacks.  The last three fields are indexed by direction (forward first)
+    and then by lead variant (False, True)."""
 
-    sources: tuple  # the table of each a, in edge order
-    subtract: tuple  # (stack, rows, shape in a) per other window message
-    extra: tuple  # (coefficients, stack, rows, shape in a) per separator cache added
-    axes: tuple  # axes of a minimized out
-
-
-class Fold(NamedTuple):
-    """Nested read-off toward b from the superset p next to it in a's window:
-    the weighted caches of p's locals outside b's, added to a table over p
-    and minimized onto b."""
-
-    shape: tuple  # table shape of p
-    terms: tuple  # (coefficients, stack, rows, shape in p)
-    axes: tuple  # axes of p minimized out
-
-
-class Group(NamedTuple):
-    """The message updates of one recipe shape at one level."""
-
-    kind: str  # FRESH, AFTER or BEFORE
-    cond: object  # None: every pass; True / False: only when a lead edge may / may not take AFTER
-    edges: tuple  # the edges (a, b) it updates
-    cells: int  # joint states it minimizes over
-    bracket: Bracket  # FRESH: the messages; BEFORE: the refreshed (a, p) messages; AFTER: None
-    fold: Fold  # AFTER and BEFORE: the increment of the (a, b) messages; FRESH: None
-    out: tuple  # (stack, rows) of the (a, b) messages
-    sup: tuple  # BEFORE: (stack, rows, shape of b in p) of the (a, p) messages; else None
-
-
-class CacheGroup(NamedTuple):
-    """Separator caches of one shape and in-degree at one level: each
-    separator's original table plus its incoming messages, in sigma order of
-    their sources."""
-
-    sources: tuple  # the separators' original tables, in row order
-    stack: int
-    incoming: tuple  # rows of the k-th incoming messages, k = 0, 1, ...
-    rows: object  # rows of the caches
-
-
-class Level(NamedTuple):
-    messages: tuple  # Groups; they commute
-    caches: tuple  # CacheGroups, run after the messages; they commute
+    arrays: tuple  # the message and cache stacks it runs on
+    phases: tuple  # per phase, its groups, each a tuple of (function, arguments); they commute
+    ops: tuple  # message operations a sweep runs
+    cells: tuple  # joint states a sweep minimizes over
 
 
 class Stage(NamedTuple):
@@ -138,7 +107,6 @@ class PassBound(NamedTuple):
 class SweepPlan(NamedTuple):
     """What sweeps and bounds look up."""
 
-    sweeps: dict  # reuse mode -> (forward levels, backward levels), compiled on first use
     net: tuple  # per factor: ((a, c), shape) of an outer factor's messages, None for separators
     stages: tuple  # per chain: its Stages
     forward_bound: PassBound
@@ -228,18 +196,163 @@ def _index(rows):
     return np.array(rows, dtype=np.intp)
 
 
-def sweep_schedule(decomp, reuse):
-    """The forward and backward level schedules of a reuse mode, compiled on
-    first use."""
-    sweeps = decomp._sweep_plan.sweeps
-    pair = sweeps.get(reuse)
-    if pair is None:
-        pair = sweeps[reuse] = _compile_sweeps(decomp, reuse)
-    return pair
+def _lead(g, shape):
+    # `shape` with the leading batch axis of a group of g rows
+    return shape if g == 1 else (g,) + shape
+
+
+def _rows(terms, pos):
+    # the rows a group's terms read, at `pos` in each term
+    return terms[0][pos] if len(terms) == 1 else _index([t[pos] for t in terms])
+
+
+def _rows_shape(stack, rows):
+    return (len(rows),) + stack.shape[1:] if isinstance(rows, np.ndarray) else stack[rows].shape
+
+
+class _Emitter:
+    """Collects the numpy calls of one group at a time on a state's message
+    and cache stacks M and T.
+
+    Every operand is bound once: views of stack rows are shared by the
+    groups that read them, and so are the 0-d arrays of single
+    coefficients, cheaper in a ufunc call than a Python float and giving
+    the same product.  Rows named by an index array are staged in scratch
+    (`read`, `write`).  Groups never run at the same time, so each group's
+    scratch starts at the start of one shared scratch buffer; a group that
+    outgrows the buffer moves on to a new one twice as large."""
+
+    def __init__(self, M, T):
+        self.M, self.T = M, T
+        self.buffer = np.empty(0)
+        self.top = 0  # scratch cells of the buffer the current group uses
+        self.calls = []  # (function, arguments) of the current group
+        self.stores = []  # staged rows the group writes, stored back when it ends
+        self.regions = {}  # (offset, shape) -> view of the buffer
+        self.views = {}  # operands already bound
+
+    def scratch(self, shape):
+        n = math.prod(shape)
+        if self.top + n > len(self.buffer):
+            self.buffer = np.empty(max(2 * len(self.buffer), n))
+            self.regions = {}
+            self.top = 0
+        view = self.regions.get((self.top, shape))
+        if view is None:
+            view = self.buffer[self.top : self.top + n].reshape(shape)
+            self.regions[(self.top, shape)] = view
+        self.top += n
+        return view
+
+    def emit(self, f, *args):
+        self.calls.append((f, args))
+
+    def read(self, stack, rows, shape=None):
+        # `rows` of `stack` in `shape` (their own by default)
+        if isinstance(rows, np.ndarray):
+            staged = self.scratch(_rows_shape(stack, rows))
+            self.emit(stack.take, rows, 0, staged)
+            return staged if shape is None else staged.reshape(shape)
+        at = rows if isinstance(rows, int) else (rows.start, rows.stop, rows.step)
+        key = (id(stack), at, shape)
+        view = self.views.get(key)
+        if view is None:
+            view = stack[rows] if shape is None else stack[rows].reshape(shape)
+            self.views[key] = view
+        return view
+
+    def write(self, stack, rows, load):
+        # `rows` of `stack` for the group to write, read first if `load`
+        if not isinstance(rows, np.ndarray):
+            return self.read(stack, rows)
+        staged = self.read(stack, rows) if load else self.scratch(_rows_shape(stack, rows))
+        self.stores.append((stack.__setitem__, (rows, staged)))
+        return staged
+
+    def weighted(self, terms):
+        # scratch holding the weighted caches of the k-th terms (coefficient,
+        # stack, row, shape) of a group's updates
+        g = len(terms)
+        _, s, _, shape = terms[0]
+        product = self.scratch(_lead(g, shape))
+        if g > 1:
+            coef = np.array([t[0] for t in terms]).reshape((g,) + (1,) * len(shape))
+        else:
+            coef = self.views.get(("coef", terms[0][0]))
+            if coef is None:
+                coef = self.views[("coef", terms[0][0])] = np.array(terms[0][0])
+        caches = self.read(self.T[s], _rows(terms, 2), product.shape)
+        self.emit(np.multiply, coef, caches, product)
+        return product
+
+    def stacked(self, tables):
+        # scratch holding the tables stacked along a new leading axis, filled
+        # by concatenating them along their first axis
+        shape = tables[0].shape
+        stack = self.scratch((len(tables),) + shape)
+        self.emit(np.concatenate, tables, 0, stack.reshape((len(tables) * shape[0],) + shape[1:]))
+        return stack
+
+    def fresh(self, brackets, out):
+        """Fresh messages of a group's edges (a, b) into `out`: each a's table
+        net of its other window messages, plus the weighted caches of the
+        separators b lacks, minimized onto b.  A bracket is (a's table, the
+        (stack, row, shape in a) of each other window message, the
+        (coefficient, stack, row, shape in a) of each cache added, the axes
+        of a minimized out)."""
+        g = len(brackets)
+        table, _, _, axes = brackets[0]
+        terms = []
+        for ks in zip(*[br[1] for br in brackets]):  # the k-th term of each bracket
+            s, _, sh = ks[0]
+            messages = self.read(self.M[s], _rows(ks, 1), _lead(g, sh))
+            terms.append((np.subtract, messages))
+        for ks in zip(*[br[2] for br in brackets]):
+            terms.append((np.add, self.weighted(ks)))
+        if g == 1:
+            net = table  # read-only: the first term writes into scratch
+            work = self.scratch(table.shape) if terms else None
+        else:
+            net = work = self.stacked([br[0] for br in brackets])
+            axes = tuple(x + 1 for x in axes)
+        for ufunc, operand in terms:
+            self.emit(ufunc, net, operand, work)
+            net = work
+        self.emit(np.minimum.reduce, net, axes, None, out)
+
+    def fold(self, folds, total, delta):
+        """Nested read-off toward b from the superset p next to it in a's
+        window: add the weighted caches of p's locals outside b's to `total`,
+        a table over p, and minimize onto b into `delta`.  With `total` None
+        the sum starts from zero: that is the `reuse="after"` increment;
+        while (a, p) holds this sweep's message, the stored (a, b) message
+        plus it equals the direct update, scanning only p.  p's own cache is
+        always a term.  A fold is (p's table shape, the (coefficient, stack,
+        row, shape in p) of each term, the axes of p minimized out, the shape
+        of b in p)."""
+        g = len(folds)
+        shape, _, axes, _ = folds[0]
+        acc = 0.0 if total is None else total
+        if total is None:
+            total = self.scratch(_lead(g, shape))
+        for ks in zip(*[f[1] for f in folds]):  # the k-th term of each fold
+            self.emit(np.add, acc, self.weighted(ks), total)
+            acc = total
+        if g > 1:
+            axes = tuple(x + 1 for x in axes)
+        self.emit(np.minimum.reduce, total, axes, None, delta)
+
+    def group(self):
+        # the calls emitted since the last group, staged rows stored last
+        calls = tuple(self.calls + self.stores)
+        self.calls, self.stores, self.top = [], [], 0
+        return calls
 
 
 @_gc_paused
-def _compile_sweeps(decomp, reuse):
+def compile_sweeps(decomp, reuse, M, T):
+    """The `SweepProgram` of a reuse mode on a state's message and cache
+    stacks M and T; see the module docstring."""
     d = decomp
     js = d.jstructure
     scopes, locals_, separators = js.scopes, js.locals, js.separators
@@ -278,9 +391,9 @@ def _compile_sweeps(decomp, reuse):
         after_b = window[k + 1] if k + 1 < len(window) else None
         around.append((before_b, nested(before_b, b), after_b, nested(after_b, b)))
 
-    # A recipe is an update of one edge as a one-edge group runs it, with
-    # single rows read by their index, plus its class: what the members of a
-    # batched group share, numbered.  Shapes are interned.
+    # A recipe is an update of one edge (a bracket or a fold, see
+    # `_Emitter`) plus its class: what the members of a batched group share,
+    # numbered.  Shapes are interned.
     shared, classes = {}, {}
 
     def canon(x):
@@ -290,14 +403,11 @@ def _compile_sweeps(decomp, reuse):
         return classes.setdefault(x, len(classes))
 
     def fresh_recipes(a, bs):
-        # (class, Bracket, cells, reads) of the fresh message on each (a, b):
-        # a's table net of its other window messages, plus the weighted
-        # caches of the separators b lacks
+        # (class, bracket, cells, reads) of the fresh message on each (a, b)
         t = table(a)
-        sources, size = (t,), t.size  # shared by a's recipes
         ra = rho[a]
         seps = []  # (c, class part, extra term, read) per separator local c
-        terms = {}  # c -> (class part, subtract term) for the window's c
+        terms = {}  # c -> (class part, shape in a) for the window's c
         for c in sorted(locals_[a]):
             if c in separators:
                 s, row = sep_row[c]
@@ -317,10 +427,8 @@ def _compile_sweeps(decomp, reuse):
             axes = canon(drop_axes(scopes[a], scopes[b]))
             parts = (tuple([w[2] for w in others]), tuple([x[1] for x in lack]))
             cls = class_id((t.shape, *parts, axes))
-            bracket = Bracket(
-                sources, tuple([w[3] for w in others]), tuple([x[2] for x in lack]), axes
-            )
-            yield cls, bracket, size, tuple([w[1] for w in others] + [x[3] for x in lack])
+            bracket = (t, tuple([w[3] for w in others]), tuple([x[2] for x in lack]), axes)
+            yield cls, bracket, t.size, tuple([w[1] for w in others] + [x[3] for x in lack])
 
     by_source = {}
     for a, b in edges:
@@ -332,8 +440,7 @@ def _compile_sweeps(decomp, reuse):
     folds = {}
 
     def fold_recipe(a, p, b):
-        # (class, Fold, cells, reads, shape of b in p) of the read-off toward
-        # b from p
+        # (class, fold, cells, reads) of the read-off toward b from p
         rec = folds.get((a, p, b))
         if rec is None:
             below = locals_[b]
@@ -349,105 +456,69 @@ def _compile_sweeps(decomp, reuse):
             axes = canon(drop_axes(scopes[p], scopes[b]))
             b_in_p = canon(embed_shape(scopes[b], scopes[p], counts))
             cls = class_id((t.shape, tuple(parts), axes, b_in_p))
-            rec = folds[(a, p, b)] = (
-                cls,
-                Fold(t.shape, tuple(terms), axes),
-                t.size,
-                tuple(reads),
-                b_in_p,
-            )
+            fold = (t.shape, tuple(terms), axes, b_in_p)
+            rec = folds[(a, p, b)] = (cls, fold, t.size, tuple(reads))
         return rec
 
-    def batched(terms, g, ndim):
-        # the k-th terms of g recipes as one batched read
-        coef, s, _, sh = terms[0]
-        coefs = np.array([term[0] for term in terms]).reshape((g,) + (1,) * ndim)
-        return coefs, s, _index([term[2] for term in terms]), (g,) + sh
+    em = _Emitter(M, T)
+    # op or separator -> calls of its one-update or one-separator group,
+    # which the forward and the backward sweep mostly share
+    singles = {}
 
-    def finish_bracket(ids):
-        if len(ids) == 1:
-            return fresh[ids[0]][1]
-        brackets = [fresh[i][1] for i in ids]
-        g = len(brackets)
-        first = brackets[0]
-        ndim = table(edges[ids[0]][0]).ndim
-        return Bracket(
-            tuple([br.sources[0] for br in brackets]),
-            tuple(
-                (s, _index([br.subtract[k][1] for br in brackets]), (g,) + sh)
-                for k, (s, _, sh) in enumerate(first.subtract)
-            ),
-            tuple(
-                batched([br.extra[k] for br in brackets], g, ndim) for k in range(len(first.extra))
-            ),
-            tuple(x + 1 for x in first.axes),
-        )
-
-    def finish_fold(recs):
-        if len(recs) == 1:
-            return recs[0][1]
-        folds_ = [rec[1] for rec in recs]
-        g = len(folds_)
-        first = folds_[0]
-        return Fold(
-            (g,) + first.shape,
-            tuple(
-                batched([f.terms[k] for f in folds_], g, len(first.shape))
-                for k in range(len(first.terms))
-            ),
-            tuple(x + 1 for x in first.axes),
-        )
-
-    singles = {}  # one-update groups and one-separator cache groups, shared by both directions
-
-    def finish(key, placed):
-        kind, cond = key[0], key[-1]
-        if len(placed) == 1:
-            _, i, j, f = placed[0][1]
-            single = (kind, i, j, id(f), cond)
-            if single in singles:
-                return singles[single]
+    def message_group(key, placed):
+        # the calls of the updates `placed` at one level under one key
+        if len(placed) == 1 and placed[0][1] in singles:
+            return singles[placed[0][1]]
         placed.sort()
+        kind, s = key[0], key[1]
         ops = [op for _, op, _ in placed]
-        cells = sum([c for _, _, c in placed])
-        out = (key[1], _index([row for row, _, _ in placed]))
-        ids = [i for _, i, _, _ in ops]
-        written = tuple([edges[i] for i in ids])
+        rows = _rows(placed, 0)
         if kind is FRESH:
-            group = Group(kind, cond, written, cells, finish_bracket(ids), None, out, None)
-        elif kind is AFTER:
-            fold = finish_fold([f for _, _, _, f in ops])
-            group = Group(kind, cond, written, cells, None, fold, out, None)
+            em.fresh([fresh[i][1] for _, i, _, _ in ops], em.write(M[s], rows, load=False))
         else:
-            fold = finish_fold([f for _, _, _, f in ops])
-            sup_ids = [j for _, _, j, _ in ops]
-            b_in_p = ops[0][3][4]
-            sup = (
-                erow[sup_ids[0]][0],
-                _index([erow[j][1] for j in sup_ids]),
-                b_in_p if len(ops) == 1 else (len(ops),) + b_in_p,
-            )
-            group = Group(kind, cond, written, cells, finish_bracket(sup_ids), fold, out, sup)
-        if len(placed) == 1:
-            singles[single] = group
-        return group
+            delta = em.scratch(_rows_shape(M[s], rows))
+            fds = [folds[f][1] for _, _, _, f in ops]
+            if kind is AFTER:
+                em.fold(fds, None, delta)
+            else:  # BEFORE: refresh (a, p) and fold its increment toward b in
+                sup = [j for _, _, j, _ in ops]
+                sp, rows_p = erow[sup[0]][0], _index([erow[j][1] for j in sup])
+                m_new = em.scratch(_rows_shape(M[sp], rows_p))
+                em.fresh([fresh[j][1] for j in sup], m_new)
+                old = em.write(M[sp], rows_p, load=True)
+                total = em.scratch(_lead(len(ops), fds[0][0]))
+                em.emit(np.subtract, m_new, old, total)
+                em.fold(fds, total, delta)
+                em.emit(np.subtract, m_new, delta.reshape(_lead(len(ops), fds[0][3])), old)
+            out = em.write(M[s], rows, load=True)
+            em.emit(np.add, out, delta, out)
+        calls = em.group()
+        if len(ops) == 1:
+            singles[ops[0]] = calls
+        return calls
 
-    def finish_cache(key, seps):
+    def cache_group(key, seps):
+        # each separator's original table plus its incoming messages, in
+        # sigma order of their sources, into its cache
         if len(seps) == 1 and seps[0][1] in singles:
             return singles[seps[0][1]]
         seps.sort()
+        s, indegree = key
         bs = [b for _, b in seps]
-        group = CacheGroup(
-            tuple([table(b) for b in bs]),
-            key[0],
-            tuple(_index([erow[incoming[b][k]][1] for b in bs]) for k in range(key[1])),
-            _index([row for row, _ in seps]),
-        )
+        out = em.write(T[s], _rows(seps, 0), load=False)
+        acc = table(bs[0]) if len(bs) == 1 else em.stacked([table(b) for b in bs])
+        if not indegree:
+            em.emit(np.copyto, out, acc)
+        for k in range(indegree):
+            em.emit(np.add, acc, em.read(M[s], _index([erow[incoming[b][k]][1] for b in bs])), out)
+            acc = out
+        calls = em.group()
         if len(bs) == 1:
-            singles[bs[0]] = group
-        return group
+            singles[bs[0]] = calls
+        return calls
 
     def sweep(forward):
+        # (phases, message operations, cells) per lead variant
         order = d.separator_order if forward else d.separator_order[::-1]
         trailing = d.sep_minus if forward else d.sep_plus
         pending = (set(), set())  # edges refreshed preemptively, per variant
@@ -475,11 +546,11 @@ def _compile_sweeps(decomp, reuse):
                         pending[v].discard(i)
                         variants.append(None)
                     elif after and (v or not lead):
-                        variants.append((AFTER, i, None, fold_recipe(a, pred, b)))
+                        variants.append((AFTER, i, None, (a, pred, b)))
                     elif before:
                         j = eid[(a, succ)]
                         pending[v].add(j)
-                        variants.append((BEFORE, i, j, fold_recipe(a, succ, b)))
+                        variants.append((BEFORE, i, j, (a, succ, b)))
                     else:
                         variants.append((FRESH, i, None, None))
                 if variants[0] == variants[1]:
@@ -497,17 +568,18 @@ def _compile_sweeps(decomp, reuse):
                         reads += rec[3]
                         cells = rec[2]
                     elif kind is AFTER:
-                        key = (kind, stack, f[0], cond)
-                        reads += f[3]
-                        cells = f[2]
-                    else:
-                        rec = fresh[j]
-                        key = (kind, stack, erow[j][0], rec[0], f[0], cond)
+                        rec = fold_recipe(*f)
+                        key = (kind, stack, rec[0], cond)
                         reads += rec[3]
-                        reads += f[3]
+                        cells = rec[2]
+                    else:
+                        rec, fold = fresh[j], fold_recipe(*f)
+                        key = (kind, stack, erow[j][0], rec[0], fold[0], cond)
+                        reads += rec[3]
+                        reads += fold[3]
                         reads.append(j)
                         writes.append(j)
-                        cells = rec[2] + f[2]
+                        cells = rec[2] + fold[2]
                     writes.append(i)
                     placed.append((key, (row, op, cells)))
 
@@ -539,15 +611,24 @@ def _compile_sweeps(decomp, reuse):
             raise UnconsumedPreemptiveMessage(
                 f"preemptive messages left unconsumed: {sorted(edges[j] for j in left)}"
             )
-        return tuple(
-            Level(
-                tuple(finish(key, placed) for key, placed in messages.items()),
-                tuple(finish_cache(key, seps) for key, seps in caches.items()),
-            )
-            for messages, caches in levels
-        )
+        phases, ops, cells = ([], []), [0, 0], [0, 0]
+        for messages, caches in levels:
+            groups = ([], [])
+            for key, placed in messages.items():
+                calls = message_group(key, placed)
+                cond = key[-1]
+                for v in (False, True) if cond is None else (cond,):
+                    groups[v].append(calls)
+                    ops[v] += len(placed)
+                    cells[v] += sum([c for _, _, c in placed])
+            rebuilt = tuple(cache_group(key, seps) for key, seps in caches.items())
+            for v in (0, 1):
+                if groups[v]:
+                    phases[v].append(tuple(groups[v]))
+                phases[v].append(rebuilt)
+        return tuple(map(tuple, phases)), tuple(ops), tuple(cells)
 
-    return sweep(True), sweep(False)
+    return SweepProgram((*M, *T), *zip(sweep(True), sweep(False)))
 
 
 @_gc_paused
@@ -633,7 +714,6 @@ def build_sweep_plan(decomp):
         return PassBound(tuple(batched), cells, const)
 
     return SweepPlan(
-        {},
         net,
         tuple(stages),
         pass_bound(d.sep_plus, -1),

@@ -169,6 +169,9 @@ def run_solver_cli(argv=None):
     except (HomrfError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 1
 
 
 main = run_solver_cli

@@ -7,6 +7,8 @@ the pair mode additionally materializes the overlap pairs used by chain
 decompositions as explicit zero-cost factors with their own edges.
 """
 
+import math
+
 import numpy as np
 
 from ._tables import assignments, table_shape
@@ -66,9 +68,16 @@ def gen_stereo_second_order(
     separators="singleton",
 ):
     """Disparity-style grid with ternary second-difference factors along rows
-    and columns.  Unaries default to seeded noise in [0, 3 * weight]."""
+    and columns.  Unaries default to seeded noise in [0, 3 * weight], which
+    needs a non-negative weight."""
     if labels < 2 or width < 3 or height < 3:
         raise ValueError("need labels >= 2 and a grid of at least 3x3")
+    if not math.isfinite(smooth_weight):
+        raise ValueError(f"smoothness weight must be finite, not {smooth_weight}")
+    if unary_source is None and smooth_weight < 0:
+        raise ValueError(
+            f"smoothness weight must be non-negative to draw unaries, not {smooth_weight}"
+        )
     nodes = _grid_nodes(width, height)
     n = width * height
     label_counts = [labels] * n

@@ -11,26 +11,19 @@ against live in `homrf.oracle`.
 
 Messages and separator caches are rows of stacked arrays, one stack per
 separator table shape; the state's `messages` and `theta_sep` are read-only
-views of those rows.  A sweep runs level by level from the level schedule
-that the decomposition's sweep plan (`homrf._plan`) compiles for its
-direction and reuse mode: the separator steps of one level commute, and the
-updates of one recipe shape at a level run as one batched
-gather-subtract-add-min-scatter, then the caches of the level are rebuilt
-the same way.  The results are byte-identical to a sweep one separator at a
-time.  The chain dynamic program behind every bound also runs from the
-plan, so a pass does no structural bookkeeping of its own.
+views of those rows.  A sweep runs the program that the sweep plan module
+(`homrf._plan`) compiles onto the state's stacks for its direction and reuse
+mode: level by level, the updates of one recipe class at a level run as one
+batched gather-subtract-add-min-scatter of numpy calls on fixed operands,
+then the caches of the level are rebuilt the same way.  The results are
+byte-identical to a sweep one separator at a time.  The chain dynamic
+program behind every bound also runs from the plan, so a pass does no
+structural bookkeeping of its own.
 
-A state's first pass in a reuse mode binds that mode's two schedules to the
-state's stacks: every group becomes a short sequence of numpy calls whose
-operands are fixed views, each read a row view already reshaped to its
-broadcast shape, each fresh minimum written with `out=` straight into its
-message rows, each `after` / `before` increment added in place and each
-cache rebuilt into its rows.  Rows that only an index array can name are
-staged in a scratch buffer, read in with `take` before the group and
-stored back after it.  A pass then only calls what was bound.  The binding
-lives in the state, out of its repr and comparisons; a copy of the state
-starts without one, and a pass binds again once the schedules or the
-stacks are no longer those it was bound to.
+A state's first pass in a reuse mode compiles that mode's program and keeps
+it, out of the state's repr and comparisons; a copy of the state starts
+without one, and a pass compiles again once the state's stacks are no
+longer those the program was compiled onto.
 
 The message-form sweep reads its bound off the sweep, as TRW-S does, instead
 of re-solving every chain.  Messages are stored rather than accumulated, so
@@ -52,11 +45,10 @@ import time
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from operator import mul
-from typing import NamedTuple
 
 import numpy as np
 
-from ._plan import AFTER, FRESH, Bindings, _gc_paused, same_objects, sweep_schedule
+from ._plan import Bindings, compile_sweeps, same_objects
 from ._tables import min_over
 from .errors import ExcessMessageOps, StateNotInitialized
 
@@ -170,7 +162,7 @@ class ChainSolverState:
     ready: bool = False
     message_stacks: list = None
     separator_stacks: list = None
-    # per reuse mode, its level schedules bound to the stacks above
+    # per reuse mode, its sweeps compiled onto the stacks above
     _bound: Bindings = field(default_factory=Bindings, init=False, repr=False, compare=False)
 
 
@@ -217,222 +209,16 @@ def _net_table(source, subtract, messages):
     return out
 
 
-def _rows_shape(stack, rows):
-    return (len(rows),) + stack.shape[1:] if isinstance(rows, np.ndarray) else stack[rows].shape
-
-
-class _Binder:
-    """Binds a reuse mode's schedules to one state's message and cache
-    stacks M and T.
-
-    Every operand is bound once: rows given by an index or a basic slice are
-    views of their stack, reshaped to the shape they broadcast in.  Rows
-    given by an index array cannot be views; they are staged in scratch,
-    read into it with `take` before the group's arithmetic and stored back
-    after it.  Groups never run at the same time, so each group's scratch
-    starts at the start of one shared scratch buffer; a group that outgrows
-    the buffer moves on to a new one twice as large.  A group that two
-    schedules share (the forward and the backward sweep share most one-edge
-    groups) is bound once."""
-
-    def __init__(self, M, T):
-        self.M, self.T = M, T
-        self.buffer = np.empty(0)
-        self.top = 0  # scratch cells of the buffer the current group uses
-        self.calls = []  # (function, args) of the current group
-        self.stores = []  # staged rows the group writes, stored back when it ends
-        self.regions = {}  # (offset, shape) -> view of the buffer
-        self.groups = {}  # id(group) -> its calls
-        self.views = {}  # operands already bound, shared by the groups that use them
-
-    def scratch(self, shape):
-        n = math.prod(shape)
-        if self.top + n > len(self.buffer):
-            self.buffer = np.empty(max(2 * len(self.buffer), n))
-            self.regions = {}
-            self.top = 0
-        view = self.regions.get((self.top, shape))
-        if view is None:
-            view = self.buffer[self.top : self.top + n].reshape(shape)
-            self.regions[(self.top, shape)] = view
-        self.top += n
-        return view
-
-    def emit(self, f, *args):
-        self.calls.append((f, args))
-
-    def read(self, stack, rows, shape=None):
-        # `rows` of `stack` in `shape` (their own by default)
-        if isinstance(rows, np.ndarray):
-            staged = self.scratch(_rows_shape(stack, rows))
-            self.emit(stack.take, rows, 0, staged)
-            return staged if shape is None else staged.reshape(shape)
-        at = rows if isinstance(rows, int) else (rows.start, rows.stop, rows.step)
-        key = (id(stack), at, shape)
-        view = self.views.get(key)
-        if view is None:
-            view = stack[rows] if shape is None else stack[rows].reshape(shape)
-            self.views[key] = view
-        return view
-
-    def write(self, stack, rows, load):
-        # `rows` of `stack` for the group to write, read first if `load`
-        if not isinstance(rows, np.ndarray):
-            return self.read(stack, rows)
-        staged = self.read(stack, rows) if load else self.scratch(_rows_shape(stack, rows))
-        self.stores.append((stack.__setitem__, (rows, staged)))
-        return staged
-
-    def coef(self, coef):
-        # a Python float as a 0-d array: cheaper in a ufunc call, the same product
-        if not isinstance(coef, float):
-            return coef
-        array = self.views.get(("coef", coef))
-        if array is None:
-            array = self.views[("coef", coef)] = np.array(coef)
-        return array
-
-    def stacked(self, tables):
-        # scratch holding the tables stacked along a new leading axis, and
-        # the call that fills it, concatenating them along their first axis
-        shape = tables[0].shape
-        stack = self.scratch((len(tables),) + shape)
-        self.emit(np.concatenate, tables, 0, stack.reshape((len(tables) * shape[0],) + shape[1:]))
-        return stack
-
-    def group(self, bind, group):
-        # the functions of one group's calls and their arguments; the
-        # schedules being bound keep every group, and so its id, alive
-        calls = self.groups.get(id(group))
-        if calls is None:
-            bind(self, group)
-            calls = self.calls + self.stores
-            calls = self.groups[id(group)] = (
-                tuple([f for f, _ in calls]),
-                tuple([args for _, args in calls]),
-            )
-            self.calls, self.stores, self.top = [], [], 0
-        return calls
-
-    def bind(self, levels):
-        # a level schedule's program, message operations and cells per lead
-        # variant; groups of either variant share their calls
-        programs, ops, cells = ([], []), [0, 0], [0, 0]
-        for messages, caches in levels:
-            for g in messages:
-                calls = self.group(_bind_messages, g)
-                for v in (False, True) if g.cond is None else (g.cond,):
-                    programs[v].append(calls)
-                    ops[v] += len(g.edges)
-                    cells[v] += g.cells
-            for g in caches:
-                calls = self.group(_bind_caches, g)
-                programs[0].append(calls)
-                programs[1].append(calls)
-        return tuple(map(tuple, programs)), tuple(ops), tuple(cells)
-
-
-def _bind_fresh(bd, bracket, out):
-    """Fresh messages of a group's edges (a, b) into `out`: each source table
-    net of its other outgoing messages plus the weighted separator caches the
-    target lacks, minimized onto b."""
-    sources, subtract, extra, axes = bracket
-    terms = [(np.subtract, bd.read(bd.M[s], rows, shape)) for s, rows, shape in subtract]
-    for coef, s, rows, shape in extra:
-        product = bd.scratch(shape)
-        bd.emit(np.multiply, bd.coef(coef), bd.read(bd.T[s], rows, shape), product)
-        terms.append((np.add, product))
-    if len(sources) == 1:
-        net = sources[0]  # read-only: the first term writes into scratch
-        work = bd.scratch(net.shape) if terms else None
-    else:
-        net = work = bd.stacked(sources)
-    for ufunc, operand in terms:
-        bd.emit(ufunc, net, operand, work)
-        net = work
-    bd.emit(np.minimum.reduce, net, axes, None, out)
-
-
-def _bind_fold(bd, fold, total, delta):
-    """Add the weighted caches of p's locals outside b's to `total`, a table
-    over the superset p, and minimize onto b into `delta`.  With `total` None
-    the sum starts from zero: that is the `reuse="after"` increment; while
-    (a, p) holds this sweep's message, the stored (a, b) message plus it
-    equals the direct update, scanning only p.  p's own cache is always a
-    term."""
-    acc = 0.0 if total is None else total
-    if total is None:
-        total = bd.scratch(fold.shape)
-    for coef, s, rows, shape in fold.terms:
-        product = bd.scratch(shape)
-        bd.emit(np.multiply, bd.coef(coef), bd.read(bd.T[s], rows, shape), product)
-        bd.emit(np.add, acc, product, total)
-        acc = total
-    bd.emit(np.minimum.reduce, total, fold.axes, None, delta)
-
-
-def _bind_messages(bd, group):
-    kind, _, _, _, bracket, fold, (s, rows), sup = group
-    M = bd.M
-    if kind is FRESH:
-        _bind_fresh(bd, bracket, bd.write(M[s], rows, load=False))
-        return
-    delta = bd.scratch(_rows_shape(M[s], rows))
-    if kind is AFTER:
-        _bind_fold(bd, fold, None, delta)
-    else:  # BEFORE: refresh (a, p) and fold its increment toward b in
-        sp, rows_p, b_in_p = sup
-        m_new = bd.scratch(_rows_shape(M[sp], rows_p))
-        _bind_fresh(bd, bracket, m_new)
-        old = bd.write(M[sp], rows_p, load=True)
-        total = bd.scratch(fold.shape)
-        bd.emit(np.subtract, m_new, old, total)
-        _bind_fold(bd, fold, total, delta)
-        bd.emit(np.subtract, m_new, delta.reshape(b_in_p), old)
-    out = bd.write(M[s], rows, load=True)
-    bd.emit(np.add, out, delta, out)
-
-
-def _bind_caches(bd, group):
-    # each separator's original table plus its incoming messages, into its cache
-    sources, s, incoming, rows = group
-    out = bd.write(bd.T[s], rows, load=False)
-    acc = sources[0] if len(sources) == 1 else bd.stacked(sources)
-    if not incoming:
-        bd.emit(np.copyto, out, acc)
-    for r in incoming:
-        bd.emit(np.add, acc, bd.read(bd.M[s], r), out)
-        acc = out
-
-
-class _Bound(NamedTuple):
-    """A reuse mode's forward and backward schedules bound to one state's
-    stacks.  The last three fields are indexed by direction (forward first)
-    and then by lead variant (False, True)."""
-
-    schedule: tuple  # the (forward, backward) level schedules it was bound from
-    arrays: tuple  # the message and cache stacks it was bound to
-    programs: tuple  # per group, its functions and their arguments
-    ops: tuple  # message operations a sweep runs
-    cells: tuple  # joint states a sweep minimizes over
-
-
-@_gc_paused
-def _bind(schedule, M, T):
-    bd = _Binder(M, T)
-    forward, backward = bd.bind(schedule[0]), bd.bind(schedule[1])
-    return _Bound(schedule, (*M, *T), *zip(forward, backward))
-
-
-def _bound_sweeps(state, reuse, schedule):
-    """The state's binding of a reuse mode's schedules, bound on first use
-    and again once the schedules or the state's stacks are no longer those
-    it was bound to."""
-    bound = state._bound.get(reuse)
+def _program(decomp, state, reuse):
+    """The state's program of a reuse mode, compiled on first use and again
+    once the state's stacks are no longer those it was compiled onto."""
+    program = state._bound.get(reuse)
     arrays = (*state.message_stacks, *state.separator_stacks)
-    if bound is None or bound.schedule is not schedule or not same_objects(bound.arrays, arrays):
-        bound = state._bound[reuse] = _bind(schedule, state.message_stacks, state.separator_stacks)
-    return bound
+    if program is None or not same_objects(program.arrays, arrays):
+        program = state._bound[reuse] = compile_sweeps(
+            decomp, reuse, state.message_stacks, state.separator_stacks
+        )
+    return program
 
 
 def trws_chain_pass(decomp, state, reuse="none"):
@@ -452,8 +238,8 @@ def trws_chain_pass(decomp, state, reuse="none"):
     superset's own update is then a no-op.  Each gives the messages of the
     direct update.
 
-    The sweep runs the level schedule of its direction and mode
-    (`homrf._plan`), which the first pass in that mode compiles.
+    The sweep runs the state's program of its direction and mode
+    (`homrf._plan`), which the state's first pass in that mode compiles.
     """
     if not isinstance(state, ChainSolverState) or not state.ready:
         raise StateNotInitialized("chain solver state must come from chain_state_init")
@@ -462,22 +248,22 @@ def trws_chain_pass(decomp, state, reuse="none"):
     direction = state.direction
     forward = direction == "forward"
     plan = decomp._sweep_plan
-    bound = _bound_sweeps(state, reuse, sweep_schedule(decomp, reuse))
+    program = _program(decomp, state, reuse)
     d = 0 if forward else 1
     # a lead edge's `after` reads the trailing bound's message, which this
     # sweep skips: it is current only if the last sweep ran the other way
     lead_current = state.last_direction not in (None, direction)
-    for functions, arguments in bound.programs[d][lead_current]:
-        for f, args in zip(functions, arguments):
-            f(*args)
-    ops = bound.ops[d][lead_current]
-    state.meff += bound.cells[d][lead_current]
-    state.last_direction = direction
-
+    ops = program.ops[d][lead_current]
     if ops > len(decomp.message_edges):
         raise ExcessMessageOps(
             f"{ops} message operations for {len(decomp.message_edges)} edges in one pass"
         )
+    for phase in program.phases[d][lead_current]:
+        for group in phase:
+            for f, args in group:
+                f(*args)
+    state.meff += program.cells[d][lead_current]
+    state.last_direction = direction
     state.msg_ops_last_pass = ops
     state.direction = "backward" if forward else "forward"
 

@@ -225,6 +225,17 @@ class TestGenerators:
             fid = model.factor_id(s)
             assert fid in js.separators
 
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf"), -float("inf")])
+    def test_stereo_weight_must_be_finite(self, weight):
+        with pytest.raises(ValueError, match="finite"):
+            gen_stereo_second_order(3, 3, labels=2, smooth_weight=weight)
+
+    def test_negative_stereo_weight_needs_given_unaries(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            gen_stereo_second_order(3, 3, labels=2, smooth_weight=-5.0)
+        model, _ = gen_stereo_second_order(3, 3, labels=2, smooth_weight=-5.0, unary_source=np.ones(18))
+        assert model.table(model.factor_id((0, 1, 2)))[0, 0, 1] == -5.0
+
     def test_potts_block_values(self):
         table = potts_block_table(4, 5000.0)
         assert table[3, 3, 3, 3] == 0.0
@@ -438,12 +449,23 @@ class TestCliErrors:
             ["--gen", "potts2x2", "--width", "1"],
             ["--gen", "stereo", "--labels", "0"],
             ["--gen", "potts2x2", "--labels", "-1"],
+            ["--gen", "stereo", "--stereo-lambda", "nan"],
+            ["--gen", "stereo", "--stereo-lambda", "inf"],
+            ["--gen", "stereo", "--stereo-lambda=-inf"],
+            ["--gen", "stereo", "--stereo-lambda=-5"],
         ],
     )
     def test_bad_generator_parameters_exit_2(self, argv):
         code, err = _exit(argv + ["--passes", "1"])
         assert code == 2
-        assert "--gen" in err
+        assert f"--gen {argv[1]}: " in err and "Traceback" not in err
+
+    def test_allocation_failure_exit_1(self):
+        # the 100000**3 stereo table is 7 PiB: numpy refuses it at once
+        argv = ["--gen", "stereo", "--width", "3", "--height", "3", "--labels", "100000"]
+        code, err = _exit(argv + ["--passes", "1"])
+        assert code == 1
+        assert err.startswith("error: out of memory") and "Traceback" not in err
 
     @pytest.mark.parametrize("text", ["4 3 2 1 1\n", "0 1 2 x 4\n", "0 1 2 3\n"])
     def test_bad_node_order_file_exit_1(self, tmp_path, rng, text):

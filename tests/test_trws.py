@@ -30,7 +30,7 @@ from homrf.oracle import (
     trws_explicit_pass,
     trws_general_pass,
 )
-from homrf._plan import Level, sweep_schedule
+from homrf._plan import compile_sweeps
 from homrf.trws import (
     bound,
     chain_state_factor_tables,
@@ -505,11 +505,15 @@ class TestChainPassMessageForm:
     def test_unconsumed_preemptive_message_raises(self):
         make = lambda: build_monotonic_chains(*figure_chain_instance(np.random.default_rng(3)))
         probe = make()
-        forward, _ = sweep_schedule(probe, "before-after")
-        stack, row, _ = next(g.sup for level in forward for g in level.messages if g.sup)
-        queued = probe._layout.edges[stack][row]
+        # a forward sweep skips its trailing bounds and the no-ops that
+        # consume a preemptive refresh; `queued` is the first such no-op
+        updated = set(sequential_updates(probe, "before-after", True, False))
+        queued = min(
+            (k for k in probe.message_edges if k not in updated and k[1] != probe.sep_minus[k[0]]),
+            key=lambda k: probe.sep_rank[k[1]],
+        )
         # the sweep order loses the step that consumes the preemptive refresh
-        # of `queued`; the schedule compiled from it must not run
+        # of `queued`; the program compiled from it must not run
         d = make()
         st = chain_state_init(d)
         d.separator_order = tuple(b for b in d.separator_order if b != queued[1])
@@ -520,10 +524,13 @@ class TestChainPassMessageForm:
         d = build_monotonic_chains(*gen_stereo_second_order(4, 4, labels=2, seed=1))
         st = chain_state_init(d)
         trws_chain_pass(d, st)
-        # the cached plan still sweeps every edge, now more than d claims
+        # the state's program still sweeps every edge, now more than d
+        # claims; the pass must raise before it changes the state
         d.message_edges = d.message_edges[:1]
+        before = state_signature(st)
         with pytest.raises(ExcessMessageOps, match="32 message operations for 1 edges"):
             trws_chain_pass(d, st)
+        assert state_signature(st) == before
 
     def test_unknown_reuse_rejected(self):
         d = build_monotonic_chains(*figure_chain_instance(np.random.default_rng(3)))
@@ -733,8 +740,14 @@ def sequential_updates(d, reuse, forward, lead_current):
     return sequential_pass(d, messages, theta, reuse, forward, lead_current)
 
 
-def reversed_levels(levels):
-    return tuple(Level(lv.messages[::-1], lv.caches[::-1]) for lv in levels)
+def reversed_phases(program):
+    # the program with the groups of each phase in reverse order
+    return program._replace(
+        phases=tuple(
+            tuple(tuple(phase[::-1] for phase in phases) for phases in variants)
+            for variants in program.phases
+        )
+    )
 
 
 def stacks_bytes(state):
@@ -742,7 +755,7 @@ def stacks_bytes(state):
 
 
 class TestLevelSchedule:
-    """The sweep runs level by level, one group per recipe shape; the steps
+    """The sweep runs level by level, one group per recipe class; the groups
     of a level must commute and every update must run exactly once."""
 
     @pytest.mark.parametrize("reuse", REUSE_MODES)
@@ -766,9 +779,9 @@ class TestLevelSchedule:
         for make in schedule_instances():
             d, e = make(), make()
             st_d, st_e = chain_state_init(d), chain_state_init(e)
-            forward, backward = sweep_schedule(e, reuse)
-            multi += sum(len(lv.messages) > 1 or len(lv.caches) > 1 for lv in forward)
-            e._sweep_plan.sweeps[reuse] = (reversed_levels(forward), reversed_levels(backward))
+            program = compile_sweeps(e, reuse, st_e.message_stacks, st_e.separator_stacks)
+            multi += sum(len(phase) > 1 for phase in program.phases[0][0])
+            st_e._bound[reuse] = reversed_phases(program)
             for _ in range(6):
                 phi = trws_chain_pass(d, st_d, reuse=reuse)
                 assert trws_chain_pass(e, st_e, reuse=reuse) == phi
@@ -778,22 +791,17 @@ class TestLevelSchedule:
 
     @pytest.mark.parametrize("reuse", REUSE_MODES)
     def test_every_update_runs_in_exactly_one_group(self, reuse):
+        # which updates run, and that each runs once, is checked by the
+        # byte identity with `sequential_pass`; here their number per sweep
         for make in schedule_instances():
             d = make()
-            for forward, levels in zip((True, False), sweep_schedule(d, reuse)):
-                for lead_current in (False, True):
-                    written = [
-                        e
-                        for lv in levels
-                        for g in lv.messages
-                        if g.cond is None or g.cond is lead_current
-                        for e in g.edges
-                    ]
-                    want = sequential_updates(d, reuse, forward, lead_current)
-                    assert len(written) == len(set(written))
-                    assert sorted(written) == sorted(want)
-            # the first pass runs the variant where lead edges may not take `after`
             st = chain_state_init(d)
+            program = compile_sweeps(d, reuse, st.message_stacks, st.separator_stacks)
+            for forward, ops in zip((True, False), program.ops):
+                for lead_current in (False, True):
+                    want = sequential_updates(d, reuse, forward, lead_current)
+                    assert ops[lead_current] == len(want)
+            # the first pass runs the variant where lead edges may not take `after`
             for k in range(3):
                 trws_chain_pass(d, st, reuse=reuse)
                 want = sequential_updates(d, reuse, k % 2 == 0, k > 0)
@@ -819,32 +827,23 @@ class TestLevelSchedule:
 
     @pytest.mark.parametrize("reuse", REUSE_MODES)
     def test_instances_reach_views_and_index_arrays(self, reuse):
-        # a bound group reads and writes a row set given by an index or a
-        # slice through views, and one given by an index array through
-        # scratch; the instances above must exercise both
+        # a compiled group reads and writes a row set given by an index or a
+        # slice through views of the stacks, and one given by an index array
+        # through scratch; the instances above must exercise both
         found = set()
         for make in schedule_instances():
-            for levels in sweep_schedule(make(), reuse):
-                for lv in levels:
-                    for rows in (r for g in lv.messages + lv.caches for r in row_sets(g)):
-                        found.add(isinstance(rows, np.ndarray))
-        assert found == {False, True}
-
-
-def row_sets(group):
-    # every row set a message or cache group reads or writes
-    if not hasattr(group, "kind"):
-        yield group.rows
-        yield from group.incoming
-        return
-    yield group.out[1]
-    if group.sup is not None:
-        yield group.sup[1]
-    if group.bracket is not None:
-        yield from (rows for _, rows, _ in group.bracket.subtract)
-        yield from (rows for _, _, rows, _ in group.bracket.extra)
-    if group.fold is not None:
-        yield from (rows for _, _, rows, _ in group.fold.terms)
+            d = make()
+            st = chain_state_init(d)
+            stacks = st.message_stacks + st.separator_stacks
+            program = compile_sweeps(d, reuse, st.message_stacks, st.separator_stacks)
+            for phases in (p for variants in program.phases for p in variants):
+                for f, args in (call for phase in phases for group in phase for call in group):
+                    for x in args:
+                        if isinstance(x, np.ndarray) and x.dtype == np.intp:
+                            found.add("index array")
+                        elif isinstance(x, np.ndarray) and any(x.base is s for s in stacks):
+                            found.add("view")
+        assert found == {"view", "index array"}
 
 
 def state_signature(st):
@@ -859,10 +858,10 @@ def state_signature(st):
 
 
 class TestBoundSweeps:
-    """A state binds each reuse mode's schedules to its stacks on its first
-    pass in that mode.  Whatever happens to the state or to the schedules
-    between passes, the passes must run byte-identical to a fresh state on
-    the same inputs, and never write another state's arrays."""
+    """A state compiles each reuse mode's sweeps onto its stacks on its first
+    pass in that mode.  Whatever happens to the state between passes, the
+    passes must run byte-identical to a fresh state on the same inputs, and
+    never write another state's arrays."""
 
     PASSES = 6
 
@@ -918,23 +917,6 @@ class TestBoundSweeps:
             phis[1] += [trws_chain_pass(d, second, reuse=reuse) for _ in range(2)]
             assert phis == [want_phis, want_phis]
             assert state_signature(first) == want and state_signature(second) == want
-
-    @pytest.mark.parametrize("reuse", REUSE_MODES)
-    def test_replaced_schedule_rebinds(self, reuse):
-        for make in schedule_instances():
-            want_phis, want = self.reference(make, reuse)
-            d = make()
-            st = chain_state_init(d)
-            phis = [trws_chain_pass(d, st, reuse=reuse) for _ in range(2)]
-            forward, backward = sweep_schedule(d, reuse)
-            d._sweep_plan.sweeps[reuse] = (reversed_levels(forward), reversed_levels(backward))
-            phis += [trws_chain_pass(d, st, reuse=reuse) for _ in range(self.PASSES - 2)]
-            assert phis == want_phis and state_signature(st) == want
-            # the pass runs the schedule now in place: an empty one updates nothing
-            d._sweep_plan.sweeps[reuse] = ((), ())
-            before = stacks_bytes(st)
-            trws_chain_pass(d, st, reuse=reuse)
-            assert st.msg_ops_last_pass == 0 and stacks_bytes(st) == before
 
     def test_bindings_stay_out_of_repr_and_comparisons(self):
         d = build_monotonic_chains(*gen_stereo_second_order(4, 4, labels=2, seed=1))
