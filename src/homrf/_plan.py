@@ -15,7 +15,18 @@ consumes a preemptive refresh, or a fresh message) is fixed per mode and
 direction, up to one choice made per pass: a `lead` edge, whose window
 neighbour swept just before it is its trailing bound, may take `after` only
 once a sweep in the other direction has completed.  The program holds one
-run of phases per choice, its lead variant.
+run of phases per direction and choice, its variants, and compiles each on
+first use: alternation from a fresh state runs forward without lead `after`
+and then each direction with it, never backward without it.
+
+Recipes.  What an update needs besides rows and coefficients follows from
+the structure of its source a: a's table shape, where the scopes of a's
+separator locals sit in a's scope, which of them form a's window and which
+of them b's locals hold.  A read-off toward b from the superset p next to it
+in a's window follows from the same structure and from which of a's
+separator locals p's locals hold, since J is closed and p's locals are
+among a's.  So each recipe class is derived once per structure, and per
+edge only its rows, coefficients and the numbers it reads remain.
 
 A separator step reads messages and separator caches and writes its
 messages (a preemptive `(a, p)` one included) and its cache.  Each step goes
@@ -36,9 +47,11 @@ are written with `out=` straight into their message rows, `after` and
 `before` increments are added in place and caches are rebuilt into their
 rows.  Rows that only an index array can name cannot be views: they are
 staged in scratch, read in with `take` before the group's arithmetic and
-stored back after it.  A program keeps its level boundaries: each level
-runs in two phases, its message groups and then its cache groups, and the
-groups of one phase commute.
+stored back after it.  A cache term whose coefficients are all exactly 1.0
+adds the cache rows themselves, with no multiply: x * 1.0 is x bit for bit.
+A program keeps its level boundaries: each level runs in two phases, its
+message groups and then its cache groups, and the groups of one phase
+commute.  A group that two variants or both directions run is compiled once.
 
 The sweep plan (`SweepPlan`) holds each chain's dynamic-programming stages, each outer
 factor's messages (for its reparameterized table) and the end separators
@@ -51,7 +64,7 @@ its first pass in a reuse mode, and kept in its `Bindings`.
 import gc
 import math
 from functools import wraps
-from operator import is_
+from operator import is_, itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -72,15 +85,19 @@ class Layout(NamedTuple):
     sep_row: dict  # b -> (stack, row)
 
 
+class Variant(NamedTuple):
+    """A sweep in one direction under one lead choice, compiled."""
+
+    phases: tuple  # per phase, its groups, each a tuple of (function, arguments); they commute
+    ops: int  # message operations the sweep runs
+    cells: int  # joint states the sweep minimizes over
+
+
 class SweepProgram(NamedTuple):
-    """A reuse mode's forward and backward sweeps compiled onto one state's
-    stacks.  The last three fields are indexed by direction (forward first)
-    and then by lead variant (False, True)."""
+    """A reuse mode's sweeps compiled onto one state's stacks."""
 
     arrays: tuple  # the message and cache stacks it runs on
-    phases: tuple  # per phase, its groups, each a tuple of (function, arguments); they commute
-    ops: tuple  # message operations a sweep runs
-    cells: tuple  # joint states a sweep minimizes over
+    variants: dict  # (forward, lead) -> its Variant, compiled on first use
 
 
 class Stage(NamedTuple):
@@ -190,37 +207,47 @@ def _index(rows):
     first = rows[0]
     if len(rows) == 1:
         return first
-    step = rows[1] - first
-    if step > 0 and rows == list(range(first, rows[-1] + 1, step)):
-        return slice(first, rows[-1] + 1, step)
+    step, last = rows[1] - first, rows[-1]
+    if step > 0 and tuple(rows) == tuple(range(first, last + 1, step)):
+        return slice(first, last + 1, step)
     return np.array(rows, dtype=np.intp)
 
 
-def _lead(g, shape):
-    # `shape` with the leading batch axis of a group of g rows
-    return shape if g == 1 else (g,) + shape
+class _Fresh(NamedTuple):
+    """What the fresh messages of one recipe class share."""
+
+    cls: int
+    subtract: tuple  # (stack, shape in a) per other window message of a
+    add: tuple  # (stack, shape in a) per cache of a separator b lacks
+    axes: tuple  # of a minimized out
+    batch_axes: tuple  # the same axes behind a leading batch axis
+    cells: int  # of a's table
 
 
-def _rows(terms, pos):
-    # the rows a group's terms read, at `pos` in each term
-    return terms[0][pos] if len(terms) == 1 else _index([t[pos] for t in terms])
+class _Fold(NamedTuple):
+    """What the read-offs toward b from p of one recipe class share."""
 
-
-def _rows_shape(stack, rows):
-    return (len(rows),) + stack.shape[1:] if isinstance(rows, np.ndarray) else stack[rows].shape
+    cls: int
+    shape: tuple  # of p's table
+    add: tuple  # (stack, shape in p) per cache of p's locals outside b's
+    axes: tuple  # of p minimized out
+    batch_axes: tuple
+    b_in_p: tuple  # shape of b in p
+    cells: int  # of p's table
 
 
 class _Emitter:
     """Collects the numpy calls of one group at a time on a state's message
     and cache stacks M and T.
 
-    Every operand is bound once: views of stack rows are shared by the
-    groups that read them, and so are the 0-d arrays of single
-    coefficients, cheaper in a ufunc call than a Python float and giving
-    the same product.  Rows named by an index array are staged in scratch
-    (`read`, `write`).  Groups never run at the same time, so each group's
-    scratch starts at the start of one shared scratch buffer; a group that
-    outgrows the buffer moves on to a new one twice as large."""
+    Rows are given as one row or as a tuple of rows, with the coefficients
+    that go with them.  Every operand is bound once: views of stack rows are
+    shared by the groups that read them, and so are coefficients, as 0-d
+    arrays for one row (cheaper in a ufunc call than a Python float, with
+    the same product).  Rows that only an index array can name are staged in
+    scratch (`read`, `write`).  Groups never run at the same time, so each
+    group's scratch starts at the start of one shared scratch buffer; a group
+    that outgrows the buffer moves on to a new one twice as large."""
 
     def __init__(self, M, T):
         self.M, self.T = M, T
@@ -229,7 +256,9 @@ class _Emitter:
         self.calls = []  # (function, arguments) of the current group
         self.stores = []  # staged rows the group writes, stored back when it ends
         self.regions = {}  # (offset, shape) -> view of the buffer
-        self.views = {}  # operands already bound
+        self.index = {}  # rows -> what names them in a stack (`_index`)
+        self.views = {}  # (stack id, rows, shape) -> view of those rows
+        self.coefs = {}  # a coefficient, or (coefficients, dimensions) -> multiplier; None if all are 1.0
 
     def scratch(self, shape):
         n = math.prod(shape)
@@ -247,41 +276,55 @@ class _Emitter:
     def emit(self, f, *args):
         self.calls.append((f, args))
 
-    def read(self, stack, rows, shape=None):
-        # `rows` of `stack` in `shape` (their own by default)
-        if isinstance(rows, np.ndarray):
-            staged = self.scratch(_rows_shape(stack, rows))
-            self.emit(stack.take, rows, 0, staged)
-            return staged if shape is None else staged.reshape(shape)
-        at = rows if isinstance(rows, int) else (rows.start, rows.stop, rows.step)
-        key = (id(stack), at, shape)
+    def at(self, rows):
+        if type(rows) is int:
+            return rows
+        at = self.index.get(rows)
+        if at is None:
+            at = self.index[rows] = _index(rows)
+        return at
+
+    def read(self, stack, rows, shape):
+        # `rows` of `stack` in `shape`
+        key = (id(stack), rows, shape)
         view = self.views.get(key)
         if view is None:
-            view = stack[rows] if shape is None else stack[rows].reshape(shape)
-            self.views[key] = view
+            at = rows if type(rows) is int else self.at(rows)
+            if type(at) is np.ndarray:
+                staged = self.scratch((len(rows),) + stack.shape[1:])
+                self.emit(stack.take, at, 0, staged)
+                return staged.reshape(shape)
+            view = self.views[key] = stack[at].reshape(shape)
         return view
 
     def write(self, stack, rows, load):
         # `rows` of `stack` for the group to write, read first if `load`
-        if not isinstance(rows, np.ndarray):
-            return self.read(stack, rows)
-        staged = self.read(stack, rows) if load else self.scratch(_rows_shape(stack, rows))
-        self.stores.append((stack.__setitem__, (rows, staged)))
+        shape = stack.shape[1:] if type(rows) is int else (len(rows),) + stack.shape[1:]
+        at = self.at(rows)
+        if type(at) is not np.ndarray:
+            return self.read(stack, rows, shape)
+        staged = self.read(stack, rows, shape) if load else self.scratch(shape)
+        self.stores.append((stack.__setitem__, (at, staged)))
         return staged
 
-    def weighted(self, terms):
-        # scratch holding the weighted caches of the k-th terms (coefficient,
-        # stack, row, shape) of a group's updates
-        g = len(terms)
-        _, s, _, shape = terms[0]
-        product = self.scratch(_lead(g, shape))
-        if g > 1:
-            coef = np.array([t[0] for t in terms]).reshape((g,) + (1,) * len(shape))
-        else:
-            coef = self.views.get(("coef", terms[0][0]))
-            if coef is None:
-                coef = self.views[("coef", terms[0][0])] = np.array(terms[0][0])
-        caches = self.read(self.T[s], _rows(terms, 2), product.shape)
+    def weighted(self, stack, rows, coefs, shape):
+        # the caches at `rows` of `stack` in `shape`, each times its
+        # coefficient; the caches themselves when every coefficient is
+        # exactly 1.0, since x * 1.0 is x bit for bit
+        caches = self.read(stack, rows, shape)
+        key = coefs if type(coefs) is float else (coefs, len(shape))
+        coef = self.coefs.get(key, False)
+        if coef is False:
+            if type(coefs) is float:
+                coef = None if coefs == 1.0 else np.array(coefs)
+            elif coefs.count(1.0) == len(coefs):
+                coef = None
+            else:
+                coef = np.array(coefs).reshape((len(coefs),) + (1,) * (len(shape) - 1))
+            self.coefs[key] = coef
+        if coef is None:
+            return caches
+        product = self.scratch(shape)
         self.emit(np.multiply, coef, caches, product)
         return product
 
@@ -293,30 +336,28 @@ class _Emitter:
         self.emit(np.concatenate, tables, 0, stack.reshape((len(tables) * shape[0],) + shape[1:]))
         return stack
 
-    def fresh(self, brackets, out):
+    def fresh(self, updates, out):
         """Fresh messages of a group's edges (a, b) into `out`: each a's table
         net of its other window messages, plus the weighted caches of the
-        separators b lacks, minimized onto b.  A bracket is (a's table, the
-        (stack, row, shape in a) of each other window message, the
-        (coefficient, stack, row, shape in a) of each cache added, the axes
-        of a minimized out)."""
-        g = len(brackets)
-        table, _, _, axes = brackets[0]
-        terms = []
-        for ks in zip(*[br[1] for br in brackets]):  # the k-th term of each bracket
-            s, _, sh = ks[0]
-            messages = self.read(self.M[s], _rows(ks, 1), _lead(g, sh))
-            terms.append((np.subtract, messages))
-        for ks in zip(*[br[2] for br in brackets]):
-            terms.append((np.add, self.weighted(ks)))
-        if g == 1:
-            net = table  # read-only: the first term writes into scratch
-            work = self.scratch(table.shape) if terms else None
+        separators b lacks, minimized onto b.  An update is (its class's
+        `_Fresh`, a's table, the rows of the other window messages, the rows
+        of the caches added, their coefficients)."""
+        g = len(updates)
+        rec = updates[0][0]
+        if g == 1:  # the table is read-only: the first term writes into scratch
+            _, net, subtract, add, coefs = updates[0]
+            batch, axes = (), rec.axes
+            work = self.scratch(net.shape) if rec.subtract or rec.add else None
         else:
-            net = work = self.stacked([br[0] for br in brackets])
-            axes = tuple(x + 1 for x in axes)
-        for ufunc, operand in terms:
-            self.emit(ufunc, net, operand, work)
+            subtract = zip(*map(_SUBTRACT_ROWS, updates))
+            add, coefs = zip(*map(_ADD_ROWS, updates)), zip(*map(_ADD_COEFS, updates))
+            batch, axes = (g,), rec.batch_axes
+            net = work = self.stacked([u[1] for u in updates])
+        for (s, shape), rows in zip(rec.subtract, subtract):
+            self.emit(np.subtract, net, self.read(self.M[s], rows, batch + shape), work)
+            net = work
+        for (s, shape), rows, coef in zip(rec.add, add, coefs):
+            self.emit(np.add, net, self.weighted(self.T[s], rows, coef, batch + shape), work)
             net = work
         self.emit(np.minimum.reduce, net, axes, None, out)
 
@@ -327,19 +368,22 @@ class _Emitter:
         the sum starts from zero: that is the `reuse="after"` increment;
         while (a, p) holds this sweep's message, the stored (a, b) message
         plus it equals the direct update, scanning only p.  p's own cache is
-        always a term.  A fold is (p's table shape, the (coefficient, stack,
-        row, shape in p) of each term, the axes of p minimized out, the shape
-        of b in p)."""
+        always a term.  A fold is (its class's `_Fold`, the rows of the caches
+        added, their coefficients)."""
         g = len(folds)
-        shape, _, axes, _ = folds[0]
+        rec = folds[0][0]
+        if g == 1:
+            _, add, coefs = folds[0]
+            batch, axes = (), rec.axes
+        else:
+            add, coefs = zip(*map(_FOLD_ROWS, folds)), zip(*map(_FOLD_COEFS, folds))
+            batch, axes = (g,), rec.batch_axes
         acc = 0.0 if total is None else total
         if total is None:
-            total = self.scratch(_lead(g, shape))
-        for ks in zip(*[f[1] for f in folds]):  # the k-th term of each fold
-            self.emit(np.add, acc, self.weighted(ks), total)
+            total = self.scratch(batch + rec.shape)
+        for (s, shape), rows, coef in zip(rec.add, add, coefs):
+            self.emit(np.add, acc, self.weighted(self.T[s], rows, coef, batch + shape), total)
             acc = total
-        if g > 1:
-            axes = tuple(x + 1 for x in axes)
         self.emit(np.minimum.reduce, total, axes, None, delta)
 
     def group(self):
@@ -349,6 +393,28 @@ class _Emitter:
         return calls
 
 
+_SUBTRACT_ROWS, _ADD_ROWS, _ADD_COEFS = itemgetter(2), itemgetter(3), itemgetter(4)
+_FOLD_ROWS, _FOLD_COEFS = itemgetter(1), itemgetter(2)
+
+
+class _Variants(dict):
+    """A program's sweep variants, each compiled on first use."""
+
+    def __init__(self, build):
+        super().__init__()
+        self.build = build
+
+    @_gc_paused
+    def __missing__(self, key):
+        variant = self[key] = self.build(*key)
+        return variant
+
+
+def _rows_of(entries):
+    # the rows at the head of a group's entries: one row, or a tuple of them
+    return entries[0][0] if len(entries) == 1 else tuple([e[0] for e in entries])
+
+
 @_gc_paused
 def compile_sweeps(decomp, reuse, M, T):
     """The `SweepProgram` of a reuse mode on a state's message and cache
@@ -356,20 +422,21 @@ def compile_sweeps(decomp, reuse, M, T):
     d = decomp
     js = d.jstructure
     scopes, locals_, separators = js.scopes, js.locals, js.separators
-    table = d.model.table
+    tables = [f.table for f in d.model.factors]
     rho = d.rho_factor
     windows = d.local_separators
     layout = d._layout
     edge_row, sep_row = layout.edge_row, layout.sep_row
-    counts = d.model.label_counts
+    stack_of = {shape: s for s, shape in enumerate(layout.shapes)}
     use_after = reuse in ("after", "before-after")
     use_before = reuse == "before-after"
+    orders = {True: d.separator_order, False: d.separator_order[::-1]}
+    trailing = {True: d.sep_minus, False: d.sep_plus}
 
     # Message edges are numbered by their index in `message_edges` and
     # separator b by n + b; these numbers name what a step reads and writes.
     edges = d.message_edges
     n = len(edges)
-    sep_id = list(range(n, n + len(scopes)))
     eid = {key: i for i, key in enumerate(edges)}
     erow = [edge_row[key] for key in edges]
     source = [a for a, _ in edges]
@@ -377,258 +444,363 @@ def compile_sweeps(decomp, reuse, M, T):
     for i, (a, b) in enumerate(edges):
         incoming.setdefault(b, []).append(i)
 
-    def nested(p, b):
-        # whether b is a strict subset of the window neighbour p
-        return p is not None and set(scopes[b]) < set(scopes[p])
+    # A recipe class is what the updates of a batched group share; classes
+    # are numbered, and derived once per source structure (see the module
+    # docstring).
+    classes = {}
 
-    # per edge (a, b): a's window neighbours before and after b, each
-    # followed by whether b nests in it
-    around = []
-    for a, b in edges:
-        window = windows[a]
-        k = window.index(b)
-        before_b = window[k - 1] if k else None
-        after_b = window[k + 1] if k + 1 < len(window) else None
-        around.append((before_b, nested(before_b, b), after_b, nested(after_b, b)))
+    def terms_at(shape, places):
+        # per place, (stack, shape in a `shape` table) of a separator over
+        # those axes of the table
+        terms = []
+        for place in places:
+            own, sh = [], [1] * len(shape)
+            for x in place:
+                own.append(shape[x])
+                sh[x] = shape[x]
+            terms.append((stack_of[tuple(own)], tuple(sh)))
+        return tuple(terms)
 
-    # A recipe is an update of one edge (a bracket or a fold, see
-    # `_Emitter`) plus its class: what the members of a batched group share,
-    # numbered.  Shapes are interned.
-    shared, classes = {}, {}
+    def outside(shape, place):
+        # the axes of a `shape` table not in `place`, alone and behind a batch axis
+        axes = tuple([x for x in range(len(shape)) if x not in place])
+        return axes, tuple([x + 1 for x in axes])
 
-    def canon(x):
-        return shared.setdefault(x, x)
+    def source_class(shape, places, slots):
+        # what the fresh updates of a source share: its number, the term of
+        # each separator local, and per window slot the axes minimized out
+        # and whether b nests in its window neighbours before and after it
+        terms = terms_at(shape, places)
+        sets = [set(places[x]) for x in slots]
+        per_slot = []
+        for k, place in enumerate(sets):
+            nests = (k > 0 and place < sets[k - 1], k + 1 < len(sets) and place < sets[k + 1])
+            per_slot.append((*outside(shape, place), nests))
+        return len(sources), terms, per_slot
 
-    def class_id(x):
-        return classes.setdefault(x, len(classes))
-
-    def fresh_recipes(a, bs):
-        # (class, bracket, cells, reads) of the fresh message on each (a, b)
-        t = table(a)
+    sources = {}  # (table shape, places of the separator locals, window slots) -> `source_class`
+    fresh_classes = {}  # (source number, window slot, locals kept) -> (`_Fresh`, locals lacked, group key)
+    fresh = [None] * n  # per edge: (`_Fresh`, a's table, subtract rows, add rows, coefficients)
+    fresh_reads = [None] * n  # per edge: the numbers its fresh update reads
+    fresh_placed = [None] * n  # per edge: its fresh update's group key and entry (see `walk`)
+    slot_of = [None] * n  # per edge (a, b): b's slot in a's window
+    nests = [None] * n  # per edge (a, b): whether b nests in its window neighbours before and after it
+    source_of = [None] * n  # per edge (a, b): what `fold_recipe` reads of a
+    for a in dict.fromkeys(source):
+        t = tables[a]
+        at = dict(zip(scopes[a], range(t.ndim)))
         ra = rho[a]
-        seps = []  # (c, class part, extra term, read) per separator local c
-        terms = {}  # c -> (class part, shape in a) for the window's c
+        slot, places, rows, ids, coefs = {}, [], [], [], []
         for c in sorted(locals_[a]):
             if c in separators:
-                s, row = sep_row[c]
-                sh = canon(embed_shape(scopes[c], scopes[a], counts))
-                part = class_id((s, sh))
-                seps.append((c, part, (ra / rho[c], s, row, sh), sep_id[c]))
-                terms[c] = (part, sh)
-        window = []  # (c, edge, class part, subtract term) per window separator c
-        for c in windows[a]:
-            i = eid[(a, c)]
-            part, sh = terms[c]
-            window.append((c, i, part, (erow[i][0], erow[i][1], sh)))
-        for b in bs:
-            below = locals_[b]
-            others = [w for w in window if w[0] != b]
-            lack = [x for x in seps if x[0] not in below]
-            axes = canon(drop_axes(scopes[a], scopes[b]))
-            parts = (tuple([w[2] for w in others]), tuple([x[1] for x in lack]))
-            cls = class_id((t.shape, *parts, axes))
-            bracket = (t, tuple([w[3] for w in others]), tuple([x[2] for x in lack]), axes)
-            yield cls, bracket, t.size, tuple([w[1] for w in others] + [x[3] for x in lack])
+                slot[c] = len(places)
+                places.append(tuple(map(at.__getitem__, scopes[c])))
+                rows.append(sep_row[c][1])
+                ids.append(n + c)
+                coefs.append(ra / rho[c])
+        window = windows[a]
+        slots = tuple(map(slot.__getitem__, window))
+        key = (t.shape, tuple(places), slots)
+        made = sources.get(key)
+        if made is None:
+            made = sources[key] = source_class(t.shape, places, slots)
+        number, terms, per_slot = made
+        seps = list(slot)
+        wids = tuple([eid[(a, c)] for c in window])
+        wrows = tuple([erow[i][1] for i in wids])
+        # per window slot: which separator locals its locals hold
+        kepts = tuple([tuple(map(locals_[b].__contains__, seps)) for b in window])
+        rows, coefs, ids = tuple(rows), tuple(coefs), tuple(ids)
+        of_a = (number, t.shape, key[1], slots, rows, coefs, ids, kepts)
+        for k, i in enumerate(wids):
+            kept = kepts[k]
+            made = fresh_classes.get((number, k, kept))
+            if made is None:
+                axes, batch, _ = per_slot[k]
+                lack = tuple([x for x in range(len(kept)) if not kept[x]])
+                subtract = tuple(map(terms.__getitem__, slots[:k] + slots[k + 1 :]))
+                add = tuple(map(terms.__getitem__, lack))
+                cls = classes.setdefault((t.shape, subtract, add, axes), len(classes))
+                rec = _Fresh(cls, subtract, add, axes, batch, t.size)
+                group = (FRESH, erow[i][0], rec.cls, None)
+                made = fresh_classes[(number, k, kept)] = (rec, lack, group)
+            rec, lack, group = made
+            fresh[i] = (
+                rec,
+                t,
+                wrows[:k] + wrows[k + 1 :],
+                tuple(map(rows.__getitem__, lack)),
+                tuple(map(coefs.__getitem__, lack)),
+            )
+            fresh_reads[i] = (*wids[:k], *wids[k + 1 :], *map(ids.__getitem__, lack))
+            fresh_placed[i] = (group, (wrows[k], (FRESH, i, None, None), rec.cells, None))
+            slot_of[i] = k
+            nests[i] = per_slot[k][2]
+            source_of[i] = of_a
 
-    by_source = {}
-    for a, b in edges:
-        by_source.setdefault(a, []).append(b)
-    fresh = [None] * n
-    for a, bs in by_source.items():
-        for b, rec in zip(bs, fresh_recipes(a, bs)):
-            fresh[eid[(a, b)]] = rec
-    folds = {}
+    # Read-offs toward b from the superset p next to it in a's window.  p's
+    # locals are among a's separator locals (J is closed), so the recipe
+    # follows from a's structure, and rows, coefficients and reads from a's.
+    fold_classes = {}  # (source number, p's and b's window slots, locals they keep) -> (`_Fold`, locals)
 
-    def fold_recipe(a, p, b):
-        # (class, fold, cells, reads) of the read-off toward b from p
-        rec = folds.get((a, p, b))
-        if rec is None:
-            below = locals_[b]
-            t = table(p)
-            terms, parts, reads = [], [], []
-            for c in sorted(locals_[p]):
-                if c not in below:
-                    s, row = sep_row[c]
-                    sh = canon(embed_shape(scopes[c], scopes[p], counts))
-                    terms.append((rho[a] / rho[c], s, row, sh))
-                    parts.append(class_id((s, sh)))
-                    reads.append(sep_id[c])
-            axes = canon(drop_axes(scopes[p], scopes[b]))
-            b_in_p = canon(embed_shape(scopes[b], scopes[p], counts))
-            cls = class_id((t.shape, tuple(parts), axes, b_in_p))
-            fold = (t.shape, tuple(terms), axes, b_in_p)
-            rec = folds[(a, p, b)] = (cls, fold, t.size, tuple(reads))
-        return rec
+    def fold_recipe(i, w):
+        # ((`_Fold`, cache rows, coefficients), reads) of the read-off on
+        # edge i toward its b from the window separator at slot w
+        number, shape, places, slots, rows, coefs, ids, kepts = source_of[i]
+        k = slot_of[i]
+        key = (number, w, k, kepts[w], kepts[k])
+        made = fold_classes.get(key)
+        if made is None:
+            p_keeps, b_keeps = kepts[w], kepts[k]
+            cs = tuple([x for x in range(len(p_keeps)) if p_keeps[x] and not b_keeps[x]])
+            on_p = places[slots[w]]  # p's axes in a
+            at = {x: y for y, x in enumerate(on_p)}
+            p_shape = tuple([shape[x] for x in on_p])
+            place = tuple([at[x] for x in places[slots[k]]])
+            add = terms_at(p_shape, [tuple([at[x] for x in places[c]]) for c in cs])
+            axes, batch = outside(p_shape, place)
+            b_in_p = tuple([p_shape[x] if x in place else 1 for x in range(len(p_shape))])
+            cls = classes.setdefault((p_shape, add, axes, b_in_p), len(classes))
+            recipe = _Fold(cls, p_shape, add, axes, batch, b_in_p, math.prod(p_shape))
+            made = fold_classes[key] = (recipe, cs)
+        recipe, cs = made
+        fold = (recipe, tuple(map(rows.__getitem__, cs)), tuple(map(coefs.__getitem__, cs)))
+        return fold, tuple(map(ids.__getitem__, cs))
 
     em = _Emitter(M, T)
-    # op or separator -> calls of its one-update or one-separator group,
-    # which the forward and the backward sweep mostly share
-    singles = {}
+    # a group's updates or separators -> its calls, for the variants and
+    # directions that run the same group
+    made_messages, made_caches = {}, {}
 
     def message_group(key, placed):
         # the calls of the updates `placed` at one level under one key
-        if len(placed) == 1 and placed[0][1] in singles:
-            return singles[placed[0][1]]
         placed.sort()
+        ops = tuple([e[1] for e in placed])
+        calls = made_messages.get(ops)
+        if calls is not None:
+            return calls
         kind, s = key[0], key[1]
-        ops = [op for _, op, _ in placed]
-        rows = _rows(placed, 0)
+        rows = _rows_of(placed)
         if kind is FRESH:
-            em.fresh([fresh[i][1] for _, i, _, _ in ops], em.write(M[s], rows, load=False))
+            em.fresh([fresh[op[1]] for op in ops], em.write(M[s], rows, load=False))
         else:
-            delta = em.scratch(_rows_shape(M[s], rows))
-            fds = [folds[f][1] for _, _, _, f in ops]
+            g = len(ops)
+            batch = () if g == 1 else (g,)
+            delta = em.scratch(batch + M[s].shape[1:])
+            folds = [e[3] for e in placed]
             if kind is AFTER:
-                em.fold(fds, None, delta)
+                em.fold(folds, None, delta)
             else:  # BEFORE: refresh (a, p) and fold its increment toward b in
-                sup = [j for _, _, j, _ in ops]
-                sp, rows_p = erow[sup[0]][0], _index([erow[j][1] for j in sup])
-                m_new = em.scratch(_rows_shape(M[sp], rows_p))
-                em.fresh([fresh[j][1] for j in sup], m_new)
+                sup = [op[2] for op in ops]
+                sp = erow[sup[0]][0]
+                rows_p = erow[sup[0]][1] if g == 1 else tuple([erow[j][1] for j in sup])
+                m_new = em.scratch(batch + M[sp].shape[1:])
+                em.fresh([fresh[j] for j in sup], m_new)
                 old = em.write(M[sp], rows_p, load=True)
-                total = em.scratch(_lead(len(ops), fds[0][0]))
+                recipe = folds[0][0]
+                total = em.scratch(batch + recipe.shape)
                 em.emit(np.subtract, m_new, old, total)
-                em.fold(fds, total, delta)
-                em.emit(np.subtract, m_new, delta.reshape(_lead(len(ops), fds[0][3])), old)
+                em.fold(folds, total, delta)
+                em.emit(np.subtract, m_new, delta.reshape(batch + recipe.b_in_p), old)
             out = em.write(M[s], rows, load=True)
             em.emit(np.add, out, delta, out)
-        calls = em.group()
-        if len(ops) == 1:
-            singles[ops[0]] = calls
+        calls = made_messages[ops] = em.group()
         return calls
+
+    inrows = {b: tuple([erow[i][1] for i in ins]) for b, ins in incoming.items()}
 
     def cache_group(key, seps):
         # each separator's original table plus its incoming messages, in
         # sigma order of their sources, into its cache
-        if len(seps) == 1 and seps[0][1] in singles:
-            return singles[seps[0][1]]
         seps.sort()
+        bs = tuple([b for _, b in seps])
+        calls = made_caches.get(bs)
+        if calls is not None:
+            return calls
         s, indegree = key
-        bs = [b for _, b in seps]
-        out = em.write(T[s], _rows(seps, 0), load=False)
-        acc = table(bs[0]) if len(bs) == 1 else em.stacked([table(b) for b in bs])
+        out = em.write(T[s], _rows_of(seps), load=False)
+        if len(bs) == 1:
+            acc, shape, messages = tables[bs[0]], M[s].shape[1:], inrows.get(bs[0], ())
+        else:
+            acc = em.stacked([tables[b] for b in bs])
+            shape, messages = (len(bs),) + M[s].shape[1:], zip(*[inrows.get(b, ()) for b in bs])
         if not indegree:
             em.emit(np.copyto, out, acc)
-        for k in range(indegree):
-            em.emit(np.add, acc, em.read(M[s], _index([erow[incoming[b][k]][1] for b in bs])), out)
+        for rows in messages:
+            em.emit(np.add, acc, em.read(M[s], rows, shape), out)
             acc = out
-        calls = em.group()
-        if len(bs) == 1:
-            singles[bs[0]] = calls
+        calls = made_caches[bs] = em.group()
         return calls
 
-    def sweep(forward):
-        # (phases, message operations, cells) per lead variant
-        order = d.separator_order if forward else d.separator_order[::-1]
-        trailing = d.sep_minus if forward else d.sep_plus
+    def walk(forward):
+        # the levels of a sweep, each its message groups {key: updates
+        # placed} and its cache groups {key: separators}.  An update placed
+        # is (row, op, cells, its read-off or None); its key ends in the lead
+        # variant that runs it, None for both.
+        order, trail = orders[forward], trailing[forward]
         pending = (set(), set())  # edges refreshed preemptively, per variant
         last_write = [-1] * (n + len(scopes))
-        last_read = [-1] * (n + len(scopes))
+        last_access = [-1] * (n + len(scopes))  # the last level that read or wrote it
         levels = []
         for b in order:
-            reads, writes = [], [n + b]
+            ins = incoming.get(b, ())
+            reads, writes = list(ins), [n + b]  # the cache rebuild reads ins
             placed = []
-            for i in incoming.get(b, ()):
-                reads.append(i)  # the cache rebuild
+            for i in ins:
                 a = source[i]
-                if b == trailing[a]:
+                if b == trail[a]:
                     continue
+                # whether b nests in the window neighbour swept just before
+                # it (pred) and in the one swept just after it (succ)
                 if forward:
-                    pred, after, succ, before = around[i]
+                    nests_pred, nests_succ = nests[i]
                 else:
-                    succ, before, pred, after = around[i]
-                lead = pred == trailing[a]
-                after = use_after and after
-                before = use_before and before
+                    nests_succ, nests_pred = nests[i]
+                after = use_after and nests_pred
+                before = use_before and nests_succ
+                queued = use_before and (i in pending[0] or i in pending[1])
+                if not (after or before or queued):
+                    placed.append(fresh_placed[i])
+                    reads += fresh_reads[i]
+                    writes.append(i)
+                    continue
+                window, k = windows[a], slot_of[i]
+                wp, ws = (k - 1, k + 1) if forward else (k + 1, k - 1)  # slots of pred and succ
+                pred = window[wp] if 0 <= wp < len(window) else None
+                succ = window[ws] if 0 <= ws < len(window) else None
+                lead = pred == trail[a]
+                if not (before or queued):
+                    # AFTER, but fresh in the variant where a lead edge's
+                    # trailing message is not yet current
+                    fold, fold_reads = fold_recipe(i, wp)
+                    key, entry = fresh_placed[i]
+                    taken = (entry[0], (AFTER, i, None, pred), fold[0].cells, fold)
+                    if lead:
+                        placed.append((key[:3] + (False,), entry))
+                        placed.append(((AFTER, key[1], fold[0].cls, True), taken))
+                        reads += fresh_reads[i]
+                    else:
+                        placed.append(((AFTER, key[1], fold[0].cls, None), taken))
+                    reads += fold_reads
+                    writes.append(i)
+                    continue
                 variants = []  # the update without, then with, lead edges taking AFTER
                 for v in (False, True):
                     if i in pending[v]:
                         pending[v].discard(i)
                         variants.append(None)
                     elif after and (v or not lead):
-                        variants.append((AFTER, i, None, (a, pred, b)))
+                        variants.append((AFTER, i, None, pred))
                     elif before:
                         j = eid[(a, succ)]
                         pending[v].add(j)
-                        variants.append((BEFORE, i, j, (a, succ, b)))
+                        variants.append((BEFORE, i, j, succ))
                     else:
                         variants.append((FRESH, i, None, None))
                 if variants[0] == variants[1]:
                     variants = [(None, variants[0])]
                 else:
                     variants = [(False, variants[0]), (True, variants[1])]
+                stack, row = erow[i]
                 for cond, op in variants:
                     if op is None:
                         continue
-                    kind, _, j, f = op
-                    stack, row = erow[i]
+                    kind, _, j, p = op
+                    fold = None
                     if kind is FRESH:
-                        rec = fresh[i]
-                        key = (kind, stack, rec[0], cond)
-                        reads += rec[3]
-                        cells = rec[2]
+                        rec = fresh[i][0]
+                        key = (kind, stack, rec.cls, cond)
+                        reads += fresh_reads[i]
+                        cost = rec.cells
                     elif kind is AFTER:
-                        rec = fold_recipe(*f)
-                        key = (kind, stack, rec[0], cond)
-                        reads += rec[3]
-                        cells = rec[2]
+                        fold, fold_reads = fold_recipe(i, wp)
+                        key = (kind, stack, fold[0].cls, cond)
+                        reads += fold_reads
+                        cost = fold[0].cells
                     else:
-                        rec, fold = fresh[j], fold_recipe(*f)
-                        key = (kind, stack, erow[j][0], rec[0], fold[0], cond)
-                        reads += rec[3]
-                        reads += fold[3]
+                        rec = fresh[j][0]
+                        fold, fold_reads = fold_recipe(i, ws)
+                        key = (kind, stack, erow[j][0], rec.cls, fold[0].cls, cond)
+                        reads += fresh_reads[j]
+                        reads += fold_reads
                         reads.append(j)
                         writes.append(j)
-                        cells = rec[2] + fold[2]
+                        cost = rec.cells + fold[0].cells
                     writes.append(i)
-                    placed.append((key, (row, op, cells)))
+                    placed.append((key, (row, op, cost, fold)))
 
+            # the first level after every step this one conflicts with
             level = 0
             for x in reads:
                 if last_write[x] >= level:
                     level = last_write[x] + 1
             for x in writes:
-                if last_write[x] >= level:
-                    level = last_write[x] + 1
-                if last_read[x] >= level:
-                    level = last_read[x] + 1
+                if last_access[x] >= level:
+                    level = last_access[x] + 1
             for x in reads:
-                if last_read[x] < level:
-                    last_read[x] = level
+                if last_access[x] < level:
+                    last_access[x] = level
             for x in writes:
-                last_write[x] = level
+                last_write[x] = last_access[x] = level
 
             if level == len(levels):
-                levels.append(({}, {}))
+                levels.append([{}, {}])
             messages, caches = levels[level]
             for key, entry in placed:
-                messages.setdefault(key, []).append(entry)
+                group = messages.get(key)
+                if group is None:
+                    messages[key] = [entry]
+                else:
+                    group.append(entry)
             stack, row = sep_row[b]
-            caches.setdefault((stack, len(incoming.get(b, ()))), []).append((row, b))
+            group = caches.get((stack, len(ins)))
+            if group is None:
+                caches[(stack, len(ins))] = [(row, b)]
+            else:
+                group.append((row, b))
 
         left = pending[0] | pending[1]
         if left:
             raise UnconsumedPreemptiveMessage(
                 f"preemptive messages left unconsumed: {sorted(edges[j] for j in left)}"
             )
-        phases, ops, cells = ([], []), [0, 0], [0, 0]
-        for messages, caches in levels:
-            groups = ([], [])
-            for key, placed in messages.items():
-                calls = message_group(key, placed)
-                cond = key[-1]
-                for v in (False, True) if cond is None else (cond,):
-                    groups[v].append(calls)
-                    ops[v] += len(placed)
-                    cells[v] += sum([c for _, _, c in placed])
-            rebuilt = tuple(cache_group(key, seps) for key, seps in caches.items())
-            for v in (0, 1):
-                if groups[v]:
-                    phases[v].append(tuple(groups[v]))
-                phases[v].append(rebuilt)
-        return tuple(map(tuple, phases)), tuple(ops), tuple(cells)
+        return levels
 
-    return SweepProgram((*M, *T), *zip(sweep(True), sweep(False)))
+    walks = {}  # direction -> its levels, until both its variants are built
+    built = set()
+
+    def build(forward, lead):
+        # a level's groups are emitted once, on the first variant that runs
+        # them; its entries then hold (calls, ops, cells)
+        levels = walks.get(forward)
+        if levels is None:
+            levels = walks[forward] = walk(forward)
+        phases, ops, cells = [], 0, 0
+        for level in levels:
+            messages, caches = level
+            groups = []
+            for key, group in messages.items():
+                if key[-1] is None or key[-1] == lead:
+                    if type(group) is list:
+                        group = messages[key] = (
+                            message_group(key, group),
+                            len(group),
+                            sum([e[2] for e in group]),
+                        )
+                    groups.append(group[0])
+                    ops += group[1]
+                    cells += group[2]
+            if groups:
+                phases.append(tuple(groups))
+            if type(caches) is dict:
+                caches = level[1] = tuple([cache_group(key, seps) for key, seps in caches.items()])
+            phases.append(caches)
+        built.add((forward, lead))
+        if (forward, not lead) in built:
+            del walks[forward]
+        return Variant(tuple(phases), ops, cells)
+
+    return SweepProgram((*M, *T), _Variants(build))
 
 
 @_gc_paused

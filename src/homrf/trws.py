@@ -20,9 +20,10 @@ byte-identical to a sweep one separator at a time.  The chain dynamic
 program behind every bound also runs from the plan, so a pass does no
 structural bookkeeping of its own.
 
-A state's first pass in a reuse mode compiles that mode's program and keeps
-it, out of the state's repr and comparisons; a copy of the state starts
-without one, and a pass compiles again once the state's stacks are no
+A state's first pass in a reuse mode starts that mode's program and keeps
+it, out of the state's repr and comparisons; each sweep variant in it
+compiles on the first pass that runs it.  A copy of the state starts
+without a program, and a pass compiles again once the state's stacks are no
 longer those the program was compiled onto.
 
 The message-form sweep reads its bound off the sweep, as TRW-S does, instead
@@ -239,7 +240,7 @@ def trws_chain_pass(decomp, state, reuse="none"):
     direct update.
 
     The sweep runs the state's program of its direction and mode
-    (`homrf._plan`), which the state's first pass in that mode compiles.
+    (`homrf._plan`), compiled by the first pass that runs it.
     """
     if not isinstance(state, ChainSolverState) or not state.ready:
         raise StateNotInitialized("chain solver state must come from chain_state_init")
@@ -249,22 +250,21 @@ def trws_chain_pass(decomp, state, reuse="none"):
     forward = direction == "forward"
     plan = decomp._sweep_plan
     program = _program(decomp, state, reuse)
-    d = 0 if forward else 1
     # a lead edge's `after` reads the trailing bound's message, which this
     # sweep skips: it is current only if the last sweep ran the other way
     lead_current = state.last_direction not in (None, direction)
-    ops = program.ops[d][lead_current]
-    if ops > len(decomp.message_edges):
+    sweep = program.variants[forward, lead_current]
+    if sweep.ops > len(decomp.message_edges):
         raise ExcessMessageOps(
-            f"{ops} message operations for {len(decomp.message_edges)} edges in one pass"
+            f"{sweep.ops} message operations for {len(decomp.message_edges)} edges in one pass"
         )
-    for phase in program.phases[d][lead_current]:
+    for phase in sweep.phases:
         for group in phase:
             for f, args in group:
                 f(*args)
-    state.meff += program.cells[d][lead_current]
+    state.meff += sweep.cells
     state.last_direction = direction
-    state.msg_ops_last_pass = ops
+    state.msg_ops_last_pass = sweep.ops
     state.direction = "backward" if forward else "forward"
 
     phi, cells = _pass_bound(decomp, state, plan.forward_bound if forward else plan.backward_bound)

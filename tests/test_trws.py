@@ -740,14 +740,30 @@ def sequential_updates(d, reuse, forward, lead_current):
     return sequential_pass(d, messages, theta, reuse, forward, lead_current)
 
 
+# every (forward, lead) variant of a sweep program
+VARIANTS = [(forward, lead) for forward in (True, False) for lead in (False, True)]
+
+
 def reversed_phases(program):
-    # the program with the groups of each phase in reverse order
+    # the program with every variant compiled and the groups of each phase
+    # of each in reverse order
+    variants = {key: program.variants[key] for key in VARIANTS}
     return program._replace(
-        phases=tuple(
-            tuple(tuple(phase[::-1] for phase in phases) for phases in variants)
-            for variants in program.phases
-        )
+        variants={
+            key: sweep._replace(phases=tuple(phase[::-1] for phase in sweep.phases))
+            for key, sweep in variants.items()
+        }
     )
+
+
+def compiled_calls(program):
+    # the calls of every group of every variant, each group once
+    seen = set()
+    for key in VARIANTS:
+        for group in (group for phase in program.variants[key].phases for group in phase):
+            if id(group) not in seen:
+                seen.add(id(group))
+                yield from group
 
 
 def stacks_bytes(state):
@@ -774,19 +790,44 @@ class TestLevelSchedule:
                     assert st.theta_sep[b].tobytes() == t.tobytes(), (k, b)
 
     @pytest.mark.parametrize("reuse", REUSE_MODES)
+    def test_backward_first_sweep_is_byte_identical_too(self, reuse):
+        # a state that starts backward runs the backward variant where lead
+        # edges may not take `after`, which alternation from a forward start
+        # never runs
+        for make in schedule_instances():
+            d = make()
+            st = chain_state_init(d)
+            st.direction = "backward"
+            messages = {key: np.zeros(d.model.table(key[1]).shape) for key in d.message_edges}
+            theta = {b: d.model.table(b).copy() for b in d.separator_order}
+            for k in range(6):
+                trws_chain_pass(d, st, reuse=reuse)
+                sequential_pass(d, messages, theta, reuse, k % 2 == 1, k > 0)
+                for key, m in messages.items():
+                    assert st.messages[key].tobytes() == m.tobytes(), (k, key)
+                for b, t in theta.items():
+                    assert st.theta_sep[b].tobytes() == t.tobytes(), (k, b)
+
+    @pytest.mark.parametrize("reuse", REUSE_MODES)
     def test_groups_of_a_level_run_in_any_order(self, reuse):
         multi = 0
         for make in schedule_instances():
-            d, e = make(), make()
-            st_d, st_e = chain_state_init(d), chain_state_init(e)
-            program = compile_sweeps(e, reuse, st_e.message_stacks, st_e.separator_stacks)
-            multi += sum(len(phase) > 1 for phase in program.phases[0][0])
-            st_e._bound[reuse] = reversed_phases(program)
-            for _ in range(6):
-                phi = trws_chain_pass(d, st_d, reuse=reuse)
-                assert trws_chain_pass(e, st_e, reuse=reuse) == phi
-                assert stacks_bytes(st_d) == stacks_bytes(st_e)
-                assert (st_d.meff, st_d.msg_ops_last_pass) == (st_e.meff, st_e.msg_ops_last_pass)
+            for start in ("forward", "backward"):  # together they run every variant
+                d, e = make(), make()
+                st_d, st_e = chain_state_init(d), chain_state_init(e)
+                st_d.direction = st_e.direction = start
+                program = compile_sweeps(e, reuse, st_e.message_stacks, st_e.separator_stacks)
+                program = st_e._bound[reuse] = reversed_phases(program)
+                for key in VARIANTS:
+                    multi += sum(len(phase) > 1 for phase in program.variants[key].phases)
+                for _ in range(6):
+                    phi = trws_chain_pass(d, st_d, reuse=reuse)
+                    assert trws_chain_pass(e, st_e, reuse=reuse) == phi
+                    assert stacks_bytes(st_d) == stacks_bytes(st_e)
+                    assert (st_d.meff, st_d.msg_ops_last_pass) == (
+                        st_e.meff,
+                        st_e.msg_ops_last_pass,
+                    )
         assert multi > 0  # some level holds more than one group to reorder
 
     @pytest.mark.parametrize("reuse", REUSE_MODES)
@@ -797,15 +838,46 @@ class TestLevelSchedule:
             d = make()
             st = chain_state_init(d)
             program = compile_sweeps(d, reuse, st.message_stacks, st.separator_stacks)
-            for forward, ops in zip((True, False), program.ops):
-                for lead_current in (False, True):
-                    want = sequential_updates(d, reuse, forward, lead_current)
-                    assert ops[lead_current] == len(want)
-            # the first pass runs the variant where lead edges may not take `after`
-            for k in range(3):
+            for forward, lead_current in VARIANTS:
+                want = sequential_updates(d, reuse, forward, lead_current)
+                assert program.variants[forward, lead_current].ops == len(want)
+            # the first pass runs the variant where lead edges may not take
+            # `after`, from either start
+            for start in ("forward", "backward"):
+                st = chain_state_init(d)
+                st.direction = start
+                for k in range(3):
+                    trws_chain_pass(d, st, reuse=reuse)
+                    want = sequential_updates(d, reuse, (k % 2 == 0) == (start == "forward"), k > 0)
+                    assert st.msg_ops_last_pass == len(want)
+
+    @pytest.mark.parametrize("reuse", REUSE_MODES)
+    def test_variants_compile_on_first_use(self, reuse):
+        # alternation from a forward start never runs the backward variant
+        # where lead edges may not take `after`, so it is never compiled
+        for make in schedule_instances():
+            d = make()
+            st = chain_state_init(d)
+            for _ in range(4):
                 trws_chain_pass(d, st, reuse=reuse)
-                want = sequential_updates(d, reuse, k % 2 == 0, k > 0)
-                assert st.msg_ops_last_pass == len(want)
+            assert set(st._bound[reuse].variants) == {(True, False), (False, True), (True, True)}
+
+    def test_no_multiply_by_exactly_one(self):
+        # a weighted term whose coefficients are all exactly 1.0 adds the
+        # caches themselves (x * 1.0 is x bit for bit); a group that mixes
+        # 1.0 with other coefficients keeps its multiply
+        mixed = 0
+        for reuse in REUSE_MODES:
+            for make in schedule_instances():
+                d = make()
+                st = chain_state_init(d)
+                program = compile_sweeps(d, reuse, st.message_stacks, st.separator_stacks)
+                for f, args in compiled_calls(program):
+                    if f is np.multiply:
+                        coef = np.asarray(args[0])
+                        assert not np.all(coef == 1.0)
+                        mixed += bool(np.any(coef == 1.0))
+        assert mixed > 0
 
     @pytest.mark.parametrize("reuse", REUSE_MODES)
     def test_state_views_are_read_only(self, reuse):
@@ -836,13 +908,12 @@ class TestLevelSchedule:
             st = chain_state_init(d)
             stacks = st.message_stacks + st.separator_stacks
             program = compile_sweeps(d, reuse, st.message_stacks, st.separator_stacks)
-            for phases in (p for variants in program.phases for p in variants):
-                for f, args in (call for phase in phases for group in phase for call in group):
-                    for x in args:
-                        if isinstance(x, np.ndarray) and x.dtype == np.intp:
-                            found.add("index array")
-                        elif isinstance(x, np.ndarray) and any(x.base is s for s in stacks):
-                            found.add("view")
+            for f, args in compiled_calls(program):
+                for x in args:
+                    if isinstance(x, np.ndarray) and x.dtype == np.intp:
+                        found.add("index array")
+                    elif isinstance(x, np.ndarray) and any(x.base is s for s in stacks):
+                        found.add("view")
         assert found == {"view", "index array"}
 
 
