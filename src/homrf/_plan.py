@@ -8,16 +8,17 @@ message edge's row is its rank among the edges of its shape in
 `separator_order`, so the layout follows from the decomposition alone and a
 state needs no plan to be set up.
 
-Program.  A sweep in one direction under one reuse mode compiles into a
-program on one state's stacks (`compile_sweeps`).  Which update each message
-edge takes (skip, the `after` or `before` nested reuse, the no-op that
-consumes a preemptive refresh, or a fresh message) is fixed per mode and
-direction, up to one choice made per pass: a `lead` edge, whose window
-neighbour swept just before it is its trailing bound, may take `after` only
-once a sweep in the other direction has completed.  The program holds one
-run of phases per direction and choice, its variants, and compiles each on
-first use: alternation from a fresh state runs forward without lead `after`
-and then each direction with it, never backward without it.
+Program.  A reuse mode's sweeps compile into a program on one state's stacks
+(`compile_sweeps`).  Which update each message edge takes (skip, the `after`
+or `before` nested reuse, the no-op that consumes a preemptive refresh, or a
+fresh message) is fixed per mode and direction, up to one choice made per
+pass: a `lead` edge, whose window neighbour swept just before it is its
+trailing bound, may take `after` only once a sweep in the other direction
+has completed.  Sweeps alternate from a forward first pass (a state's
+direction is the parity of its pass count), so that is the case on every
+pass but the first, and the program holds three runs of phases, its
+variants, compiled together: forward with lead edges fresh (the first
+pass), forward with lead `after`, and backward with lead `after`.
 
 Recipes.  What an update needs besides rows and coefficients follows from
 the structure of its source a: a's table shape, where the scopes of a's
@@ -31,14 +32,15 @@ edge only its rows, coefficients and the numbers it reads remain.
 A separator step reads messages and separator caches and writes its
 messages (a preemptive `(a, p)` one included) and its cache.  Each step goes
 to the first level after every earlier step it conflicts with (read after
-write, write after read, write after write) under either variant, so the
-steps of one level commute.  Within a level, the message updates of one
-recipe class run as one group: gather the source tables and the stacked rows
-they read, subtract, add, minimize and scatter, with the elementwise
-operations of a one-edge update in the same order, so the results are
-byte-identical to a sweep one separator at a time.  The separator caches of
-one shape and in-degree are then rebuilt as one group.  A batch of g rows
-adds a leading axis of length g to every shape and reduce axis.
+write, write after read, write after write) under any variant of its
+direction, so the steps of one level commute.  Within a level, the message
+updates of one recipe class run as one group: gather the source tables and
+the stacked rows they read, subtract, add, minimize and scatter, with the
+elementwise operations of a one-edge update in the same order, so the
+results are byte-identical to a sweep one separator at a time.  The
+separator caches of one shape and in-degree are then rebuilt as one group.
+A batch of g rows adds a leading axis of length g to every shape and reduce
+axis.
 
 Each group compiles to a short run of numpy calls on fixed operands.  Rows
 named by an index or by a basic slice (rows that step evenly) are read as
@@ -97,7 +99,7 @@ class SweepProgram(NamedTuple):
     """A reuse mode's sweeps compiled onto one state's stacks."""
 
     arrays: tuple  # the message and cache stacks it runs on
-    variants: dict  # (forward, lead) -> its Variant, compiled on first use
+    variants: dict  # (forward, lead) -> its Variant; no (False, False)
 
 
 class Stage(NamedTuple):
@@ -397,19 +399,6 @@ _SUBTRACT_ROWS, _ADD_ROWS, _ADD_COEFS = itemgetter(2), itemgetter(3), itemgetter
 _FOLD_ROWS, _FOLD_COEFS = itemgetter(1), itemgetter(2)
 
 
-class _Variants(dict):
-    """A program's sweep variants, each compiled on first use."""
-
-    def __init__(self, build):
-        super().__init__()
-        self.build = build
-
-    @_gc_paused
-    def __missing__(self, key):
-        variant = self[key] = self.build(*key)
-        return variant
-
-
 def _rows_of(entries):
     # the rows at the head of a group's entries: one row, or a tuple of them
     return entries[0][0] if len(entries) == 1 else tuple([e[0] for e in entries])
@@ -632,13 +621,13 @@ def compile_sweeps(decomp, reuse, M, T):
         calls = made_caches[bs] = em.group()
         return calls
 
-    def walk(forward):
-        # the levels of a sweep, each its message groups {key: updates
-        # placed} and its cache groups {key: separators}.  An update placed
-        # is (row, op, cells, its read-off or None); its key ends in the lead
-        # variant that runs it, None for both.
+    def walk(forward, leads):
+        # the levels of a sweep under the lead choices `leads`, each its
+        # message groups {key: updates placed} and its cache groups {key:
+        # separators}.  An update placed is (row, op, cells, its read-off or
+        # None); its key ends in the lead choice that runs it, None for all.
         order, trail = orders[forward], trailing[forward]
-        pending = (set(), set())  # edges refreshed preemptively, per variant
+        pending = {v: set() for v in leads}  # edges refreshed preemptively
         last_write = [-1] * (n + len(scopes))
         last_access = [-1] * (n + len(scopes))  # the last level that read or wrote it
         levels = []
@@ -658,7 +647,7 @@ def compile_sweeps(decomp, reuse, M, T):
                     nests_succ, nests_pred = nests[i]
                 after = use_after and nests_pred
                 before = use_before and nests_succ
-                queued = use_before and (i in pending[0] or i in pending[1])
+                queued = use_before and any(i in p for p in pending.values())
                 if not (after or before or queued):
                     placed.append(fresh_placed[i])
                     reads += fresh_reads[i]
@@ -668,7 +657,9 @@ def compile_sweeps(decomp, reuse, M, T):
                 wp, ws = (k - 1, k + 1) if forward else (k + 1, k - 1)  # slots of pred and succ
                 pred = window[wp] if 0 <= wp < len(window) else None
                 succ = window[ws] if 0 <= ws < len(window) else None
-                lead = pred == trail[a]
+                # a lead edge's update differs between the lead choices
+                # only where the walk has both
+                lead = pred == trail[a] and False in leads
                 if not (before or queued):
                     # AFTER, but fresh in the variant where a lead edge's
                     # trailing message is not yet current
@@ -684,8 +675,8 @@ def compile_sweeps(decomp, reuse, M, T):
                     reads += fold_reads
                     writes.append(i)
                     continue
-                variants = []  # the update without, then with, lead edges taking AFTER
-                for v in (False, True):
+                variants = []  # the update per lead choice
+                for v in leads:
                     if i in pending[v]:
                         pending[v].discard(i)
                         variants.append(None)
@@ -697,10 +688,10 @@ def compile_sweeps(decomp, reuse, M, T):
                         variants.append((BEFORE, i, j, succ))
                     else:
                         variants.append((FRESH, i, None, None))
-                if variants[0] == variants[1]:
+                if variants.count(variants[0]) == len(variants):
                     variants = [(None, variants[0])]
                 else:
-                    variants = [(False, variants[0]), (True, variants[1])]
+                    variants = list(zip(leads, variants))
                 stack, row = erow[i]
                 for cond, op in variants:
                     if op is None:
@@ -744,7 +735,7 @@ def compile_sweeps(decomp, reuse, M, T):
                 last_write[x] = last_access[x] = level
 
             if level == len(levels):
-                levels.append([{}, {}])
+                levels.append(({}, {}))
             messages, caches = levels[level]
             for key, entry in placed:
                 group = messages.get(key)
@@ -759,48 +750,35 @@ def compile_sweeps(decomp, reuse, M, T):
             else:
                 group.append((row, b))
 
-        left = pending[0] | pending[1]
+        left = set().union(*pending.values())
         if left:
             raise UnconsumedPreemptiveMessage(
                 f"preemptive messages left unconsumed: {sorted(edges[j] for j in left)}"
             )
         return levels
 
-    walks = {}  # direction -> its levels, until both its variants are built
-    built = set()
-
-    def build(forward, lead):
-        # a level's groups are emitted once, on the first variant that runs
-        # them; its entries then hold (calls, ops, cells)
-        levels = walks.get(forward)
-        if levels is None:
-            levels = walks[forward] = walk(forward)
-        phases, ops, cells = [], 0, 0
-        for level in levels:
-            messages, caches = level
-            groups = []
+    variants = {}
+    for forward, leads in ((True, (False, True)), (False, (True,))):
+        # each level's groups are emitted once, for every lead choice that
+        # runs them
+        phases = {v: [] for v in leads}
+        ops, cells = dict.fromkeys(leads, 0), dict.fromkeys(leads, 0)
+        for messages, caches in walk(forward, leads):
+            groups = {v: [] for v in leads}
             for key, group in messages.items():
-                if key[-1] is None or key[-1] == lead:
-                    if type(group) is list:
-                        group = messages[key] = (
-                            message_group(key, group),
-                            len(group),
-                            sum([e[2] for e in group]),
-                        )
-                    groups.append(group[0])
-                    ops += group[1]
-                    cells += group[2]
-            if groups:
-                phases.append(tuple(groups))
-            if type(caches) is dict:
-                caches = level[1] = tuple([cache_group(key, seps) for key, seps in caches.items()])
-            phases.append(caches)
-        built.add((forward, lead))
-        if (forward, not lead) in built:
-            del walks[forward]
-        return Variant(tuple(phases), ops, cells)
-
-    return SweepProgram((*M, *T), _Variants(build))
+                calls, cost = message_group(key, group), sum([e[2] for e in group])
+                for v in leads if key[-1] is None else (key[-1],):
+                    groups[v].append(calls)
+                    ops[v] += len(group)
+                    cells[v] += cost
+            caches = tuple([cache_group(key, seps) for key, seps in caches.items()])
+            for v in leads:
+                if groups[v]:
+                    phases[v].append(tuple(groups[v]))
+                phases[v].append(caches)
+        for v in leads:
+            variants[forward, v] = Variant(tuple(phases[v]), ops[v], cells[v])
+    return SweepProgram((*M, *T), variants)
 
 
 @_gc_paused

@@ -5,24 +5,26 @@ only the cumulative reparameterization, as messages on outer-to-separator
 edges plus cached separator tables.  Sweeps alternate forward and backward.
 The two nested-separator reuse shortcuts are modes of the sweep
 (`reuse="after"` and `reuse="before-after"`), not steps of their own: whether
-one applies to an edge follows from the plan and the direction of this and of
-the last completed sweep.  The explicit-table reference sweeps it is checked
+one applies to an edge follows from the plan, the direction of the sweep and
+whether it is the first.  The explicit-table reference sweeps it is checked
 against live in `homrf.oracle`.
 
 Messages and separator caches are rows of stacked arrays, one stack per
 separator table shape; the state's `messages` and `theta_sep` are read-only
 views of those rows.  A sweep runs the program that the sweep plan module
-(`homrf._plan`) compiles onto the state's stacks for its direction and reuse
-mode: level by level, the updates of one recipe class at a level run as one
+(`homrf._plan`) compiles onto the state's stacks for its reuse mode: level by
+level, the updates of one recipe class at a level run as one
 batched gather-subtract-add-min-scatter of numpy calls on fixed operands,
 then the caches of the level are rebuilt the same way.  The results are
 byte-identical to a sweep one separator at a time.  The chain dynamic
 program behind every bound also runs from the plan, so a pass does no
 structural bookkeeping of its own.
 
-A state's first pass in a reuse mode starts that mode's program and keeps
-it, out of the state's repr and comparisons; each sweep variant in it
-compiles on the first pass that runs it.  A copy of the state starts
+A state counts its passes, and a sweep's direction is the parity of that
+count: forward after an even number of passes.  The state's first pass in a
+reuse mode compiles that mode's three sweeps together (forward for the first
+pass, then forward and backward for every later one) and keeps them, out of
+the state's repr and comparisons.  A copy of the state starts
 without a program, and a pass compiles again once the state's stacks are no
 longer those the program was compiled onto.
 
@@ -151,20 +153,26 @@ class ChainSolverState:
     Both live as rows of stacked arrays, one stack per separator table shape
     (`message_stacks`, `separator_stacks`; rows as in `homrf._plan.Layout`).
     `messages` and `theta_sep` are read-only mappings of read-only views of
-    those rows, keyed by edge (a, b) and by separator."""
+    those rows, keyed by edge (a, b) and by separator.
+
+    `passes` counts the sweeps run, and `direction`, the direction of the next
+    sweep, is its parity: sweeps alternate from a forward first pass.  Its
+    first pass in a reuse mode compiles that mode's three sweeps together."""
 
     messages: Mapping
     theta_sep: Mapping
-    direction: str = "forward"  # of the next sweep
-    last_direction: str = None  # of the last completed sweep; None before the first
+    passes: int = 0
     meff: int = 0
     diag_cells: int = 0
     msg_ops_last_pass: int = 0
-    ready: bool = False
     message_stacks: list = None
     separator_stacks: list = None
     # per reuse mode, its sweeps compiled onto the stacks above
     _bound: Bindings = field(default_factory=Bindings, init=False, repr=False, compare=False)
+
+    @property
+    def direction(self):
+        return "backward" if self.passes % 2 else "forward"
 
 
 class _Rows(Mapping):
@@ -196,7 +204,6 @@ def chain_state_init(decomp):
     return ChainSolverState(
         messages=_Rows(layout.edge_row, messages),
         theta_sep=_Rows(layout.sep_row, caches),
-        ready=True,
         message_stacks=messages,
         separator_stacks=caches,
     )
@@ -224,7 +231,7 @@ def _program(decomp, state, reuse):
 
 def trws_chain_pass(decomp, state, reuse="none"):
     """One message-form sweep over the separators, in the direction
-    `state.direction`, which it then flips.
+    `state.direction`, which it then flips by counting the pass.
 
     Each separator's cache is rebuilt from the original cost plus all incoming
     messages; an edge's message is refreshed unless the separator is the edge's
@@ -239,21 +246,23 @@ def trws_chain_pass(decomp, state, reuse="none"):
     superset's own update is then a no-op.  Each gives the messages of the
     direct update.
 
-    The sweep runs the state's program of its direction and mode
-    (`homrf._plan`), compiled by the first pass that runs it.
+    The sweep runs the state's program of its mode (`homrf._plan`),
+    compiled by the state's first pass in that mode.
     """
-    if not isinstance(state, ChainSolverState) or not state.ready:
+    if (
+        not isinstance(state, ChainSolverState)
+        or state.message_stacks is None
+        or state.separator_stacks is None
+    ):
         raise StateNotInitialized("chain solver state must come from chain_state_init")
     if reuse not in REUSE_MODES:  # a misspelt mode must not silently run as another one
         raise ValueError(f"reuse must be one of {', '.join(REUSE_MODES)}, not {reuse!r}")
-    direction = state.direction
-    forward = direction == "forward"
+    forward = state.passes % 2 == 0
     plan = decomp._sweep_plan
     program = _program(decomp, state, reuse)
     # a lead edge's `after` reads the trailing bound's message, which this
-    # sweep skips: it is current only if the last sweep ran the other way
-    lead_current = state.last_direction not in (None, direction)
-    sweep = program.variants[forward, lead_current]
+    # sweep skips: it is current once a sweep has run the other way
+    sweep = program.variants[forward, state.passes > 0]
     if sweep.ops > len(decomp.message_edges):
         raise ExcessMessageOps(
             f"{sweep.ops} message operations for {len(decomp.message_edges)} edges in one pass"
@@ -263,9 +272,8 @@ def trws_chain_pass(decomp, state, reuse="none"):
             for f, args in group:
                 f(*args)
     state.meff += sweep.cells
-    state.last_direction = direction
     state.msg_ops_last_pass = sweep.ops
-    state.direction = "backward" if forward else "forward"
+    state.passes += 1
 
     phi, cells = _pass_bound(decomp, state, plan.forward_bound if forward else plan.backward_bound)
     state.diag_cells += cells

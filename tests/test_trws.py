@@ -32,6 +32,7 @@ from homrf.oracle import (
 )
 from homrf._plan import compile_sweeps
 from homrf.trws import (
+    ChainSolverState,
     bound,
     chain_state_factor_tables,
     chain_state_init,
@@ -417,8 +418,9 @@ class TestChainPassEquivalences:
 class TestChainPassMessageForm:
     def test_requires_initialized_state(self, rng):
         d = zero_instance()
-        with pytest.raises(StateNotInitialized):
-            trws_chain_pass(d, object())
+        for state in (object(), ChainSolverState(messages={}, theta_sep={})):
+            with pytest.raises(StateNotInitialized):
+                trws_chain_pass(d, state)
 
     def test_zero_model_keeps_zero_messages(self):
         d = zero_instance()
@@ -740,18 +742,17 @@ def sequential_updates(d, reuse, forward, lead_current):
     return sequential_pass(d, messages, theta, reuse, forward, lead_current)
 
 
-# every (forward, lead) variant of a sweep program
-VARIANTS = [(forward, lead) for forward in (True, False) for lead in (False, True)]
+# every (forward, lead) variant of a sweep program: alternation from a forward
+# first pass never runs backward with lead edges fresh
+VARIANTS = [(True, False), (True, True), (False, True)]
 
 
 def reversed_phases(program):
-    # the program with every variant compiled and the groups of each phase
-    # of each in reverse order
-    variants = {key: program.variants[key] for key in VARIANTS}
+    # the program with the groups of each phase of each variant in reverse order
     return program._replace(
         variants={
             key: sweep._replace(phases=tuple(phase[::-1] for phase in sweep.phases))
-            for key, sweep in variants.items()
+            for key, sweep in program.variants.items()
         }
     )
 
@@ -759,8 +760,8 @@ def reversed_phases(program):
 def compiled_calls(program):
     # the calls of every group of every variant, each group once
     seen = set()
-    for key in VARIANTS:
-        for group in (group for phase in program.variants[key].phases for group in phase):
+    for sweep in program.variants.values():
+        for group in (group for phase in sweep.phases for group in phase):
             if id(group) not in seen:
                 seen.add(id(group))
                 yield from group
@@ -790,44 +791,20 @@ class TestLevelSchedule:
                     assert st.theta_sep[b].tobytes() == t.tobytes(), (k, b)
 
     @pytest.mark.parametrize("reuse", REUSE_MODES)
-    def test_backward_first_sweep_is_byte_identical_too(self, reuse):
-        # a state that starts backward runs the backward variant where lead
-        # edges may not take `after`, which alternation from a forward start
-        # never runs
-        for make in schedule_instances():
-            d = make()
-            st = chain_state_init(d)
-            st.direction = "backward"
-            messages = {key: np.zeros(d.model.table(key[1]).shape) for key in d.message_edges}
-            theta = {b: d.model.table(b).copy() for b in d.separator_order}
-            for k in range(6):
-                trws_chain_pass(d, st, reuse=reuse)
-                sequential_pass(d, messages, theta, reuse, k % 2 == 1, k > 0)
-                for key, m in messages.items():
-                    assert st.messages[key].tobytes() == m.tobytes(), (k, key)
-                for b, t in theta.items():
-                    assert st.theta_sep[b].tobytes() == t.tobytes(), (k, b)
-
-    @pytest.mark.parametrize("reuse", REUSE_MODES)
     def test_groups_of_a_level_run_in_any_order(self, reuse):
         multi = 0
         for make in schedule_instances():
-            for start in ("forward", "backward"):  # together they run every variant
-                d, e = make(), make()
-                st_d, st_e = chain_state_init(d), chain_state_init(e)
-                st_d.direction = st_e.direction = start
-                program = compile_sweeps(e, reuse, st_e.message_stacks, st_e.separator_stacks)
-                program = st_e._bound[reuse] = reversed_phases(program)
-                for key in VARIANTS:
-                    multi += sum(len(phase) > 1 for phase in program.variants[key].phases)
-                for _ in range(6):
-                    phi = trws_chain_pass(d, st_d, reuse=reuse)
-                    assert trws_chain_pass(e, st_e, reuse=reuse) == phi
-                    assert stacks_bytes(st_d) == stacks_bytes(st_e)
-                    assert (st_d.meff, st_d.msg_ops_last_pass) == (
-                        st_e.meff,
-                        st_e.msg_ops_last_pass,
-                    )
+            d, e = make(), make()
+            st_d, st_e = chain_state_init(d), chain_state_init(e)
+            program = compile_sweeps(e, reuse, st_e.message_stacks, st_e.separator_stacks)
+            program = st_e._bound[reuse] = reversed_phases(program)
+            for key in VARIANTS:
+                multi += sum(len(phase) > 1 for phase in program.variants[key].phases)
+            for _ in range(6):
+                phi = trws_chain_pass(d, st_d, reuse=reuse)
+                assert trws_chain_pass(e, st_e, reuse=reuse) == phi
+                assert stacks_bytes(st_d) == stacks_bytes(st_e)
+                assert (st_d.meff, st_d.msg_ops_last_pass) == (st_e.meff, st_e.msg_ops_last_pass)
         assert multi > 0  # some level holds more than one group to reorder
 
     @pytest.mark.parametrize("reuse", REUSE_MODES)
@@ -838,29 +815,15 @@ class TestLevelSchedule:
             d = make()
             st = chain_state_init(d)
             program = compile_sweeps(d, reuse, st.message_stacks, st.separator_stacks)
+            assert set(program.variants) == set(VARIANTS)
             for forward, lead_current in VARIANTS:
                 want = sequential_updates(d, reuse, forward, lead_current)
                 assert program.variants[forward, lead_current].ops == len(want)
-            # the first pass runs the variant where lead edges may not take
-            # `after`, from either start
-            for start in ("forward", "backward"):
-                st = chain_state_init(d)
-                st.direction = start
-                for k in range(3):
-                    trws_chain_pass(d, st, reuse=reuse)
-                    want = sequential_updates(d, reuse, (k % 2 == 0) == (start == "forward"), k > 0)
-                    assert st.msg_ops_last_pass == len(want)
-
-    @pytest.mark.parametrize("reuse", REUSE_MODES)
-    def test_variants_compile_on_first_use(self, reuse):
-        # alternation from a forward start never runs the backward variant
-        # where lead edges may not take `after`, so it is never compiled
-        for make in schedule_instances():
-            d = make()
-            st = chain_state_init(d)
-            for _ in range(4):
+            # the first pass runs the variant where lead edges may not take `after`
+            for k in range(3):
                 trws_chain_pass(d, st, reuse=reuse)
-            assert set(st._bound[reuse].variants) == {(True, False), (False, True), (True, True)}
+                want = sequential_updates(d, reuse, k % 2 == 0, k > 0)
+                assert st.msg_ops_last_pass == len(want)
 
     def test_no_multiply_by_exactly_one(self):
         # a weighted term whose coefficients are all exactly 1.0 adds the
@@ -891,6 +854,10 @@ class TestLevelSchedule:
                 st.theta_sep[b] += 1.0
             with pytest.raises(TypeError):
                 st.messages[key] = np.zeros_like(st.messages[key])
+            # the direction is the parity of the pass count, not a field
+            assert st.direction == ("forward" if k % 2 == 0 else "backward")
+            with pytest.raises(AttributeError):
+                st.direction = "backward"
             trws_chain_pass(d, st, reuse=reuse)
         # the views follow the stacks the sweep writes
         stack, row = d._layout.edge_row[key]
@@ -923,8 +890,7 @@ def state_signature(st):
         st.meff,
         st.diag_cells,
         st.msg_ops_last_pass,
-        st.direction,
-        st.last_direction,
+        st.passes,
     )
 
 
@@ -948,13 +914,13 @@ class TestBoundSweeps:
             want_phis, want = self.reference(make, reuse)
             d = make()
             st = chain_state_init(d)
-            head = [trws_chain_pass(d, st, reuse=reuse) for _ in range(2)]
-            twin = copy.deepcopy(st)
+            head = [trws_chain_pass(d, st, reuse=reuse) for _ in range(3)]
+            twin = copy.deepcopy(st)  # resumes backward
             before = state_signature(st)
-            tail = [trws_chain_pass(d, twin, reuse=reuse) for _ in range(self.PASSES - 2)]
+            tail = [trws_chain_pass(d, twin, reuse=reuse) for _ in range(self.PASSES - 3)]
             assert state_signature(st) == before
             assert head + tail == want_phis and state_signature(twin) == want
-            tail = [trws_chain_pass(d, st, reuse=reuse) for _ in range(self.PASSES - 2)]
+            tail = [trws_chain_pass(d, st, reuse=reuse) for _ in range(self.PASSES - 3)]
             assert head + tail == want_phis and state_signature(st) == want
 
     @pytest.mark.parametrize("reuse", REUSE_MODES)
