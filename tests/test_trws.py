@@ -815,7 +815,6 @@ class TestLevelSchedule:
             d = make()
             st = chain_state_init(d)
             program = compile_sweeps(d, reuse, st.message_stacks, st.separator_stacks)
-            assert set(program.variants) == set(VARIANTS)
             for forward, lead_current in VARIANTS:
                 want = sequential_updates(d, reuse, forward, lead_current)
                 assert program.variants[forward, lead_current].ops == len(want)
@@ -824,6 +823,21 @@ class TestLevelSchedule:
                 trws_chain_pass(d, st, reuse=reuse)
                 want = sequential_updates(d, reuse, k % 2 == 0, k > 0)
                 assert st.msg_ops_last_pass == len(want)
+
+    @pytest.mark.parametrize("reuse", REUSE_MODES)
+    def test_variants_compile_on_first_use(self, reuse):
+        # a state compiles a mode's three variants together on its first pass
+        # in that mode and runs every later pass on that one program
+        for make in schedule_instances():
+            d = make()
+            st = chain_state_init(d)
+            assert st._bound.get(reuse) is None
+            trws_chain_pass(d, st, reuse=reuse)
+            program = st._bound[reuse]
+            assert set(program.variants) == set(VARIANTS)
+            for _ in range(3):
+                trws_chain_pass(d, st, reuse=reuse)
+            assert st._bound[reuse] is program
 
     def test_no_multiply_by_exactly_one(self):
         # a weighted term whose coefficients are all exactly 1.0 adds the
