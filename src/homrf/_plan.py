@@ -9,38 +9,39 @@ message edge's row is its rank among the edges of its shape in
 state needs no plan to be set up.
 
 Program.  A reuse mode's sweeps compile into a program on one state's stacks
-(`compile_sweeps`).  Which update each message edge takes (skip, the `after`
-or `before` nested reuse, the no-op that consumes a preemptive refresh, or a
-fresh message) is fixed per mode and direction, up to one choice made per
-pass: a `lead` edge, whose window neighbour swept just before it is its
-trailing bound, may take `after` only once a sweep in the other direction
-has completed.  Sweeps alternate from a forward first pass (a state's
-direction is the parity of its pass count), so that is the case on every
-pass but the first, and the program holds three runs of phases, its
-variants, compiled together: forward with lead edges fresh (the first
-pass), forward with lead `after`, and backward with lead `after`.
+(`compile_sweeps`).  Each message edge takes one update per sweep: it skips
+its trailing bound, consumes a preemptive refresh (a no-op), takes the
+`after` or the `before` nested reuse, or gets a fresh message.  Which one is
+fixed per mode and direction, up to one choice made per pass: a `lead` edge,
+whose window neighbour swept just before it is its trailing bound, may take
+`after` only once a sweep in the other direction has completed.  Sweeps
+alternate from a forward first pass (a state's direction is the parity of
+its pass count), so that is the case on every pass but the first, and the
+program holds three variants, compiled together: forward with lead edges
+not taking `after` (the first pass), forward with lead `after`, and backward
+with lead `after`.  Without a lead edge the first two are one variant.
 
-Recipes.  What an update needs besides rows and coefficients follows from
-the structure of its source a: a's table shape, where the scopes of a's
-separator locals sit in a's scope, which of them form a's window and which
-of them b's locals hold.  A read-off toward b from the superset p next to it
-in a's window follows from the same structure and from which of a's
-separator locals p's locals hold, since J is closed and p's locals are
-among a's.  So each recipe class is derived once per structure, and per
-edge only its rows, coefficients and the numbers it reads remain.
+Recipes.  Every update sums terms over a table and minimizes onto b
+(`_Emitter.reduce`): a fresh message over a's table, a read-off over the
+table of the superset p next to b in a's window.  What it needs besides rows
+and coefficients follows from the structure of its source a: a's table
+shape, where the scopes of a's separator locals sit in a's scope, which of
+them form a's window and which of them b's and p's locals hold (J is
+closed, so p's locals are among a's).  So each recipe class (`_Recipe`) is
+derived once per structure, and per edge only its rows, coefficients and
+the numbers it reads remain.
 
 A separator step reads messages and separator caches and writes its
 messages (a preemptive `(a, p)` one included) and its cache.  Each step goes
-to the first level after every earlier step it conflicts with (read after
-write, write after read, write after write) under any variant of its
-direction, so the steps of one level commute.  Within a level, the message
-updates of one recipe class run as one group: gather the source tables and
-the stacked rows they read, subtract, add, minimize and scatter, with the
-elementwise operations of a one-edge update in the same order, so the
-results are byte-identical to a sweep one separator at a time.  The
-separator caches of one shape and in-degree are then rebuilt as one group.
-A batch of g rows adds a leading axis of length g to every shape and reduce
-axis.
+to the first level after every earlier step of its variant it conflicts with
+(read after write, write after read, write after write), so the steps of one
+level commute.  Within a level, the message updates of one recipe class run
+as one group: gather the source tables and the stacked rows they read,
+subtract, add, minimize and scatter, with the elementwise operations of a
+one-edge update in the same order, so the results are byte-identical to a
+sweep one separator at a time.  The separator caches of one shape and
+in-degree are then rebuilt as one group.  A batch of g rows adds a leading
+axis of length g to every shape and reduce axis.
 
 Each group compiles to a short run of numpy calls on fixed operands.  Rows
 named by an index or by a basic slice (rows that step evenly) are read as
@@ -88,7 +89,7 @@ class Layout(NamedTuple):
 
 
 class Variant(NamedTuple):
-    """A sweep in one direction under one lead choice, compiled."""
+    """A sweep in one direction, with lead edges current or not, compiled."""
 
     phases: tuple  # per phase, its groups, each a tuple of (function, arguments); they commute
     ops: int  # message operations the sweep runs
@@ -99,7 +100,7 @@ class SweepProgram(NamedTuple):
     """A reuse mode's sweeps compiled onto one state's stacks."""
 
     arrays: tuple  # the message and cache stacks it runs on
-    variants: dict  # (forward, lead) -> its Variant; no (False, False)
+    variants: dict  # (forward, lead current) -> its Variant; no (False, False)
 
 
 class Stage(NamedTuple):
@@ -215,32 +216,22 @@ def _index(rows):
     return np.array(rows, dtype=np.intp)
 
 
-class _Fresh(NamedTuple):
-    """What the fresh messages of one recipe class share."""
+class _Recipe(NamedTuple):
+    """What the updates of one recipe class share."""
 
     cls: int
-    subtract: tuple  # (stack, shape in a) per other window message of a
-    add: tuple  # (stack, shape in a) per cache of a separator b lacks
-    axes: tuple  # of a minimized out
+    shape: tuple  # of the table summed over: a's for a fresh message, p's for a read-off
+    subtract: tuple  # (stack, shape in the table) per other window message of a
+    add: tuple  # (stack, shape in the table) per weighted cache added
+    axes: tuple  # of the table minimized out
     batch_axes: tuple  # the same axes behind a leading batch axis
-    cells: int  # of a's table
-
-
-class _Fold(NamedTuple):
-    """What the read-offs toward b from p of one recipe class share."""
-
-    cls: int
-    shape: tuple  # of p's table
-    add: tuple  # (stack, shape in p) per cache of p's locals outside b's
-    axes: tuple  # of p minimized out
-    batch_axes: tuple
-    b_in_p: tuple  # shape of b in p
-    cells: int  # of p's table
+    cells: int  # of the table
 
 
 class _Emitter:
     """Collects the numpy calls of one group at a time on a state's message
-    and cache stacks M and T.
+    and cache stacks M and T.  Every update, fresh message or read-off, is
+    one `reduce` over its recipe.
 
     Rows are given as one row or as a tuple of rows, with the coefficients
     that go with them.  Every operand is bound once: views of stack rows are
@@ -338,55 +329,42 @@ class _Emitter:
         self.emit(np.concatenate, tables, 0, stack.reshape((len(tables) * shape[0],) + shape[1:]))
         return stack
 
-    def fresh(self, updates, out):
-        """Fresh messages of a group's edges (a, b) into `out`: each a's table
-        net of its other window messages, plus the weighted caches of the
-        separators b lacks, minimized onto b.  An update is (its class's
-        `_Fresh`, a's table, the rows of the other window messages, the rows
-        of the caches added, their coefficients)."""
+    def reduce(self, updates, total, out):
+        """Each update's terms summed over its table and minimized onto b,
+        into `out`.  A fresh message (a, b) starts from a's table, subtracts
+        a's other window messages and adds the weighted caches of the
+        separators b lacks.  A read-off toward b from the superset p next to
+        it in a's window adds the weighted caches of p's locals outside b's
+        (p's own cache is always one) to `total`, a table over p, or to zero
+        with `total` None: that is the `reuse="after"` increment; while
+        (a, p) holds this sweep's message, the stored (a, b) message plus it
+        equals the direct update, scanning only p.  An update is (its
+        class's `_Recipe`, a's table or None for a read-off, the rows of the
+        messages subtracted, the rows of the caches added, their
+        coefficients)."""
         g = len(updates)
-        rec = updates[0][0]
-        if g == 1:  # the table is read-only: the first term writes into scratch
-            _, net, subtract, add, coefs = updates[0]
+        rec, table, subtract, add, coefs = updates[0]
+        if g == 1:
             batch, axes = (), rec.axes
-            work = self.scratch(net.shape) if rec.subtract or rec.add else None
         else:
             subtract = zip(*map(_SUBTRACT_ROWS, updates))
             add, coefs = zip(*map(_ADD_ROWS, updates)), zip(*map(_ADD_COEFS, updates))
             batch, axes = (g,), rec.batch_axes
-            net = work = self.stacked([u[1] for u in updates])
-        for (s, shape), rows in zip(rec.subtract, subtract):
-            self.emit(np.subtract, net, self.read(self.M[s], rows, batch + shape), work)
-            net = work
-        for (s, shape), rows, coef in zip(rec.add, add, coefs):
-            self.emit(np.add, net, self.weighted(self.T[s], rows, coef, batch + shape), work)
-            net = work
-        self.emit(np.minimum.reduce, net, axes, None, out)
-
-    def fold(self, folds, total, delta):
-        """Nested read-off toward b from the superset p next to it in a's
-        window: add the weighted caches of p's locals outside b's to `total`,
-        a table over p, and minimize onto b into `delta`.  With `total` None
-        the sum starts from zero: that is the `reuse="after"` increment;
-        while (a, p) holds this sweep's message, the stored (a, b) message
-        plus it equals the direct update, scanning only p.  p's own cache is
-        always a term.  A fold is (its class's `_Fold`, the rows of the caches
-        added, their coefficients)."""
-        g = len(folds)
-        rec = folds[0][0]
-        if g == 1:
-            _, add, coefs = folds[0]
-            batch, axes = (), rec.axes
+        if total is not None:
+            acc = work = total
+        elif table is None:
+            acc, work = 0.0, self.scratch(batch + rec.shape)
+        elif g == 1:  # the table is read-only: the first term writes into scratch
+            acc, work = table, self.scratch(rec.shape) if rec.subtract or rec.add else None
         else:
-            add, coefs = zip(*map(_FOLD_ROWS, folds)), zip(*map(_FOLD_COEFS, folds))
-            batch, axes = (g,), rec.batch_axes
-        acc = 0.0 if total is None else total
-        if total is None:
-            total = self.scratch(batch + rec.shape)
+            acc = work = self.stacked([u[1] for u in updates])
+        for (s, shape), rows in zip(rec.subtract, subtract):
+            self.emit(np.subtract, acc, self.read(self.M[s], rows, batch + shape), work)
+            acc = work
         for (s, shape), rows, coef in zip(rec.add, add, coefs):
-            self.emit(np.add, acc, self.weighted(self.T[s], rows, coef, batch + shape), total)
-            acc = total
-        self.emit(np.minimum.reduce, total, axes, None, delta)
+            self.emit(np.add, acc, self.weighted(self.T[s], rows, coef, batch + shape), work)
+            acc = work
+        self.emit(np.minimum.reduce, acc, axes, None, out)
 
     def group(self):
         # the calls emitted since the last group, staged rows stored last
@@ -396,7 +374,6 @@ class _Emitter:
 
 
 _SUBTRACT_ROWS, _ADD_ROWS, _ADD_COEFS = itemgetter(2), itemgetter(3), itemgetter(4)
-_FOLD_ROWS, _FOLD_COEFS = itemgetter(1), itemgetter(2)
 
 
 def _rows_of(entries):
@@ -407,7 +384,9 @@ def _rows_of(entries):
 @_gc_paused
 def compile_sweeps(decomp, reuse, M, T):
     """The `SweepProgram` of a reuse mode on a state's message and cache
-    stacks M and T; see the module docstring."""
+    stacks M and T; see the module docstring.  Each variant is walked with
+    one update rule per edge; the forward variant with lead edges current is
+    the first pass's own where no edge is a lead edge."""
     d = decomp
     js = d.jstructure
     scopes, locals_, separators = js.scopes, js.locals, js.separators
@@ -458,22 +437,27 @@ def compile_sweeps(decomp, reuse, M, T):
     def source_class(shape, places, slots):
         # what the fresh updates of a source share: its number, the term of
         # each separator local, and per window slot the axes minimized out
-        # and whether b nests in its window neighbours before and after it
+        # and, forward and backward, the `around` of b at that slot
         terms = terms_at(shape, places)
         sets = [set(places[x]) for x in slots]
         per_slot = []
         for k, place in enumerate(sets):
-            nests = (k > 0 and place < sets[k - 1], k + 1 < len(sets) and place < sets[k + 1])
-            per_slot.append((*outside(shape, place), nests))
+            before = k > 0 and place < sets[k - 1]
+            after = k + 1 < len(sets) and place < sets[k + 1]
+            near = ((k - 1, before, k + 1, after), (k + 1, after, k - 1, before))
+            per_slot.append((*outside(shape, place), near))
         return len(sources), terms, per_slot
 
     sources = {}  # (table shape, places of the separator locals, window slots) -> `source_class`
-    fresh_classes = {}  # (source number, window slot, locals kept) -> (`_Fresh`, locals lacked, group key)
-    fresh = [None] * n  # per edge: (`_Fresh`, a's table, subtract rows, add rows, coefficients)
+    fresh_classes = {}  # (source number, window slot, locals kept) -> (`_Recipe`, locals lacked, group key)
+    fresh = [None] * n  # per edge: (`_Recipe`, a's table, subtract rows, add rows, coefficients)
     fresh_reads = [None] * n  # per edge: the numbers its fresh update reads
     fresh_placed = [None] * n  # per edge: its fresh update's group key and entry (see `walk`)
     slot_of = [None] * n  # per edge (a, b): b's slot in a's window
-    nests = [None] * n  # per edge (a, b): whether b nests in its window neighbours before and after it
+    # per direction and edge (a, b): the slot in a's window of the neighbour
+    # swept just before b (pred) and whether b nests in it, the same of the
+    # one swept just after b (succ)
+    around = {True: [None] * n, False: [None] * n}
     source_of = [None] * n  # per edge (a, b): what `fold_recipe` reads of a
     for a in dict.fromkeys(source):
         t = tables[a]
@@ -510,9 +494,8 @@ def compile_sweeps(decomp, reuse, M, T):
                 subtract = tuple(map(terms.__getitem__, slots[:k] + slots[k + 1 :]))
                 add = tuple(map(terms.__getitem__, lack))
                 cls = classes.setdefault((t.shape, subtract, add, axes), len(classes))
-                rec = _Fresh(cls, subtract, add, axes, batch, t.size)
-                group = (FRESH, erow[i][0], rec.cls, None)
-                made = fresh_classes[(number, k, kept)] = (rec, lack, group)
+                rec = _Recipe(cls, t.shape, subtract, add, axes, batch, t.size)
+                made = fresh_classes[(number, k, kept)] = (rec, lack, (FRESH, erow[i][0], cls))
             rec, lack, group = made
             fresh[i] = (
                 rec,
@@ -524,17 +507,17 @@ def compile_sweeps(decomp, reuse, M, T):
             fresh_reads[i] = (*wids[:k], *wids[k + 1 :], *map(ids.__getitem__, lack))
             fresh_placed[i] = (group, (wrows[k], (FRESH, i, None, None), rec.cells, None))
             slot_of[i] = k
-            nests[i] = per_slot[k][2]
+            around[True][i], around[False][i] = per_slot[k][2]
             source_of[i] = of_a
 
     # Read-offs toward b from the superset p next to it in a's window.  p's
     # locals are among a's separator locals (J is closed), so the recipe
     # follows from a's structure, and rows, coefficients and reads from a's.
-    fold_classes = {}  # (source number, p's and b's window slots, locals they keep) -> (`_Fold`, locals)
+    fold_classes = {}  # (source number, p's and b's window slots, locals they keep) -> (`_Recipe`, locals)
 
     def fold_recipe(i, w):
-        # ((`_Fold`, cache rows, coefficients), reads) of the read-off on
-        # edge i toward its b from the window separator at slot w
+        # (update, reads) of the read-off on edge i toward its b from the
+        # window separator at slot w; the update as `_Emitter.reduce` takes it
         number, shape, places, slots, rows, coefs, ids, kepts = source_of[i]
         k = slot_of[i]
         key = (number, w, k, kepts[w], kepts[k])
@@ -548,12 +531,11 @@ def compile_sweeps(decomp, reuse, M, T):
             place = tuple([at[x] for x in places[slots[k]]])
             add = terms_at(p_shape, [tuple([at[x] for x in places[c]]) for c in cs])
             axes, batch = outside(p_shape, place)
-            b_in_p = tuple([p_shape[x] if x in place else 1 for x in range(len(p_shape))])
-            cls = classes.setdefault((p_shape, add, axes, b_in_p), len(classes))
-            recipe = _Fold(cls, p_shape, add, axes, batch, b_in_p, math.prod(p_shape))
+            cls = classes.setdefault((p_shape, (), add, axes), len(classes))
+            recipe = _Recipe(cls, p_shape, (), add, axes, batch, math.prod(p_shape))
             made = fold_classes[key] = (recipe, cs)
         recipe, cs = made
-        fold = (recipe, tuple(map(rows.__getitem__, cs)), tuple(map(coefs.__getitem__, cs)))
+        fold = (recipe, None, (), tuple(map(rows.__getitem__, cs)), tuple(map(coefs.__getitem__, cs)))
         return fold, tuple(map(ids.__getitem__, cs))
 
     em = _Emitter(M, T)
@@ -571,26 +553,27 @@ def compile_sweeps(decomp, reuse, M, T):
         kind, s = key[0], key[1]
         rows = _rows_of(placed)
         if kind is FRESH:
-            em.fresh([fresh[op[1]] for op in ops], em.write(M[s], rows, load=False))
+            em.reduce([fresh[op[1]] for op in ops], None, em.write(M[s], rows, load=False))
         else:
             g = len(ops)
             batch = () if g == 1 else (g,)
             delta = em.scratch(batch + M[s].shape[1:])
             folds = [e[3] for e in placed]
             if kind is AFTER:
-                em.fold(folds, None, delta)
+                em.reduce(folds, None, delta)
             else:  # BEFORE: refresh (a, p) and fold its increment toward b in
                 sup = [op[2] for op in ops]
                 sp = erow[sup[0]][0]
                 rows_p = erow[sup[0]][1] if g == 1 else tuple([erow[j][1] for j in sup])
                 m_new = em.scratch(batch + M[sp].shape[1:])
-                em.fresh([fresh[j] for j in sup], m_new)
+                em.reduce([fresh[j] for j in sup], None, m_new)
                 old = em.write(M[sp], rows_p, load=True)
-                recipe = folds[0][0]
-                total = em.scratch(batch + recipe.shape)
+                rec = folds[0][0]
+                total = em.scratch(batch + rec.shape)
                 em.emit(np.subtract, m_new, old, total)
-                em.fold(folds, total, delta)
-                em.emit(np.subtract, m_new, delta.reshape(batch + recipe.b_in_p), old)
+                em.reduce(folds, total, delta)
+                b_in_p = tuple([1 if x in rec.axes else c for x, c in enumerate(rec.shape)])
+                em.emit(np.subtract, m_new, delta.reshape(batch + b_in_p), old)
             out = em.write(M[s], rows, load=True)
             em.emit(np.add, out, delta, out)
         calls = made_messages[ops] = em.group()
@@ -621,13 +604,14 @@ def compile_sweeps(decomp, reuse, M, T):
         calls = made_caches[bs] = em.group()
         return calls
 
-    def walk(forward, leads):
-        # the levels of a sweep under the lead choices `leads`, each its
-        # message groups {key: updates placed} and its cache groups {key:
-        # separators}.  An update placed is (row, op, cells, its read-off or
-        # None); its key ends in the lead choice that runs it, None for all.
-        order, trail = orders[forward], trailing[forward]
-        pending = {v: set() for v in leads}  # edges refreshed preemptively
+    def walk(forward, lead_current):
+        # the levels of one variant, each its message groups {key: updates
+        # placed} and its cache groups {key: separators}, and whether it met
+        # a lead edge.  An update placed is (row, op, cells, its read-off or
+        # None).
+        order, trail, near = orders[forward], trailing[forward], around[forward]
+        pending = set()  # edges refreshed preemptively
+        led = False
         last_write = [-1] * (n + len(scopes))
         last_access = [-1] * (n + len(scopes))  # the last level that read or wrote it
         levels = []
@@ -639,86 +623,36 @@ def compile_sweeps(decomp, reuse, M, T):
                 a = source[i]
                 if b == trail[a]:
                     continue
-                # whether b nests in the window neighbour swept just before
-                # it (pred) and in the one swept just after it (succ)
-                if forward:
-                    nests_pred, nests_succ = nests[i]
-                else:
-                    nests_succ, nests_pred = nests[i]
+                if i in pending:
+                    pending.discard(i)
+                    continue
+                wp, nests_pred, ws, nests_succ = near[i]
                 after = use_after and nests_pred
-                before = use_before and nests_succ
-                queued = use_before and any(i in p for p in pending.values())
-                if not (after or before or queued):
+                if after and windows[a][wp] == trail[a]:  # a lead edge
+                    led, after = True, lead_current
+                stack, row = erow[i]
+                if after:
+                    fold, fold_reads = fold_recipe(i, wp)
+                    op = (AFTER, i, None, windows[a][wp])
+                    placed.append(((AFTER, stack, fold[0].cls), (row, op, fold[0].cells, fold)))
+                    reads += fold_reads
+                elif use_before and nests_succ:
+                    succ = windows[a][ws]
+                    j = eid[(a, succ)]
+                    pending.add(j)
+                    rec = fresh[j][0]
+                    fold, fold_reads = fold_recipe(i, ws)
+                    key = (BEFORE, stack, erow[j][0], rec.cls, fold[0].cls)
+                    op = (BEFORE, i, j, succ)
+                    placed.append((key, (row, op, rec.cells + fold[0].cells, fold)))
+                    reads += fresh_reads[j]
+                    reads += fold_reads
+                    reads.append(j)
+                    writes.append(j)
+                else:
                     placed.append(fresh_placed[i])
                     reads += fresh_reads[i]
-                    writes.append(i)
-                    continue
-                window, k = windows[a], slot_of[i]
-                wp, ws = (k - 1, k + 1) if forward else (k + 1, k - 1)  # slots of pred and succ
-                pred = window[wp] if 0 <= wp < len(window) else None
-                succ = window[ws] if 0 <= ws < len(window) else None
-                # a lead edge's update differs between the lead choices
-                # only where the walk has both
-                lead = pred == trail[a] and False in leads
-                if not (before or queued):
-                    # AFTER, but fresh in the variant where a lead edge's
-                    # trailing message is not yet current
-                    fold, fold_reads = fold_recipe(i, wp)
-                    key, entry = fresh_placed[i]
-                    taken = (entry[0], (AFTER, i, None, pred), fold[0].cells, fold)
-                    if lead:
-                        placed.append((key[:3] + (False,), entry))
-                        placed.append(((AFTER, key[1], fold[0].cls, True), taken))
-                        reads += fresh_reads[i]
-                    else:
-                        placed.append(((AFTER, key[1], fold[0].cls, None), taken))
-                    reads += fold_reads
-                    writes.append(i)
-                    continue
-                variants = []  # the update per lead choice
-                for v in leads:
-                    if i in pending[v]:
-                        pending[v].discard(i)
-                        variants.append(None)
-                    elif after and (v or not lead):
-                        variants.append((AFTER, i, None, pred))
-                    elif before:
-                        j = eid[(a, succ)]
-                        pending[v].add(j)
-                        variants.append((BEFORE, i, j, succ))
-                    else:
-                        variants.append((FRESH, i, None, None))
-                if variants.count(variants[0]) == len(variants):
-                    variants = [(None, variants[0])]
-                else:
-                    variants = list(zip(leads, variants))
-                stack, row = erow[i]
-                for cond, op in variants:
-                    if op is None:
-                        continue
-                    kind, _, j, p = op
-                    fold = None
-                    if kind is FRESH:
-                        rec = fresh[i][0]
-                        key = (kind, stack, rec.cls, cond)
-                        reads += fresh_reads[i]
-                        cost = rec.cells
-                    elif kind is AFTER:
-                        fold, fold_reads = fold_recipe(i, wp)
-                        key = (kind, stack, fold[0].cls, cond)
-                        reads += fold_reads
-                        cost = fold[0].cells
-                    else:
-                        rec = fresh[j][0]
-                        fold, fold_reads = fold_recipe(i, ws)
-                        key = (kind, stack, erow[j][0], rec.cls, fold[0].cls, cond)
-                        reads += fresh_reads[j]
-                        reads += fold_reads
-                        reads.append(j)
-                        writes.append(j)
-                        cost = rec.cells + fold[0].cells
-                    writes.append(i)
-                    placed.append((key, (row, op, cost, fold)))
+                writes.append(i)
 
             # the first level after every step this one conflicts with
             level = 0
@@ -750,34 +684,33 @@ def compile_sweeps(decomp, reuse, M, T):
             else:
                 group.append((row, b))
 
-        left = set().union(*pending.values())
-        if left:
+        if pending:
             raise UnconsumedPreemptiveMessage(
-                f"preemptive messages left unconsumed: {sorted(edges[j] for j in left)}"
+                f"preemptive messages left unconsumed: {sorted(edges[j] for j in pending)}"
             )
-        return levels
+        return levels, led
 
-    variants = {}
-    for forward, leads in ((True, (False, True)), (False, (True,))):
-        # each level's groups are emitted once, for every lead choice that
-        # runs them
-        phases = {v: [] for v in leads}
-        ops, cells = dict.fromkeys(leads, 0), dict.fromkeys(leads, 0)
-        for messages, caches in walk(forward, leads):
-            groups = {v: [] for v in leads}
-            for key, group in messages.items():
-                calls, cost = message_group(key, group), sum([e[2] for e in group])
-                for v in leads if key[-1] is None else (key[-1],):
-                    groups[v].append(calls)
-                    ops[v] += len(group)
-                    cells[v] += cost
-            caches = tuple([cache_group(key, seps) for key, seps in caches.items()])
-            for v in leads:
-                if groups[v]:
-                    phases[v].append(tuple(groups[v]))
-                phases[v].append(caches)
-        for v in leads:
-            variants[forward, v] = Variant(tuple(phases[v]), ops[v], cells[v])
+    def variant(forward, lead_current):
+        # the compiled variant, and whether it met a lead edge
+        levels, led = walk(forward, lead_current)
+        phases, ops, cells = [], 0, 0
+        for messages, caches in levels:
+            if messages:
+                groups = []
+                for key, group in messages.items():
+                    groups.append(message_group(key, group))
+                    ops += len(group)
+                    cells += sum([e[2] for e in group])
+                phases.append(tuple(groups))
+            phases.append(tuple([cache_group(key, seps) for key, seps in caches.items()]))
+        return Variant(tuple(phases), ops, cells), led
+
+    first, led = variant(True, False)
+    variants = {
+        (True, False): first,
+        (True, True): variant(True, True)[0] if led else first,
+        (False, True): variant(False, True)[0],
+    }
     return SweepProgram((*M, *T), variants)
 
 

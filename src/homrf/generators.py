@@ -134,6 +134,8 @@ def gen_potts_2x2(
     Unaries default to seeded noise in [0, 1)."""
     if width < 2 or height < 2:
         raise ValueError("need a grid of at least 2x2")
+    if not math.isfinite(block_weight):
+        raise ValueError(f"block weight must be finite, not {block_weight}")
     nodes = _grid_nodes(width, height)
     n = width * height
     label_counts = [labels] * n

@@ -422,8 +422,11 @@ class ExplicitChainState:
 
     params: TreeParams
     child: dict
-    direction: str = "forward"
     pass_index: int = 0
+
+    @property
+    def direction(self):
+        return "backward" if self.pass_index % 2 else "forward"
 
 
 def explicit_chain_init(decomp):
@@ -433,7 +436,7 @@ def explicit_chain_init(decomp):
 
 def trws_explicit_pass(decomp, state, on_average=None):
     """Chain sweep with one message per separator and subproblem, in the
-    direction `state.direction`, which it then flips.
+    direction `state.direction`, which it then flips by counting the pass.
 
     Each chain tracks its current member; each outer factor remembers its last
     message target, which stays valid across steps, so a single send per
@@ -468,5 +471,4 @@ def trws_explicit_pass(decomp, state, on_average=None):
         average_factor(decomp, state.params, b, sums=sums)
 
     state.pass_index += 1
-    state.direction = "backward" if forward else "forward"
     return bound(decomp, state.params)

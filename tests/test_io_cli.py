@@ -230,6 +230,11 @@ class TestGenerators:
         with pytest.raises(ValueError, match="finite"):
             gen_stereo_second_order(3, 3, labels=2, smooth_weight=weight)
 
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf"), -float("inf")])
+    def test_potts_block_weight_must_be_finite(self, weight):
+        with pytest.raises(ValueError, match="finite"):
+            gen_potts_2x2(2, 2, labels=2, block_weight=weight)
+
     def test_negative_stereo_weight_needs_given_unaries(self):
         with pytest.raises(ValueError, match="non-negative"):
             gen_stereo_second_order(3, 3, labels=2, smooth_weight=-5.0)
@@ -453,6 +458,9 @@ class TestCliErrors:
             ["--gen", "stereo", "--stereo-lambda", "inf"],
             ["--gen", "stereo", "--stereo-lambda=-inf"],
             ["--gen", "stereo", "--stereo-lambda=-5"],
+            ["--gen", "potts2x2", "--block-weight", "nan"],
+            ["--gen", "potts2x2", "--block-weight", "inf"],
+            ["--gen", "potts2x2", "--block-weight=-inf"],
         ],
     )
     def test_bad_generator_parameters_exit_2(self, argv):

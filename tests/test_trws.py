@@ -827,14 +827,24 @@ class TestLevelSchedule:
     @pytest.mark.parametrize("reuse", REUSE_MODES)
     def test_variants_compile_on_first_use(self, reuse):
         # a state compiles a mode's three variants together on its first pass
-        # in that mode and runs every later pass on that one program
-        for make in schedule_instances():
+        # in that mode and runs every later pass on that one program.  The
+        # two forward variants are one where no edge is a lead edge (b at
+        # slot 1 of a's window, nested in the trailing bound at slot 0): of
+        # these instances, only the stereo grid has lead edges.
+        for k, make in enumerate(schedule_instances()):
             d = make()
             st = chain_state_init(d)
             assert st._bound.get(reuse) is None
             trws_chain_pass(d, st, reuse=reuse)
             program = st._bound[reuse]
             assert set(program.variants) == set(VARIANTS)
+            scope = d.model.scope
+            windows = [d.local_separators[a] for a in dict.fromkeys(a for a, _ in d.message_edges)]
+            lead = reuse != "none" and any(
+                len(w) > 1 and set(scope(w[1])) < set(scope(w[0])) for w in windows
+            )
+            assert lead == (k == 1 and reuse != "none")
+            assert (program.variants[True, False] is program.variants[True, True]) == (not lead)
             for _ in range(3):
                 trws_chain_pass(d, st, reuse=reuse)
             assert st._bound[reuse] is program
