@@ -64,9 +64,7 @@ exactly as long as the decomposition.  Programs are compiled per state, on
 its first pass in a reuse mode, and kept in its `Bindings`.
 """
 
-import gc
 import math
-from functools import wraps
 from operator import is_, itemgetter
 from typing import NamedTuple
 
@@ -74,6 +72,7 @@ import numpy as np
 
 from ._tables import drop_axes, embed_shape, table_shape
 from .errors import UnconsumedPreemptiveMessage
+from .model import _gc_paused
 
 FRESH, AFTER, BEFORE = "fresh", "after", "before"
 
@@ -147,22 +146,6 @@ def same_objects(xs, ys):
     """Whether two sequences hold the same objects in the same order: the
     arrays a binding was made for are still those it would run on."""
     return len(xs) == len(ys) and all(map(is_, xs, ys))
-
-
-def _gc_paused(build):
-    # Compiling allocates many small tuples, which set off the cyclic
-    # collector again and again although they form no cycles.
-    @wraps(build)
-    def paused(*args):
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            return build(*args)
-        finally:
-            if enabled:
-                gc.enable()
-
-    return paused
 
 
 def storage_layout(decomp):

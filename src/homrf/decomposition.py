@@ -17,7 +17,7 @@ import numpy as np
 from ._plan import build_sweep_plan, storage_layout
 from ._tables import table_shape
 from .errors import HomrfError, MissingSeparatorFactor
-from .model import Factor, Model, close_j
+from .model import Factor, Model, _close, _gc_paused, close_j
 
 
 def sigma_key(scope, pos):
@@ -206,15 +206,19 @@ class Decomposition:
         return storage_layout(self)
 
 
+@_gc_paused
 def build_monotonic_chains(model, jstructure, node_order=None):
     """Cover the outer factors with monotonic chains.
 
     Missing singleton factors, missing chain-intersection factors and the
-    corresponding marginalization edges are added with zero cost tables before
-    the closure is recomputed; zero additions leave every labeling's cost and
-    the existing constraints untouched.  Outer factors are visited in scope
-    order and appended to the first open chain whose tail admits them; a
-    factor no chain admits opens a new one.  Chain probabilities are uniform.
+    corresponding marginalization edges are added with zero cost tables;
+    zero additions leave every labeling's cost and the existing constraints
+    untouched.  Outer factors are visited in scope order and appended to the
+    first open chain whose tail admits them; a factor no chain admits opens a
+    new one.  Only the chains whose tail shares a node with the factor can
+    admit it, so only those are tried, in the order they were opened.  The
+    closure over the singleton edges is extended by the chain-intersection
+    edges alone, not recomputed.  Chain probabilities are uniform.
     """
     if node_order is None:
         node_order = tuple(range(model.node_count))
@@ -255,14 +259,21 @@ def build_monotonic_chains(model, jstructure, node_order=None):
     # share with its successor precedes every node of that successor, hence
     # of every later member, so no later member can hold it again.
     chains = []
+    at_tail = [[] for _ in range(model.node_count)]  # node -> chains whose tail holds it
     for a in sigma_sorted(js, pos, js.outer):
         scope_a = js.scope(a)
-        for chain in chains:
-            if _eq15_holds(js.scope(chain[-1]), scope_a, pos):
-                chain.append(a)
+        for c in sorted({c for v in scope_a for c in at_tail[v]}):
+            tail = js.scope(chains[c][-1])
+            if _eq15_holds(tail, scope_a, pos):
+                for v in tail:
+                    at_tail[v].remove(c)
+                chains[c].append(a)
                 break
         else:
+            c = len(chains)
             chains.append([a])
+        for v in scope_a:
+            at_tail[v].append(c)
 
     for chain in chains:
         for i in range(len(chain) - 1):
@@ -276,7 +287,7 @@ def build_monotonic_chains(model, jstructure, node_order=None):
             model.label_counts,
             [Factor(s, np.ascontiguousarray(t)) for s, t in zip(scopes, tables)],
         )
-        js = close_j(scopes, edges)
+        js = _close(tuple(scopes), edges, js.closed_edges)
 
     return Decomposition(
         model=model,

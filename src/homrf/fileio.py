@@ -22,7 +22,11 @@ The parser walks the text with a cursor that holds one line's tokens at a
 time, so the line an error names is the line the cursor is on.  Counts, ids
 and scopes are read token by token; each table is converted with one numpy
 call per line it spans, which accepts and rejects exactly the strings
-`float()` does.
+`float()` does.  A table that starts a line and fills it exactly is converted
+once per distinct line text: a later line of the same text is not split
+again, and its factor gets the first one's read-only array.  Grid models,
+whose pairwise or higher-order factors all carry one potential, repeat one
+line thousands of times.
 """
 
 import math
@@ -30,7 +34,7 @@ import math
 import numpy as np
 
 from .errors import ParseError
-from .model import build_model, close_j
+from .model import _gc_paused, build_model, close_j
 
 
 class _Tokens:
@@ -43,44 +47,67 @@ class _Tokens:
     def __init__(self, text):
         self._lines = enumerate(text.splitlines(), start=1)
         self.line = 0
-        self._toks = []
+        self._toks = ()
         self._i = 0
+        self._filled = {}  # text of a line one table filled -> that table
+
+    def _next_line(self):
+        # moves onto the next line holding a token, with none of its tokens
+        # taken out yet, and returns its text; None at the end of the text
+        for ln, text in self._lines:
+            if text and not text.isspace():
+                self.line, self._toks, self._i = ln, (), 0
+                return text
+        return None
 
     def at_end(self):
         """True when no token is left; otherwise moves onto the next line
         holding one if the current line is used up."""
-        while self._i >= len(self._toks):
-            for ln, line in self._lines:
-                toks = line.split()
-                if toks:
-                    self.line, self._toks, self._i = ln, toks, 0
-                    break
-            else:
-                return True
+        if self._i < len(self._toks):
+            return False
+        text = self._next_line()
+        if text is None:
+            return True
+        self._toks = text.split()
         return False
 
-    def next(self, what):
-        if self.at_end():
-            raise ParseError(f"line {self.line}: unexpected end of file, expected {what}")
+    def next(self, what, arg=None):
+        """The next token.  `what` names it in an error message, formatted
+        with `arg` only when a message is made."""
+        if self._i >= len(self._toks) and self.at_end():
+            raise ParseError(
+                f"line {self.line}: unexpected end of file, expected {what.format(arg)}"
+            )
         tok = self._toks[self._i]
         self._i += 1
         return tok
 
-    def next_int(self, what):
-        tok = self.next(what)
+    def next_int(self, what, arg=None):
+        tok = self.next(what, arg)
         try:
             return int(tok)
         except ValueError:
-            raise ParseError(f"line {self.line}: expected {what}, got {tok!r}") from None
+            raise ParseError(
+                f"line {self.line}: expected {what.format(arg)}, got {tok!r}"
+            ) from None
 
-    def floats(self, count, what, truncated):
-        """The next `count` tokens as a float array, converted one line's
-        slice at a time; the first token `float()` rejects is reported as
-        not being `what`, running out of tokens as `truncated`."""
+    def table(self, count, f):
+        """The next `count` tokens as factor f's table, a float array
+        converted one line's slice at a time; the first token `float()`
+        rejects is reported as not a table value, running out of tokens as a
+        truncated table.  A table that starts a line and fills it exactly is
+        the array of the earlier table that filled a line of the same text,
+        if any, read-only."""
+        text = self._next_line() if self._i >= len(self._toks) else None
+        if text is not None:
+            shared = self._filled.get(text)
+            if shared is not None and shared.size == count:
+                return shared
+            self._toks = text.split()
         parts = []
         while count:
             if self.at_end():
-                raise ParseError(f"line {self.line}: {truncated}")
+                raise ParseError(f"line {self.line}: table of factor {f} is truncated")
             toks = self._toks[self._i : self._i + count]
             self._i += len(toks)
             count -= len(toks)
@@ -92,12 +119,18 @@ class _Tokens:
                         float(tok)
                     except ValueError:
                         raise ParseError(
-                            f"line {self.line}: expected {what}, got {tok!r}"
+                            f"line {self.line}: expected table value of factor {f}, got {tok!r}"
                         ) from None
                 raise
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+        if len(parts) > 1:
+            return np.concatenate(parts)
+        if text is not None and self._i == len(self._toks):
+            parts[0].setflags(write=False)
+            self._filled[text] = parts[0]
+        return parts[0]
 
 
+@_gc_paused
 def parse_model_file(text):
     """Parse the text format; returns (model, jstructure, node order or None)."""
     toks = _Tokens(text)
@@ -107,7 +140,7 @@ def parse_model_file(text):
     n = toks.next_int("node count")
     if n <= 0:
         raise ParseError(f"line {toks.line}: node count must be positive")
-    label_counts = [toks.next_int(f"label count of node {v}") for v in range(n)]
+    label_counts = [toks.next_int("label count of node {}", v) for v in range(n)]
     for v, c in enumerate(label_counts):
         if c <= 0:
             raise ParseError(f"line {toks.line}: node {v} has label count {c}")
@@ -117,18 +150,15 @@ def parse_model_file(text):
         raise ParseError(f"line {toks.line}: factor count must be non-negative")
     factors = []
     for f in range(k):
-        size = toks.next_int(f"scope size of factor {f}")
+        size = toks.next_int("scope size of factor {}", f)
         if size <= 0:
             raise ParseError(f"line {toks.line}: factor {f} has scope size {size}")
-        scope = tuple(toks.next_int(f"node id in factor {f}") for _ in range(size))
+        scope = tuple(toks.next_int("node id in factor {}", f) for _ in range(size))
         for v in scope:
             if v < 0 or v >= n:
                 raise ParseError(f"line {toks.line}: factor {f} references node {v}")
         cells = math.prod(label_counts[v] for v in scope)
-        values = toks.floats(
-            cells, f"table value of factor {f}", f"table of factor {f} is truncated"
-        )
-        factors.append((scope, values))
+        factors.append((scope, toks.table(cells, f)))
 
     model = build_model(label_counts, factors)
 
@@ -141,8 +171,8 @@ def parse_model_file(text):
             if m < 0:
                 raise ParseError(f"line {toks.line}: edge count must be non-negative")
             for e in range(m):
-                a = toks.next_int(f"source of edge {e}")
-                b = toks.next_int(f"target of edge {e}")
+                a = toks.next_int("source of edge {}", e)
+                b = toks.next_int("target of edge {}", e)
                 if not (0 <= a < k and 0 <= b < k):
                     raise ParseError(f"line {toks.line}: edge {e} references factor {a} or {b}")
                 edges.add((a, b))

@@ -9,9 +9,11 @@ relaxation enforces; their closure adds every edge implied by transitivity
 and by shared sources with nested targets.
 """
 
+import gc
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from functools import wraps
 
 import numpy as np
 
@@ -25,6 +27,22 @@ from .errors import (
     NotNested,
     TableShapeMismatch,
 )
+
+
+def _gc_paused(build):
+    # Parsing, building and compiling allocate many small tuples, which set
+    # off the cyclic collector again and again although they form no cycles.
+    @wraps(build)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return build(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+
+    return paused
 
 
 @dataclass(frozen=True)
@@ -66,7 +84,8 @@ def build_model(node_label_counts, factor_list):
 
     Each entry of `factor_list` is a (scope, table) pair.  The scope may be
     given in any order; the table, flat or shaped, is read row-major over the
-    given order and re-indexed to the sorted scope.
+    given order and re-indexed to the sorted scope.  Tables are copied, and
+    factors given one table object under one layout share one read-only copy.
     """
     label_counts = tuple(int(c) for c in node_label_counts)
     if any(c < 1 for c in label_counts):
@@ -75,13 +94,16 @@ def build_model(node_label_counts, factor_list):
 
     factors = []
     seen = {}
+    # (id of a given table, its shape, its axis order) -> (that table, its
+    # copy); holding the given table keeps its id from being reused
+    copies = {}
     for k, (scope_in, table_in) in enumerate(factor_list):
-        scope_in = tuple(int(v) for v in scope_in)
+        scope_in = tuple(map(int, scope_in))
         if not scope_in:
             raise ValueError(f"factor {k}: empty scope")
         if len(set(scope_in)) != len(scope_in):
             raise DuplicateNodeInScope(f"factor {k}: scope {scope_in} repeats a node")
-        if any(v < 0 or v >= n for v in scope_in):
+        if min(scope_in) < 0 or max(scope_in) >= n:
             raise ValueError(f"factor {k}: scope {scope_in} references an unknown node")
         scope = tuple(sorted(scope_in))
         if scope in seen:
@@ -90,21 +112,26 @@ def build_model(node_label_counts, factor_list):
             )
         seen[scope] = k
 
-        table = np.array(table_in, dtype=float)
         shape_in = table_shape(scope_in, label_counts)
-        want = math.prod(shape_in)
-        if table.size != want:
-            raise TableShapeMismatch(
-                f"factor {k}: table has {table.size} entries, scope {scope_in} needs {want}"
-            )
-        if not np.isfinite(table).all():
-            raise NonFiniteCost(f"factor {k}: non-finite cost entry")
-        table = table.reshape(shape_in)
-        if scope != scope_in:
-            table = np.transpose(table, np.argsort(scope_in))
-        table = np.ascontiguousarray(table)
-        table.setflags(write=False)
-        factors.append(Factor(scope, table))
+        axes = None if scope == scope_in else tuple(np.argsort(scope_in).tolist())
+        key = (id(table_in), shape_in, axes)
+        copy = copies.get(key)
+        if copy is None:
+            table = np.array(table_in, dtype=float)
+            want = math.prod(shape_in)
+            if table.size != want:
+                raise TableShapeMismatch(
+                    f"factor {k}: table has {table.size} entries, scope {scope_in} needs {want}"
+                )
+            if not np.isfinite(table).all():
+                raise NonFiniteCost(f"factor {k}: non-finite cost entry")
+            table = table.reshape(shape_in)
+            if axes is not None:
+                table = np.transpose(table, axes)
+            table = np.ascontiguousarray(table)
+            table.setflags(write=False)
+            copy = copies[key] = (table_in, table)
+        factors.append(Factor(scope, copy[1]))
 
     return Model(label_counts, factors)
 
@@ -153,7 +180,13 @@ def close_j(scopes, edges):
     are present, and (B, C) whenever (A, B), (A, C) are present with
     scope(C) strictly inside scope(B), until nothing changes.
     """
-    scopes = tuple(tuple(s) for s in scopes)
+    return _close(tuple(tuple(s) for s in scopes), edges, ())
+
+
+def _close(scopes, edges, given):
+    # `close_j` of `edges`, given edges of their closure that are closed
+    # already, such as the closure of a subset of `edges`.  Only the edges
+    # outside `given` are propagated.
     scope_sets = [frozenset(s) for s in scopes]
     n = len(scopes)
 
@@ -169,13 +202,13 @@ def close_j(scopes, edges):
         edge_list.append((a, b))
 
     closed = set(edge_list)
+    queue = deque(closed.difference(given) if given else closed)
+    closed.update(given)
     targets = {}
     sources = {}
     for a, b in closed:
         targets.setdefault(a, set()).add(b)
         sources.setdefault(b, set()).add(a)
-
-    queue = deque(closed)
 
     def add(a, b):
         if (a, b) not in closed:

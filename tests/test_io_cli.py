@@ -203,6 +203,66 @@ class TestParseCursor:
             assert b[2] == a[2] == order
 
 
+# factor 1's table is wrapped and starts with factor 0's line; factor 4's
+# shares its line with factor 5's scope
+_REPEATED_LINES = [
+    "HOMRF",
+    "3",
+    "2 2 2",
+    "6",
+    "1 0",
+    "0 1",
+    "2 0 1",
+    "0 1",
+    "2 3",
+    "2 0 2",
+    "0 1 2 3",
+    "2 1 2",
+    "0 1 2 3",
+    "1 1",
+    "0 1 1 2",
+    "0 1",
+    "J",
+    "0",
+]
+
+
+class TestSharedTables:
+    def test_repeated_lines_share_one_read_only_table(self):
+        model, js = gen_stereo_second_order(6, 5, labels=3, smooth_weight=15.0, seed=0)
+        parsed, pjs, _ = parse_model_file(serialize_model(model, js))
+        assert parsed.scopes == model.scopes
+        assert pjs.closed_edges == js.closed_edges
+        for f, g in zip(model.factors, parsed.factors):
+            assert g.table.tobytes() == f.table.tobytes() and g.table.shape == f.table.shape
+            assert not g.table.flags.writeable
+        triples = [f.table for f in parsed.factors if len(f.scope) == 3]
+        assert len(triples) == 6 * 3 + 4 * 5
+        assert all(np.shares_memory(t, triples[0]) for t in triples)
+
+    def test_wrapped_or_line_sharing_tables_are_not_shared(self):
+        model, _, _ = parse_model_file("\n".join(_REPEATED_LINES) + "\n")
+        tables = [model.table(f).ravel().tolist() for f in range(6)]
+        assert tables == [[0, 1]] + [[0, 1, 2, 3]] * 3 + [[0, 1]] * 2
+        shared = {
+            (f, g)
+            for f in range(6)
+            for g in range(f + 1, 6)
+            if np.shares_memory(model.table(f), model.table(g))
+        }
+        assert shared == {(0, 5), (2, 3)}
+        # a line that a table shares with the next scope is no key either
+        text = "HOMRF\n4\n2 2 2 2\n4\n1 0\n0 1 1\n2\n5 6\n1 1\n0 1 1\n3\n7 8\nJ\n0\n"
+        model, _, _ = parse_model_file(text)
+        assert model.scopes == ((0,), (2,), (1,), (3,))
+        assert [model.table(f).tolist() for f in range(4)] == [[0, 1], [5, 6], [0, 1], [7, 8]]
+
+    def test_bad_token_on_first_of_identical_lines(self):
+        lines = _SPLIT_TABLE[:7] + ["0 x 2 3 4 5", "2 0 1", "0 x 2 3 4 5"] + _SPLIT_TABLE[9:]
+        lines[3] = "3"
+        assert _parse_error(lines) == "line 8: expected table value of factor 1, got 'x'"
+
+
 class TestGenerators:
     def test_stereo_table_values(self):
         table = second_order_table(8, 15.0)

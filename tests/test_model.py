@@ -56,6 +56,33 @@ class TestBuildModel:
                 assert m.factors[0].table[x0, x1] == table[x1, x0]
 
 
+    def test_one_array_for_two_factors_is_one_copy(self):
+        table = np.arange(4.0)
+        m = build_model([2, 2, 2], [((0, 1), table), ((1, 2), table), ((2, 0), table)])
+        assert np.shares_memory(m.table(0), m.table(1))
+        assert not np.shares_memory(m.table(0), table)
+        # the same array read over a reversed scope is another table
+        assert not np.shares_memory(m.table(0), m.table(2))
+        assert m.table(2).tolist() == [[0.0, 2.0], [1.0, 3.0]]
+        assert not m.table(0).flags.writeable
+        table[:] = 9.0
+        assert m.table(0).tolist() == m.table(1).tolist() == [[0.0, 1.0], [2.0, 3.0]]
+
+    def test_shared_array_is_checked_per_factor(self):
+        table = np.zeros(4)
+        with pytest.raises(TableShapeMismatch, match="factor 1"):
+            build_model([2, 2, 3], [((0, 1), table), ((1, 2), table)])
+        table[1] = np.nan
+        with pytest.raises(NonFiniteCost, match="factor 0"):
+            build_model([2, 2], [((0, 1), table), ((0,), [0.0, 1.0])])
+
+    def test_factors_from_a_generator_are_not_confused(self):
+        # a table made for one factor and freed after it could lend its id
+        # to a later one
+        m = build_model([3] * 20, (((v,), [float(v)] * 3) for v in range(20)))
+        assert [m.table(v)[0] for v in range(20)] == [float(v) for v in range(20)]
+
+
 class TestEnergy:
     def test_zero_tables(self):
         m = build_model([2, 3], [((0,), np.zeros(2)), ((0, 1), np.zeros(6))])
