@@ -188,11 +188,11 @@ def _shape_in(decomp):
 
 
 def _index(rows):
-    """One row by its index, rows that step evenly upward by a basic slice,
-    other rows by an index array."""
+    """Rows that step evenly upward, one row included, by a basic slice, other
+    rows by an index array."""
     first = rows[0]
     if len(rows) == 1:
-        return first
+        return slice(first, first + 1)
     step, last = rows[1] - first, rows[-1]
     if step > 0 and tuple(rows) == tuple(range(first, last + 1, step)):
         return slice(first, last + 1, step)
@@ -766,18 +766,16 @@ def build_sweep_plan(decomp):
             s, row = sep_row[e]
             ends.setdefault(s, []).append((row, d.rho[t] / d.rho_factor[e]))
             cells += model.table(e).size
-        batched = []
-        for s, end in ends.items():
-            rows = [row for row, _ in end]
-            batched.append(
-                (
-                    s,
-                    _index(rows) if len(rows) > 1 else slice(rows[0], rows[0] + 1),
-                    tuple(range(1, 1 + len(d._layout.shapes[s]))),
-                    tuple([coef for _, coef in end]),
-                )
+        batched = tuple(
+            (
+                s,
+                _index([row for row, _ in end]),
+                tuple(range(1, 1 + len(d._layout.shapes[s]))),
+                tuple([coef for _, coef in end]),
             )
-        return PassBound(tuple(batched), cells, const)
+            for s, end in ends.items()
+        )
+        return PassBound(batched, cells, const)
 
     return SweepPlan(
         net,

@@ -116,13 +116,7 @@ def _run(decomp, args):
         rows, stop = _run_passes(step, args.passes, None, args.method)
         return rows, stop, state.best_params or state.params, state.best
     rows, stop = _run_passes(step, args.passes, args.eps, args.method)
-    if args.method == "trws":
-        primal_source = chain_state_tree_params(decomp, state)
-    elif args.method == "msd":
-        primal_source = state.tables
-    else:
-        primal_source = state
-    return rows, stop, primal_source, rows[-1].bound
+    return rows, stop, state.tables if args.method == "msd" else state, rows[-1].bound
 
 
 def run_solver_cli(argv=None):
@@ -160,6 +154,8 @@ def run_solver_cli(argv=None):
             default=1,
         )
         if args.method in ("trws", "trws-general") and per_tree <= STATE_SPACE_GUARD:
+            if args.method == "trws":
+                primal_source = chain_state_tree_params(decomp, primal_source)
             report = check_ewta(decomp, primal_source)
             print(f"tree agreement: {'yes' if report.holds else 'no'}")
         elif args.method == "msd":

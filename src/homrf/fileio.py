@@ -142,7 +142,7 @@ def parse_model_file(text):
         raise ParseError(f"line {toks.line}: node count must be positive")
     label_counts = [toks.next_int("label count of node {}", v) for v in range(n)]
     for v, c in enumerate(label_counts):
-        if c <= 0:
+        if not 0 < c <= np.iinfo(np.intp).max:  # a numpy dimension
             raise ParseError(f"line {toks.line}: node {v} has label count {c}")
 
     k = toks.next_int("factor count")

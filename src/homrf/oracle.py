@@ -107,16 +107,21 @@ def _tree_argmin_relations(decomp, params, tol):
 
 
 @dataclass
-class AgreementReport:
-    per_factor: dict
+class Report:
+    """Whether a check holds per item (a factor, a closed edge), with the
+    minimizer states that witness each failure."""
+
+    per_item: dict
     witnesses: dict
 
     @property
     def holds(self):
-        return all(self.per_factor.values())
+        return all(self.per_item.values())
 
     def failing(self):
-        return sorted(f for f, ok in self.per_factor.items() if not ok)
+        # in the order checked: a subset failure's ("subset", f) and an
+        # edge's (a, b) do not sort together
+        return [item for item, ok in self.per_item.items() if not ok]
 
 
 def check_ewta(decomp, params, tol=1e-9):
@@ -137,20 +142,7 @@ def check_ewta(decomp, params, tol=1e-9):
         per_factor[fid] = ok
         if not ok:
             witnesses[fid] = {t: p.states() for t, p in zip(ts, projections)}
-    return AgreementReport(per_factor, witnesses)
-
-
-@dataclass
-class ConsistencyReport:
-    per_edge: dict
-    witnesses: dict
-
-    @property
-    def holds(self):
-        return all(self.per_edge.values())
-
-    def failing(self):
-        return sorted(e for e, ok in self.per_edge.items() if not ok)
+    return Report(per_factor, witnesses)
 
 
 def check_j_consistency_enhanced(tables, jstructure, tol=1e-9):
@@ -199,7 +191,7 @@ def check_j_consistency_relational(tables, jstructure, relations, tol=1e-9):
         per_edge[(a, b)] = ok
         if not ok:
             witnesses[(a, b)] = (proj.states(), relations[b].states())
-    return ConsistencyReport(per_edge, witnesses)
+    return Report(per_edge, witnesses)
 
 
 def map_wta_to_jconsistent(decomp, params, tol=1e-9, check=True):

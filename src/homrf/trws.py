@@ -10,14 +10,16 @@ whether it is the first.  The explicit-table reference sweeps it is checked
 against live in `homrf.oracle`.
 
 Messages and separator caches are rows of stacked arrays, one stack per
-separator table shape; the state's `messages` and `theta_sep` are read-only
-views of those rows.  A sweep runs the program that the sweep plan module
-(`homrf._plan`) compiles onto the state's stacks for its reuse mode: level by
-level, the updates of one recipe class at a level run as one
-batched gather-subtract-add-min-scatter of numpy calls on fixed operands,
-then the caches of the level are rebuilt the same way.  The results are
-byte-identical to a sweep one separator at a time.  The chain dynamic
-program behind every bound also runs from the plan, so a pass does no
+separator table shape.  Everything that reads a state reads the stacks it
+holds at that moment, through the decomposition's row layout: the read-only
+`messages` and `theta_sep` views, the per-factor tables behind the bound's
+fallback, the tree parameters and the primal rounding.  A sweep runs the
+program that the sweep plan module (`homrf._plan`) compiles onto the state's
+stacks for its reuse mode: level by level, the updates of one recipe class at
+a level run as one batched gather-subtract-add-min-scatter of numpy calls on
+fixed operands, then the caches of the level are rebuilt the same way.  The
+results are byte-identical to a sweep one separator at a time.  The chain
+dynamic program behind every bound also runs from the plan, so a pass does no
 structural bookkeeping of its own.
 
 A state counts its passes, and a sweep's direction is the parity of that
@@ -51,7 +53,7 @@ from operator import mul
 
 import numpy as np
 
-from ._plan import Bindings, compile_sweeps, same_objects
+from ._plan import Bindings, Layout, compile_sweeps, same_objects
 from ._tables import min_over
 from .errors import ExcessMessageOps, StateNotInitialized
 
@@ -151,28 +153,36 @@ class ChainSolverState:
     plus cached reparameterized separator tables.
 
     Both live as rows of stacked arrays, one stack per separator table shape
-    (`message_stacks`, `separator_stacks`; rows as in `homrf._plan.Layout`).
-    `messages` and `theta_sep` are read-only mappings of read-only views of
-    those rows, keyed by edge (a, b) and by separator.
+    (`message_stacks`, `separator_stacks`; rows as in `layout`, the
+    decomposition's `homrf._plan.Layout`).  `messages` and `theta_sep` are
+    read-only mappings of read-only views of the rows of whatever stacks the
+    state holds when they are read, keyed by edge (a, b) and by separator.
 
     `passes` counts the sweeps run, and `direction`, the direction of the next
     sweep, is its parity: sweeps alternate from a forward first pass.  Its
     first pass in a reuse mode compiles that mode's three sweeps together."""
 
-    messages: Mapping
-    theta_sep: Mapping
     passes: int = 0
     meff: int = 0
     diag_cells: int = 0
     msg_ops_last_pass: int = 0
     message_stacks: list = None
     separator_stacks: list = None
+    layout: Layout = field(default=None, repr=False, compare=False)
     # per reuse mode, its sweeps compiled onto the stacks above
     _bound: Bindings = field(default_factory=Bindings, init=False, repr=False, compare=False)
 
     @property
     def direction(self):
         return "backward" if self.passes % 2 else "forward"
+
+    @property
+    def messages(self):
+        return _Rows(self.layout.edge_row, self.message_stacks)
+
+    @property
+    def theta_sep(self):
+        return _Rows(self.layout.sep_row, self.separator_stacks)
 
 
 class _Rows(Mapping):
@@ -201,20 +211,7 @@ def chain_state_init(decomp):
     table = decomp.model.table
     messages = [np.zeros((len(keys),) + shape) for keys, shape in zip(layout.edges, layout.shapes)]
     caches = [np.array([table(b) for b in seps]) for seps in layout.separators]
-    return ChainSolverState(
-        messages=_Rows(layout.edge_row, messages),
-        theta_sep=_Rows(layout.sep_row, caches),
-        message_stacks=messages,
-        separator_stacks=caches,
-    )
-
-
-def _net_table(source, subtract, messages):
-    # copy of `source` minus the listed messages, each at its broadcast shape
-    out = source.copy()
-    for key, shape in subtract:
-        out -= messages[key].reshape(shape)
-    return out
+    return ChainSolverState(message_stacks=messages, separator_stacks=caches, layout=layout)
 
 
 def _program(decomp, state, reuse):
@@ -300,10 +297,16 @@ def _pass_bound(decomp, state, read_off):
 
 
 def _factor_table(decomp, state, fid):
+    # a copy of factor fid's reparameterized table, read off the state's stacks
     subtract = decomp._sweep_plan.net[fid]
     if subtract is None:
-        return state.theta_sep[fid].copy()
-    return _net_table(decomp.model.table(fid), subtract, state.messages)
+        s, row = state.layout.sep_row[fid]
+        return state.separator_stacks[s][row].copy()
+    out = decomp.model.table(fid).copy()
+    for key, shape in subtract:
+        s, row = state.layout.edge_row[key]
+        out -= state.message_stacks[s][row].reshape(shape)
+    return out
 
 
 def chain_state_factor_tables(decomp, state):

@@ -174,6 +174,19 @@ class TestBuildChains:
         assert got == [((0, 1), (1, 3)), ((0, 2), (2, 3))]
         assert validate_decomposition(d.model, d.jstructure, d).ok
 
+    @pytest.mark.parametrize(
+        "order, match",
+        [
+            ((0, 1, 1, 3), "repeats a node"),
+            ((0, 1, 2), "not a permutation"),
+            ((0, 1, 2, 4), "not a permutation"),
+        ],
+    )
+    def test_node_order_must_be_a_permutation(self, rng, order, match):
+        model, js = _pairwise_model(4, [(0, 1), (1, 2), (2, 3)], rng)
+        with pytest.raises(ValueError, match=match):
+            build_monotonic_chains(model, js, order)
+
     def test_augments_missing_singletons(self, rng):
         factors = [((0, 1), rng.uniform(-1, 1, 4))]
         model = build_model([2, 2], factors)

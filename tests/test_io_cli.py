@@ -24,7 +24,8 @@ from homrf.generators import (
     potts_block_table,
     second_order_table,
 )
-from homrf.oracle import brute_force_map, trws_general_pass
+from homrf.model import energy
+from homrf.oracle import brute_force_map, extract_primal, trws_general_pass
 from homrf.trws import init_tree_params, solve_trws
 
 from conftest import figure_chain_instance, random_instance
@@ -152,6 +153,16 @@ class TestParseCursor:
     def test_negative_edge_count(self):
         lines = ["HOMRF", "1", "2", "1", "1 0", "0 1", "J", "-2"]
         assert _parse_error(lines) == "line 8: edge count must be non-negative"
+
+    @pytest.mark.parametrize("a, b", [(0, 1), (1, -1)])
+    def test_edge_to_unknown_factor(self, a, b):
+        lines = ["HOMRF", "1", "2", "1", "1 0", "0 1", "J", "1", f"{a} {b}"]
+        assert _parse_error(lines) == f"line 9: edge 0 references factor {a} or {b}"
+
+    @pytest.mark.parametrize("order", ["0 0", "1 2"])
+    def test_order_not_a_permutation(self, order):
+        lines = ["HOMRF", "2", "2 2", "0", "ORDER", order]
+        assert _parse_error(lines) == "line 6: ORDER is not a permutation"
 
     def test_nan_table_value_is_non_finite(self):
         with pytest.raises(NonFiniteCost):
@@ -521,6 +532,7 @@ class TestCliErrors:
             ["--gen", "potts2x2", "--block-weight", "nan"],
             ["--gen", "potts2x2", "--block-weight", "inf"],
             ["--gen", "potts2x2", "--block-weight=-inf"],
+            ["--gen", "potts2x2", "--labels", "0"],
         ],
     )
     def test_bad_generator_parameters_exit_2(self, argv):
@@ -569,6 +581,15 @@ class TestCliErrors:
         code, err = _exit(["--input", str(path)])
         assert code == 1
         assert err.startswith("error:") and "count must be non-negative" in err
+
+    def test_label_count_past_intp_file_exit_1(self, tmp_path):
+        # a count numpy cannot take as a dimension, which the zero singletons
+        # the chain builder adds would need
+        path = tmp_path / "m.txt"
+        path.write_text("HOMRF\n2\n2 99999999999999999999\n0\n")
+        code, err = _exit(["--input", str(path)])
+        assert code == 1
+        assert err == "error: line 3: node 1 has label count 99999999999999999999\n"
 
     @pytest.mark.parametrize("n", [63, 64])
     def test_table_size_past_int64_exit_1(self, tmp_path, n):
@@ -677,6 +698,16 @@ class TestCliMatchesLibrary:
         assert rows == [
             (str(r.pass_index), r.direction, "trws", f"{r.bound:.12g}", str(r.meff)) for r in want
         ]
+
+    def test_trws_primal_energy_is_the_library_rounding(self, tmp_path, capsys):
+        # a nested model on which rounding the state and rounding its tree
+        # parameters pick different labelings
+        path = tmp_path / "m.txt"
+        path.write_text(serialize_model(*random_instance(np.random.default_rng(228), nested=True)))
+        assert main(["--input", str(path)]) == 0
+        d = build_monotonic_chains(*parse_model_file(path.read_text()))
+        primal = energy(d.model, extract_primal(d, solve_trws(d).state))
+        assert f"primal energy: {primal:.9g}" in capsys.readouterr().out.splitlines()
 
     def test_trws_general_rows(self, tmp_path):
         rows = _trace_rows(tmp_path, self.GEN + ["--method", "trws-general", "--passes", "5", "--eps", "0"])

@@ -46,6 +46,19 @@ class TestBuildModel:
         with pytest.raises(TableShapeMismatch):
             build_model([2, 3], [((0, 1), np.zeros(5))])
 
+    @pytest.mark.parametrize(
+        "labels, factors, match",
+        [
+            ([2, 0], [((0,), [0, 1])], "at least one label"),
+            ([2, 2], [((), [0.0])], "empty scope"),
+            ([2, 2], [((0, 2), np.zeros(4))], "unknown node"),
+            ([2, 2], [((-1, 0), np.zeros(4))], "unknown node"),
+        ],
+    )
+    def test_bad_description(self, labels, factors, match):
+        with pytest.raises(ValueError, match=match):
+            build_model(labels, factors)
+
     def test_unsorted_scope_is_reindexed(self):
         # table given row-major over (1, 0): entry [x1, x0]
         table = np.arange(6.0).reshape(3, 2)
@@ -147,6 +160,11 @@ class TestCloseJ:
             close_j(_scopes((0, 1), (1, 2)), {(0, 1)})
         with pytest.raises(NotNested):
             close_j(_scopes((0, 1), (0, 1)), {(0, 1)})
+
+    @pytest.mark.parametrize("edge", [(0, 2), (2, 1), (-1, 1)])
+    def test_edge_to_unknown_factor_rejected(self, edge):
+        with pytest.raises(ValueError, match="unknown factor"):
+            close_j(_scopes((0, 1), (1,)), {edge})
 
     def test_closure_idempotent(self, rng):
         for _ in range(30):

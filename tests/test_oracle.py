@@ -169,6 +169,17 @@ class TestJConsistency:
         report = check_j_consistency_enhanced(tables, js)
         assert not report.holds
 
+    def test_subset_and_edge_failures_are_listed_together(self):
+        model = build_model([2, 2], [((0, 1), np.zeros(4)), ((0,), np.zeros(2))])
+        js = close_j(model.scopes, {(0, 1)})
+        tables = [f.table for f in model.factors]
+        relations = {
+            0: Relation((0, 1), np.zeros((2, 2), dtype=bool)),
+            1: Relation((0,), np.ones(2, dtype=bool)),
+        }
+        report = check_j_consistency_relational(tables, js, relations)
+        assert report.failing() == [("subset", 0), (0, 1)]
+
     def test_msd_fixpoint_holds(self, rng):
         hits = 0
         for _ in range(6):

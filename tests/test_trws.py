@@ -418,7 +418,7 @@ class TestChainPassEquivalences:
 class TestChainPassMessageForm:
     def test_requires_initialized_state(self, rng):
         d = zero_instance()
-        for state in (object(), ChainSolverState(messages={}, theta_sep={})):
+        for state in (object(), ChainSolverState(), ChainSolverState(layout=d._layout)):
             with pytest.raises(StateNotInitialized):
                 trws_chain_pass(d, state)
 
@@ -963,6 +963,38 @@ class TestBoundSweeps:
             phis += [trws_chain_pass(d, st, reuse=reuse) for _ in range(self.PASSES - 4)]
             assert [x.tobytes() for x in old] == frozen
             assert phis == want_phis and state_signature(st) == want
+
+    @pytest.mark.parametrize("reuse", REUSE_MODES)
+    def test_views_and_tables_read_the_stacks_held(self, reuse):
+        # stacks reassigned on the state or handed to `replace` are what the
+        # views and the factor tables read from then on
+        for make in schedule_instances():
+            d = make()
+            layout = d._layout
+            ref, st = chain_state_init(d), chain_state_init(d)
+            for k in range(self.PASSES):
+                if k == 2:
+                    st.message_stacks = [x.copy() for x in st.message_stacks]
+                    st.separator_stacks = [x.copy() for x in st.separator_stacks]
+                elif k == 4:
+                    st = dataclasses.replace(
+                        st,
+                        message_stacks=[x.copy() for x in st.message_stacks],
+                        separator_stacks=[x.copy() for x in st.separator_stacks],
+                    )
+                trws_chain_pass(d, ref, reuse=reuse)
+                trws_chain_pass(d, st, reuse=reuse)
+                for views, stacks, rows in (
+                    (st.messages, st.message_stacks, layout.edge_row),
+                    (st.theta_sep, st.separator_stacks, layout.sep_row),
+                ):
+                    assert len(views) == len(rows)
+                    for key, (s, row) in rows.items():
+                        assert np.shares_memory(views[key], stacks[s])
+                        assert views[key].tobytes() == stacks[s][row].tobytes()
+                got = chain_state_factor_tables(d, st)
+                want = chain_state_factor_tables(d, ref)
+                assert [x.tobytes() for x in got] == [x.tobytes() for x in want], k
 
     @pytest.mark.parametrize("reuse", REUSE_MODES)
     def test_two_states_on_one_decomposition(self, reuse):
