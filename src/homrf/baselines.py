@@ -26,11 +26,12 @@ import numpy as np
 
 from ._plan import Bindings, same_objects
 from ._tables import drop_axes, embed_shape, min_over
-from .decomposition import sigma_sorted
+from .decomposition import _node_pos, _scope_nodes, sigma_sorted
 from .errors import InvalidStepSize
-from .trws import TreeParams, _chain_dp, _run_passes, init_tree_params
+from .trws import DEFAULT_EPS, DEFAULT_PASSES, TreeParams, _chain_dp, _run_passes, init_tree_params
 
 
+DEFAULT_STEP_BASE = 1.0  # the subgradient step base, which the command line shares
 _HALF = np.array(0.5)  # a 0-d array: cheaper in a ufunc call than a Python float
 _HALF.flags.writeable = False
 
@@ -40,19 +41,20 @@ def psi_bound(tables):
     return float(sum(min_over(t, None) for t in tables))
 
 
-@dataclass
+@dataclass(eq=False)
 class MsdState:
     """Diffusion state: one reparameterized table per factor, which the
     sweep updates in place, and the cells it has minimized over.
 
     The tables are views of one flat buffer, in factor order.  A state whose
     tables are not (built by hand, or deep-copied) has them copied into a new
-    buffer by its next pass, which then replaces `tables` with the views."""
+    buffer by its next pass, which then replaces `tables` with the views.
+    States compare by identity, as their tables are arrays."""
 
     tables: list
     meff: int = 0
     # the buffer behind `tables`, the views into it and their offsets
-    _bound: Bindings = field(default_factory=Bindings, init=False, repr=False, compare=False)
+    _bound: Bindings = field(default_factory=Bindings, init=False, repr=False)
 
 
 def _flat_tables(state):
@@ -83,12 +85,10 @@ def msd_init(model):
 
 
 def msd_sweep_order(jstructure, node_order=None):
-    """Closed edges ordered by target then source scope, matching the
-    separator sweep of the chain solver."""
-    n_nodes = 1 + max((v for s in jstructure.scopes for v in s), default=-1)
-    if node_order is None:
-        node_order = tuple(range(n_nodes))
-    pos = {v: i for i, v in enumerate(node_order)}
+    """Closed edges ordered by target then source scope under `node_order`
+    (by default id order), matching the separator sweep of the chain solver."""
+    nodes = _scope_nodes(jstructure)
+    pos = _node_pos(sorted(nodes) if node_order is None else node_order, nodes)
     fids = sigma_sorted(jstructure, pos, range(len(jstructure.scopes)))
     rank = {fid: i for i, fid in enumerate(fids)}
     return tuple(sorted(jstructure.closed_edges, key=lambda e: (rank[e[1]], rank[e[0]])))
@@ -152,7 +152,7 @@ def _msd_steps(decomp):
     return state, step
 
 
-def solve_msd(decomp, passes=500, eps=1e-7):
+def solve_msd(decomp, passes=DEFAULT_PASSES, eps=DEFAULT_EPS):
     """Run diffusion on a decomposition's (augmented) model until the bound
     stalls; returns (bounds per pass, final state)."""
     state, step = _msd_steps(decomp)
@@ -169,7 +169,7 @@ class SubgradState:
     meff: int = 0
 
 
-def subgrad_init(decomp, step_base=1.0):
+def subgrad_init(decomp, step_base=DEFAULT_STEP_BASE):
     if not (math.isfinite(step_base) and step_base > 0):
         raise InvalidStepSize(f"step-size base {step_base} must be finite and positive")
     return SubgradState(params=init_tree_params(decomp), step_base=step_base)
@@ -244,7 +244,7 @@ def _subgrad_steps(decomp, step_base):
     return state, step
 
 
-def solve_subgradient(decomp, step_base=1.0, passes=500):
+def solve_subgradient(decomp, step_base=DEFAULT_STEP_BASE, passes=DEFAULT_PASSES):
     """Run subgradient ascent for the whole pass budget (the step size is
     diminishing, so there is no stop rule); returns (bounds per pass, final
     state)."""
@@ -252,7 +252,7 @@ def solve_subgradient(decomp, step_base=1.0, passes=500):
     return [r.bound for r in _run_passes(step, passes, None, "subgrad")[0]], state
 
 
-def select_step_size(decomp, grid=(0.1, 1.0, 10.0), passes=500):
+def select_step_size(decomp, grid=(0.1, 1.0, 10.0), passes=DEFAULT_PASSES):
     """Pick the step base from a grid by the best bound it reaches."""
     best_lam, best_val, best_state = None, -np.inf, None
     for lam in grid:

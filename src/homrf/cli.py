@@ -6,20 +6,22 @@ import csv
 import math
 import sys
 
-from .baselines import _msd_steps, _subgrad_steps
+from .baselines import DEFAULT_STEP_BASE, _msd_steps, _subgrad_steps
 from .decomposition import build_monotonic_chains
-from .errors import HomrfError
+from .errors import HomrfError, TooLarge
 from .fileio import parse_model_file
 from .generators import gen_potts_2x2, gen_stereo_second_order
 from .model import energy
-from .oracle import (
-    STATE_SPACE_GUARD,
-    _general_steps,
-    check_ewta,
-    check_j_consistency_enhanced,
-    extract_primal,
-)
-from .trws import REUSE_MODES, _run_passes, _trws_steps, chain_state_tree_params
+from .oracle import _general_steps, _guard, check_ewta, check_j_consistency_enhanced, extract_primal
+from .trws import DEFAULT_EPS, DEFAULT_PASSES, DEFAULT_REUSE, REUSE_MODES
+from .trws import _run_passes, _trws_steps, chain_state_tree_params
+
+# --gen choice -> (generator, the keywords its flags set).  A flag left unset
+# is not passed on, so it takes the generator's own default.
+_GENERATORS = {
+    "stereo": (gen_stereo_second_order, ("labels", "smooth_weight", "seed", "separators")),
+    "potts2x2": (gen_potts_2x2, ("labels", "block_weight", "variant", "seed", "separators")),
+}
 
 
 def build_parser():
@@ -29,22 +31,26 @@ def build_parser():
     )
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--input", help="model file in the HOMRF text format")
-    src.add_argument("--gen", choices=["stereo", "potts2x2"], help="synthetic instance")
+    src.add_argument("--gen", choices=list(_GENERATORS), help="synthetic instance")
     p.add_argument("--width", type=int, default=6)
     p.add_argument("--height", type=int, default=6)
-    p.add_argument("--labels", type=int, default=None)
-    p.add_argument("--stereo-lambda", type=float, default=15.0, help="stereo smoothness weight")
-    p.add_argument("--block-weight", type=float, default=5000.0, help="2x2 block disagreement cost")
-    p.add_argument("--potts-variant", choices=["all-equal", "pairwise"], default="all-equal")
-    p.add_argument("--separators", choices=["singleton", "pair"], default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--labels", type=int)
     p.add_argument(
-        "--method", choices=["trws", "trws-general", "msd", "subgrad"], default="trws"
+        "--stereo-lambda", dest="smooth_weight", metavar="STEREO_LAMBDA", type=float,
+        help="stereo smoothness weight",
     )
-    p.add_argument("--passes", type=int, default=500)
-    p.add_argument("--eps", type=float, default=1e-7, help="relative per-pass stop threshold")
-    p.add_argument("--reuse", choices=REUSE_MODES, default="after")
-    p.add_argument("--lambda", dest="step_base", type=float, default=1.0, help="subgradient step base")
+    p.add_argument("--block-weight", type=float, help="2x2 block disagreement cost")
+    p.add_argument("--potts-variant", dest="variant", choices=["all-equal", "pairwise"])
+    p.add_argument("--separators", choices=["singleton", "pair"])
+    p.add_argument("--seed", type=int)
+    p.add_argument("--method", choices=["trws", "trws-general", "msd", "subgrad"], default="trws")
+    p.add_argument("--passes", type=int, default=DEFAULT_PASSES)
+    p.add_argument("--eps", type=float, default=DEFAULT_EPS, help="relative per-pass stop threshold")
+    p.add_argument("--reuse", choices=REUSE_MODES, default=DEFAULT_REUSE)
+    p.add_argument(
+        "--lambda", dest="step_base", type=float, default=DEFAULT_STEP_BASE,
+        help="subgradient step base",
+    )
     p.add_argument("--node-order", default="input", help="'input' or a file with a node permutation")
     p.add_argument("--trace", help="write a CSV trace to this file")
     return p
@@ -65,27 +71,10 @@ def _load(args, parser):
             parser.error("--separators applies only to generated instances")
         model, js, node_order = parse_model_file(_read(args.input))
     else:
-        separators = args.separators or "singleton"
+        gen, keywords = _GENERATORS[args.gen]
+        given = {k: getattr(args, k) for k in keywords if getattr(args, k) is not None}
         try:
-            if args.gen == "stereo":
-                model, js = gen_stereo_second_order(
-                    args.width,
-                    args.height,
-                    labels=8 if args.labels is None else args.labels,
-                    smooth_weight=args.stereo_lambda,
-                    seed=args.seed,
-                    separators=separators,
-                )
-            else:
-                model, js = gen_potts_2x2(
-                    args.width,
-                    args.height,
-                    labels=4 if args.labels is None else args.labels,
-                    block_weight=args.block_weight,
-                    seed=args.seed,
-                    separators=separators,
-                    variant=args.potts_variant,
-                )
+            model, js = gen(args.width, args.height, **given)
         except ValueError as exc:
             parser.error(f"--gen {args.gen}: {exc}")
     if args.node_order != "input":
@@ -94,9 +83,7 @@ def _load(args, parser):
         except ValueError:
             raise HomrfError(f"{args.node_order}: node ids must be integers") from None
         if sorted(node_order) != list(range(model.node_count)):
-            raise HomrfError(
-                f"{args.node_order}: not a permutation of the {model.node_count} nodes"
-            )
+            raise HomrfError(f"{args.node_order}: not a permutation of the {model.node_count} nodes")
     return model, js, node_order
 
 
@@ -135,10 +122,10 @@ def run_solver_cli(argv=None):
             with open(args.trace, "w", newline="") as fh:
                 w = csv.writer(fh)
                 w.writerow(["pass", "direction", "method", "bound", "meff", "ms"])
-                for r in rows:
-                    w.writerow(
-                        [r.pass_index, r.direction, r.method, f"{r.bound:.12g}", r.meff, f"{r.ms:.3f}"]
-                    )
+                w.writerows(
+                    [r.pass_index, r.direction, r.method, f"{r.bound:.12g}", r.meff, f"{r.ms:.3f}"]
+                    for r in rows
+                )
 
         labeling = extract_primal(decomp, primal_source)
         primal = energy(decomp.model, labeling)
@@ -146,21 +133,19 @@ def run_solver_cli(argv=None):
         print(f"stopped: {stop}")
         print(f"primal energy: {primal:.9g}")
 
-        per_tree = max(
-            (
-                math.prod(decomp.model.label_counts[v] for v in decomp.tree_nodes[t])
-                for t in range(len(decomp.chains))
-            ),
-            default=1,
-        )
-        if args.method in ("trws", "trws-general") and per_tree <= STATE_SPACE_GUARD:
+        if args.method == "msd":
+            report = check_j_consistency_enhanced(primal_source, decomp.jstructure)
+            print(f"edge consistency: {'yes' if report.holds else 'no'}")
+        elif args.method != "subgrad":
+            try:  # the check enumerates every chain's joint states
+                for nodes in decomp.tree_nodes:
+                    _guard(decomp.model.label_counts, nodes, "tree agreement")
+            except TooLarge:
+                return 0
             if args.method == "trws":
                 primal_source = chain_state_tree_params(decomp, primal_source)
             report = check_ewta(decomp, primal_source)
             print(f"tree agreement: {'yes' if report.holds else 'no'}")
-        elif args.method == "msd":
-            report = check_j_consistency_enhanced(primal_source, decomp.jstructure)
-            print(f"edge consistency: {'yes' if report.holds else 'no'}")
         return 0
     except (HomrfError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -5,7 +5,9 @@ in a separator factor, with every node of the earlier factor's private part
 preceding the separator and the separator preceding the later factor's private
 part under a fixed total node order.  The node order is extended to a total
 order on separator factors; each outer factor then owns a contiguous window of
-separators that the solvers sweep.
+separators that the solvers sweep.  Every entry point that takes a node order
+raises `ValueError` unless it is a permutation of the model's nodes, or, given
+a J structure alone, of the nodes its scopes hold.
 """
 
 from collections import Counter
@@ -40,14 +42,22 @@ def extend_order_to_separators(jstructure, node_order):
     first on min and then on max guarantees that windows of consecutive chain
     factors meet exactly at their shared separator.
     """
-    return tuple(sigma_sorted(jstructure, _node_pos(node_order), jstructure.separators))
+    pos = _node_pos(node_order, _scope_nodes(jstructure))
+    return tuple(sigma_sorted(jstructure, pos, jstructure.separators))
 
 
-def _node_pos(node_order):
+def _node_pos(node_order, nodes):
+    # each node's position in `node_order`, which must be a permutation of `nodes`
     pos = {v: i for i, v in enumerate(node_order)}
     if len(pos) != len(node_order):
         raise ValueError("node order repeats a node")
+    if pos.keys() != set(nodes):
+        raise ValueError("node order is not a permutation of the nodes")
     return pos
+
+
+def _scope_nodes(jstructure):
+    return set().union(*jstructure.scopes)
 
 
 def sep_bounds(jstructure, node_order, chain, outer_factor):
@@ -56,7 +66,7 @@ def sep_bounds(jstructure, node_order, chain, outer_factor):
     Interior chain members use the intersection with their neighbor; the first
     and last fall back to the singleton of their minimal / maximal node.
     """
-    pos = _node_pos(node_order)
+    pos = _node_pos(node_order, _scope_nodes(jstructure))
     i = list(chain).index(outer_factor)
     return _sep_bounds(jstructure, pos, _scope_index(jstructure), chain, i)
 
@@ -133,9 +143,10 @@ class Decomposition:
     the separator order, each outer factor's window bounds `sep_minus` /
     `sep_plus` and window, the per-factor probabilities, the subproblems and
     the message edges.  `dataclasses.replace` therefore re-derives them all.
-    A chain whose window bound is not a separator factor of the J structure
-    raises `MissingSeparatorFactor`, and a `rho` without one entry per chain
-    raises `HomrfError`.
+    A node order that is not a permutation of the model's nodes raises
+    `ValueError`, a window bound that is not a separator factor of the J
+    structure `MissingSeparatorFactor`, and a `rho` without one entry per
+    chain `HomrfError`.
     """
 
     model: Model
@@ -161,8 +172,8 @@ class Decomposition:
         if len(self.rho) != len(self.chains):
             raise HomrfError(f"{len(self.rho)} chain probabilities for {len(self.chains)} chains")
         js = self.jstructure
-        pos = self.node_pos = _node_pos(self.node_order)
-        self.separator_order = extend_order_to_separators(js, self.node_order)
+        pos = self.node_pos = _node_pos(self.node_order, range(self.model.node_count))
+        self.separator_order = tuple(sigma_sorted(js, pos, js.separators))
         self.sep_rank = {b: i for i, b in enumerate(self.separator_order)}
         index = _scope_index(js)
         self.sep_minus, self.sep_plus = {}, {}
@@ -218,14 +229,13 @@ def build_monotonic_chains(model, jstructure, node_order=None):
     new one.  Only the chains whose tail shares a node with the factor can
     admit it, so only those are tried, in the order they were opened.  The
     closure over the singleton edges is extended by the chain-intersection
-    edges alone, not recomputed.  Chain probabilities are uniform.
+    edges alone, not recomputed.  Chain probabilities are uniform.  The node
+    order, by default id order, must be a permutation of the model's nodes.
     """
     if node_order is None:
         node_order = tuple(range(model.node_count))
     node_order = tuple(int(v) for v in node_order)
-    pos = _node_pos(node_order)
-    if sorted(node_order) != list(range(model.node_count)):
-        raise ValueError("node order is not a permutation of the nodes")
+    pos = _node_pos(node_order, range(model.node_count))
 
     scopes = list(model.scopes)
     tables = [f.table for f in model.factors]

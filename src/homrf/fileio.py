@@ -12,7 +12,7 @@ Layout:
     J
     <edge count>
     <source factor index> <target factor index>   (one line per edge)
-    ORDER                                          (optional section)
+    ORDER                                          (optional, at most once)
     <node ids in processing order>
 
 Values are written with 17 significant digits so a serialize/parse round trip
@@ -177,6 +177,8 @@ def parse_model_file(text):
                     raise ParseError(f"line {toks.line}: edge {e} references factor {a} or {b}")
                 edges.add((a, b))
         elif section == "ORDER":
+            if node_order is not None:
+                raise ParseError(f"line {toks.line}: second ORDER section")
             node_order = tuple(toks.next_int("node id in order") for _ in range(n))
             if sorted(node_order) != list(range(n)):
                 raise ParseError(f"line {toks.line}: ORDER is not a permutation")

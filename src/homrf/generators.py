@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from ._tables import assignments, table_shape
+from ._tables import assignments
 from .model import build_model, close_j
 
 
@@ -26,16 +26,30 @@ def _unaries(source, n, labels, seed, high):
     return np.asarray(source, dtype=float).reshape(n, labels)
 
 
-def _finish(label_counts, factors, pair_scopes, separators):
-    model = build_model(label_counts, factors)
+def _finish(unaries, blocks, separators):
+    # the model of a grid's unaries, one row per node, and its blocks, each a
+    # (scope, table, overlap pairs), with the J structure that ties every
+    # block to its singletons and, in pair mode, to its pairs, which become
+    # zero-cost factors the first time a block names them
+    n, labels = unaries.shape
+    factors = [((v,), unaries[v]) for v in range(n)]
+    pair_edges = []
+    seen = set()
+    for scope, table, pairs in blocks:
+        factors.append((scope, table))
+        if separators == "pair":
+            for pair in pairs:
+                pair_edges.append((scope, pair))
+                if pair not in seen:
+                    seen.add(pair)
+                    factors.append((pair, np.zeros((labels, labels))))
+    model = build_model([labels] * n, factors)
     edges = set()
     for fid, scope in enumerate(model.scopes):
         if len(scope) >= 2:
             for v in scope:
                 edges.add((fid, model.factor_id((v,))))
-    if separators == "pair":
-        for owner, pair in pair_scopes:
-            edges.add((model.factor_id(owner), model.factor_id(pair)))
+    edges.update((model.factor_id(a), model.factor_id(b)) for a, b in pair_edges)
     return model, close_j(model.scopes, edges)
 
 
@@ -69,21 +83,19 @@ def gen_stereo_second_order(
 ):
     """Disparity-style grid with ternary second-difference factors along rows
     and columns.  Unaries default to seeded noise in [0, 3 * weight], which
-    needs a non-negative weight."""
+    needs a non-negative weight.  A weight whose ternary table would hold a
+    non-finite cost raises `ValueError`."""
     if labels < 2 or width < 3 or height < 3:
         raise ValueError("need labels >= 2 and a grid of at least 3x3")
-    if not math.isfinite(smooth_weight):
-        raise ValueError(f"smoothness weight must be finite, not {smooth_weight}")
+    if not math.isfinite(3.0 * smooth_weight):  # the table's largest entry
+        raise ValueError(f"smoothness weight {smooth_weight} gives non-finite costs")
     if unary_source is None and smooth_weight < 0:
         raise ValueError(
             f"smoothness weight must be non-negative to draw unaries, not {smooth_weight}"
         )
-    nodes = _grid_nodes(width, height)
-    n = width * height
-    label_counts = [labels] * n
-    unaries = _unaries(unary_source, n, labels, seed, 3.0 * smooth_weight)
-    factors = [((v,), unaries[v]) for v in range(n)]
+    unaries = _unaries(unary_source, width * height, labels, seed, 3.0 * smooth_weight)
     tern = second_order_table(labels, smooth_weight)
+    nodes = _grid_nodes(width, height)
     triplets = []
     for y in range(height):
         for x in range(width - 2):
@@ -91,17 +103,8 @@ def gen_stereo_second_order(
     for x in range(width):
         for y in range(height - 2):
             triplets.append((nodes[y][x], nodes[y + 1][x], nodes[y + 2][x]))
-
-    pair_scopes = []
-    pair_seen = set()
-    for trip in triplets:
-        factors.append((trip, tern))
-        for pair in ((trip[0], trip[1]), (trip[1], trip[2])):
-            pair_scopes.append((trip, pair))
-            if separators == "pair" and pair not in pair_seen:
-                pair_seen.add(pair)
-                factors.append((pair, np.zeros(table_shape(pair, label_counts))))
-    return _finish(label_counts, factors, pair_scopes, separators)
+    blocks = [(t, tern, ((t[0], t[1]), (t[1], t[2]))) for t in triplets]
+    return _finish(unaries, blocks, separators)
 
 
 def potts_block_table(labels, block_weight, variant="all-equal"):
@@ -131,37 +134,19 @@ def gen_potts_2x2(
 ):
     """Segmentation-style grid with one 4-ary factor per 2x2 pixel block.
 
-    Unaries default to seeded noise in [0, 1)."""
+    Unaries default to seeded noise in [0, 1).  A weight whose block table
+    would hold a non-finite cost raises `ValueError`."""
     if width < 2 or height < 2:
         raise ValueError("need a grid of at least 2x2")
-    if not math.isfinite(block_weight):
-        raise ValueError(f"block weight must be finite, not {block_weight}")
-    nodes = _grid_nodes(width, height)
-    n = width * height
-    label_counts = [labels] * n
-    unaries = _unaries(unary_source, n, labels, seed, 1.0)
-    factors = [((v,), unaries[v]) for v in range(n)]
+    unaries = _unaries(unary_source, width * height, labels, seed, 1.0)
     block = potts_block_table(labels, block_weight, variant)
-    pair_scopes = []
-    pair_seen = set()
+    if not np.isfinite(block).all():
+        raise ValueError(f"block weight {block_weight} gives non-finite costs")
+    nodes = _grid_nodes(width, height)
+    blocks = []
     for y in range(height - 1):
         for x in range(width - 1):
-            scope = (
-                nodes[y][x],
-                nodes[y][x + 1],
-                nodes[y + 1][x],
-                nodes[y + 1][x + 1],
-            )
-            factors.append((scope, block))
-            pairs = (
-                (scope[0], scope[1]),
-                (scope[2], scope[3]),
-                (scope[0], scope[2]),
-                (scope[1], scope[3]),
-            )
-            for pair in pairs:
-                pair_scopes.append((scope, pair))
-                if separators == "pair" and pair not in pair_seen:
-                    pair_seen.add(pair)
-                    factors.append((pair, np.zeros(table_shape(pair, label_counts))))
-    return _finish(label_counts, factors, pair_scopes, separators)
+            a, b = nodes[y][x], nodes[y][x + 1]
+            c, d = nodes[y + 1][x], nodes[y + 1][x + 1]
+            blocks.append(((a, b, c, d), block, ((a, b), (c, d), (a, c), (b, d))))
+    return _finish(unaries, blocks, separators)

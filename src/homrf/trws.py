@@ -26,7 +26,7 @@ A state counts its passes, and a sweep's direction is the parity of that
 count: forward after an even number of passes.  The state's first pass in a
 reuse mode compiles that mode's three sweeps together (forward for the first
 pass, then forward and backward for every later one) and keeps them, out of
-the state's repr and comparisons.  A copy of the state starts
+the state's repr.  States compare by identity.  A copy of the state starts
 without a program, and a pass compiles again once the state's stacks are no
 longer those the program was compiled onto.
 
@@ -58,6 +58,10 @@ from ._tables import min_over
 from .errors import ExcessMessageOps, StateNotInitialized
 
 REUSE_MODES = ("none", "after", "before-after")
+# the solvers' defaults, which the command line shares
+DEFAULT_PASSES = 500
+DEFAULT_EPS = 1e-7
+DEFAULT_REUSE = "after"
 _ALL = slice(None)
 
 
@@ -147,7 +151,7 @@ def bound(decomp, params):
     return float(total)
 
 
-@dataclass
+@dataclass(eq=False)
 class ChainSolverState:
     """Message-form solver state: messages on outer-to-separator window edges
     plus cached reparameterized separator tables.
@@ -160,7 +164,8 @@ class ChainSolverState:
 
     `passes` counts the sweeps run, and `direction`, the direction of the next
     sweep, is its parity: sweeps alternate from a forward first pass.  Its
-    first pass in a reuse mode compiles that mode's three sweeps together."""
+    first pass in a reuse mode compiles that mode's three sweeps together.
+    States compare by identity, as their stacks are arrays."""
 
     passes: int = 0
     meff: int = 0
@@ -168,9 +173,9 @@ class ChainSolverState:
     msg_ops_last_pass: int = 0
     message_stacks: list = None
     separator_stacks: list = None
-    layout: Layout = field(default=None, repr=False, compare=False)
+    layout: Layout = field(default=None, repr=False)
     # per reuse mode, its sweeps compiled onto the stacks above
-    _bound: Bindings = field(default_factory=Bindings, init=False, repr=False, compare=False)
+    _bound: Bindings = field(default_factory=Bindings, init=False, repr=False)
 
     @property
     def direction(self):
@@ -370,7 +375,7 @@ def _trws_steps(decomp, reuse):
     return state, step
 
 
-def solve_trws(decomp, passes=500, eps=1e-7, reuse="after"):
+def solve_trws(decomp, passes=DEFAULT_PASSES, eps=DEFAULT_EPS, reuse=DEFAULT_REUSE):
     """Alternate forward and backward message sweeps until the relative
     per-pass bound improvement drops below `eps` or the pass budget runs out."""
     state, step = _trws_steps(decomp, reuse)

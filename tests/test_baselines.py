@@ -184,6 +184,13 @@ class TestMsd:
             assert [t.tobytes() for t in twin.tables] == [t.tobytes() for t in ref.tables]
             assert "_bound" not in repr(twin)
 
+    def test_states_compare_by_identity(self):
+        # comparing their lists of tables raised on arrays of several cells
+        d = _ising_fixpoint_instance()
+        st = msd_init(d.model)
+        assert (st == st) is True
+        assert (msd_init(d.model) == msd_init(d.model)) is False
+
     def test_pass_never_writes_model_tables(self, rng):
         for _ in range(4):
             d = random_decomposed(rng, nested=True)

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from homrf.baselines import msd_sweep_order
 from homrf.decomposition import (
     _eq15_holds,
     build_monotonic_chains,
@@ -186,6 +187,30 @@ class TestBuildChains:
         model, js = _pairwise_model(4, [(0, 1), (1, 2), (2, 3)], rng)
         with pytest.raises(ValueError, match=match):
             build_monotonic_chains(model, js, order)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda d, order: dataclasses.replace(d, node_order=order),
+            lambda d, order: extend_order_to_separators(d.jstructure, order),
+            lambda d, order: sep_bounds(d.jstructure, order, d.chains[0], d.chains[0][0]),
+            lambda d, order: msd_sweep_order(d.jstructure, order),
+        ],
+        ids=["replace", "extend_order_to_separators", "sep_bounds", "msd_sweep_order"],
+    )
+    @pytest.mark.parametrize(
+        "order, match",
+        [
+            ((0,) + tuple(range(15)), "repeats a node"),
+            (tuple(range(15)), "not a permutation"),
+            (tuple(range(15)) + (16,), "not a permutation"),
+        ],
+        ids=["repeat", "omit", "foreign"],
+    )
+    def test_every_entry_point_checks_the_node_order(self, entry, order, match):
+        d = build_monotonic_chains(*gen_stereo_second_order(4, 4, labels=2))
+        with pytest.raises(ValueError, match=match):
+            entry(d, order)
 
     def test_augments_missing_singletons(self, rng):
         factors = [((0, 1), rng.uniform(-1, 1, 4))]

@@ -164,6 +164,14 @@ class TestParseCursor:
         lines = ["HOMRF", "2", "2 2", "0", "ORDER", order]
         assert _parse_error(lines) == "line 6: ORDER is not a permutation"
 
+    def test_second_order_section(self):
+        lines = ["HOMRF", "2", "2 2", "0", "ORDER", "0 1", "ORDER", "1 0"]
+        assert _parse_error(lines) == "line 7: second ORDER section"
+
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_node_count_must_be_positive(self, count):
+        assert _parse_error(["HOMRF", count]) == "line 2: node count must be positive"
+
     def test_nan_table_value_is_non_finite(self):
         with pytest.raises(NonFiniteCost):
             parse_model_file(MINIMAL.replace("0 1\n", "0 nan\n"))
@@ -533,6 +541,10 @@ class TestCliErrors:
             ["--gen", "potts2x2", "--block-weight", "inf"],
             ["--gen", "potts2x2", "--block-weight=-inf"],
             ["--gen", "potts2x2", "--labels", "0"],
+            # weights whose tables would hold an infinite cost
+            ["--gen", "stereo", "--width", "3", "--height", "3", "--labels", "2",
+             "--stereo-lambda", "1e308"],
+            ["--gen", "potts2x2", "--potts-variant", "pairwise", "--block-weight", "1e308"],
         ],
     )
     def test_bad_generator_parameters_exit_2(self, argv):
@@ -686,6 +698,48 @@ def _trace_rows(tmp_path, argv):
 
 
 class TestCliMatchesLibrary:
+    @pytest.mark.parametrize(
+        "gen, flags, kwargs",
+        [
+            ("stereo", [], {}),
+            ("stereo", ["--labels", "3"], {"labels": 3}),
+            ("stereo", ["--stereo-lambda", "7"], {"smooth_weight": 7.0}),
+            ("stereo", ["--seed", "4"], {"seed": 4}),
+            ("stereo", ["--separators", "pair"], {"separators": "pair"}),
+            ("potts2x2", [], {}),
+            ("potts2x2", ["--labels", "3"], {"labels": 3}),
+            ("potts2x2", ["--block-weight", "0.1"], {"block_weight": 0.1}),
+            (
+                "potts2x2",
+                ["--block-weight", "0.1", "--potts-variant", "pairwise"],
+                {"block_weight": 0.1, "variant": "pairwise"},
+            ),
+            ("potts2x2", ["--seed", "4"], {"seed": 4}),
+            ("potts2x2", ["--separators", "pair"], {"separators": "pair"}),
+        ],
+    )
+    def test_generator_flags_reach_the_generator(self, tmp_path, capsys, gen, flags, kwargs):
+        # an unset flag takes the generator's default; the last flag set
+        # changes the run
+        make = {"stereo": gen_stereo_second_order, "potts2x2": gen_potts_2x2}[gen]
+        argv = ["--gen", gen, "--width", "4", "--height", "4", "--passes", "3"]
+        rows = _trace_rows(tmp_path, argv + flags)
+        lines = capsys.readouterr().out.splitlines()
+
+        def run(**kw):
+            result = solve_trws(build_monotonic_chains(*make(4, 4, **kw)), passes=3)
+            return result, [
+                (str(r.pass_index), r.direction, "trws", f"{r.bound:.12g}", str(r.meff))
+                for r in result.rows
+            ]
+
+        result, want = run(**kwargs)
+        assert rows == want
+        assert f"final bound: {result.bound:.9g}" in lines
+        if kwargs:
+            *others, _ = kwargs.items()
+            assert want != run(**dict(others))[1]
+
     GEN = ["--gen", "potts2x2", "--width", "3", "--height", "3", "--labels", "2", "--separators", "pair"]
 
     def _decomp(self):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -205,6 +207,21 @@ class TestMappings:
                 found = True
                 break
         assert found
+
+    def test_spread_rejects_inconsistent_or_uncovered_tables(self):
+        pair = [((0,), np.zeros(2)), ((1,), np.zeros(2)), ((0, 1), [0.0, 5.0, 2.0, 1.0])]
+        model = build_model([2, 2], pair)
+        d = build_monotonic_chains(model, close_j(model.scopes, {(2, 0), (2, 1)}))
+        tables = [f.table for f in d.model.factors]
+        # the pair's one minimizer projects onto one of node 1's two
+        with pytest.raises(NotAtFixpoint, match="minimizer consistency fails"):
+            map_jconsistent_to_wta(d, tables)
+        # with the pair's locals cut down to itself, no outer factor covers a
+        # separator
+        ab = d.model.factor_id((0, 1))
+        js = dataclasses.replace(d.jstructure, locals={**d.jstructure.locals, ab: frozenset({ab})})
+        with pytest.raises(NotAtFixpoint, match="no covering outer factor"):
+            map_jconsistent_to_wta(dataclasses.replace(d, jstructure=js), tables, check=False)
 
     def test_single_factor_trees_move_costs(self, rng):
         model, js = path_instance(rng, n_nodes=2)

@@ -177,6 +177,15 @@ class TestSendMessage:
         with pytest.raises(InvalidEdge):
             send_message(d, params, 0, a, b)
 
+    def test_edge_leaving_its_subproblem_rejected(self):
+        pairs = [((0, 1), [0.0, 5.0, 2.0, 1.0]), ((2, 3), [1.0, 0.0, 0.0, 1.0])]
+        model = build_model([2] * 4, [((v,), np.zeros(2)) for v in range(4)] + pairs)
+        d = build_monotonic_chains(model, close_j(model.scopes, set()))
+        cd, c = d.model.factor_id((2, 3)), d.model.factor_id((2,))
+        (t,) = d.trees_of[c]
+        with pytest.raises(FactorNotInTree, match=f"leaves subproblem {1 - t}"):
+            send_message(d, init_tree_params(d), 1 - t, cd, c)
+
 
 class TestAverageFactor:
     def test_single_tree_no_change(self, rng):
@@ -1016,7 +1025,10 @@ class TestBoundSweeps:
         st = chain_state_init(d)
         trws_chain_pass(d, st, reuse="after")
         assert "_bound" not in repr(st)
-        assert not any(f.compare or f.init for f in dataclasses.fields(st) if f.name == "_bound")
+        assert not any(f.init for f in dataclasses.fields(st) if f.name == "_bound")
+        # states compare by identity: comparing their stacks of arrays raised
+        assert (st == st) is True
+        assert (chain_state_init(d) == chain_state_init(d)) is False
 
 
 class TestReuse:
