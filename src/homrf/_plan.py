@@ -1,20 +1,25 @@
-"""Sweep plan and sweep programs: what the message-form sweep and its bound
-look up.
+"""Sweep programs: everything a message-form pass runs and reads, compiled
+for one decomposition onto one state's stacks, and the chain dynamic
+program's stages.
 
 Storage.  A message-form state keeps its messages and separator caches as
 rows of stacked arrays, one stack per separator table shape (`Layout`).  A
 message edge's row is its rank among the edges of its shape in
 `message_edges`, a separator's its rank among the separators of its shape in
-`separator_order`, so the layout follows from the decomposition alone and a
-state needs no plan to be set up.
+`separator_order`, so the layout follows from the decomposition alone.  It
+needs every outer factor in a chain: one in none has no window, so no
+message edges.
 
-Program.  A reuse mode's sweeps compile into a program on one state's stacks
-(`compile_sweeps`).  Each message edge takes one update per sweep: it skips
-its trailing bound, consumes a preemptive refresh (a no-op), takes the
-`after` or the `before` nested reuse, or gets a fresh message.  Which one is
-fixed per mode and direction, up to one choice made per pass: a `lead` edge,
-whose window neighbour swept just before it is its trailing bound, may take
-`after` only once a sweep in the other direction has completed.  Sweeps
+Program.  A reuse mode's sweeps compile into a program for one
+decomposition on one state's stacks (`compile_sweeps`), together with what
+the bound after a sweep in each direction is read off (`PassBound`) and the
+chains the bound re-solves instead (see `homrf.trws`).  Each message edge
+takes one update per sweep: it skips its trailing bound, consumes a
+preemptive refresh (a no-op), takes the `after` or the `before` nested
+reuse, or gets a fresh message.  Which one is fixed per mode and
+direction, up to one choice made per pass: a `lead` edge, whose window
+neighbour swept just before it is its trailing bound, may take `after` only
+once a sweep in the other direction has completed.  Sweeps
 alternate from a forward first pass (a state's direction is the parity of
 its pass count), so that is the case on every pass but the first, and the
 program holds three variants, compiled together: forward with lead edges
@@ -56,12 +61,10 @@ A program keeps its level boundaries: each level runs in two phases, its
 message groups and then its cache groups, and the groups of one phase
 commute.  A group that two variants or both directions run is compiled once.
 
-The sweep plan (`SweepPlan`) holds each chain's dynamic-programming stages, each outer
-factor's messages (for its reparameterized table) and the end separators
-that the bound after a sweep is read off (see `homrf.trws`).
-`Decomposition` builds the plan on first use and caches it, so it lives
-exactly as long as the decomposition.  Programs are compiled per state, on
-its first pass in a reuse mode, and kept in its `Bindings`.
+Programs are compiled per state, on its first pass in a reuse mode, and
+kept in its `Bindings`.  The chain dynamic program's stages (`chain_stages`)
+are the decomposition's alone: `Decomposition` builds them on the first
+chain DP, which a pass runs only on the chains its bound re-solves.
 """
 
 import math
@@ -71,7 +74,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._tables import drop_axes, embed_shape, table_shape
-from .errors import UnconsumedPreemptiveMessage
+from .errors import HomrfError, UnconsumedPreemptiveMessage
 from .model import _gc_paused
 
 FRESH, AFTER, BEFORE = "fresh", "after", "before"
@@ -87,19 +90,33 @@ class Layout(NamedTuple):
     sep_row: dict  # b -> (stack, row)
 
 
+class PassBound(NamedTuple):
+    """What the bound after a sweep in one direction is read off: the sum of
+    each chain's probability times its minimum, which the unnormalized sweep
+    leaves in the cached table of the chain's far end separator."""
+
+    ends: tuple  # per cache stack: (stack, rows, table axes, rho_t / rho_e per row), e far ends
+    cells: int  # cells of the end separators' tables
+    const: float  # rho_t * min(table) / rho summed over one-singleton-factor chains
+
+
 class Variant(NamedTuple):
     """A sweep in one direction, with lead edges current or not, compiled."""
 
     phases: tuple  # per phase, its groups, each a tuple of (function, arguments); they commute
     ops: int  # message operations the sweep runs
     cells: int  # joint states the sweep minimizes over
+    read_off: PassBound  # of the bound after the sweep
 
 
 class SweepProgram(NamedTuple):
-    """A reuse mode's sweeps compiled onto one state's stacks."""
+    """A reuse mode's sweeps compiled for one decomposition onto one state's
+    stacks."""
 
+    decomp: object  # the decomposition it was compiled for
     arrays: tuple  # the message and cache stacks it runs on
     variants: dict  # (forward, lead current) -> its Variant; no (False, False)
+    fallback: tuple  # chains with a member that is not an outer factor: the bound re-solves them
 
 
 class Stage(NamedTuple):
@@ -111,26 +128,6 @@ class Stage(NamedTuple):
     carry_shape: tuple  # shape of the joint separator in the next member
     pick: tuple  # per scope node: the node if a later member labels it, else None
     free: tuple  # (node, label count) per scope node no later member labels: the argmin's
-
-
-class PassBound(NamedTuple):
-    """What the bound after a sweep in one direction is read off: the sum of
-    each chain's probability times its minimum, which the unnormalized sweep
-    leaves in the cached table of the chain's far end separator."""
-
-    ends: tuple  # per cache stack: (stack, rows, table axes, rho_t / rho_e per row), e far ends
-    cells: int  # cells of the end separators' tables
-    const: float  # rho_t * min(table) / rho summed over one-singleton-factor chains
-
-
-class SweepPlan(NamedTuple):
-    """What sweeps and bounds look up."""
-
-    net: tuple  # per factor: ((a, c), shape) of an outer factor's messages, None for separators
-    stages: tuple  # per chain: its Stages
-    forward_bound: PassBound
-    backward_bound: PassBound
-    fallback: tuple  # chains with a member that is not an outer factor: the bound re-solves them
 
 
 class Bindings(dict):
@@ -149,7 +146,11 @@ def same_objects(xs, ys):
 
 
 def storage_layout(decomp):
-    """The `Layout` of a decomposition's messages and separator caches."""
+    """The `Layout` of a decomposition's messages and separator caches.
+    Raises `HomrfError` for an outer factor in no chain."""
+    for a in sorted(decomp.jstructure.outer):
+        if a not in decomp.local_separators:
+            raise HomrfError(f"outer factor {a} is in no chain")
     table = decomp.model.table
     stack_of = {}  # table shape -> stack
     edges, seps, sep_row, edge_row = [], [], {}, {}
@@ -169,22 +170,6 @@ def storage_layout(decomp):
     return Layout(
         tuple(stack_of), tuple(map(tuple, edges)), tuple(map(tuple, seps)), edge_row, sep_row
     )
-
-
-def _shape_in(decomp):
-    # memoized shape_in(c, a): the broadcast shape of factor c inside factor a
-    scopes = decomp.jstructure.scopes
-    counts = decomp.model.label_counts
-    memo, shapes = {}, {}
-
-    def shape_in(c, a):
-        shape = memo.get((c, a))
-        if shape is None:
-            shape = embed_shape(scopes[c], scopes[a], counts)
-            shape = memo[(c, a)] = shapes.setdefault(shape, shape)
-        return shape
-
-    return shape_in
 
 
 def _index(rows):
@@ -366,10 +351,11 @@ def _rows_of(entries):
 
 @_gc_paused
 def compile_sweeps(decomp, reuse, M, T):
-    """The `SweepProgram` of a reuse mode on a state's message and cache
-    stacks M and T; see the module docstring.  Each variant is walked with
-    one update rule per edge; the forward variant with lead edges current is
-    the first pass's own where no edge is a lead edge."""
+    """The `SweepProgram` of a reuse mode for a decomposition on a state's
+    message and cache stacks M and T; see the module docstring.  Each
+    variant is walked with one update rule per edge; the forward variant
+    with lead edges current is the first pass's own where no edge is a lead
+    edge."""
     d = decomp
     js = d.jstructure
     scopes, locals_, separators = js.scopes, js.locals, js.separators
@@ -673,7 +659,7 @@ def compile_sweeps(decomp, reuse, M, T):
             )
         return levels, led
 
-    def variant(forward, lead_current):
+    def variant(forward, lead_current, read_off):
         # the compiled variant, and whether it met a lead edge
         levels, led = walk(forward, lead_current)
         phases, ops, cells = [], 0, 0
@@ -686,34 +672,53 @@ def compile_sweeps(decomp, reuse, M, T):
                     cells += sum([e[2] for e in group])
                 phases.append(tuple(groups))
             phases.append(tuple([cache_group(key, seps) for key, seps in caches.items()]))
-        return Variant(tuple(phases), ops, cells), led
+        return Variant(tuple(phases), ops, cells, read_off), led
 
-    first, led = variant(True, False)
+    fallback = tuple(
+        t for t, chain in enumerate(d.chains) if any(a not in js.outer for a in chain)
+    )
+    forward_bound = _read_off(d, fallback, d.sep_plus, -1)
+    first, led = variant(True, False, forward_bound)
     variants = {
         (True, False): first,
-        (True, True): variant(True, True)[0] if led else first,
-        (False, True): variant(False, True)[0],
+        (True, True): variant(True, True, forward_bound)[0] if led else first,
+        (False, True): variant(False, True, _read_off(d, fallback, d.sep_minus, 0))[0],
     }
-    return SweepProgram((*M, *T), variants)
+    return SweepProgram(d, (*M, *T), variants, fallback)
+
+
+def _read_off(decomp, fallback, far, member):
+    # the `PassBound` of a sweep whose chains end at their `member` (-1
+    # forward, 0 backward), each member's far window end in `far`; the
+    # `fallback` chains are left to the chain DP
+    d = decomp
+    model, layout = d.model, d._layout
+    ends, const, cells = {}, 0.0, 0
+    for t, chain in enumerate(d.chains):
+        if t in fallback:
+            continue
+        e = far[chain[member]]
+        if e is None:  # one singleton outer factor: no messages, a constant minimum
+            a = chain[0]
+            const += d.rho[t] * float((model.table(a) / d.rho_factor[a]).min())
+            continue
+        s, row = layout.sep_row[e]
+        ends.setdefault(s, []).append((row, d.rho[t] / d.rho_factor[e]))
+        cells += model.table(e).size
+    batched = []
+    for s, end in ends.items():
+        rows, coefs = zip(*end)
+        batched.append((s, _index(rows), tuple(range(1, 1 + len(layout.shapes[s]))), coefs))
+    return PassBound(tuple(batched), cells, const)
 
 
 @_gc_paused
-def build_sweep_plan(decomp):
-    """Compile the plan of a decomposition; see the module docstring."""
+def chain_stages(decomp):
+    """Per chain, the `Stage`s of its dynamic program."""
     d = decomp
     js = d.jstructure
-    model = d.model
-    counts = model.label_counts
+    counts = d.model.label_counts
     scopes = js.scopes
-    shape_in = _shape_in(d)
-
-    net = tuple(
-        tuple(((f, c), shape_in(c, f)) for c in d.local_separators[f])
-        if f in js.outer
-        else None
-        for f in range(len(scopes))
-    )
-
     stages = []
     for chain in d.chains:
         labelled = [set()]  # per member, from the last: nodes later members hold
@@ -727,12 +732,12 @@ def build_sweep_plan(decomp):
             for c in sorted(js.locals[a]):
                 if c not in attributed:
                     attributed.add(c)
-                    terms.append((c, shape_in(c, a)))
+                    terms.append((c, embed_shape(scopes[c], scopes[a], counts)))
             carry_axes = carry_shape = None
             if i + 1 < len(chain):
                 s = d.sep_plus[a]
                 carry_axes = drop_axes(scopes[a], scopes[s])
-                carry_shape = shape_in(s, chain[i + 1])
+                carry_shape = embed_shape(scopes[s], scopes[chain[i + 1]], counts)
             later = labelled[i]
             members.append(
                 Stage(
@@ -745,42 +750,6 @@ def build_sweep_plan(decomp):
                 )
             )
         stages.append(tuple(members))
+    return tuple(stages)
 
-    fallback = tuple(
-        t for t, chain in enumerate(d.chains) if any(a not in js.outer for a in chain)
-    )
 
-    sep_row = d._layout.sep_row
-
-    def pass_bound(far, member):
-        # far: each member's far window end; member: index of the chain's far member
-        ends, const, cells = {}, 0.0, 0
-        for t, chain in enumerate(d.chains):
-            if t in fallback:
-                continue
-            e = far[chain[member]]
-            if e is None:  # one singleton outer factor: no messages, a constant minimum
-                a = chain[0]
-                const += d.rho[t] * float((model.table(a) / d.rho_factor[a]).min())
-                continue
-            s, row = sep_row[e]
-            ends.setdefault(s, []).append((row, d.rho[t] / d.rho_factor[e]))
-            cells += model.table(e).size
-        batched = tuple(
-            (
-                s,
-                _index([row for row, _ in end]),
-                tuple(range(1, 1 + len(d._layout.shapes[s]))),
-                tuple([coef for _, coef in end]),
-            )
-            for s, end in ends.items()
-        )
-        return PassBound(batched, cells, const)
-
-    return SweepPlan(
-        net,
-        tuple(stages),
-        pass_bound(d.sep_plus, -1),
-        pass_bound(d.sep_minus, 0),
-        fallback,
-    )

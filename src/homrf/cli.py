@@ -17,11 +17,15 @@ from .trws import DEFAULT_EPS, DEFAULT_PASSES, DEFAULT_REUSE, REUSE_MODES
 from .trws import _run_passes, _trws_steps, chain_state_tree_params
 
 # --gen choice -> (generator, the keywords its flags set).  A flag left unset
-# is not passed on, so it takes the generator's own default.
+# is not passed on, so it takes the generator's own default; the grid size,
+# which the generators lack, takes `_GRID`.  A generator flag that the chosen
+# source does not take is a usage error.
+_GRID = {"width": 6, "height": 6}
 _GENERATORS = {
-    "stereo": (gen_stereo_second_order, ("labels", "smooth_weight", "seed", "separators")),
-    "potts2x2": (gen_potts_2x2, ("labels", "block_weight", "variant", "seed", "separators")),
+    "stereo": (gen_stereo_second_order, (*_GRID, "labels", "smooth_weight", "seed", "separators")),
+    "potts2x2": (gen_potts_2x2, (*_GRID, "labels", "block_weight", "variant", "seed", "separators")),
 }
+_GEN_KEYWORDS = {k for _, keywords in _GENERATORS.values() for k in keywords}
 
 
 def build_parser():
@@ -32,8 +36,8 @@ def build_parser():
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--input", help="model file in the HOMRF text format")
     src.add_argument("--gen", choices=list(_GENERATORS), help="synthetic instance")
-    p.add_argument("--width", type=int, default=6)
-    p.add_argument("--height", type=int, default=6)
+    p.add_argument("--width", type=int)
+    p.add_argument("--height", type=int)
     p.add_argument("--labels", type=int)
     p.add_argument(
         "--stereo-lambda", dest="smooth_weight", metavar="STEREO_LAMBDA", type=float,
@@ -65,16 +69,19 @@ def _read(path):
 
 
 def _load(args, parser):
+    gen, keywords = _GENERATORS[args.gen] if args.gen else (None, ())
+    for action in parser._actions:
+        k = action.dest
+        if k in _GEN_KEYWORDS and k not in keywords and getattr(args, k) is not None:
+            source = f"--gen {args.gen}" if gen else "--input"
+            parser.error(f"{action.option_strings[0]} does not apply to {source}")
     node_order = None
     if args.input:
-        if args.separators is not None:
-            parser.error("--separators applies only to generated instances")
         model, js, node_order = parse_model_file(_read(args.input))
     else:
-        gen, keywords = _GENERATORS[args.gen]
         given = {k: getattr(args, k) for k in keywords if getattr(args, k) is not None}
         try:
-            model, js = gen(args.width, args.height, **given)
+            model, js = gen(**{**_GRID, **given})
         except ValueError as exc:
             parser.error(f"--gen {args.gen}: {exc}")
     if args.node_order != "input":

@@ -10,13 +10,14 @@ raises `ValueError` unless it is a permutation of the model's nodes, or, given
 a J structure alone, of the nodes its scopes hold.
 """
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from ._plan import build_sweep_plan, storage_layout
+from ._plan import chain_stages, storage_layout
 from ._tables import table_shape
 from .errors import HomrfError, MissingSeparatorFactor
 from .model import Factor, Model, _close, _gc_paused, close_j
@@ -145,8 +146,8 @@ class Decomposition:
     the message edges.  `dataclasses.replace` therefore re-derives them all.
     A node order that is not a permutation of the model's nodes raises
     `ValueError`, a window bound that is not a separator factor of the J
-    structure `MissingSeparatorFactor`, and a `rho` without one entry per
-    chain `HomrfError`.
+    structure `MissingSeparatorFactor`, and a `rho` without one finite
+    positive entry per chain `HomrfError`.  `rho` is kept as Python floats.
     """
 
     model: Model
@@ -171,6 +172,10 @@ class Decomposition:
     def __post_init__(self):
         if len(self.rho) != len(self.chains):
             raise HomrfError(f"{len(self.rho)} chain probabilities for {len(self.chains)} chains")
+        self.rho = tuple(map(float, self.rho))
+        for t, r in enumerate(self.rho):
+            if not (math.isfinite(r) and r > 0):
+                raise HomrfError(f"chain {t} has probability {r}, not a finite positive number")
         js = self.jstructure
         pos = self.node_pos = _node_pos(self.node_order, range(self.model.node_count))
         self.separator_order = tuple(sigma_sorted(js, pos, js.separators))
@@ -205,10 +210,10 @@ class Decomposition:
         )
 
     @cached_property
-    def _sweep_plan(self):
-        # built by the first sweep or bound, not at construction: set-up
-        # that never solves pays nothing for it
-        return build_sweep_plan(self)
+    def _stages(self):
+        # per chain, its dynamic program's stages: built by the first chain
+        # DP, which a pass runs only on the chains its bound re-solves
+        return chain_stages(self)
 
     @cached_property
     def _layout(self):

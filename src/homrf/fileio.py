@@ -9,7 +9,7 @@ Layout:
     for each factor:
         <scope size> <node ids...>
         <table values, row-major over the sorted scope>
-    J
+    J                                              (at most once)
     <edge count>
     <source factor index> <target factor index>   (one line per edge)
     ORDER                                          (optional, at most once)
@@ -162,11 +162,14 @@ def parse_model_file(text):
 
     model = build_model(label_counts, factors)
 
-    edges = set()
+    edges = None
     node_order = None
     while not toks.at_end():
         section = toks.next("section name")
         if section == "J":
+            if edges is not None:
+                raise ParseError(f"line {toks.line}: second J section")
+            edges = set()
             m = toks.next_int("edge count")
             if m < 0:
                 raise ParseError(f"line {toks.line}: edge count must be non-negative")
@@ -185,7 +188,7 @@ def parse_model_file(text):
         else:
             raise ParseError(f"line {toks.line}: unknown section {section!r}")
 
-    jstructure = close_j(model.scopes, edges)
+    jstructure = close_j(model.scopes, edges or ())
     return model, jstructure, node_order
 
 

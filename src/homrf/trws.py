@@ -5,30 +5,30 @@ only the cumulative reparameterization, as messages on outer-to-separator
 edges plus cached separator tables.  Sweeps alternate forward and backward.
 The two nested-separator reuse shortcuts are modes of the sweep
 (`reuse="after"` and `reuse="before-after"`), not steps of their own: whether
-one applies to an edge follows from the plan, the direction of the sweep and
-whether it is the first.  The explicit-table reference sweeps it is checked
+one applies to an edge follows from the windows, the direction of the sweep
+and whether it is the first.  The explicit-table reference sweeps it is checked
 against live in `homrf.oracle`.
 
 Messages and separator caches are rows of stacked arrays, one stack per
 separator table shape.  Everything that reads a state reads the stacks it
 holds at that moment, through the decomposition's row layout: the read-only
 `messages` and `theta_sep` views, the per-factor tables behind the bound's
-fallback, the tree parameters and the primal rounding.  A sweep runs the
-program that the sweep plan module (`homrf._plan`) compiles onto the state's
-stacks for its reuse mode: level by level, the updates of one recipe class at
-a level run as one batched gather-subtract-add-min-scatter of numpy calls on
-fixed operands, then the caches of the level are rebuilt the same way.  The
-results are byte-identical to a sweep one separator at a time.  The chain
-dynamic program behind every bound also runs from the plan, so a pass does no
-structural bookkeeping of its own.
+fallback, the tree parameters and the primal rounding.  A state whose layout
+does not equal the decomposition's raises `StateNotInitialized`.
 
-A state counts its passes, and a sweep's direction is the parity of that
-count: forward after an even number of passes.  The state's first pass in a
-reuse mode compiles that mode's three sweeps together (forward for the first
-pass, then forward and backward for every later one) and keeps them, out of
-the state's repr.  States compare by identity.  A copy of the state starts
-without a program, and a pass compiles again once the state's stacks are no
-longer those the program was compiled onto.
+A pass runs the state's program of its reuse mode (`homrf._plan`), compiled
+for one decomposition onto the state's stacks: its three sweep variants
+(forward for the first pass, then forward and backward for every later one)
+and what each direction's bound is read off.  Level by level, the updates of
+one recipe class at a level run as one batched
+gather-subtract-add-min-scatter of numpy calls on fixed operands, then the
+caches of the level are rebuilt the same way.  The results are
+byte-identical to a sweep one separator at a time.  A state counts its
+passes, and a sweep's direction is the parity of that count: forward after
+an even number of passes.  The program is kept out of the state's repr, and
+states compare by identity.  A copy of the state starts without a program,
+and a pass compiles again once the decomposition or the state's stacks are
+no longer those the program was compiled for.
 
 The message-form sweep reads its bound off the sweep, as TRW-S does, instead
 of re-solving every chain.  Messages are stored rather than accumulated, so
@@ -42,7 +42,8 @@ cached table over that separator's appearance probability.  The bound is
 therefore, per chain, its probability times that minimum.  A chain of one
 singleton outer factor adds the constant minimum of its table.  A chain with a
 member that is not an outer factor falls back to the dynamic program on its
-current tables; `bound` and `_chain_dp` remain the reference.
+current tables; `bound` and `_chain_dp` remain the reference.  The chain
+DP's stages are built on its first run and kept on the decomposition.
 """
 
 import math
@@ -54,7 +55,7 @@ from operator import mul
 import numpy as np
 
 from ._plan import Bindings, Layout, compile_sweeps, same_objects
-from ._tables import min_over
+from ._tables import embed, min_over
 from .errors import ExcessMessageOps, StateNotInitialized
 
 REUSE_MODES = ("none", "after", "before-after")
@@ -100,16 +101,16 @@ def init_tree_params(decomp):
 def _chain_dp(decomp, tables, t, want_argmin=False):
     """Exact minimization of one subproblem by sweeping its chain.
 
-    `tables[c]` is factor c's table in subproblem `t`: a `TreeParams` chain
-    dict, or one per-factor sequence shared by every chain.  Every local table
-    is folded into the first chain member that covers it; the running
-    intersection property guarantees a node never reappears after it has been
-    minimized out.  Returns (value, labeling or None, cells).
+    `tables[c]` is factor c's table in subproblem `t`, as in a `TreeParams`
+    chain dict.  Every local table is folded into the first chain member that
+    covers it; the running intersection property guarantees a node never
+    reappears after it has been minimized out.  Returns (value, labeling or
+    None, cells).
     """
     cells = 0
     carry = None
     hs = []
-    stages = decomp._sweep_plan.stages[t]
+    stages = decomp._stages[t]
     for stage in stages:
         h = np.zeros(stage.shape)
         for c, shape in stage.terms:
@@ -219,12 +220,26 @@ def chain_state_init(decomp):
     return ChainSolverState(message_stacks=messages, separator_stacks=caches, layout=layout)
 
 
+def _check_state(decomp, state):
+    # a state from `chain_state_init` whose rows are the decomposition's:
+    # equal layouts, not one object, so that copies of either still match
+    if (
+        not isinstance(state, ChainSolverState)
+        or state.message_stacks is None
+        or state.separator_stacks is None
+    ):
+        raise StateNotInitialized("chain solver state must come from chain_state_init")
+    if state.layout != decomp._layout:
+        raise StateNotInitialized("chain solver state was laid out for another decomposition")
+
+
 def _program(decomp, state, reuse):
     """The state's program of a reuse mode, compiled on first use and again
-    once the state's stacks are no longer those it was compiled onto."""
+    once the decomposition or the state's stacks are no longer those it was
+    compiled for."""
     program = state._bound.get(reuse)
     arrays = (*state.message_stacks, *state.separator_stacks)
-    if program is None or not same_objects(program.arrays, arrays):
+    if program is None or program.decomp is not decomp or not same_objects(program.arrays, arrays):
         program = state._bound[reuse] = compile_sweeps(
             decomp, reuse, state.message_stacks, state.separator_stacks
         )
@@ -249,22 +264,16 @@ def trws_chain_pass(decomp, state, reuse="none"):
     direct update.
 
     The sweep runs the state's program of its mode (`homrf._plan`),
-    compiled by the state's first pass in that mode.
+    compiled by the state's first pass in that mode on this decomposition.
+    A state laid out for another decomposition raises `StateNotInitialized`.
     """
-    if (
-        not isinstance(state, ChainSolverState)
-        or state.message_stacks is None
-        or state.separator_stacks is None
-    ):
-        raise StateNotInitialized("chain solver state must come from chain_state_init")
+    _check_state(decomp, state)
     if reuse not in REUSE_MODES:  # a misspelt mode must not silently run as another one
         raise ValueError(f"reuse must be one of {', '.join(REUSE_MODES)}, not {reuse!r}")
-    forward = state.passes % 2 == 0
-    plan = decomp._sweep_plan
     program = _program(decomp, state, reuse)
     # a lead edge's `after` reads the trailing bound's message, which this
     # sweep skips: it is current once a sweep has run the other way
-    sweep = program.variants[forward, state.passes > 0]
+    sweep = program.variants[state.passes % 2 == 0, state.passes > 0]
     if sweep.ops > len(decomp.message_edges):
         raise ExcessMessageOps(
             f"{sweep.ops} message operations for {len(decomp.message_edges)} edges in one pass"
@@ -277,20 +286,20 @@ def trws_chain_pass(decomp, state, reuse="none"):
     state.msg_ops_last_pass = sweep.ops
     state.passes += 1
 
-    phi, cells = _pass_bound(decomp, state, plan.forward_bound if forward else plan.backward_bound)
+    phi, cells = _pass_bound(decomp, state, sweep.read_off, program.fallback)
     state.diag_cells += cells
     return phi
 
 
-def _pass_bound(decomp, state, read_off):
+def _pass_bound(decomp, state, read_off, fallback):
     # bound after a sweep and the table cells it reads: the end-table minima of
-    # `read_off`, plus the chain DP over the fallback chains
+    # `read_off`, plus the chain DP over the `fallback` chains
     T = state.separator_stacks
     terms = [read_off.const]
     for s, rows, axes, coefs in read_off.ends:
         terms += map(mul, coefs, min_over(T[s][rows], axes).tolist())
     cells = read_off.cells
-    for t in decomp._sweep_plan.fallback:
+    for t in fallback:
         tables = {
             c: _factor_table(decomp, state, c) / decomp.rho_factor[c]
             for c in decomp.tree_factors[t]
@@ -302,20 +311,26 @@ def _pass_bound(decomp, state, read_off):
 
 
 def _factor_table(decomp, state, fid):
-    # a copy of factor fid's reparameterized table, read off the state's stacks
-    subtract = decomp._sweep_plan.net[fid]
-    if subtract is None:
-        s, row = state.layout.sep_row[fid]
+    # a copy of factor fid's reparameterized table, read off the state's
+    # stacks: a separator's cache, or an outer factor's cost less the
+    # messages into its window
+    layout = state.layout
+    if fid not in decomp.jstructure.outer:
+        s, row = layout.sep_row[fid]
         return state.separator_stacks[s][row].copy()
+    scopes = decomp.jstructure.scopes
     out = decomp.model.table(fid).copy()
-    for key, shape in subtract:
-        s, row = state.layout.edge_row[key]
-        out -= state.message_stacks[s][row].reshape(shape)
+    for c in decomp.local_separators[fid]:
+        s, row = layout.edge_row[(fid, c)]
+        out -= embed(state.message_stacks[s][row], scopes[c], scopes[fid])
     return out
 
 
 def chain_state_factor_tables(decomp, state):
-    """Current reparameterized cost of every factor under the stored messages."""
+    """Current reparameterized cost of every factor under the stored messages.
+    Raises `StateNotInitialized` for a state laid out for another
+    decomposition."""
+    _check_state(decomp, state)
     return [_factor_table(decomp, state, fid) for fid in range(len(decomp.model.factors))]
 
 

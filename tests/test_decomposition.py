@@ -16,6 +16,7 @@ from homrf.decomposition import (
 from homrf.errors import HomrfError, MissingSeparatorFactor
 from homrf.generators import gen_potts_2x2, gen_stereo_second_order
 from homrf.model import build_model, close_j, energy
+from homrf.trws import chain_state_init, trws_chain_pass
 
 from conftest import (
     figure_chain_instance,
@@ -398,6 +399,24 @@ class TestValidate:
             dataclasses.replace(d, rho=d.rho[:3])
         with pytest.raises(HomrfError, match="6 chain probabilities for 5 chains"):
             dataclasses.replace(d, chains=d.chains[:5])
+
+    def test_numpy_probabilities_run_as_python_floats(self):
+        d = build_monotonic_chains(*gen_stereo_second_order(5, 4, labels=3))
+        k = len(d.chains)
+        e = dataclasses.replace(d, rho=tuple(np.full(k, 1 / k)))
+        assert all(type(r) is float for r in e.rho)
+        runs = []
+        for x in (d, e):
+            st = chain_state_init(x)
+            phis = [trws_chain_pass(x, st, reuse="after") for _ in range(3)]
+            runs.append((phis, [a.tobytes() for a in st.message_stacks + st.separator_stacks]))
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -0.5])
+    def test_probability_not_finite_and_positive(self, bad):
+        d = build_monotonic_chains(*gen_stereo_second_order(4, 4, labels=3))
+        with pytest.raises(HomrfError, match=f"chain 1 has probability {bad}, not a finite"):
+            dataclasses.replace(d, rho=(d.rho[0], bad) + d.rho[2:])
 
     def test_replace_rederives_windows_and_probabilities(self, rng):
         model, js = _pairwise_model(3, [(0, 1), (1, 2)], rng)

@@ -168,6 +168,13 @@ class TestParseCursor:
         lines = ["HOMRF", "2", "2 2", "0", "ORDER", "0 1", "ORDER", "1 0"]
         assert _parse_error(lines) == "line 7: second ORDER section"
 
+    def test_second_j_section(self):
+        # a second J section is not merged into the first
+        lines = ["HOMRF", "3", "2 2 2", "3", "1 0", "0 1", "1 1", "0 1", "2 0 1", "0 1 2 3",
+                 "J", "1", "2 0", "J", "1", "2 1"]
+        assert _parse_error(lines) == "line 14: second J section"
+        assert parse_model_file("\n".join(lines[:13]) + "\n")[1].edges == {(2, 0)}
+
     @pytest.mark.parametrize("count", ["0", "-2"])
     def test_node_count_must_be_positive(self, count):
         assert _parse_error(["HOMRF", count]) == "line 2: node count must be positive"
@@ -552,6 +559,34 @@ class TestCliErrors:
         assert code == 2
         assert f"--gen {argv[1]}: " in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["--gen", "stereo", "--width", "3", "--height", "3", "--block-weight", "nan",
+              "--potts-variant", "pairwise"], "--block-weight"),
+            (["--gen", "stereo", "--width", "4", "--height", "4", "--block-weight", "5"],
+             "--block-weight"),
+            (["--gen", "stereo", "--potts-variant", "pairwise"], "--potts-variant"),
+            (["--gen", "potts2x2", "--stereo-lambda", "2"], "--stereo-lambda"),
+            (["--input", "M", "--labels", "5", "--seed", "3", "--stereo-lambda", "2",
+              "--width", "9"], "--width"),
+            (["--input", "M", "--labels", "3"], "--labels"),
+            (["--input", "M", "--height", "6"], "--height"),
+            (["--input", "M", "--stereo-lambda", "2"], "--stereo-lambda"),
+            (["--input", "M", "--block-weight", "5"], "--block-weight"),
+            (["--input", "M", "--potts-variant", "pairwise"], "--potts-variant"),
+            (["--input", "M", "--seed", "3"], "--seed"),
+            (["--input", "M", "--separators", "pair"], "--separators"),
+        ],
+    )
+    def test_generator_flag_the_source_does_not_take_exit_2(self, tmp_path, argv, flag):
+        path = tmp_path / "m.txt"
+        path.write_text(MINIMAL)
+        argv = [str(path) if a == "M" else a for a in argv]
+        code, err = _exit(argv + ["--passes", "2"])
+        assert code == 2
+        assert f"{flag} does not apply to " in err and "Traceback" not in err
+
     def test_allocation_failure_exit_1(self):
         # the 100000**3 stereo table is 7 PiB: numpy refuses it at once
         argv = ["--gen", "stereo", "--width", "3", "--height", "3", "--labels", "100000"]
@@ -739,6 +774,14 @@ class TestCliMatchesLibrary:
         if kwargs:
             *others, _ = kwargs.items()
             assert want != run(**dict(others))[1]
+
+    def test_grid_side_defaults_to_six(self, tmp_path):
+        rows = _trace_rows(tmp_path, ["--gen", "stereo", "--labels", "2", "--passes", "2"])
+        d = build_monotonic_chains(*gen_stereo_second_order(6, 6, labels=2))
+        assert rows == [
+            (str(r.pass_index), r.direction, "trws", f"{r.bound:.12g}", str(r.meff))
+            for r in solve_trws(d, passes=2).rows
+        ]
 
     GEN = ["--gen", "potts2x2", "--width", "3", "--height", "3", "--labels", "2", "--separators", "pair"]
 

@@ -9,6 +9,7 @@ from homrf.decomposition import build_monotonic_chains
 from homrf.errors import (
     ExcessMessageOps,
     FactorNotInTree,
+    HomrfError,
     InvalidEdge,
     NotASeparator,
     StateNotInitialized,
@@ -23,6 +24,7 @@ from homrf.oracle import (
     brute_force_map,
     brute_force_min_marginals,
     explicit_chain_init,
+    extract_primal,
     nu_table,
     send_message,
     tree_min_marginal,
@@ -653,7 +655,8 @@ class TestPassBoundReadOff:
         scopes = [[d.jstructure.scope(a) for a in chain] for chain in d.chains]
         assert scopes == [[(0, 1, 2), (1, 2, 3)], [(1, 2)]]
         assert validate_decomposition(d.model, d.jstructure, d).codes() == ["outer-cover"]
-        assert d._sweep_plan.fallback == (1,)
+        st = chain_state_init(d)
+        assert compile_sweeps(d, reuse, st.message_stacks, st.separator_stacks).fallback == (1,)
         assert_pass_bounds_match_dp(d, reuse)
 
     def test_diag_cells_count_end_tables_and_fallback_dp(self):
@@ -1019,6 +1022,48 @@ class TestBoundSweeps:
             phis[1] += [trws_chain_pass(d, second, reuse=reuse) for _ in range(2)]
             assert phis == [want_phis, want_phis]
             assert state_signature(first) == want and state_signature(second) == want
+
+    def test_state_carried_to_another_decomposition_recompiles(self):
+        # a state whose rows the decomposition shares runs that
+        # decomposition's sweep and read-off, as its deep copy does
+        d = build_monotonic_chains(*gen_stereo_second_order(5, 4, labels=3))
+        st = chain_state_init(d)
+        trws_chain_pass(d, st, reuse="after")
+        w = np.linspace(1, 2, len(d.chains))
+        twin = copy.deepcopy(st)
+        for e in (dataclasses.replace(d, rho=tuple(w / w.sum())), dataclasses.replace(d, rho=d.rho),
+                  copy.deepcopy(d)):
+            assert trws_chain_pass(e, st, reuse="after") == trws_chain_pass(e, twin, reuse="after")
+            assert state_signature(st) == state_signature(twin)
+            assert st._bound["after"].decomp is e
+
+    def test_state_of_another_layout_raises(self):
+        stereo = build_monotonic_chains(*gen_stereo_second_order(4, 4, labels=3))
+        potts = build_monotonic_chains(*gen_potts_2x2(4, 4, labels=3))
+        ran = chain_state_init(stereo)
+        trws_chain_pass(stereo, ran)
+        for st in (chain_state_init(stereo), ran):
+            for read in (trws_chain_pass, chain_state_tree_params, extract_primal):
+                with pytest.raises(StateNotInitialized):
+                    read(potts, st)
+
+    def test_outer_factor_in_no_chain_raises(self):
+        d = build_monotonic_chains(*gen_stereo_second_order(4, 4, labels=2))
+        e = dataclasses.replace(d, chains=d.chains[1:], rho=(0.2,) * 5)
+        assert "outer-cover" in validate_decomposition(e.model, e.jstructure, e).codes()
+        with pytest.raises(HomrfError, match="^outer factor 16 is in no chain$"):
+            chain_state_init(e)
+        with pytest.raises(HomrfError, match="^outer factor 16 is in no chain$"):
+            extract_primal(e, chain_state_init(d))
+
+    def test_passes_build_no_chain_dp_stages(self):
+        # only the bound's fallback chains, none here, run the chain DP
+        d = build_monotonic_chains(*gen_stereo_second_order(6, 5, labels=3))
+        for reuse in REUSE_MODES:
+            solve_trws(d, passes=4, reuse=reuse)
+        assert "_stages" not in vars(d)
+        bound(d, init_tree_params(d))
+        assert "_stages" in vars(d)
 
     def test_bindings_stay_out_of_repr_and_comparisons(self):
         d = build_monotonic_chains(*gen_stereo_second_order(4, 4, labels=2, seed=1))
