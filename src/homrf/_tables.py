@@ -22,12 +22,14 @@ def embed_shape(scope, target_scope, label_counts):
 
 
 def embed(table, scope, target_scope):
-    """View of `table` (over `scope`) broadcastable against a `target_scope` table."""
+    """View of `table` (over `scope`) broadcastable against a `target_scope` table.
+
+    `scope` is a subset of `target_scope` and both are sorted, so the table's
+    sizes come in target order."""
     if scope == target_scope:
         return table
-    pos = {v: i for i, v in enumerate(scope)}
-    shape = tuple(table.shape[pos[v]] if v in pos else 1 for v in target_scope)
-    return table.reshape(shape)
+    sizes = iter(table.shape)
+    return table.reshape(tuple([next(sizes) if v in scope else 1 for v in target_scope]))
 
 
 def drop_axes(scope, keep_scope):

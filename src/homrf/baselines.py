@@ -89,7 +89,7 @@ def msd_sweep_order(jstructure, node_order=None):
     (by default id order), matching the separator sweep of the chain solver."""
     nodes = _scope_nodes(jstructure)
     pos = _node_pos(sorted(nodes) if node_order is None else node_order, nodes)
-    fids = sigma_sorted(jstructure, pos, range(len(jstructure.scopes)))
+    fids = sigma_sorted(jstructure.scopes, pos, range(len(jstructure.scopes)))
     rank = {fid: i for i, fid in enumerate(fids)}
     return tuple(sorted(jstructure.closed_edges, key=lambda e: (rank[e[1]], rank[e[0]])))
 

@@ -94,6 +94,19 @@ def _load(args, parser):
     return model, js, node_order
 
 
+def _write_trace(path, rows):
+    try:
+        with open(path, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["pass", "direction", "method", "bound", "meff", "ms"])
+            w.writerows(
+                [r.pass_index, r.direction, r.method, f"{r.bound:.12g}", r.meff, f"{r.ms:.3f}"]
+                for r in rows
+            )
+    except OSError as exc:
+        raise HomrfError(f"cannot write --trace {path}: {exc}") from exc
+
+
 # method -> (state, pass step) for the shared pass/stop loop
 _STEPS = {
     "trws": lambda decomp, args: _trws_steps(decomp, args.reuse),
@@ -126,13 +139,7 @@ def run_solver_cli(argv=None):
         rows, stop, primal_source, final_bound = _run(decomp, args)
 
         if args.trace:
-            with open(args.trace, "w", newline="") as fh:
-                w = csv.writer(fh)
-                w.writerow(["pass", "direction", "method", "bound", "meff", "ms"])
-                w.writerows(
-                    [r.pass_index, r.direction, r.method, f"{r.bound:.12g}", r.meff, f"{r.ms:.3f}"]
-                    for r in rows
-                )
+            _write_trace(args.trace, rows)
 
         labeling = extract_primal(decomp, primal_source)
         primal = energy(decomp.model, labeling)

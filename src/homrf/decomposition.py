@@ -20,7 +20,7 @@ import numpy as np
 from ._plan import chain_stages, storage_layout
 from ._tables import table_shape
 from .errors import HomrfError, MissingSeparatorFactor
-from .model import Factor, Model, _close, _gc_paused, close_j
+from .model import Factor, Model, _as_int, _close, _gc_paused
 
 
 def sigma_key(scope, pos):
@@ -31,9 +31,10 @@ def sigma_key(scope, pos):
     return (ranks[0], ranks[-1], *ranks[1:-1])
 
 
-def sigma_sorted(jstructure, pos, fids):
-    """The factor ids `fids` sorted by `sigma_key` under node positions `pos`."""
-    return sorted(fids, key=lambda f: sigma_key(jstructure.scope(f), pos))
+def sigma_sorted(scopes, pos, fids):
+    """The factor ids `fids` sorted by `sigma_key` of their `scopes` under
+    node positions `pos`."""
+    return sorted(fids, key=lambda f: sigma_key(scopes[f], pos))
 
 
 def extend_order_to_separators(jstructure, node_order):
@@ -44,12 +45,13 @@ def extend_order_to_separators(jstructure, node_order):
     factors meet exactly at their shared separator.
     """
     pos = _node_pos(node_order, _scope_nodes(jstructure))
-    return tuple(sigma_sorted(jstructure, pos, jstructure.separators))
+    return tuple(sigma_sorted(jstructure.scopes, pos, jstructure.separators))
 
 
 def _node_pos(node_order, nodes):
-    # each node's position in `node_order`, which must be a permutation of `nodes`
-    pos = {v: i for i, v in enumerate(node_order)}
+    # each node's position in `node_order`, which must be a permutation of
+    # `nodes`; its keys are the order's nodes, as ints, in order
+    pos = {_as_int(v, "node"): i for i, v in enumerate(node_order)}
     if len(pos) != len(node_order):
         raise ValueError("node order repeats a node")
     if pos.keys() != set(nodes):
@@ -178,7 +180,7 @@ class Decomposition:
                 raise HomrfError(f"chain {t} has probability {r}, not a finite positive number")
         js = self.jstructure
         pos = self.node_pos = _node_pos(self.node_order, range(self.model.node_count))
-        self.separator_order = tuple(sigma_sorted(js, pos, js.separators))
+        self.separator_order = tuple(sigma_sorted(js.scopes, pos, js.separators))
         self.sep_rank = {b: i for i, b in enumerate(self.separator_order)}
         index = _scope_index(js)
         self.sep_minus, self.sep_plus = {}, {}
@@ -205,7 +207,7 @@ class Decomposition:
         )
         self.message_edges = tuple(
             (a, b)
-            for a in sigma_sorted(js, pos, js.outer)
+            for a in sigma_sorted(js.scopes, pos, js.outer)
             for b in self.local_separators.get(a, ())
         )
 
@@ -232,15 +234,15 @@ def build_monotonic_chains(model, jstructure, node_order=None):
     untouched.  Outer factors are visited in scope order and appended to the
     first open chain whose tail admits them; a factor no chain admits opens a
     new one.  Only the chains whose tail shares a node with the factor can
-    admit it, so only those are tried, in the order they were opened.  The
-    closure over the singleton edges is extended by the chain-intersection
-    edges alone, not recomputed.  Chain probabilities are uniform.  The node
-    order, by default id order, must be a permutation of the model's nodes.
+    admit it, so only those are tried, in the order they were opened.
+    Closure adds edges only into factors some edge already targets, so the
+    outer factors are read off the raw edges and J is closed once, at the
+    end.  Chain probabilities are uniform.  The node order, by default id
+    order, must be a permutation of the model's nodes.
     """
-    if node_order is None:
-        node_order = tuple(range(model.node_count))
-    node_order = tuple(int(v) for v in node_order)
-    pos = _node_pos(node_order, range(model.node_count))
+    nodes = range(model.node_count)
+    pos = _node_pos(nodes if node_order is None else node_order, nodes)
+    node_order = tuple(pos)
 
     scopes = list(model.scopes)
     tables = [f.table for f in model.factors]
@@ -258,27 +260,23 @@ def build_monotonic_chains(model, jstructure, node_order=None):
             added.append(scope)
         return fid
 
-    for v in range(model.node_count):
+    for v in nodes:
         ensure_factor((v,))
     for fid, s in enumerate(list(scopes)):
         if len(s) >= 2:
             for v in s:
                 edges.add((fid, index[(v,)]))
-
-    if edges == jstructure.edges and tuple(scopes) == jstructure.scopes:
-        js = jstructure
-    else:
-        js = close_j(scopes, edges)
+    targets = {b for _, b in edges}
 
     # Monotonicity alone keeps running intersection: a node a member does not
     # share with its successor precedes every node of that successor, hence
     # of every later member, so no later member can hold it again.
     chains = []
-    at_tail = [[] for _ in range(model.node_count)]  # node -> chains whose tail holds it
-    for a in sigma_sorted(js, pos, js.outer):
-        scope_a = js.scope(a)
+    at_tail = [[] for _ in nodes]  # node -> chains whose tail holds it
+    for a in sigma_sorted(scopes, pos, (f for f in range(len(scopes)) if f not in targets)):
+        scope_a = scopes[a]
         for c in sorted({c for v in scope_a for c in at_tail[v]}):
-            tail = js.scope(chains[c][-1])
+            tail = scopes[chains[c][-1]]
             if _eq15_holds(tail, scope_a, pos):
                 for v in tail:
                     at_tail[v].remove(c)
@@ -292,17 +290,20 @@ def build_monotonic_chains(model, jstructure, node_order=None):
 
     for chain in chains:
         for i in range(len(chain) - 1):
-            s = tuple(sorted(set(js.scope(chain[i])) & set(js.scope(chain[i + 1]))))
+            s = tuple(sorted(set(scopes[chain[i]]) & set(scopes[chain[i + 1]])))
             fid = ensure_factor(s)
             edges.add((chain[i], fid))
             edges.add((chain[i + 1], fid))
 
-    if len(scopes) != len(model.scopes) or edges != set(jstructure.edges):
+    js = jstructure
+    given = js.closed_edges if js.scopes == model.scopes else None
+    if added or edges != js.edges or given is None:
+        js = _close(tuple(scopes), edges, given or ())
+    if added:
         model = Model(
             model.label_counts,
             [Factor(s, np.ascontiguousarray(t)) for s, t in zip(scopes, tables)],
         )
-        js = _close(tuple(scopes), edges, js.closed_edges)
 
     return Decomposition(
         model=model,

@@ -45,6 +45,20 @@ def _gc_paused(build):
     return paused
 
 
+def _as_int(x, what, error=ValueError):
+    """`x` as an int.  Raises `error` naming `x` unless `x` equals its `int()`,
+    so 2.0 and numpy integers pass and 2.5, NaN, inf or "2" do not."""
+    if type(x) is int:
+        return x
+    try:
+        i = int(x)
+    except (TypeError, ValueError, OverflowError):
+        i = None
+    if i is None or i != x:
+        raise error(f"{what} {x!r} is not an integer")
+    return i
+
+
 @dataclass(frozen=True)
 class Factor:
     scope: tuple
@@ -55,7 +69,7 @@ class Model:
     """Immutable collection of nodes, label counts and factors."""
 
     def __init__(self, label_counts, factors):
-        self.label_counts = tuple(int(c) for c in label_counts)
+        self.label_counts = tuple([_as_int(c, "label count") for c in label_counts])
         self.factors = tuple(factors)
         self.scopes = tuple(f.scope for f in self.factors)
         self._scope_index = {f.scope: i for i, f in enumerate(self.factors)}
@@ -87,7 +101,7 @@ def build_model(node_label_counts, factor_list):
     given order and re-indexed to the sorted scope.  Tables are copied, and
     factors given one table object under one layout share one read-only copy.
     """
-    label_counts = tuple(int(c) for c in node_label_counts)
+    label_counts = tuple([_as_int(c, "label count") for c in node_label_counts])
     if any(c < 1 for c in label_counts):
         raise ValueError("every node needs at least one label")
     n = len(label_counts)
@@ -98,7 +112,7 @@ def build_model(node_label_counts, factor_list):
     # copy); holding the given table keeps its id from being reused
     copies = {}
     for k, (scope_in, table_in) in enumerate(factor_list):
-        scope_in = tuple(map(int, scope_in))
+        scope_in = tuple([_as_int(v, "node") for v in scope_in])
         if not scope_in:
             raise ValueError(f"factor {k}: empty scope")
         if len(set(scope_in)) != len(scope_in):
@@ -137,7 +151,7 @@ def build_model(node_label_counts, factor_list):
 
 
 def check_labeling(model, labeling):
-    labeling = tuple(int(x) for x in labeling)
+    labeling = tuple([_as_int(x, "label", InvalidLabeling) for x in labeling])
     if len(labeling) != model.node_count:
         raise InvalidLabeling(
             f"labeling has {len(labeling)} entries for {model.node_count} nodes"
@@ -192,7 +206,7 @@ def _close(scopes, edges, given):
 
     edge_list = []
     for a, b in edges:
-        a, b = int(a), int(b)
+        a, b = _as_int(a, "factor id"), _as_int(b, "factor id")
         if a < 0 or a >= n or b < 0 or b >= n:
             raise ValueError(f"edge ({a}, {b}) references an unknown factor")
         if not scope_sets[b] < scope_sets[a]:

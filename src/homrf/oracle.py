@@ -241,7 +241,7 @@ def map_jconsistent_to_wta(decomp, tables, tol=1e-9, check=True):
             )
     work = [t.copy() for t in tables]
     # each factor's first covering outer factor in sigma order (last write wins)
-    outer = sigma_sorted(js, decomp.node_pos, js.outer)
+    outer = sigma_sorted(js.scopes, decomp.node_pos, js.outer)
     first_cover = {c: a for a in reversed(outer) for c in js.locals[a]}
     for b in decomp.separator_order:
         a = first_cover.get(b)

@@ -3,6 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
+from homrf import decomposition as decomposition_module
+from homrf import model as model_module
 from homrf.baselines import msd_sweep_order
 from homrf.decomposition import (
     _eq15_holds,
@@ -196,8 +198,9 @@ class TestBuildChains:
             lambda d, order: extend_order_to_separators(d.jstructure, order),
             lambda d, order: sep_bounds(d.jstructure, order, d.chains[0], d.chains[0][0]),
             lambda d, order: msd_sweep_order(d.jstructure, order),
+            lambda d, order: build_monotonic_chains(d.model, d.jstructure, order),
         ],
-        ids=["replace", "extend_order_to_separators", "sep_bounds", "msd_sweep_order"],
+        ids=["replace", "extend_order_to_separators", "sep_bounds", "msd_sweep_order", "build"],
     )
     @pytest.mark.parametrize(
         "order, match",
@@ -205,13 +208,52 @@ class TestBuildChains:
             ((0,) + tuple(range(15)), "repeats a node"),
             (tuple(range(15)), "not a permutation"),
             (tuple(range(15)) + (16,), "not a permutation"),
+            (tuple(v + 0.5 for v in range(16)), r"node 0\.5 is not an integer"),
+            (tuple(range(15)) + ("15",), "node '15' is not an integer"),
         ],
-        ids=["repeat", "omit", "foreign"],
+        ids=["repeat", "omit", "foreign", "non-integral", "string"],
     )
     def test_every_entry_point_checks_the_node_order(self, entry, order, match):
         d = build_monotonic_chains(*gen_stereo_second_order(4, 4, labels=2))
         with pytest.raises(ValueError, match=match):
             entry(d, order)
+
+    def test_integral_node_order_of_other_types(self):
+        model, js = gen_stereo_second_order(4, 4, labels=2)
+        for order in (np.arange(16), np.arange(16.0)):
+            d = build_monotonic_chains(model, js, order)
+            assert d.node_order == tuple(range(16))
+            assert all(type(v) is int for v in d.node_order)
+
+    @pytest.mark.parametrize(
+        "make, own_closures, keeps_model",
+        [
+            (lambda: gen_potts_2x2(6, 6, separators="pair", variant="pairwise"), 0, True),
+            (lambda: gen_stereo_second_order(6, 5), 1, False),
+        ],
+        ids=["potts-pair", "stereo"],
+    )
+    def test_the_builder_closes_j_at_most_once(self, monkeypatch, make, own_closures, keeps_model):
+        # closure never adds a target, so the builder chains on the raw edges
+        # and closes once, after its additions; given no edges, only edges
+        # are added to the Potts grid and its model is kept
+        model, js = make()
+        edgeless = close_j(model.scopes, ())
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        # `close_j` closes through `model._close`: count both entries
+        real = model_module._close
+        monkeypatch.setattr(model_module, "_close", counted)
+        monkeypatch.setattr(decomposition_module, "_close", counted)
+        build_monotonic_chains(model, js)
+        assert len(calls) == own_closures
+        d = build_monotonic_chains(model, edgeless)
+        assert len(calls) == own_closures + 1
+        assert (d.model is model) == keeps_model
 
     def test_augments_missing_singletons(self, rng):
         factors = [((0, 1), rng.uniform(-1, 1, 4))]

@@ -611,6 +611,12 @@ class TestCliErrors:
         assert code == 1
         assert err.startswith("error:") and "t.csv" in err
 
+    def test_trace_to_a_directory_names_the_flag(self, tmp_path):
+        argv = ["--gen", "stereo", "--width", "3", "--height", "3", "--passes", "2"]
+        code, err = _exit(argv + ["--trace", str(tmp_path)])
+        assert code == 1
+        assert err.startswith(f"error: cannot write --trace {tmp_path}: ")
+
     def test_zero_label_count_file_exit_1(self, tmp_path):
         path = tmp_path / "m.txt"
         path.write_text("HOMRF\n1\n0\n1\n1 0\nJ\n0\n")

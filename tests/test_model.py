@@ -53,11 +53,22 @@ class TestBuildModel:
             ([2, 2], [((), [0.0])], "empty scope"),
             ([2, 2], [((0, 2), np.zeros(4))], "unknown node"),
             ([2, 2], [((-1, 0), np.zeros(4))], "unknown node"),
+            ([2.7, 2], [((0,), [0, 1])], "label count 2.7 is not an integer"),
+            ([2, float("nan")], [((0,), [0, 1])], "label count nan is not an integer"),
+            ([2, float("inf")], [((0,), [0, 1])], "label count inf is not an integer"),
+            ([2, "2"], [((0,), [0, 1])], "label count '2' is not an integer"),
+            ([2, 2], [((0.9,), [0, 1])], "node 0.9 is not an integer"),
+            ([2, 2], [((0,), [0, 1]), ((0, 1.2), np.zeros(4))], "node 1.2 is not an integer"),
         ],
     )
     def test_bad_description(self, labels, factors, match):
         with pytest.raises(ValueError, match=match):
             build_model(labels, factors)
+
+    def test_integral_numbers_of_other_types_are_accepted(self):
+        m = build_model([2.0, np.int64(3)], [((np.int64(1), 0.0), np.zeros(6))])
+        assert m.label_counts == (2, 3) and m.scopes == ((0, 1),)
+        assert all(type(x) is int for x in m.label_counts + m.scopes[0])
 
     def test_unsorted_scope_is_reindexed(self):
         # table given row-major over (1, 0): entry [x1, x0]
@@ -112,6 +123,16 @@ class TestEnergy:
         with pytest.raises(InvalidLabeling):
             energy(m, (0, 0))
 
+    @pytest.mark.parametrize(
+        "labeling, match",
+        [((0.5, 1.7), "label 0.5"), ((0, float("nan")), "label nan"), ((0, "1"), "label '1'")],
+    )
+    def test_non_integral_label(self, labeling, match):
+        m = build_model([2, 3], [((0, 1), np.arange(6.0))])
+        with pytest.raises(InvalidLabeling, match=f"{match} is not an integer"):
+            energy(m, labeling)
+        assert energy(m, (1.0, np.int64(2))) == 5.0
+
     def test_matches_nested_list_recomputation(self, rng):
         # second path: walk plain nested lists by successive indexing
         labels = [2, 3, 2, 3]
@@ -165,6 +186,15 @@ class TestCloseJ:
     def test_edge_to_unknown_factor_rejected(self, edge):
         with pytest.raises(ValueError, match="unknown factor"):
             close_j(_scopes((0, 1), (1,)), {edge})
+
+    @pytest.mark.parametrize("edge", [(1.9, 0.2), (0, float("inf")), ("0", 1)])
+    def test_non_integral_factor_id_rejected(self, edge):
+        with pytest.raises(ValueError, match="factor id .* is not an integer"):
+            close_j(_scopes((0, 1), (1,)), {edge})
+
+    def test_integral_factor_ids_of_other_types_are_accepted(self):
+        js = close_j(_scopes((0, 1), (1,)), {(np.int64(0), 1.0)})
+        assert js.edges == {(0, 1)} and all(type(f) is int for f in next(iter(js.edges)))
 
     def test_closure_idempotent(self, rng):
         for _ in range(30):
