@@ -45,21 +45,25 @@ as one group: gather the source tables and the stacked rows they read,
 subtract, add, minimize and scatter, with the elementwise operations of a
 one-edge update in the same order, so the results are byte-identical to a
 sweep one separator at a time.  The separator caches of one shape and
-in-degree are then rebuilt as one group.  A batch of g rows adds a leading
-axis of length g to every shape and reduce axis.
+in-degree are then rebuilt as one group.  Every group, one of a single row
+included, is one batch of g >= 1 rows: a leading axis of length g on every
+shape, ahead of every reduced axis.
 
 Each group compiles to a short run of numpy calls on fixed operands.  Rows
-named by an index or by a basic slice (rows that step evenly) are read as
+named by a basic slice (one row, or rows that step evenly) are read as
 views of their stack, reshaped to the shape they broadcast in; fresh minima
 are written with `out=` straight into their message rows, `after` and
 `before` increments are added in place and caches are rebuilt into their
 rows.  Rows that only an index array can name cannot be views: they are
 staged in scratch, read in with `take` before the group's arithmetic and
-stored back after it.  A cache term whose coefficients are all exactly 1.0
-adds the cache rows themselves, with no multiply: x * 1.0 is x bit for bit.
-A program keeps its level boundaries: each level runs in two phases, its
-message groups and then its cache groups, and the groups of one phase
-commute.  A group that two variants or both directions run is compiled once.
+stored back after it.  The source tables of a batch are concatenated into
+scratch, which the group then works in; a lone update reads the model's own
+read-only table, so its first term writes into scratch.  A cache term whose
+coefficients are all equal multiplies by that one value, and one whose value
+is exactly 1.0 adds the cache rows themselves, with no multiply: x * 1.0 is
+x bit for bit.  A program keeps its level boundaries: each level runs in two
+phases, its message groups and then its cache groups, and the groups of one
+phase commute.  A group that two variants or both directions run is compiled once.
 
 Programs are compiled per state, on its first pass in a reuse mode, and
 kept in its `Bindings`.  The chain dynamic program's stages (`chain_stages`)
@@ -191,8 +195,7 @@ class _Recipe(NamedTuple):
     shape: tuple  # of the table summed over: a's for a fresh message, p's for a read-off
     subtract: tuple  # (stack, shape in the table) per other window message of a
     add: tuple  # (stack, shape in the table) per weighted cache added
-    axes: tuple  # of the table minimized out
-    batch_axes: tuple  # the same axes behind a leading batch axis
+    axes: tuple  # of the table minimized out, behind the leading batch axis
     cells: int  # of the table
 
 
@@ -201,14 +204,17 @@ class _Emitter:
     and cache stacks M and T.  Every update, fresh message or read-off, is
     one `reduce` over its recipe.
 
-    Rows are given as one row or as a tuple of rows, with the coefficients
-    that go with them.  Every operand is bound once: views of stack rows are
-    shared by the groups that read them, and so are coefficients, as 0-d
-    arrays for one row (cheaper in a ufunc call than a Python float, with
-    the same product).  Rows that only an index array can name are staged in
-    scratch (`read`, `write`).  Groups never run at the same time, so each
-    group's scratch starts at the start of one shared scratch buffer; a group
-    that outgrows the buffer moves on to a new one twice as large."""
+    Every group is a batch: its rows are a tuple, one row included, and every
+    shape it reads, writes and reduces has a leading batch axis.  Every
+    operand is bound once: views of stack rows are shared by the groups that
+    read them, and so are multipliers.  A term whose coefficients are all
+    equal multiplies by one 0-d array (cheaper in a ufunc call than a Python
+    float, with the same product); only one with distinct coefficients
+    multiplies by an array along the batch axis.  Rows that only an index
+    array can name are staged in scratch (`read`, `write`).  Groups never
+    run at the same time, so each group's scratch starts at the start of one
+    shared scratch buffer; a group that outgrows the buffer moves on to a new
+    one twice as large."""
 
     def __init__(self, M, T):
         self.M, self.T = M, T
@@ -219,7 +225,7 @@ class _Emitter:
         self.regions = {}  # (offset, shape) -> view of the buffer
         self.index = {}  # rows -> what names them in a stack (`_index`)
         self.views = {}  # (stack id, rows, shape) -> view of those rows
-        self.coefs = {}  # a coefficient, or (coefficients, dimensions) -> multiplier; None if all are 1.0
+        self.coefs = {}  # the one coefficient, or (coefficients, dimensions) -> multiplier; None for 1.0
 
     def scratch(self, shape):
         n = math.prod(shape)
@@ -238,8 +244,6 @@ class _Emitter:
         self.calls.append((f, args))
 
     def at(self, rows):
-        if type(rows) is int:
-            return rows
         at = self.index.get(rows)
         if at is None:
             at = self.index[rows] = _index(rows)
@@ -250,7 +254,7 @@ class _Emitter:
         key = (id(stack), rows, shape)
         view = self.views.get(key)
         if view is None:
-            at = rows if type(rows) is int else self.at(rows)
+            at = self.at(rows)
             if type(at) is np.ndarray:
                 staged = self.scratch((len(rows),) + stack.shape[1:])
                 self.emit(stack.take, at, 0, staged)
@@ -260,7 +264,7 @@ class _Emitter:
 
     def write(self, stack, rows, load):
         # `rows` of `stack` for the group to write, read first if `load`
-        shape = stack.shape[1:] if type(rows) is int else (len(rows),) + stack.shape[1:]
+        shape = (len(rows),) + stack.shape[1:]
         at = self.at(rows)
         if type(at) is not np.ndarray:
             return self.read(stack, rows, shape)
@@ -270,16 +274,16 @@ class _Emitter:
 
     def weighted(self, stack, rows, coefs, shape):
         # the caches at `rows` of `stack` in `shape`, each times its
-        # coefficient; the caches themselves when every coefficient is
-        # exactly 1.0, since x * 1.0 is x bit for bit
+        # coefficient: one 0-d multiplier when the coefficients are all
+        # equal, the caches themselves when that value is exactly 1.0, since
+        # x * 1.0 is x bit for bit
         caches = self.read(stack, rows, shape)
-        key = coefs if type(coefs) is float else (coefs, len(shape))
+        same = coefs.count(coefs[0]) == len(coefs)
+        key = coefs[0] if same else (coefs, len(shape))
         coef = self.coefs.get(key, False)
         if coef is False:
-            if type(coefs) is float:
-                coef = None if coefs == 1.0 else np.array(coefs)
-            elif coefs.count(1.0) == len(coefs):
-                coef = None
+            if same:
+                coef = None if key == 1.0 else np.array(key)
             else:
                 coef = np.array(coefs).reshape((len(coefs),) + (1,) * (len(shape) - 1))
             self.coefs[key] = coef
@@ -290,9 +294,11 @@ class _Emitter:
         return product
 
     def stacked(self, tables):
-        # scratch holding the tables stacked along a new leading axis, filled
-        # by concatenating them along their first axis
+        # the tables stacked along a new leading axis: one table's own view,
+        # more in scratch, filled by concatenating them along their first axis
         shape = tables[0].shape
+        if len(tables) == 1:
+            return tables[0].reshape((1,) + shape)
         stack = self.scratch((len(tables),) + shape)
         self.emit(np.concatenate, tables, 0, stack.reshape((len(tables) * shape[0],) + shape[1:]))
         return stack
@@ -310,29 +316,25 @@ class _Emitter:
         class's `_Recipe`, a's table or None for a read-off, the rows of the
         messages subtracted, the rows of the caches added, their
         coefficients)."""
-        g = len(updates)
-        rec, table, subtract, add, coefs = updates[0]
-        if g == 1:
-            batch, axes = (), rec.axes
-        else:
-            subtract = zip(*map(_SUBTRACT_ROWS, updates))
-            add, coefs = zip(*map(_ADD_ROWS, updates)), zip(*map(_ADD_COEFS, updates))
-            batch, axes = (g,), rec.batch_axes
+        rec, table = updates[0][:2]
+        batch = (len(updates),)
+        subtract = zip(*map(_SUBTRACT_ROWS, updates))
+        add, coefs = zip(*map(_ADD_ROWS, updates)), zip(*map(_ADD_COEFS, updates))
         if total is not None:
             acc = work = total
         elif table is None:
             acc, work = 0.0, self.scratch(batch + rec.shape)
-        elif g == 1:  # the table is read-only: the first term writes into scratch
-            acc, work = table, self.scratch(rec.shape) if rec.subtract or rec.add else None
         else:
             acc = work = self.stacked([u[1] for u in updates])
+            if len(updates) == 1:  # the model's read-only table: write the first term to scratch
+                work = self.scratch(acc.shape) if rec.subtract or rec.add else None
         for (s, shape), rows in zip(rec.subtract, subtract):
             self.emit(np.subtract, acc, self.read(self.M[s], rows, batch + shape), work)
             acc = work
         for (s, shape), rows, coef in zip(rec.add, add, coefs):
             self.emit(np.add, acc, self.weighted(self.T[s], rows, coef, batch + shape), work)
             acc = work
-        self.emit(np.minimum.reduce, acc, axes, None, out)
+        self.emit(np.minimum.reduce, acc, rec.axes, None, out)
 
     def group(self):
         # the calls emitted since the last group, staged rows stored last
@@ -342,11 +344,6 @@ class _Emitter:
 
 
 _SUBTRACT_ROWS, _ADD_ROWS, _ADD_COEFS = itemgetter(2), itemgetter(3), itemgetter(4)
-
-
-def _rows_of(entries):
-    # the rows at the head of a group's entries: one row, or a tuple of them
-    return entries[0][0] if len(entries) == 1 else tuple([e[0] for e in entries])
 
 
 @_gc_paused
@@ -399,9 +396,8 @@ def compile_sweeps(decomp, reuse, M, T):
         return tuple(terms)
 
     def outside(shape, place):
-        # the axes of a `shape` table not in `place`, alone and behind a batch axis
-        axes = tuple([x for x in range(len(shape)) if x not in place])
-        return axes, tuple([x + 1 for x in axes])
+        # the axes of a `shape` table not in `place`, behind the batch axis
+        return tuple([x + 1 for x in range(len(shape)) if x not in place])
 
     def source_class(shape, places, slots):
         # what the fresh updates of a source share: its number, the term of
@@ -414,7 +410,7 @@ def compile_sweeps(decomp, reuse, M, T):
             before = k > 0 and place < sets[k - 1]
             after = k + 1 < len(sets) and place < sets[k + 1]
             near = ((k - 1, before, k + 1, after), (k + 1, after, k - 1, before))
-            per_slot.append((*outside(shape, place), near))
+            per_slot.append((outside(shape, place), near))
         return len(sources), terms, per_slot
 
     sources = {}  # (table shape, places of the separator locals, window slots) -> `source_class`
@@ -458,12 +454,12 @@ def compile_sweeps(decomp, reuse, M, T):
             kept = kepts[k]
             made = fresh_classes.get((number, k, kept))
             if made is None:
-                axes, batch, _ = per_slot[k]
+                axes = per_slot[k][0]
                 lack = tuple([x for x in range(len(kept)) if not kept[x]])
                 subtract = tuple(map(terms.__getitem__, slots[:k] + slots[k + 1 :]))
                 add = tuple(map(terms.__getitem__, lack))
                 cls = classes.setdefault((t.shape, subtract, add, axes), len(classes))
-                rec = _Recipe(cls, t.shape, subtract, add, axes, batch, t.size)
+                rec = _Recipe(cls, t.shape, subtract, add, axes, t.size)
                 made = fresh_classes[(number, k, kept)] = (rec, lack, (FRESH, erow[i][0], cls))
             rec, lack, group = made
             fresh[i] = (
@@ -476,7 +472,7 @@ def compile_sweeps(decomp, reuse, M, T):
             fresh_reads[i] = (*wids[:k], *wids[k + 1 :], *map(ids.__getitem__, lack))
             fresh_placed[i] = (group, (wrows[k], (FRESH, i, None, None), rec.cells, None))
             slot_of[i] = k
-            around[True][i], around[False][i] = per_slot[k][2]
+            around[True][i], around[False][i] = per_slot[k][1]
             source_of[i] = of_a
 
     # Read-offs toward b from the superset p next to it in a's window.  p's
@@ -499,9 +495,9 @@ def compile_sweeps(decomp, reuse, M, T):
             p_shape = tuple([shape[x] for x in on_p])
             place = tuple([at[x] for x in places[slots[k]]])
             add = terms_at(p_shape, [tuple([at[x] for x in places[c]]) for c in cs])
-            axes, batch = outside(p_shape, place)
+            axes = outside(p_shape, place)
             cls = classes.setdefault((p_shape, (), add, axes), len(classes))
-            recipe = _Recipe(cls, p_shape, (), add, axes, batch, math.prod(p_shape))
+            recipe = _Recipe(cls, p_shape, (), add, axes, math.prod(p_shape))
             made = fold_classes[key] = (recipe, cs)
         recipe, cs = made
         fold = (recipe, None, (), tuple(map(rows.__getitem__, cs)), tuple(map(coefs.__getitem__, cs)))
@@ -520,12 +516,11 @@ def compile_sweeps(decomp, reuse, M, T):
         if calls is not None:
             return calls
         kind, s = key[0], key[1]
-        rows = _rows_of(placed)
+        rows = tuple([e[0] for e in placed])
         if kind is FRESH:
             em.reduce([fresh[op[1]] for op in ops], None, em.write(M[s], rows, load=False))
         else:
-            g = len(ops)
-            batch = () if g == 1 else (g,)
+            batch = (len(ops),)
             delta = em.scratch(batch + M[s].shape[1:])
             folds = [e[3] for e in placed]
             if kind is AFTER:
@@ -533,7 +528,7 @@ def compile_sweeps(decomp, reuse, M, T):
             else:  # BEFORE: refresh (a, p) and fold its increment toward b in
                 sup = [op[2] for op in ops]
                 sp = erow[sup[0]][0]
-                rows_p = erow[sup[0]][1] if g == 1 else tuple([erow[j][1] for j in sup])
+                rows_p = tuple([erow[j][1] for j in sup])
                 m_new = em.scratch(batch + M[sp].shape[1:])
                 em.reduce([fresh[j] for j in sup], None, m_new)
                 old = em.write(M[sp], rows_p, load=True)
@@ -541,8 +536,8 @@ def compile_sweeps(decomp, reuse, M, T):
                 total = em.scratch(batch + rec.shape)
                 em.emit(np.subtract, m_new, old, total)
                 em.reduce(folds, total, delta)
-                b_in_p = tuple([1 if x in rec.axes else c for x, c in enumerate(rec.shape)])
-                em.emit(np.subtract, m_new, delta.reshape(batch + b_in_p), old)
+                b_in_p = tuple([1 if x in rec.axes else c for x, c in enumerate(batch + rec.shape)])
+                em.emit(np.subtract, m_new, delta.reshape(b_in_p), old)
             out = em.write(M[s], rows, load=True)
             em.emit(np.add, out, delta, out)
         calls = made_messages[ops] = em.group()
@@ -559,12 +554,9 @@ def compile_sweeps(decomp, reuse, M, T):
         if calls is not None:
             return calls
         s, indegree = key
-        out = em.write(T[s], _rows_of(seps), load=False)
-        if len(bs) == 1:
-            acc, shape, messages = tables[bs[0]], M[s].shape[1:], inrows.get(bs[0], ())
-        else:
-            acc = em.stacked([tables[b] for b in bs])
-            shape, messages = (len(bs),) + M[s].shape[1:], zip(*[inrows.get(b, ()) for b in bs])
+        out = em.write(T[s], tuple([r for r, _ in seps]), load=False)
+        acc = em.stacked([tables[b] for b in bs])
+        shape, messages = (len(bs),) + M[s].shape[1:], zip(*[inrows.get(b, ()) for b in bs])
         if not indegree:
             em.emit(np.copyto, out, acc)
         for rows in messages:

@@ -76,6 +76,12 @@ class Model:
         for f in self.factors:
             f.table.setflags(write=False)
 
+    def __setstate__(self, state):
+        # a deep copy or a pickle holds new arrays, writable until marked again
+        self.__dict__.update(state)
+        for f in self.factors:
+            f.table.setflags(write=False)
+
     @property
     def node_count(self):
         return len(self.label_counts)

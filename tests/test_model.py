@@ -1,8 +1,11 @@
+import copy
 import itertools
+import pickle
 
 import numpy as np
 import pytest
 
+from homrf.decomposition import build_monotonic_chains
 from homrf.errors import (
     DuplicateFactor,
     DuplicateNodeInScope,
@@ -91,6 +94,19 @@ class TestBuildModel:
         assert not m.table(0).flags.writeable
         table[:] = 9.0
         assert m.table(0).tolist() == m.table(1).tolist() == [[0.0, 1.0], [2.0, 3.0]]
+
+    def test_copies_and_pickles_stay_read_only(self):
+        table = np.arange(4.0)
+        m = build_model([2, 2, 2], [((0, 1), table), ((1, 2), table), ((0,), [0.0, 1.0])])
+        d = build_monotonic_chains(m, close_j(m.scopes, {(0, 2)}))
+        assert m.table(0) is m.table(1)
+        copies = [copy.deepcopy(m), pickle.loads(pickle.dumps(m)), copy.deepcopy(d).model]
+        for c in copies:
+            assert c.table(0) is c.table(1)  # shared tables stay shared
+            assert not any(f.table.flags.writeable for f in c.factors)
+            with pytest.raises(ValueError):
+                c.table(0)[0, 0] = 99.0
+            assert c.table(0)[0, 0] == 0.0
 
     def test_shared_array_is_checked_per_factor(self):
         table = np.zeros(4)

@@ -4,6 +4,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
 from homrf.decomposition import build_monotonic_chains
 from homrf.errors import (
@@ -783,6 +784,22 @@ def stacks_bytes(state):
     return [x.tobytes() for x in state.message_stacks + state.separator_stacks]
 
 
+def assert_sweeps_match_sequential(d, reuse, start=0, passes=6):
+    # compiled sweeps from zero messages, the first in the direction of a
+    # state that has run `start` passes, against `sequential_pass` byte for byte
+    st = chain_state_init(d)
+    st.passes = start
+    messages = {key: np.zeros(d.model.table(key[1]).shape) for key in d.message_edges}
+    theta = {b: d.model.table(b).copy() for b in d.separator_order}
+    for k in range(start, start + passes):
+        trws_chain_pass(d, st, reuse=reuse)
+        sequential_pass(d, messages, theta, reuse, k % 2 == 0, k > 0)
+        for key, m in messages.items():
+            assert st.messages[key].tobytes() == m.tobytes(), (k, key)
+        for b, t in theta.items():
+            assert st.theta_sep[b].tobytes() == t.tobytes(), (k, b)
+
+
 class TestLevelSchedule:
     """The sweep runs level by level, one group per recipe class; the groups
     of a level must commute and every update must run exactly once."""
@@ -790,17 +807,24 @@ class TestLevelSchedule:
     @pytest.mark.parametrize("reuse", REUSE_MODES)
     def test_byte_identical_to_a_sequential_sweep(self, reuse):
         for make in schedule_instances():
-            d = make()
-            st = chain_state_init(d)
-            messages = {key: np.zeros(d.model.table(key[1]).shape) for key in d.message_edges}
-            theta = {b: d.model.table(b).copy() for b in d.separator_order}
-            for k in range(6):
-                trws_chain_pass(d, st, reuse=reuse)
-                sequential_pass(d, messages, theta, reuse, k % 2 == 0, k > 0)
-                for key, m in messages.items():
-                    assert st.messages[key].tobytes() == m.tobytes(), (k, key)
-                for b, t in theta.items():
-                    assert st.theta_sep[b].tobytes() == t.tobytes(), (k, b)
+            assert_sweeps_match_sequential(make(), reuse)
+
+    @given(
+        seed=strategies.integers(0, 2**32 - 1),
+        n_nodes=strategies.integers(4, 9),
+        max_labels=strategies.integers(2, 4),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_random_nested_models_match_a_sequential_sweep(self, seed, n_nodes, max_labels):
+        # the nested family, where most groups hold one row, in every mode
+        # from either direction
+        rng = np.random.default_rng(seed)
+        d = build_monotonic_chains(
+            *random_instance(rng, n_nodes=n_nodes, max_labels=max_labels, nested=True)
+        )
+        for reuse in REUSE_MODES:
+            for start in (0, 1):
+                assert_sweeps_match_sequential(d, reuse, start)
 
     @pytest.mark.parametrize("reuse", REUSE_MODES)
     def test_groups_of_a_level_run_in_any_order(self, reuse):
@@ -863,8 +887,9 @@ class TestLevelSchedule:
 
     def test_no_multiply_by_exactly_one(self):
         # a weighted term whose coefficients are all exactly 1.0 adds the
-        # caches themselves (x * 1.0 is x bit for bit); a group that mixes
-        # 1.0 with other coefficients keeps its multiply
+        # caches themselves (x * 1.0 is x bit for bit), one whose
+        # coefficients are all equal multiplies by one 0-d array, and a group
+        # that mixes 1.0 with other coefficients keeps its multiply
         mixed = 0
         for reuse in REUSE_MODES:
             for make in schedule_instances():
@@ -875,6 +900,7 @@ class TestLevelSchedule:
                     if f is np.multiply:
                         coef = np.asarray(args[0])
                         assert not np.all(coef == 1.0)
+                        assert coef.ndim == 0 or len(np.unique(coef)) > 1
                         mixed += bool(np.any(coef == 1.0))
         assert mixed > 0
 
@@ -902,9 +928,12 @@ class TestLevelSchedule:
 
     @pytest.mark.parametrize("reuse", REUSE_MODES)
     def test_instances_reach_views_and_index_arrays(self, reuse):
-        # a compiled group reads and writes a row set given by an index or a
-        # slice through views of the stacks, and one given by an index array
-        # through scratch; the instances above must exercise both
+        # a compiled group reads and writes a row set given by a slice, one
+        # row included, through views of the stacks, and one given by an
+        # index array through scratch; the instances above must exercise
+        # both.  Every group is a batch, so no reduction minimizes out its
+        # leading axis (`np.minimum.reduce` is a new bound method at each
+        # access, so it is told by its name).
         found = set()
         for make in schedule_instances():
             d = make()
@@ -912,12 +941,15 @@ class TestLevelSchedule:
             stacks = st.message_stacks + st.separator_stacks
             program = compile_sweeps(d, reuse, st.message_stacks, st.separator_stacks)
             for f, args in compiled_calls(program):
+                if f.__name__ == "reduce":
+                    assert 0 not in args[1]
+                    found.add("reduce")
                 for x in args:
                     if isinstance(x, np.ndarray) and x.dtype == np.intp:
                         found.add("index array")
                     elif isinstance(x, np.ndarray) and any(x.base is s for s in stacks):
                         found.add("view")
-        assert found == {"view", "index array"}
+        assert found == {"view", "index array", "reduce"}
 
 
 def state_signature(st):
