@@ -8,7 +8,10 @@ message edge's row is its rank among the edges of its shape in
 `message_edges`, a separator's its rank among the separators of its shape in
 `separator_order`, so the layout follows from the decomposition alone.  It
 needs every outer factor in a chain: one in none has no window, so no
-message edges.
+message edges.  A program reads the model's tables as rows too: its table
+store holds one read-only stack per table shape, of the distinct tables (by
+identity) of the separators in `separator_order`, then of the message edges'
+sources in `message_edges` order.
 
 Program.  A reuse mode's sweeps compile into a program for one
 decomposition on one state's stacks (`compile_sweeps`), together with what
@@ -41,7 +44,7 @@ messages (a preemptive `(a, p)` one included) and its cache.  Each step goes
 to the first level after every earlier step of its variant it conflicts with
 (read after write, write after read, write after write), so the steps of one
 level commute.  Within a level, the message updates of one recipe class run
-as one group: gather the source tables and the stacked rows they read,
+as one group: gather the stored rows they read, the source tables among them,
 subtract, add, minimize and scatter, with the elementwise operations of a
 one-edge update in the same order, so the results are byte-identical to a
 sweep one separator at a time.  The separator caches of one shape and
@@ -56,9 +59,9 @@ are written with `out=` straight into their message rows, `after` and
 `before` increments are added in place and caches are rebuilt into their
 rows.  Rows that only an index array can name cannot be views: they are
 staged in scratch, read in with `take` before the group's arithmetic and
-stored back after it.  The source tables of a batch are concatenated into
-scratch, which the group then works in; a lone update reads the model's own
-read-only table, so its first term writes into scratch.  A cache term whose
+stored back after it.  An update's table rows are a read-only operand: its
+first term writes into scratch, and an update without terms minimizes them
+straight into its rows.  A cache term whose
 coefficients are all equal multiplies by that one value, and one whose value
 is exactly 1.0 adds the cache rows themselves, with no multiply: x * 1.0 is
 x bit for bit.  A program keeps its level boundaries: each level runs in two
@@ -201,8 +204,9 @@ class _Recipe(NamedTuple):
 
 class _Emitter:
     """Collects the numpy calls of one group at a time on a state's message
-    and cache stacks M and T.  Every update, fresh message or read-off, is
-    one `reduce` over its recipe.
+    and cache stacks M and T and the program's table store (table shape ->
+    its stack).  Every update, fresh message or read-off, is one `reduce`
+    over its recipe.
 
     Every group is a batch: its rows are a tuple, one row included, and every
     shape it reads, writes and reduces has a leading batch axis.  Every
@@ -216,8 +220,8 @@ class _Emitter:
     shared scratch buffer; a group that outgrows the buffer moves on to a new
     one twice as large."""
 
-    def __init__(self, M, T):
-        self.M, self.T = M, T
+    def __init__(self, M, T, store):
+        self.M, self.T, self.store = M, T, store
         self.buffer = np.empty(0)
         self.top = 0  # scratch cells of the buffer the current group uses
         self.calls = []  # (function, arguments) of the current group
@@ -293,16 +297,6 @@ class _Emitter:
         self.emit(np.multiply, coef, caches, product)
         return product
 
-    def stacked(self, tables):
-        # the tables stacked along a new leading axis: one table's own view,
-        # more in scratch, filled by concatenating them along their first axis
-        shape = tables[0].shape
-        if len(tables) == 1:
-            return tables[0].reshape((1,) + shape)
-        stack = self.scratch((len(tables),) + shape)
-        self.emit(np.concatenate, tables, 0, stack.reshape((len(tables) * shape[0],) + shape[1:]))
-        return stack
-
     def reduce(self, updates, total, out):
         """Each update's terms summed over its table and minimized onto b,
         into `out`.  A fresh message (a, b) starts from a's table, subtracts
@@ -313,21 +307,21 @@ class _Emitter:
         with `total` None: that is the `reuse="after"` increment; while
         (a, p) holds this sweep's message, the stored (a, b) message plus it
         equals the direct update, scanning only p.  An update is (its
-        class's `_Recipe`, a's table or None for a read-off, the rows of the
-        messages subtracted, the rows of the caches added, their
-        coefficients)."""
-        rec, table = updates[0][:2]
+        class's `_Recipe`, a's row in the table store or None for a read-off,
+        the rows of the messages subtracted, the rows of the caches added,
+        their coefficients).  a's tables, read from the store, and zero are
+        read-only, so the first term writes into scratch; `total` is the
+        caller's scratch, worked in place."""
+        rec, row = updates[0][:2]
         batch = (len(updates),)
         subtract = zip(*map(_SUBTRACT_ROWS, updates))
         add, coefs = zip(*map(_ADD_ROWS, updates)), zip(*map(_ADD_COEFS, updates))
         if total is not None:
             acc = work = total
-        elif table is None:
-            acc, work = 0.0, self.scratch(batch + rec.shape)
         else:
-            acc = work = self.stacked([u[1] for u in updates])
-            if len(updates) == 1:  # the model's read-only table: write the first term to scratch
-                work = self.scratch(acc.shape) if rec.subtract or rec.add else None
+            rows = tuple(map(_TABLE_ROW, updates))
+            acc = 0.0 if row is None else self.read(self.store[rec.shape], rows, batch + rec.shape)
+            work = self.scratch(batch + rec.shape) if rec.subtract or rec.add else None
         for (s, shape), rows in zip(rec.subtract, subtract):
             self.emit(np.subtract, acc, self.read(self.M[s], rows, batch + shape), work)
             acc = work
@@ -343,7 +337,7 @@ class _Emitter:
         return calls
 
 
-_SUBTRACT_ROWS, _ADD_ROWS, _ADD_COEFS = itemgetter(2), itemgetter(3), itemgetter(4)
+_TABLE_ROW, _SUBTRACT_ROWS, _ADD_ROWS, _ADD_COEFS = map(itemgetter, range(1, 5))
 
 
 @_gc_paused
@@ -377,6 +371,19 @@ def compile_sweeps(decomp, reuse, M, T):
     incoming = {}  # b -> its edges, sources in sigma order (message_edges are)
     for i, (a, b) in enumerate(edges):
         incoming.setdefault(b, []).append(i)
+
+    # The table store: per table shape, a read-only stack of the distinct
+    # tables (by identity: a parsed or generated model shares tables) of the
+    # separators in sigma order, then of the message edges' sources.
+    store, row_of = {}, {}  # shape -> its tables; table id -> its row
+    for t in map(tables.__getitem__, (*d.separator_order, *source)):
+        if id(t) not in row_of:
+            held = store.setdefault(t.shape, [])
+            row_of[id(t)] = len(held)
+            held.append(t)
+    for shape, held in store.items():
+        store[shape] = np.stack(held)
+        store[shape].flags.writeable = False
 
     # A recipe class is what the updates of a batched group share; classes
     # are numbered, and derived once per source structure (see the module
@@ -415,7 +422,7 @@ def compile_sweeps(decomp, reuse, M, T):
 
     sources = {}  # (table shape, places of the separator locals, window slots) -> `source_class`
     fresh_classes = {}  # (source number, window slot, locals kept) -> (`_Recipe`, locals lacked, group key)
-    fresh = [None] * n  # per edge: (`_Recipe`, a's table, subtract rows, add rows, coefficients)
+    fresh = [None] * n  # per edge: (`_Recipe`, a's store row, subtract rows, add rows, coefficients)
     fresh_reads = [None] * n  # per edge: the numbers its fresh update reads
     fresh_placed = [None] * n  # per edge: its fresh update's group key and entry (see `walk`)
     slot_of = [None] * n  # per edge (a, b): b's slot in a's window
@@ -464,7 +471,7 @@ def compile_sweeps(decomp, reuse, M, T):
             rec, lack, group = made
             fresh[i] = (
                 rec,
-                t,
+                row_of[id(t)],
                 wrows[:k] + wrows[k + 1 :],
                 tuple(map(rows.__getitem__, lack)),
                 tuple(map(coefs.__getitem__, lack)),
@@ -503,7 +510,7 @@ def compile_sweeps(decomp, reuse, M, T):
         fold = (recipe, None, (), tuple(map(rows.__getitem__, cs)), tuple(map(coefs.__getitem__, cs)))
         return fold, tuple(map(ids.__getitem__, cs))
 
-    em = _Emitter(M, T)
+    em = _Emitter(M, T, store)
     # a group's updates or separators -> its calls, for the variants and
     # directions that run the same group
     made_messages, made_caches = {}, {}
@@ -555,8 +562,8 @@ def compile_sweeps(decomp, reuse, M, T):
             return calls
         s, indegree = key
         out = em.write(T[s], tuple([r for r, _ in seps]), load=False)
-        acc = em.stacked([tables[b] for b in bs])
         shape, messages = (len(bs),) + M[s].shape[1:], zip(*[inrows.get(b, ()) for b in bs])
+        acc = em.read(store[shape[1:]], tuple([row_of[id(tables[b])] for b in bs]), shape)
         if not indegree:
             em.emit(np.copyto, out, acc)
         for rows in messages:
@@ -633,17 +640,9 @@ def compile_sweeps(decomp, reuse, M, T):
                 levels.append(({}, {}))
             messages, caches = levels[level]
             for key, entry in placed:
-                group = messages.get(key)
-                if group is None:
-                    messages[key] = [entry]
-                else:
-                    group.append(entry)
+                messages.setdefault(key, []).append(entry)
             stack, row = sep_row[b]
-            group = caches.get((stack, len(ins)))
-            if group is None:
-                caches[(stack, len(ins))] = [(row, b)]
-            else:
-                group.append((row, b))
+            caches.setdefault((stack, len(ins)), []).append((row, b))
 
         if pending:
             raise UnconsumedPreemptiveMessage(

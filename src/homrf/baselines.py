@@ -27,7 +27,7 @@ import numpy as np
 from ._plan import Bindings, same_objects
 from ._tables import drop_axes, embed_shape, min_over
 from .decomposition import _node_pos, _scope_nodes, sigma_sorted
-from .errors import InvalidStepSize
+from .errors import InvalidEdge, InvalidStepSize
 from .trws import DEFAULT_EPS, DEFAULT_PASSES, TreeParams, _chain_dp, _run_passes, init_tree_params
 
 
@@ -132,10 +132,14 @@ def msd_pass(model, jstructure, state, order=None):
 
     For each edge, half the gap between the source's min-marginal and the
     target moves from source to target, equalizing the two.  The state's
-    tables are updated in place (see `MsdState`).
+    tables are updated in place (see `MsdState`).  An `order` edge outside
+    the closed edge set raises `InvalidEdge`.
     """
     if order is None:
         order = msd_sweep_order(jstructure)
+    for a, b in order:
+        if (a, b) not in jstructure.closed_edges:
+            raise InvalidEdge(f"({a}, {b}) is not a closed marginalization edge")
     return _msd_sweep(_msd_bind(model, jstructure, order, state), state)
 
 

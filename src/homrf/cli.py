@@ -3,7 +3,6 @@ trace and a final summary."""
 
 import argparse
 import csv
-import math
 import sys
 
 from .baselines import DEFAULT_STEP_BASE, _msd_steps, _subgrad_steps
@@ -14,7 +13,7 @@ from .generators import gen_potts_2x2, gen_stereo_second_order
 from .model import energy
 from .oracle import _general_steps, _guard, check_ewta, check_j_consistency_enhanced, extract_primal
 from .trws import DEFAULT_EPS, DEFAULT_PASSES, DEFAULT_REUSE, REUSE_MODES
-from .trws import _run_passes, _trws_steps, chain_state_tree_params
+from .trws import _check_eps, _run_passes, _trws_steps, chain_state_tree_params
 
 # --gen choice -> (generator, the keywords its flags set).  A flag left unset
 # is not passed on, so it takes the generator's own default; the grid size,
@@ -131,7 +130,9 @@ def run_solver_cli(argv=None):
     args = parser.parse_args(argv)
     if args.passes < 1:
         parser.error("--passes must be at least 1")
-    if not (math.isfinite(args.eps) and args.eps >= 0):
+    try:
+        _check_eps(args.eps)
+    except ValueError:
         parser.error("--eps must be a finite non-negative number")
     try:
         model, js, node_order = _load(args, parser)

@@ -246,7 +246,7 @@ def _program(decomp, state, reuse):
     return program
 
 
-def trws_chain_pass(decomp, state, reuse="none"):
+def trws_chain_pass(decomp, state, reuse=DEFAULT_REUSE):
     """One message-form sweep over the separators, in the direction
     `state.direction`, which it then flips by counting the pass.
 
@@ -261,7 +261,8 @@ def trws_chain_pass(decomp, state, reuse="none"):
     both it and the `before` step (`"before-after"`), which refreshes the
     superset swept just after preemptively and folds its increment in; that
     superset's own update is then a no-op.  Each gives the messages of the
-    direct update.
+    direct update.  The default, `"after"`, is `solve_trws`'s, so a loop of
+    bare passes runs the passes `solve_trws` runs.
 
     The sweep runs the state's program of its mode (`homrf._plan`),
     compiled by the state's first pass in that mode on this decomposition.
@@ -350,6 +351,14 @@ class TraceRow:
     ms: float
 
 
+def _check_eps(eps):
+    """Raises `ValueError` unless `eps` is None or a finite non-negative
+    number: a NaN, infinite or negative `eps` would silently run the whole
+    pass budget."""
+    if eps is not None and not (math.isfinite(eps) and eps >= 0):
+        raise ValueError(f"eps must be a finite non-negative number, not {eps!r}")
+
+
 def _run_passes(step, passes, eps, method):
     """The pass/stop loop every solver shares.
 
@@ -357,7 +366,10 @@ def _run_passes(step, passes, eps, method):
     times each into a `TraceRow`.  Stops after `passes` passes, or once the
     relative per-pass bound change is at most `eps`; `eps=None` never stops
     early.  Returns the rows and why the loop stopped: `"eps"` or `"passes"`.
+    Raises `ValueError` for any other `eps` than None or a finite
+    non-negative number (`_check_eps`).
     """
+    _check_eps(eps)
     rows = []
     prev = None
     for k in range(passes):

@@ -20,7 +20,8 @@ from homrf.baselines import (
     subgradient_pass,
 )
 from homrf.decomposition import build_monotonic_chains
-from homrf.errors import InvalidStepSize
+from homrf.generators import gen_stereo_second_order
+from homrf.errors import InvalidEdge, InvalidStepSize
 from homrf.model import build_model, close_j, energy
 from homrf.oracle import brute_force_map, cumulative_tables
 
@@ -201,6 +202,25 @@ class TestMsd:
             for _ in range(30):
                 msd_pass(d.model, d.jstructure, st)
             assert [f.table.tobytes() for f in d.model.factors] == before
+
+
+    def test_order_edge_outside_closed_j_raises(self):
+        # a nested edge the closed J lacks, and an edge between unnested scopes
+        model = build_model(
+            [2, 2], [((0,), np.zeros(2)), ((1,), np.zeros(2)), ((0, 1), np.zeros(4))]
+        )
+        js = close_j(model.scopes, {(2, 0)})
+        with pytest.raises(InvalidEdge, match=r"\(2, 1\) is not a closed marginalization edge"):
+            msd_pass(model, js, msd_init(model), order=[(2, 1)])
+        d = build_monotonic_chains(*gen_stereo_second_order(3, 3))
+        with pytest.raises(InvalidEdge, match=r"\(0, 1\)"):
+            msd_pass(d.model, d.jstructure, msd_init(d.model), order=[(0, 1)])
+
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -1e-3])
+    def test_solve_rejects_bad_eps(self, eps):
+        d = _ising_fixpoint_instance()
+        with pytest.raises(ValueError, match="eps must be a finite non-negative number"):
+            solve_msd(d, passes=3, eps=eps)
 
 
 class TestSubgradient:

@@ -780,6 +780,21 @@ def compiled_calls(program):
                 yield from group
 
 
+def store_stacks(d, st, program):
+    # the stacks of the program's table store that its compiled calls reach,
+    # each with how: arrays of two or more axes that are neither the state's
+    # stacks nor the model's tables, read as views ("view") or with "take"
+    own = [*st.message_stacks, *st.separator_stacks, *(f.table for f in d.model.factors)]
+    reached = {}
+    for f, args in compiled_calls(program):
+        if f.__name__ == "take":
+            reached.setdefault(id(f.__self__), (f.__self__, set()))[1].add("take")
+        for x in args:
+            if isinstance(x, np.ndarray) and x.base is not None and x.base.ndim >= 2:
+                reached.setdefault(id(x.base), (x.base, set()))[1].add("view")
+    return [(stack, how) for stack, how in reached.values() if not any(stack is o for o in own)]
+
+
 def stacks_bytes(state):
     return [x.tobytes() for x in state.message_stacks + state.separator_stacks]
 
@@ -933,14 +948,19 @@ class TestLevelSchedule:
         # index array through scratch; the instances above must exercise
         # both.  Every group is a batch, so no reduction minimizes out its
         # leading axis (`np.minimum.reduce` is a new bound method at each
-        # access, so it is told by its name).
+        # access, so it is told by its name).  The model's tables are rows of
+        # the table store, read like any other rows: as views, or with
+        # `take`, and never concatenated.
         found = set()
         for make in schedule_instances():
             d = make()
             st = chain_state_init(d)
             stacks = st.message_stacks + st.separator_stacks
             program = compile_sweeps(d, reuse, st.message_stacks, st.separator_stacks)
+            for _, how in store_stacks(d, st, program):
+                found |= {f"store {h}" for h in how}
             for f, args in compiled_calls(program):
+                assert f is not np.concatenate
                 if f.__name__ == "reduce":
                     assert 0 not in args[1]
                     found.add("reduce")
@@ -949,7 +969,30 @@ class TestLevelSchedule:
                         found.add("index array")
                     elif isinstance(x, np.ndarray) and any(x.base is s for s in stacks):
                         found.add("view")
-        assert found == {"view", "index array", "reduce"}
+        assert found == {"view", "index array", "reduce", "store view", "store take"}
+
+    def test_table_store_holds_each_distinct_table_once(self):
+        # per table shape, one read-only row per distinct table object of the
+        # separators in sigma order, then of the message edges' sources
+        for k, make in enumerate(schedule_instances()):
+            d = make()
+            st = chain_state_init(d)
+            program = compile_sweeps(d, "none", st.message_stacks, st.separator_stacks)
+            tables = [f.table for f in d.model.factors]
+            want = {}
+            for f in (*d.separator_order, *(a for a, _ in d.message_edges)):
+                want.setdefault(tables[f].shape, {}).setdefault(id(tables[f]), tables[f])
+            reached = store_stacks(d, st, program)
+            assert reached
+            for stack, _ in reached:
+                assert not stack.flags.writeable
+                with pytest.raises(ValueError):
+                    stack[0] = 0.0
+                held = list(want[stack.shape[1:]].values())
+                assert stack.shape[0] == len(held)
+                assert stack.tobytes() == np.stack(held).tobytes()
+            if k == 1:  # the stereo grid: its ternary factors share one table
+                assert [stack.shape for stack, _ in reached if stack.ndim == 4] == [(1, 4, 4, 4)]
 
 
 def state_signature(st):
@@ -1195,3 +1238,28 @@ class TestSolveTrws:
         grid = build_monotonic_chains(*gen_stereo_second_order(4, 4, labels=4, seed=5))
         budget = solve_trws(grid, passes=3, eps=0.0)
         assert budget.stop == "passes" and len(budget.rows) == 3
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: gen_stereo_second_order(6, 5), lambda: gen_potts_2x2(6, 6, separators="pair")],
+        ids=["stereo", "potts"],
+    )
+    def test_bare_passes_run_the_solve(self, make):
+        # a loop of passes in `trws_chain_pass`'s default reuse mode is the
+        # solve in its default mode, byte for byte
+        d = build_monotonic_chains(*make())
+        result = solve_trws(d, passes=6, eps=None)
+        st = chain_state_init(d)
+        rows = []
+        for _ in range(6):
+            phi = trws_chain_pass(d, st)
+            rows.append((np.float64(phi).tobytes(), st.meff))
+        assert rows == [(np.float64(r.bound).tobytes(), r.meff) for r in result.rows]
+        assert stacks_bytes(st) == stacks_bytes(result.state)
+
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -1e-3])
+    def test_bad_eps_raises(self, eps):
+        # it would never stop the loop early, so it must not run the budget
+        d = build_monotonic_chains(*gen_potts_2x2(2, 2))
+        with pytest.raises(ValueError, match="eps must be a finite non-negative number"):
+            solve_trws(d, passes=3, eps=eps)
