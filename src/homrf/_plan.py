@@ -33,11 +33,13 @@ Recipes.  Every update sums terms over a table and minimizes onto b
 (`_Emitter.reduce`): a fresh message over a's table, a read-off over the
 table of the superset p next to b in a's window.  What it needs besides rows
 and coefficients follows from the structure of its source a: a's table
-shape, where the scopes of a's separator locals sit in a's scope, which of
-them form a's window and which of them b's and p's locals hold (J is
-closed, so p's locals are among a's).  So each recipe class (`_Recipe`) is
-derived once per structure, and per edge only its rows, coefficients and
-the numbers it reads remain.
+shape, where the scopes of a's separator locals sit in a's scope, and which
+of them form a's window.  J is closed: it holds (B, C) wherever it holds
+(A, B) and (A, C) with scope(C) inside scope(B).  So p's locals are among
+a's, and a separator local c of a is a local of b exactly when c is b or
+c's axes in a are among b's.  Each distinct structure is derived once, into
+the fresh recipe (`_Recipe`) and the read-offs of every window slot, and per
+edge only its rows, coefficients and the numbers it reads remain.
 
 A separator step reads messages and separator caches and writes its
 messages (a preemptive `(a, p)` one included) and its cache.  Each step goes
@@ -390,6 +392,10 @@ def compile_sweeps(decomp, reuse, M, T):
     # docstring).
     classes = {}
 
+    def recipe(shape, subtract, add, axes):
+        cls = classes.setdefault((shape, subtract, add, axes), len(classes))
+        return _Recipe(cls, shape, subtract, add, axes, math.prod(shape))
+
     def terms_at(shape, places):
         # per place, (stack, shape in a `shape` table) of a separator over
         # those axes of the table
@@ -406,31 +412,51 @@ def compile_sweeps(decomp, reuse, M, T):
         # the axes of a `shape` table not in `place`, behind the batch axis
         return tuple([x + 1 for x in range(len(shape)) if x not in place])
 
-    def source_class(shape, places, slots):
-        # what the fresh updates of a source share: its number, the term of
-        # each separator local, and per window slot the axes minimized out
-        # and, forward and backward, the `around` of b at that slot
+    def structure(shape, places, slots):
+        # per window slot k, with b there: the `_Recipe` of b's fresh update,
+        # the separator locals it adds, its group key and, forward and
+        # backward, the slot swept just before b and the read-off from it,
+        # then the same of the slot swept just after.  A read-off is its
+        # `_Recipe` and the locals it adds, None where b does not nest in that
+        # slot's separator or the mode takes no read-off.  Locals are numbered
+        # by their place in `places`.
         terms = terms_at(shape, places)
-        sets = [set(places[x]) for x in slots]
-        per_slot = []
-        for k, place in enumerate(sets):
-            before = k > 0 and place < sets[k - 1]
-            after = k + 1 < len(sets) and place < sets[k + 1]
-            near = ((k - 1, before, k + 1, after), (k + 1, after, k - 1, before))
-            per_slot.append((outside(shape, place), near))
-        return len(sources), terms, per_slot
+        sets = [set(place) for place in places]
 
-    sources = {}  # (table shape, places of the separator locals, window slots) -> `source_class`
-    fresh_classes = {}  # (source number, window slot, locals kept) -> (`_Recipe`, locals lacked, group key)
+        def read_off(w, k):
+            # toward slot k from the superset p at slot w: p's locals outside b's
+            if not (0 <= w < len(slots) and sets[slots[k]] < sets[slots[w]]):
+                return None
+            p, b = sets[slots[w]], sets[slots[k]]
+            at = {x: y for y, x in enumerate(places[slots[w]])}  # a's axes -> p's
+            p_shape = tuple([shape[x] for x in places[slots[w]]])
+            cs = tuple([x for x, c in enumerate(sets) if c <= p and not c <= b])
+            add = terms_at(p_shape, [[at[x] for x in places[c]] for c in cs])
+            place = [at[x] for x in places[slots[k]]]  # b's axes in p
+            return recipe(p_shape, (), add, outside(p_shape, place)), cs
+
+        entries = []
+        for k, y in enumerate(slots):
+            lack = tuple([x for x, c in enumerate(sets) if not c <= sets[y]])
+            subtract = tuple(map(terms.__getitem__, slots[:k] + slots[k + 1 :]))
+            add = tuple(map(terms.__getitem__, lack))
+            rec = recipe(shape, subtract, add, outside(shape, places[y]))
+            below = above = None
+            if use_after:
+                below, above = read_off(k - 1, k), read_off(k + 1, k)
+            near = ((k - 1, below, k + 1, above), (k + 1, above, k - 1, below))
+            entries.append((rec, lack, (FRESH, terms[y][0], rec.cls), near))
+        return entries
+
+    structures = {}  # (table shape, places of the separator locals, window slots) -> `structure`
     fresh = [None] * n  # per edge: (`_Recipe`, a's store row, subtract rows, add rows, coefficients)
     fresh_reads = [None] * n  # per edge: the numbers its fresh update reads
     fresh_placed = [None] * n  # per edge: its fresh update's group key and entry (see `walk`)
-    slot_of = [None] * n  # per edge (a, b): b's slot in a's window
     # per direction and edge (a, b): the slot in a's window of the neighbour
-    # swept just before b (pred) and whether b nests in it, the same of the
-    # one swept just after b (succ)
+    # swept just before b and the read-off from it, the same of the one swept
+    # just after b (see `structure`)
     around = {True: [None] * n, False: [None] * n}
-    source_of = [None] * n  # per edge (a, b): what `fold_recipe` reads of a
+    source_of = [None] * n  # per edge (a, b): rows, coefficients and numbers of a's locals
     for a in dict.fromkeys(source):
         t = tables[a]
         at = dict(zip(scopes[a], range(t.ndim)))
@@ -444,70 +470,27 @@ def compile_sweeps(decomp, reuse, M, T):
                 ids.append(n + c)
                 coefs.append(ra / rho[c])
         window = windows[a]
-        slots = tuple(map(slot.__getitem__, window))
-        key = (t.shape, tuple(places), slots)
-        made = sources.get(key)
+        key = (t.shape, tuple(places), tuple(map(slot.__getitem__, window)))
+        made = structures.get(key)
         if made is None:
-            made = sources[key] = source_class(t.shape, places, slots)
-        number, terms, per_slot = made
-        seps = list(slot)
+            made = structures[key] = structure(*key)
         wids = tuple([eid[(a, c)] for c in window])
         wrows = tuple([erow[i][1] for i in wids])
-        # per window slot: which separator locals its locals hold
-        kepts = tuple([tuple(map(locals_[b].__contains__, seps)) for b in window])
-        rows, coefs, ids = tuple(rows), tuple(coefs), tuple(ids)
-        of_a = (number, t.shape, key[1], slots, rows, coefs, ids, kepts)
+        of_a = (tuple(rows), tuple(coefs), tuple(ids))
         for k, i in enumerate(wids):
-            kept = kepts[k]
-            made = fresh_classes.get((number, k, kept))
-            if made is None:
-                axes = per_slot[k][0]
-                lack = tuple([x for x in range(len(kept)) if not kept[x]])
-                subtract = tuple(map(terms.__getitem__, slots[:k] + slots[k + 1 :]))
-                add = tuple(map(terms.__getitem__, lack))
-                cls = classes.setdefault((t.shape, subtract, add, axes), len(classes))
-                rec = _Recipe(cls, t.shape, subtract, add, axes, t.size)
-                made = fresh_classes[(number, k, kept)] = (rec, lack, (FRESH, erow[i][0], cls))
-            rec, lack, group = made
-            fresh[i] = (
-                rec,
-                row_of[id(t)],
-                wrows[:k] + wrows[k + 1 :],
-                tuple(map(rows.__getitem__, lack)),
-                tuple(map(coefs.__getitem__, lack)),
-            )
+            rec, lack, group, near = made[k]
+            lacked = (tuple(map(rows.__getitem__, lack)), tuple(map(coefs.__getitem__, lack)))
+            fresh[i] = (rec, row_of[id(t)], wrows[:k] + wrows[k + 1 :], *lacked)
             fresh_reads[i] = (*wids[:k], *wids[k + 1 :], *map(ids.__getitem__, lack))
             fresh_placed[i] = (group, (wrows[k], (FRESH, i, None, None), rec.cells, None))
-            slot_of[i] = k
-            around[True][i], around[False][i] = per_slot[k][1]
+            around[True][i], around[False][i] = near
             source_of[i] = of_a
 
-    # Read-offs toward b from the superset p next to it in a's window.  p's
-    # locals are among a's separator locals (J is closed), so the recipe
-    # follows from a's structure, and rows, coefficients and reads from a's.
-    fold_classes = {}  # (source number, p's and b's window slots, locals they keep) -> (`_Recipe`, locals)
-
-    def fold_recipe(i, w):
-        # (update, reads) of the read-off on edge i toward its b from the
-        # window separator at slot w; the update as `_Emitter.reduce` takes it
-        number, shape, places, slots, rows, coefs, ids, kepts = source_of[i]
-        k = slot_of[i]
-        key = (number, w, k, kepts[w], kepts[k])
-        made = fold_classes.get(key)
-        if made is None:
-            p_keeps, b_keeps = kepts[w], kepts[k]
-            cs = tuple([x for x in range(len(p_keeps)) if p_keeps[x] and not b_keeps[x]])
-            on_p = places[slots[w]]  # p's axes in a
-            at = {x: y for y, x in enumerate(on_p)}
-            p_shape = tuple([shape[x] for x in on_p])
-            place = tuple([at[x] for x in places[slots[k]]])
-            add = terms_at(p_shape, [tuple([at[x] for x in places[c]]) for c in cs])
-            axes = outside(p_shape, place)
-            cls = classes.setdefault((p_shape, (), add, axes), len(classes))
-            recipe = _Recipe(cls, p_shape, (), add, axes, math.prod(p_shape))
-            made = fold_classes[key] = (recipe, cs)
-        recipe, cs = made
-        fold = (recipe, None, (), tuple(map(rows.__getitem__, cs)), tuple(map(coefs.__getitem__, cs)))
+    def fold_recipe(i, read_off):
+        # (update, reads) of a read-off on edge i, from its source's
+        # structure; the update as `_Emitter.reduce` takes it
+        (rec, cs), (rows, coefs, ids) = read_off, source_of[i]
+        fold = (rec, None, (), tuple(map(rows.__getitem__, cs)), tuple(map(coefs.__getitem__, cs)))
         return fold, tuple(map(ids.__getitem__, cs))
 
     em = _Emitter(M, T, store)
@@ -594,24 +577,23 @@ def compile_sweeps(decomp, reuse, M, T):
                 if i in pending:
                     pending.discard(i)
                     continue
-                wp, nests_pred, ws, nests_succ = near[i]
-                after = use_after and nests_pred
+                wp, pred, ws, succ = near[i]
+                after = use_after and pred is not None
                 if after and windows[a][wp] == trail[a]:  # a lead edge
                     led, after = True, lead_current
                 stack, row = erow[i]
                 if after:
-                    fold, fold_reads = fold_recipe(i, wp)
+                    fold, fold_reads = fold_recipe(i, pred)
                     op = (AFTER, i, None, windows[a][wp])
                     placed.append(((AFTER, stack, fold[0].cls), (row, op, fold[0].cells, fold)))
                     reads += fold_reads
-                elif use_before and nests_succ:
-                    succ = windows[a][ws]
-                    j = eid[(a, succ)]
+                elif use_before and succ is not None:
+                    j = eid[(a, windows[a][ws])]
                     pending.add(j)
                     rec = fresh[j][0]
-                    fold, fold_reads = fold_recipe(i, ws)
+                    fold, fold_reads = fold_recipe(i, succ)
                     key = (BEFORE, stack, erow[j][0], rec.cls, fold[0].cls)
-                    op = (BEFORE, i, j, succ)
+                    op = (BEFORE, i, j, windows[a][ws])
                     placed.append((key, (row, op, rec.cells + fold[0].cells, fold)))
                     reads += fresh_reads[j]
                     reads += fold_reads

@@ -13,7 +13,7 @@ from .generators import gen_potts_2x2, gen_stereo_second_order
 from .model import energy
 from .oracle import _general_steps, _guard, check_ewta, check_j_consistency_enhanced, extract_primal
 from .trws import DEFAULT_EPS, DEFAULT_PASSES, DEFAULT_REUSE, REUSE_MODES
-from .trws import _check_eps, _run_passes, _trws_steps, chain_state_tree_params
+from .trws import _check_eps, _check_passes, _run_passes, _trws_steps, chain_state_tree_params
 
 # --gen choice -> (generator, the keywords its flags set).  A flag left unset
 # is not passed on, so it takes the generator's own default; the grid size,
@@ -120,7 +120,7 @@ def _run(decomp, args):
     if args.method == "subgrad":
         # diminishing steps, no stop rule: run the budget, report the best bound
         rows, stop = _run_passes(step, args.passes, None, args.method)
-        return rows, stop, state.best_params or state.params, state.best
+        return rows, stop, state.best_params, state.best
     rows, stop = _run_passes(step, args.passes, args.eps, args.method)
     return rows, stop, state.tables if args.method == "msd" else state, rows[-1].bound
 
@@ -128,7 +128,9 @@ def _run(decomp, args):
 def run_solver_cli(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.passes < 1:
+    try:
+        _check_passes(args.passes)
+    except ValueError:
         parser.error("--passes must be at least 1")
     try:
         _check_eps(args.eps)

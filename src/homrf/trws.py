@@ -57,6 +57,7 @@ import numpy as np
 from ._plan import Bindings, Layout, compile_sweeps, same_objects
 from ._tables import embed, min_over
 from .errors import ExcessMessageOps, StateNotInitialized
+from .model import _as_int
 
 REUSE_MODES = ("none", "after", "before-after")
 # the solvers' defaults, which the command line shares
@@ -359,6 +360,16 @@ def _check_eps(eps):
         raise ValueError(f"eps must be a finite non-negative number, not {eps!r}")
 
 
+def _check_passes(passes):
+    """`passes` as an int.  Raises `ValueError` unless it is an integer
+    (`model._as_int`'s rule) of at least 1: a budget of no passes leaves no
+    bound to report."""
+    passes = _as_int(passes, "passes")
+    if passes < 1:
+        raise ValueError(f"passes must be at least 1, not {passes}")
+    return passes
+
+
 def _run_passes(step, passes, eps, method):
     """The pass/stop loop every solver shares.
 
@@ -366,9 +377,11 @@ def _run_passes(step, passes, eps, method):
     times each into a `TraceRow`.  Stops after `passes` passes, or once the
     relative per-pass bound change is at most `eps`; `eps=None` never stops
     early.  Returns the rows and why the loop stopped: `"eps"` or `"passes"`.
-    Raises `ValueError` for any other `eps` than None or a finite
+    Raises `ValueError` for a `passes` that is not an integer of at least 1
+    (`_check_passes`), and for any other `eps` than None or a finite
     non-negative number (`_check_eps`).
     """
+    passes = _check_passes(passes)
     _check_eps(eps)
     rows = []
     prev = None
@@ -407,4 +420,4 @@ def solve_trws(decomp, passes=DEFAULT_PASSES, eps=DEFAULT_EPS, reuse=DEFAULT_REU
     per-pass bound improvement drops below `eps` or the pass budget runs out."""
     state, step = _trws_steps(decomp, reuse)
     rows, stop = _run_passes(step, passes, eps, "trws")
-    return SolveResult(rows=rows, state=state, bound=rows[-1].bound if rows else None, stop=stop)
+    return SolveResult(rows=rows, state=state, bound=rows[-1].bound, stop=stop)

@@ -20,10 +20,11 @@ from homrf.baselines import (
     subgradient_pass,
 )
 from homrf.decomposition import build_monotonic_chains
-from homrf.generators import gen_stereo_second_order
+from homrf.generators import gen_potts_2x2, gen_stereo_second_order
 from homrf.errors import InvalidEdge, InvalidStepSize
 from homrf.model import build_model, close_j, energy
 from homrf.oracle import brute_force_map, cumulative_tables
+from homrf.trws import chain_state_init, trws_chain_pass
 
 from conftest import random_decomposed, submodular_grid
 
@@ -222,8 +223,22 @@ class TestMsd:
         with pytest.raises(ValueError, match="eps must be a finite non-negative number"):
             solve_msd(d, passes=3, eps=eps)
 
+    @pytest.mark.parametrize("passes", [-1, 0, 2.5])
+    def test_solve_rejects_bad_passes(self, passes):
+        # no pass would leave no bound; a fraction is no pass count
+        d = _ising_fixpoint_instance()
+        with pytest.raises(ValueError, match="passes"):
+            solve_msd(d, passes=passes)
+
 
 class TestSubgradient:
+    @pytest.mark.parametrize("passes", [-1, 0, 2.5])
+    def test_solve_rejects_bad_passes(self, passes):
+        # no pass would leave no best bound and no best parameters
+        d = _ising_fixpoint_instance()
+        with pytest.raises(ValueError, match="passes"):
+            solve_subgradient(d, passes=passes)
+
     def test_rejects_bad_step(self, rng):
         d = random_decomposed(rng)
         with pytest.raises(InvalidStepSize):
@@ -356,3 +371,35 @@ class TestSolverAgreement:
             assert trws.bound == pytest.approx(value, abs=1e-6)
             assert msd_bounds[-1] == pytest.approx(value, abs=1e-4)
             assert sg_state.best == pytest.approx(value, abs=1e-3)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: gen_stereo_second_order(8, 8, labels=4, seed=1),
+            lambda: gen_potts_2x2(
+                8, 8, labels=3, block_weight=0.5, variant="pairwise", separators="pair", seed=1
+            ),
+        ],
+        ids=["stereo", "potts"],
+    )
+    def test_trws_bound_leads_at_equal_effort(self, make):
+        # the paper's comparison: after every TRW-S pass, its bound is at
+        # least the best bound diffusion and subgradient ascent (step 1.0)
+        # reach with no more message effort (meff)
+        d = build_monotonic_chains(*make())
+        st = chain_state_init(d)
+        trws = [(trws_chain_pass(d, st), st.meff) for _ in range(30)]
+        msd, order = msd_init(d.model), msd_sweep_order(d.jstructure, d.node_order)
+        sg = subgrad_init(d, 1.0)
+        runs = {
+            "msd": (msd, lambda: msd_pass(d.model, d.jstructure, msd, order)),
+            "subgradient": (sg, lambda: subgradient_pass(d, sg)),
+        }
+        for name, (state, step) in runs.items():
+            best, reached = -np.inf, []  # per pass: (meff, best bound so far)
+            while state.meff <= st.meff:
+                best = max(best, step())
+                reached.append((state.meff, best))
+            for phi, meff in trws:
+                theirs = max([b for m, b in reached if m <= meff], default=-np.inf)
+                assert phi >= theirs - 1e-9 * max(1.0, abs(theirs)), (name, meff)

@@ -451,6 +451,13 @@ class TestCli:
         assert exc.value.code == 2
         assert "--eps" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("passes", ["0", "-1"])
+    def test_bad_passes_exit_2(self, capsys, passes):
+        with pytest.raises(SystemExit) as exc:
+            main(["--gen", "potts2x2", "--width", "2", "--height", "2", f"--passes={passes}"])
+        assert exc.value.code == 2
+        assert "--passes must be at least 1" in capsys.readouterr().err
+
     def test_missing_input_file(self, capsys):
         code = main(["--input", "missing.txt", "--method", "trws"])
         assert code == 1

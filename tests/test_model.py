@@ -15,6 +15,7 @@ from homrf.errors import (
     NotNested,
     TableShapeMismatch,
 )
+from homrf.generators import gen_potts_2x2, gen_stereo_second_order
 from homrf.model import (
     build_model,
     close_j,
@@ -224,6 +225,26 @@ class TestCloseJ:
             reclosed = close_j(js.scopes, js.closed_edges)
             assert reclosed.outer == js.outer
             assert reclosed.separators == js.separators
+
+    def test_separator_locals_nest_as_their_scopes(self, rng):
+        # J is closed, so of two separator locals b, c of one factor, c is a
+        # local of b exactly when it is b or its scope lies inside b's: the
+        # sweep compiler reads what an update adds off the scopes alone
+        instances = [random_instance(rng, nested=k % 2 == 0) for k in range(40)]
+        instances += [
+            gen_stereo_second_order(5, 4, labels=3, seed=1, separators="pair"),
+            gen_potts_2x2(5, 4, labels=3, seed=1, separators="pair"),
+        ]
+        nested = 0
+        for model, js in instances:
+            for js in (js, build_monotonic_chains(model, js).jstructure):
+                sets = [set(scope) for scope in js.scopes]
+                for a in range(len(js.scopes)):
+                    seps = js.locals[a] & js.separators
+                    for b, c in itertools.product(seps, seps):
+                        assert (c in js.locals[b]) == (c == b or sets[c] < sets[b]), (a, b, c)
+                        nested += c != b and c in js.locals[b]
+        assert nested > 0
 
     def test_locals_include_self(self, rng):
         _, js = random_instance(rng, nested=True)

@@ -563,6 +563,23 @@ STEREO_8X8_COUNTERS = {
     "before-after": (338944, 672, 176),
 }
 
+# numpy calls and groups of each compiled variant (first forward pass,
+# forward with lead edges current, backward) of the two grids of
+# `schedule_instances`: pinned, so that reorganizing the compile must show
+# what it changes in what the sweep runs.
+GRID_CALLS_AND_GROUPS = {
+    "potts": {
+        "none": ((1854, 174), (1854, 174), (1869, 178)),
+        "after": ((1788, 174), (1788, 174), (1159, 151)),
+        "before-after": ((1310, 130), (1310, 130), (1159, 151)),
+    },
+    "stereo": {
+        "none": ((448, 70), (448, 70), (453, 70)),
+        "after": ((448, 70), (363, 66), (369, 66)),
+        "before-after": ((413, 55), (353, 59), (358, 59)),
+    },
+}
+
 
 class TestProductionBound:
     @pytest.mark.parametrize("reuse", ["none", "after", "before-after"])
@@ -874,6 +891,18 @@ class TestLevelSchedule:
                 trws_chain_pass(d, st, reuse=reuse)
                 want = sequential_updates(d, reuse, k % 2 == 0, k > 0)
                 assert st.msg_ops_last_pass == len(want)
+
+    @pytest.mark.parametrize("reuse", REUSE_MODES)
+    def test_calls_and_groups_per_variant_are_pinned(self, reuse):
+        for name, make in zip(GRID_CALLS_AND_GROUPS, schedule_instances()):
+            d = make()
+            st = chain_state_init(d)
+            program = compile_sweeps(d, reuse, st.message_stacks, st.separator_stacks)
+            got = []
+            for key in VARIANTS:
+                groups = [group for phase in program.variants[key].phases for group in phase]
+                got.append((sum(map(len, groups)), len(groups)))
+            assert tuple(got) == GRID_CALLS_AND_GROUPS[name][reuse], name
 
     @pytest.mark.parametrize("reuse", REUSE_MODES)
     def test_variants_compile_on_first_use(self, reuse):
@@ -1263,3 +1292,10 @@ class TestSolveTrws:
         d = build_monotonic_chains(*gen_potts_2x2(2, 2))
         with pytest.raises(ValueError, match="eps must be a finite non-negative number"):
             solve_trws(d, passes=3, eps=eps)
+
+    @pytest.mark.parametrize("passes", [-1, 0, 2.5])
+    def test_bad_passes_raises(self, passes):
+        # no pass would leave no bound to report
+        d = build_monotonic_chains(*gen_potts_2x2(2, 2))
+        with pytest.raises(ValueError, match="passes"):
+            solve_trws(d, passes=passes)
