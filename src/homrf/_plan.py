@@ -1,6 +1,5 @@
-"""Sweep programs: everything a message-form pass runs and reads, compiled
-for one decomposition onto one state's stacks, and the chain dynamic
-program's stages.
+"""Sweep plans and programs: everything a message-form pass runs and reads,
+and the chain dynamic program's stages.
 
 Storage.  A message-form state keeps its messages and separator caches as
 rows of stacked arrays, one stack per separator table shape (`Layout`).  A
@@ -8,26 +7,30 @@ message edge's row is its rank among the edges of its shape in
 `message_edges`, a separator's its rank among the separators of its shape in
 `separator_order`, so the layout follows from the decomposition alone.  It
 needs every outer factor in a chain: one in none has no window, so no
-message edges.  A program reads the model's tables as rows too: its table
-store holds one read-only stack per table shape, of the distinct tables (by
-identity) of the separators in `separator_order`, then of the message edges'
-sources in `message_edges` order.
+message edges.
 
-Program.  A reuse mode's sweeps compile into a program for one
-decomposition on one state's stacks (`compile_sweeps`), together with what
-the bound after a sweep in each direction is read off (`PassBound`) and the
-chains the bound re-solves instead (see `homrf.trws`).  Each message edge
-takes one update per sweep: it skips its trailing bound, consumes a
-preemptive refresh (a no-op), takes the `after` or the `before` nested
-reuse, or gets a fresh message.  Which one is fixed per mode and
-direction, up to one choice made per pass: a `lead` edge, whose window
-neighbour swept just before it is its trailing bound, may take `after` only
-once a sweep in the other direction has completed.  Sweeps
-alternate from a forward first pass (a state's direction is the parity of
-its pass count), so that is the case on every pass but the first, and the
-program holds three variants, compiled together: forward with lead edges
-not taking `after` (the first pass), forward with lead `after`, and backward
-with lead `after`.  Without a lead edge the first two are one variant.
+Plan.  Each compile first derives what its program reads that the
+decomposition and the mode alone fix (`sweep_plan`): per edge its fresh
+update and the `after` and `before` updates it may take instead, what the
+bound after a sweep in each direction is read off (`PassBound`, with the
+chains it re-solves instead, see `homrf.trws`), and the table store: one
+read-only stack per table shape of the distinct tables (by identity) of
+the separators in `separator_order`, then of the message edges' sources.
+
+Program.  A reuse mode's sweeps compile from the plan onto one state's
+stacks (`compile_sweeps`): the walks pick and place each edge's update, and
+the emission binds their numpy calls.  Each message edge takes one update
+per sweep: it skips its trailing bound, consumes a preemptive refresh (a
+no-op), takes the `after` or the `before` nested reuse, or gets a fresh
+message.  Which one is fixed per mode and direction, up to one choice made
+per pass: a `lead` edge, whose window neighbour swept just before it is its
+trailing bound, may take `after` only once a sweep in the other direction
+has completed.  Sweeps alternate from a forward first pass (a state's
+direction is the parity of its pass count), so that is the case on every
+pass but the first, and the program holds three variants, compiled together:
+forward with lead edges not taking `after` (the first pass), forward with
+lead `after`, and backward with lead `after`.  Without a lead edge the first
+two are one variant.
 
 Recipes.  Every update sums terms over a table and minimizes onto b
 (`_Emitter.reduce`): a fresh message over a's table, a read-off over the
@@ -37,9 +40,8 @@ shape, where the scopes of a's separator locals sit in a's scope, and which
 of them form a's window.  J is closed: it holds (B, C) wherever it holds
 (A, B) and (A, C) with scope(C) inside scope(B).  So p's locals are among
 a's, and a separator local c of a is a local of b exactly when c is b or
-c's axes in a are among b's.  Each distinct structure is derived once, into
-the fresh recipe (`_Recipe`) and the read-offs of every window slot, and per
-edge only its rows, coefficients and the numbers it reads remain.
+c's axes in a are among b's.  Each distinct structure is derived once per
+plan into the fresh recipe (`_Recipe`) and read-offs of every window slot.
 
 A separator step reads messages and separator caches and writes its
 messages (a preemptive `(a, p)` one included) and its cache.  Each step goes
@@ -56,28 +58,27 @@ shape, ahead of every reduced axis.
 
 Each group compiles to a short run of numpy calls on fixed operands.  Rows
 named by a basic slice (one row, or rows that step evenly) are read as
-views of their stack, reshaped to the shape they broadcast in; fresh minima
-are written with `out=` straight into their message rows, `after` and
-`before` increments are added in place and caches are rebuilt into their
-rows.  Rows that only an index array can name cannot be views: they are
+views of their stack, reshaped to the shape they broadcast in, and rows that
+all name one row as a stride-0 view of it; fresh minima are written with
+`out=` straight into their message rows, `after` and `before` increments are
+added in place and caches are rebuilt into their rows.  Other rows are
 staged in scratch, read in with `take` before the group's arithmetic and
 stored back after it.  An update's table rows are a read-only operand: its
 first term writes into scratch, and an update without terms minimizes them
-straight into its rows.  A cache term whose
-coefficients are all equal multiplies by that one value, and one whose value
-is exactly 1.0 adds the cache rows themselves, with no multiply: x * 1.0 is
-x bit for bit.  A program keeps its level boundaries: each level runs in two
-phases, its message groups and then its cache groups, and the groups of one
-phase commute.  A group that two variants or both directions run is compiled once.
+straight into its rows.  A cache term whose coefficients are all equal
+multiplies by that one value, and one whose value is exactly 1.0 adds the
+cache rows themselves, with no multiply: x * 1.0 is x bit for bit.  A
+program keeps its level boundaries: each level runs in two phases, its
+message groups and then its cache groups, and the groups of one phase
+commute.  A group that two variants or both directions run is compiled once.
 
 Programs are compiled per state, on its first pass in a reuse mode, and
-kept in its `Bindings`.  The chain dynamic program's stages (`chain_stages`)
-are the decomposition's alone: `Decomposition` builds them on the first
-chain DP, which a pass runs only on the chains its bound re-solves.
+kept in its `Bindings`; the plan is freed once the program is built.  The
+chain DP's stages (`chain_stages`) are built on its first run.
 """
 
 import math
-from operator import is_, itemgetter
+from operator import is_
 from typing import NamedTuple
 
 import numpy as np
@@ -87,6 +88,7 @@ from .errors import HomrfError, UnconsumedPreemptiveMessage
 from .model import _gc_paused
 
 FRESH, AFTER, BEFORE = "fresh", "after", "before"
+_FRESH_STEP = (None, None, False)  # the step of an edge without read-offs (see `sweep_plan`)
 
 
 class Layout(NamedTuple):
@@ -107,6 +109,7 @@ class PassBound(NamedTuple):
     ends: tuple  # per cache stack: (stack, rows, table axes, rho_t / rho_e per row), e far ends
     cells: int  # cells of the end separators' tables
     const: float  # rho_t * min(table) / rho summed over one-singleton-factor chains
+    fallback: tuple  # chains with a member that is not an outer factor: the chain DP re-solves them
 
 
 class Variant(NamedTuple):
@@ -125,7 +128,6 @@ class SweepProgram(NamedTuple):
     decomp: object  # the decomposition it was compiled for
     arrays: tuple  # the message and cache stacks it runs on
     variants: dict  # (forward, lead current) -> its Variant; no (False, False)
-    fallback: tuple  # chains with a member that is not an outer factor: the bound re-solves them
 
 
 class Stage(NamedTuple):
@@ -204,11 +206,26 @@ class _Recipe(NamedTuple):
     cells: int  # of the table
 
 
+class _Update(NamedTuple):
+    """A message update, as the walk places it and `_Emitter.reduce` sums it."""
+
+    row: int  # of the message it writes
+    op: object  # a fresh update's edge number, else (kind, edge, the slot or edge it reads off)
+    key: tuple  # of its group: kind, message stack, then recipe classes
+    rec: _Recipe
+    table: object  # a's row in the table store, None for a read-off
+    subtract: tuple  # rows of the messages subtracted
+    add: tuple  # rows of the caches added
+    coefs: tuple  # their coefficients
+    reads: tuple  # the numbers of what it reads besides the messages into b
+    sup: object = None  # of a `before` update: the fresh update of the superset it refreshes
+
+
 class _Emitter:
     """Collects the numpy calls of one group at a time on a state's message
-    and cache stacks M and T and the program's table store (table shape ->
-    its stack).  Every update, fresh message or read-off, is one `reduce`
-    over its recipe.
+    and cache stacks M and T and the plan's table store (table shape -> its
+    stack).  Every update, fresh message or read-off, is one `reduce` over
+    its recipe.
 
     Every group is a batch: its rows are a tuple, one row included, and every
     shape it reads, writes and reduces has a leading batch axis.  Every
@@ -217,10 +234,10 @@ class _Emitter:
     equal multiplies by one 0-d array (cheaper in a ufunc call than a Python
     float, with the same product); only one with distinct coefficients
     multiplies by an array along the batch axis.  Rows that only an index
-    array can name are staged in scratch (`read`, `write`).  Groups never
-    run at the same time, so each group's scratch starts at the start of one
-    shared scratch buffer; a group that outgrows the buffer moves on to a new
-    one twice as large."""
+    array can name are staged in scratch (`read`, `write`), unless they all
+    name one row.  Groups never run at the same time, so each group's scratch
+    starts at the start of one shared scratch buffer; a group that outgrows
+    the buffer moves on to a new one twice as large."""
 
     def __init__(self, M, T, store):
         self.M, self.T, self.store = M, T, store
@@ -256,16 +273,21 @@ class _Emitter:
         return at
 
     def read(self, stack, rows, shape):
-        # `rows` of `stack` in `shape`
+        # `rows` of `stack` in `shape`: a view, a stride-0 view of the one
+        # row they all name, or staged
         key = (id(stack), rows, shape)
         view = self.views.get(key)
         if view is None:
             at = self.at(rows)
-            if type(at) is np.ndarray:
+            if type(at) is not np.ndarray:
+                view = stack[at].reshape(shape)
+            elif rows.count(rows[0]) == len(rows):
+                view = np.broadcast_to(stack[rows[0]].reshape(shape[1:]), shape)
+            else:
                 staged = self.scratch((len(rows),) + stack.shape[1:])
                 self.emit(stack.take, at, 0, staged)
                 return staged.reshape(shape)
-            view = self.views[key] = stack[at].reshape(shape)
+            self.views[key] = view
         return view
 
     def write(self, stack, rows, load):
@@ -308,21 +330,18 @@ class _Emitter:
         (p's own cache is always one) to `total`, a table over p, or to zero
         with `total` None: that is the `reuse="after"` increment; while
         (a, p) holds this sweep's message, the stored (a, b) message plus it
-        equals the direct update, scanning only p.  An update is (its
-        class's `_Recipe`, a's row in the table store or None for a read-off,
-        the rows of the messages subtracted, the rows of the caches added,
-        their coefficients).  a's tables, read from the store, and zero are
-        read-only, so the first term writes into scratch; `total` is the
-        caller's scratch, worked in place."""
-        rec, row = updates[0][:2]
-        batch = (len(updates),)
-        subtract = zip(*map(_SUBTRACT_ROWS, updates))
-        add, coefs = zip(*map(_ADD_ROWS, updates)), zip(*map(_ADD_COEFS, updates))
+        equals the direct update, scanning only p.  The updates are
+        `_Update`s of one recipe class.  a's tables, read from the store, and
+        zero are read-only, so the first term writes into scratch; `total` is
+        the caller's scratch, worked in place."""
+        rec, batch = updates[0].rec, (len(updates),)
+        subtract = zip(*[u.subtract for u in updates])
+        add, coefs = zip(*[u.add for u in updates]), zip(*[u.coefs for u in updates])
         if total is not None:
             acc = work = total
         else:
-            rows = tuple(map(_TABLE_ROW, updates))
-            acc = 0.0 if row is None else self.read(self.store[rec.shape], rows, batch + rec.shape)
+            rows = tuple([u.table for u in updates])
+            acc = 0.0 if rows[0] is None else self.read(self.store[rec.shape], rows, batch + rec.shape)
             work = self.scratch(batch + rec.shape) if rec.subtract or rec.add else None
         for (s, shape), rows in zip(rec.subtract, subtract):
             self.emit(np.subtract, acc, self.read(self.M[s], rows, batch + shape), work)
@@ -339,44 +358,32 @@ class _Emitter:
         return calls
 
 
-_TABLE_ROW, _SUBTRACT_ROWS, _ADD_ROWS, _ADD_COEFS = map(itemgetter, range(1, 5))
-
-
-@_gc_paused
-def compile_sweeps(decomp, reuse, M, T):
-    """The `SweepProgram` of a reuse mode for a decomposition on a state's
-    message and cache stacks M and T; see the module docstring.  Each
-    variant is walked with one update rule per edge; the forward variant
-    with lead edges current is the first pass's own where no edge is a lead
-    edge."""
+def sweep_plan(decomp, reuse):
+    """What a reuse mode's program reads that the decomposition fixes (see
+    the module docstring): per separator b, per edge into b (sources in sigma
+    order) its fresh `_Update` and its step backward and forward, None where
+    b is the edge's trailing bound, else its `after` and `before` updates and
+    whether it is a lead edge; the store row of each separator's table; the
+    table store (table shape -> read-only stack); and the `PassBound` after a
+    sweep backward and forward."""
+    use_after, use_before = reuse in ("after", "before-after"), reuse == "before-after"
     d = decomp
     js = d.jstructure
     scopes, locals_, separators = js.scopes, js.locals, js.separators
     tables = [f.table for f in d.model.factors]
     rho = d.rho_factor
-    windows = d.local_separators
     layout = d._layout
     edge_row, sep_row = layout.edge_row, layout.sep_row
     stack_of = {shape: s for s, shape in enumerate(layout.shapes)}
-    use_after = reuse in ("after", "before-after")
-    use_before = reuse == "before-after"
-    orders = {True: d.separator_order, False: d.separator_order[::-1]}
-    trailing = {True: d.sep_minus, False: d.sep_plus}
 
     # Message edges are numbered by their index in `message_edges` and
     # separator b by n + b; these numbers name what a step reads and writes.
     edges = d.message_edges
     n = len(edges)
     eid = {key: i for i, key in enumerate(edges)}
-    erow = [edge_row[key] for key in edges]
     source = [a for a, _ in edges]
-    incoming = {}  # b -> its edges, sources in sigma order (message_edges are)
-    for i, (a, b) in enumerate(edges):
-        incoming.setdefault(b, []).append(i)
 
-    # The table store: per table shape, a read-only stack of the distinct
-    # tables (by identity: a parsed or generated model shares tables) of the
-    # separators in sigma order, then of the message edges' sources.
+    # the table store: a parsed or generated model shares tables
     store, row_of = {}, {}  # shape -> its tables; table id -> its row
     for t in map(tables.__getitem__, (*d.separator_order, *source)):
         if id(t) not in row_of:
@@ -386,10 +393,9 @@ def compile_sweeps(decomp, reuse, M, T):
     for shape, held in store.items():
         store[shape] = np.stack(held)
         store[shape].flags.writeable = False
+    incoming, table_rows = {}, {b: row_of.get(id(tables[b])) for b in sep_row}
 
-    # A recipe class is what the updates of a batched group share; classes
-    # are numbered, and derived once per source structure (see the module
-    # docstring).
+    # a recipe class is what the updates of a batched group share: numbered
     classes = {}
 
     def recipe(shape, subtract, add, axes):
@@ -401,11 +407,9 @@ def compile_sweeps(decomp, reuse, M, T):
         # those axes of the table
         terms = []
         for place in places:
-            own, sh = [], [1] * len(shape)
-            for x in place:
-                own.append(shape[x])
-                sh[x] = shape[x]
-            terms.append((stack_of[tuple(own)], tuple(sh)))
+            own = tuple([shape[x] for x in place])
+            embedded = tuple([c if x in place else 1 for x, c in enumerate(shape)])
+            terms.append((stack_of[own], embedded))
         return tuple(terms)
 
     def outside(shape, place):
@@ -413,19 +417,18 @@ def compile_sweeps(decomp, reuse, M, T):
         return tuple([x + 1 for x in range(len(shape)) if x not in place])
 
     def structure(shape, places, slots):
-        # per window slot k, with b there: the `_Recipe` of b's fresh update,
-        # the separator locals it adds, its group key and, forward and
-        # backward, the slot swept just before b and the read-off from it,
-        # then the same of the slot swept just after.  A read-off is its
-        # `_Recipe` and the locals it adds, None where b does not nest in that
-        # slot's separator or the mode takes no read-off.  Locals are numbered
-        # by their place in `places`.
+        # per window slot, with b there: the `_Recipe` of b's fresh update, the
+        # separator locals it adds (by their place in `places`) and its group
+        # key; and backward and forward, the read-off (slot, `_Recipe`, locals
+        # added) from the slot swept just before b, then from the one swept
+        # just after, None where b does not nest there or the mode takes none,
+        # or None for both where it has none.
         terms = terms_at(shape, places)
         sets = [set(place) for place in places]
 
         def read_off(w, k):
             # toward slot k from the superset p at slot w: p's locals outside b's
-            if not (0 <= w < len(slots) and sets[slots[k]] < sets[slots[w]]):
+            if not (use_after and 0 <= w < len(slots) and sets[slots[k]] < sets[slots[w]]):
                 return None
             p, b = sets[slots[w]], sets[slots[k]]
             at = {x: y for y, x in enumerate(places[slots[w]])}  # a's axes -> p's
@@ -433,30 +436,49 @@ def compile_sweeps(decomp, reuse, M, T):
             cs = tuple([x for x, c in enumerate(sets) if c <= p and not c <= b])
             add = terms_at(p_shape, [[at[x] for x in places[c]] for c in cs])
             place = [at[x] for x in places[slots[k]]]  # b's axes in p
-            return recipe(p_shape, (), add, outside(p_shape, place)), cs
+            return w, recipe(p_shape, (), add, outside(p_shape, place)), cs
 
-        entries = []
+        entries, near = [], []
         for k, y in enumerate(slots):
             lack = tuple([x for x, c in enumerate(sets) if not c <= sets[y]])
             subtract = tuple(map(terms.__getitem__, slots[:k] + slots[k + 1 :]))
             add = tuple(map(terms.__getitem__, lack))
             rec = recipe(shape, subtract, add, outside(shape, places[y]))
-            below = above = None
-            if use_after:
-                below, above = read_off(k - 1, k), read_off(k + 1, k)
-            near = ((k - 1, below, k + 1, above), (k + 1, above, k - 1, below))
-            entries.append((rec, lack, (FRESH, terms[y][0], rec.cls), near))
-        return entries
+            entries.append((rec, lack, (FRESH, terms[y][0], rec.cls)))
+            below, above = read_off(k - 1, k), read_off(k + 1, k)
+            near.append(((above, below), (below, above)) if below or above else None)
+        return entries, tuple(near)
+
+    def fold(own, side, rows, coefs, ids, sup=None):
+        # the read-off update of `own`'s edge from `side`: `after`, or with
+        # `sup`, the fresh update of the superset's edge it refreshes, `before`
+        w, rec, cs = side
+        added = (tuple(map(rows.__getitem__, cs)), tuple(map(coefs.__getitem__, cs)))
+        reads = tuple(map(ids.__getitem__, cs))
+        _, stack, _ = own.key
+        if sup is None:
+            key, op = (AFTER, stack, rec.cls), (AFTER, own.op, w)
+            return _Update(own.row, op, key, rec, None, (), *added, reads)
+        _, sp, cls = sup.key
+        key, op = (BEFORE, stack, sp, cls, rec.cls), (BEFORE, own.op, sup.op)
+        return _Update(own.row, op, key, rec, None, (), *added, (*sup.reads, *reads, sup.op), sup)
+
+    def steps_of(fresh, k, near, trail, rows, coefs, ids):
+        # backward and forward, edge k's step: a backward sweep has lead
+        # edges current, and `before` is taken only without `after`
+        steps = []
+        for forward, ((pred, succ), t) in enumerate(zip(near, trail)):
+            if k == t:
+                steps.append(None)
+                continue
+            lead = pred is not None and pred[0] == t
+            after, before = pred and fold(fresh[k], pred, rows, coefs, ids), None
+            if use_before and succ is not None and (pred is None or lead and forward):
+                before = fold(fresh[k], succ, rows, coefs, ids, fresh[succ[0]])
+            steps.append((after, before, lead))
+        return tuple(steps)
 
     structures = {}  # (table shape, places of the separator locals, window slots) -> `structure`
-    fresh = [None] * n  # per edge: (`_Recipe`, a's store row, subtract rows, add rows, coefficients)
-    fresh_reads = [None] * n  # per edge: the numbers its fresh update reads
-    fresh_placed = [None] * n  # per edge: its fresh update's group key and entry (see `walk`)
-    # per direction and edge (a, b): the slot in a's window of the neighbour
-    # swept just before b and the read-off from it, the same of the one swept
-    # just after b (see `structure`)
-    around = {True: [None] * n, False: [None] * n}
-    source_of = [None] * n  # per edge (a, b): rows, coefficients and numbers of a's locals
     for a in dict.fromkeys(source):
         t = tables[a]
         at = dict(zip(scopes[a], range(t.ndim)))
@@ -469,29 +491,63 @@ def compile_sweeps(decomp, reuse, M, T):
                 rows.append(sep_row[c][1])
                 ids.append(n + c)
                 coefs.append(ra / rho[c])
-        window = windows[a]
+        window = d.local_separators[a]
         key = (t.shape, tuple(places), tuple(map(slot.__getitem__, window)))
         made = structures.get(key)
         if made is None:
             made = structures[key] = structure(*key)
+        entries, near = made
         wids = tuple([eid[(a, c)] for c in window])
-        wrows = tuple([erow[i][1] for i in wids])
-        of_a = (tuple(rows), tuple(coefs), tuple(ids))
-        for k, i in enumerate(wids):
-            rec, lack, group, near = made[k]
+        wrows = tuple([edge_row[(a, c)][1] for c in window])
+        fresh, a_row = [], row_of[id(t)]
+        for k, (rec, lack, group) in enumerate(entries):
+            others = wrows[:k] + wrows[k + 1 :]
             lacked = (tuple(map(rows.__getitem__, lack)), tuple(map(coefs.__getitem__, lack)))
-            fresh[i] = (rec, row_of[id(t)], wrows[:k] + wrows[k + 1 :], *lacked)
-            fresh_reads[i] = (*wids[:k], *wids[k + 1 :], *map(ids.__getitem__, lack))
-            fresh_placed[i] = (group, (wrows[k], (FRESH, i, None, None), rec.cells, None))
-            around[True][i], around[False][i] = near
-            source_of[i] = of_a
+            reads = (*wids[:k], *wids[k + 1 :], *map(ids.__getitem__, lack))
+            fresh.append(_Update(wrows[k], wids[k], group, rec, a_row, others, *lacked, reads))
+        # the window holds a's bounds, if at all, at its ends
+        back = len(window) - 1 if window[-1] == d.sep_plus[a] else None
+        front = 0 if window[0] == d.sep_minus[a] else None
+        for k, c in enumerate(window):
+            if near[k] is None:  # fresh both ways
+                steps = (None if k == back else _FRESH_STEP, None if k == front else _FRESH_STEP)
+            else:
+                steps = steps_of(fresh, k, near[k], (back, front), rows, coefs, ids)
+            incoming.setdefault(c, []).append((fresh[k], steps))
 
-    def fold_recipe(i, read_off):
-        # (update, reads) of a read-off on edge i, from its source's
-        # structure; the update as `_Emitter.reduce` takes it
-        (rec, cs), (rows, coefs, ids) = read_off, source_of[i]
-        fold = (rec, None, (), tuple(map(rows.__getitem__, cs)), tuple(map(coefs.__getitem__, cs)))
-        return fold, tuple(map(ids.__getitem__, cs))
+    # the `PassBound` after a sweep backward, then forward
+    fallback = tuple(t for t, chain in enumerate(d.chains) if any(a not in js.outer for a in chain))
+    bounds = []
+    for far, member in ((d.sep_minus, 0), (d.sep_plus, -1)):
+        ends, const, cells = {}, 0.0, 0
+        for t, chain in enumerate(d.chains):
+            if t in fallback:
+                continue
+            e = far[chain[member]]
+            if e is None:  # one singleton outer factor: no messages, a constant minimum
+                a = chain[0]
+                const += d.rho[t] * float((tables[a] / rho[a]).min())
+                continue
+            s, row = sep_row[e]
+            ends.setdefault(s, []).append((row, d.rho[t] / rho[e]))
+            cells += tables[e].size
+        batched = []
+        for s, end in ends.items():
+            rows, coefs = zip(*end)
+            batched.append((s, _index(rows), tuple(range(1, 1 + len(layout.shapes[s]))), coefs))
+        bounds.append(PassBound(tuple(batched), cells, const, fallback))
+    return incoming, table_rows, store, tuple(bounds)
+
+
+@_gc_paused
+def compile_sweeps(decomp, reuse, M, T):
+    """The `SweepProgram` of a reuse mode for a decomposition on a state's
+    message and cache stacks M and T, from its `sweep_plan`; see the module
+    docstring.  Each variant is walked with one update rule per edge; the
+    forward variant with lead edges current is the first pass's own where
+    no edge is a lead edge."""
+    incoming, table_rows, store, bounds = sweep_plan(decomp, reuse)
+    n, sep_row = len(decomp.message_edges), decomp._layout.sep_row
 
     em = _Emitter(M, T, store)
     # a group's updates or separators -> its calls, for the variants and
@@ -499,33 +555,30 @@ def compile_sweeps(decomp, reuse, M, T):
     made_messages, made_caches = {}, {}
 
     def message_group(key, placed):
-        # the calls of the updates `placed` at one level under one key
+        # the calls of the `_Update`s `placed` at one level under one key
         placed.sort()
-        ops = tuple([e[1] for e in placed])
+        ops = tuple([e.op for e in placed])
         calls = made_messages.get(ops)
         if calls is not None:
             return calls
         kind, s = key[0], key[1]
-        rows = tuple([e[0] for e in placed])
+        rows = tuple([e.row for e in placed])
         if kind is FRESH:
-            em.reduce([fresh[op[1]] for op in ops], None, em.write(M[s], rows, load=False))
+            em.reduce(placed, None, em.write(M[s], rows, load=False))
         else:
             batch = (len(ops),)
             delta = em.scratch(batch + M[s].shape[1:])
-            folds = [e[3] for e in placed]
             if kind is AFTER:
-                em.reduce(folds, None, delta)
+                em.reduce(placed, None, delta)
             else:  # BEFORE: refresh (a, p) and fold its increment toward b in
-                sup = [op[2] for op in ops]
-                sp = erow[sup[0]][0]
-                rows_p = tuple([erow[j][1] for j in sup])
+                sup, sp = [e.sup for e in placed], key[2]
                 m_new = em.scratch(batch + M[sp].shape[1:])
-                em.reduce([fresh[j] for j in sup], None, m_new)
-                old = em.write(M[sp], rows_p, load=True)
-                rec = folds[0][0]
+                em.reduce(sup, None, m_new)
+                old = em.write(M[sp], tuple([e.row for e in sup]), load=True)
+                rec = placed[0].rec
                 total = em.scratch(batch + rec.shape)
                 em.emit(np.subtract, m_new, old, total)
-                em.reduce(folds, total, delta)
+                em.reduce(placed, total, delta)
                 b_in_p = tuple([1 if x in rec.axes else c for x, c in enumerate(batch + rec.shape)])
                 em.emit(np.subtract, m_new, delta.reshape(b_in_p), old)
             out = em.write(M[s], rows, load=True)
@@ -533,76 +586,55 @@ def compile_sweeps(decomp, reuse, M, T):
         calls = made_messages[ops] = em.group()
         return calls
 
-    inrows = {b: tuple([erow[i][1] for i in ins]) for b, ins in incoming.items()}
-
-    def cache_group(key, seps):
+    def cache_group(key, rebuilt):
         # each separator's original table plus its incoming messages, in
         # sigma order of their sources, into its cache
-        seps.sort()
-        bs = tuple([b for _, b in seps])
+        rebuilt.sort()
+        bs = tuple([b for _, b in rebuilt])
         calls = made_caches.get(bs)
         if calls is not None:
             return calls
         s, indegree = key
-        out = em.write(T[s], tuple([r for r, _ in seps]), load=False)
-        shape, messages = (len(bs),) + M[s].shape[1:], zip(*[inrows.get(b, ()) for b in bs])
-        acc = em.read(store[shape[1:]], tuple([row_of[id(tables[b])] for b in bs]), shape)
+        out = em.write(T[s], tuple([r for r, _ in rebuilt]), load=False)
+        shape = (len(bs),) + M[s].shape[1:]
+        acc = em.read(store[shape[1:]], tuple([table_rows[b] for b in bs]), shape)
         if not indegree:
             em.emit(np.copyto, out, acc)
-        for rows in messages:
+        for rows in zip(*[[own.row for own, _ in incoming.get(b, ())] for b in bs]):
             em.emit(np.add, acc, em.read(M[s], rows, shape), out)
             acc = out
         calls = made_caches[bs] = em.group()
         return calls
 
     def walk(forward, lead_current):
-        # the levels of one variant, each its message groups {key: updates
+        # the levels of one variant, each its message groups {key: `_Update`s
         # placed} and its cache groups {key: separators}, and whether it met
-        # a lead edge.  An update placed is (row, op, cells, its read-off or
-        # None).
-        order, trail, near = orders[forward], trailing[forward], around[forward]
+        # a lead edge
         pending = set()  # edges refreshed preemptively
         led = False
-        last_write = [-1] * (n + len(scopes))
-        last_access = [-1] * (n + len(scopes))  # the last level that read or wrote it
+        last_write = [-1] * (n + len(decomp.jstructure.scopes))
+        last_access = last_write[:]  # the last level that read or wrote it
         levels = []
-        for b in order:
+        for b in decomp.separator_order if forward else decomp.separator_order[::-1]:
             ins = incoming.get(b, ())
-            reads, writes = list(ins), [n + b]  # the cache rebuild reads ins
-            placed = []
-            for i in ins:
-                a = source[i]
-                if b == trail[a]:
-                    continue
-                if i in pending:
+            reads, writes, placed = [], [n + b], []
+            for own, steps in ins:
+                i = own.op
+                reads.append(i)  # the cache rebuild reads every message into b
+                step = steps[forward]
+                if step is None or i in pending:  # a trailing bound, or refreshed preemptively
                     pending.discard(i)
                     continue
-                wp, pred, ws, succ = near[i]
-                after = use_after and pred is not None
-                if after and windows[a][wp] == trail[a]:  # a lead edge
-                    led, after = True, lead_current
-                stack, row = erow[i]
-                if after:
-                    fold, fold_reads = fold_recipe(i, pred)
-                    op = (AFTER, i, None, windows[a][wp])
-                    placed.append(((AFTER, stack, fold[0].cls), (row, op, fold[0].cells, fold)))
-                    reads += fold_reads
-                elif use_before and succ is not None:
-                    j = eid[(a, windows[a][ws])]
-                    pending.add(j)
-                    rec = fresh[j][0]
-                    fold, fold_reads = fold_recipe(i, succ)
-                    key = (BEFORE, stack, erow[j][0], rec.cls, fold[0].cls)
-                    op = (BEFORE, i, j, windows[a][ws])
-                    placed.append((key, (row, op, rec.cells + fold[0].cells, fold)))
-                    reads += fresh_reads[j]
-                    reads += fold_reads
-                    reads.append(j)
-                    writes.append(j)
-                else:
-                    placed.append(fresh_placed[i])
-                    reads += fresh_reads[i]
+                after, before, lead = step
+                if lead:  # its `after` reads the trailing bound's message
+                    led, after = True, after if lead_current else None
+                update = after or before or own
+                placed.append(update)
+                reads += update.reads
                 writes.append(i)
+                if update.sup is not None:  # `before` refreshes the superset's edge now
+                    pending.add(update.sup.op)
+                    writes.append(update.sup.op)
 
             # the first level after every step this one conflicts with
             level = 0
@@ -621,18 +653,17 @@ def compile_sweeps(decomp, reuse, M, T):
             if level == len(levels):
                 levels.append(({}, {}))
             messages, caches = levels[level]
-            for key, entry in placed:
-                messages.setdefault(key, []).append(entry)
+            for update in placed:
+                messages.setdefault(update.key, []).append(update)
             stack, row = sep_row[b]
             caches.setdefault((stack, len(ins)), []).append((row, b))
 
         if pending:
-            raise UnconsumedPreemptiveMessage(
-                f"preemptive messages left unconsumed: {sorted(edges[j] for j in pending)}"
-            )
+            unconsumed = sorted(decomp.message_edges[j] for j in pending)
+            raise UnconsumedPreemptiveMessage(f"preemptive messages left unconsumed: {unconsumed}")
         return levels, led
 
-    def variant(forward, lead_current, read_off):
+    def variant(forward, lead_current):
         # the compiled variant, and whether it met a lead edge
         levels, led = walk(forward, lead_current)
         phases, ops, cells = [], 0, 0
@@ -642,47 +673,19 @@ def compile_sweeps(decomp, reuse, M, T):
                 for key, group in messages.items():
                     groups.append(message_group(key, group))
                     ops += len(group)
-                    cells += sum([e[2] for e in group])
+                    head = group[0]  # the updates of a group share their recipes
+                    cells += len(group) * (head.rec.cells + (head.sup.rec.cells if head.sup else 0))
                 phases.append(tuple(groups))
-            phases.append(tuple([cache_group(key, seps) for key, seps in caches.items()]))
-        return Variant(tuple(phases), ops, cells, read_off), led
+            phases.append(tuple([cache_group(key, group) for key, group in caches.items()]))
+        return Variant(tuple(phases), ops, cells, bounds[forward]), led
 
-    fallback = tuple(
-        t for t, chain in enumerate(d.chains) if any(a not in js.outer for a in chain)
-    )
-    forward_bound = _read_off(d, fallback, d.sep_plus, -1)
-    first, led = variant(True, False, forward_bound)
+    first, led = variant(True, False)
     variants = {
         (True, False): first,
-        (True, True): variant(True, True, forward_bound)[0] if led else first,
-        (False, True): variant(False, True, _read_off(d, fallback, d.sep_minus, 0))[0],
+        (True, True): variant(True, True)[0] if led else first,
+        (False, True): variant(False, True)[0],
     }
-    return SweepProgram(d, (*M, *T), variants, fallback)
-
-
-def _read_off(decomp, fallback, far, member):
-    # the `PassBound` of a sweep whose chains end at their `member` (-1
-    # forward, 0 backward), each member's far window end in `far`; the
-    # `fallback` chains are left to the chain DP
-    d = decomp
-    model, layout = d.model, d._layout
-    ends, const, cells = {}, 0.0, 0
-    for t, chain in enumerate(d.chains):
-        if t in fallback:
-            continue
-        e = far[chain[member]]
-        if e is None:  # one singleton outer factor: no messages, a constant minimum
-            a = chain[0]
-            const += d.rho[t] * float((model.table(a) / d.rho_factor[a]).min())
-            continue
-        s, row = layout.sep_row[e]
-        ends.setdefault(s, []).append((row, d.rho[t] / d.rho_factor[e]))
-        cells += model.table(e).size
-    batched = []
-    for s, end in ends.items():
-        rows, coefs = zip(*end)
-        batched.append((s, _index(rows), tuple(range(1, 1 + len(layout.shapes[s]))), coefs))
-    return PassBound(tuple(batched), cells, const)
+    return SweepProgram(decomp, (*M, *T), variants)
 
 
 @_gc_paused

@@ -16,19 +16,15 @@ holds at that moment, through the decomposition's row layout: the read-only
 fallback, the tree parameters and the primal rounding.  A state whose layout
 does not equal the decomposition's raises `StateNotInitialized`.
 
-A pass runs the state's program of its reuse mode (`homrf._plan`), compiled
-for one decomposition onto the state's stacks: its three sweep variants
-(forward for the first pass, then forward and backward for every later one)
-and what each direction's bound is read off.  Level by level, the updates of
-one recipe class at a level run as one batched
-gather-subtract-add-min-scatter of numpy calls on fixed operands, then the
-caches of the level are rebuilt the same way.  The results are
-byte-identical to a sweep one separator at a time.  A state counts its
-passes, and a sweep's direction is the parity of that count: forward after
-an even number of passes.  The program is kept out of the state's repr, and
-states compare by identity.  A copy of the state starts without a program,
-and a pass compiles again once the decomposition or the state's stacks are
-no longer those the program was compiled for.
+A pass runs the state's program of its reuse mode (`homrf._plan`): three
+sweep variants of batched numpy calls on fixed operands, byte-identical to a
+sweep one separator at a time, compiled onto the state's stacks from a sweep
+plan of the decomposition and the mode.  A state counts its passes, and a
+sweep's direction is the parity of that count: forward after an even number
+of passes.  The program is kept out of the state's repr, and states compare
+by identity.  A copy of the state starts without a program, and a pass
+compiles again once the decomposition or the state's stacks are no longer
+those the program was compiled for.
 
 The message-form sweep reads its bound off the sweep, as TRW-S does, instead
 of re-solving every chain.  Messages are stored rather than accumulated, so
@@ -288,20 +284,20 @@ def trws_chain_pass(decomp, state, reuse=DEFAULT_REUSE):
     state.msg_ops_last_pass = sweep.ops
     state.passes += 1
 
-    phi, cells = _pass_bound(decomp, state, sweep.read_off, program.fallback)
+    phi, cells = _pass_bound(decomp, state, sweep.read_off)
     state.diag_cells += cells
     return phi
 
 
-def _pass_bound(decomp, state, read_off, fallback):
+def _pass_bound(decomp, state, read_off):
     # bound after a sweep and the table cells it reads: the end-table minima of
-    # `read_off`, plus the chain DP over the `fallback` chains
+    # `read_off`, plus the chain DP over its `fallback` chains
     T = state.separator_stacks
     terms = [read_off.const]
     for s, rows, axes, coefs in read_off.ends:
         terms += map(mul, coefs, min_over(T[s][rows], axes).tolist())
     cells = read_off.cells
-    for t in fallback:
+    for t in read_off.fallback:
         tables = {
             c: _factor_table(decomp, state, c) / decomp.rho_factor[c]
             for c in decomp.tree_factors[t]

@@ -569,14 +569,14 @@ STEREO_8X8_COUNTERS = {
 # what it changes in what the sweep runs.
 GRID_CALLS_AND_GROUPS = {
     "potts": {
-        "none": ((1854, 174), (1854, 174), (1869, 178)),
-        "after": ((1788, 174), (1788, 174), (1159, 151)),
-        "before-after": ((1310, 130), (1310, 130), (1159, 151)),
+        "none": ((1833, 174), (1833, 174), (1849, 178)),
+        "after": ((1767, 174), (1767, 174), (1145, 151)),
+        "before-after": ((1295, 130), (1295, 130), (1145, 151)),
     },
     "stereo": {
-        "none": ((448, 70), (448, 70), (453, 70)),
-        "after": ((448, 70), (363, 66), (369, 66)),
-        "before-after": ((413, 55), (353, 59), (358, 59)),
+        "none": ((410, 70), (410, 70), (415, 70)),
+        "after": ((410, 70), (338, 66), (344, 66)),
+        "before-after": ((387, 55), (333, 59), (338, 59)),
     },
 }
 
@@ -674,7 +674,8 @@ class TestPassBoundReadOff:
         assert scopes == [[(0, 1, 2), (1, 2, 3)], [(1, 2)]]
         assert validate_decomposition(d.model, d.jstructure, d).codes() == ["outer-cover"]
         st = chain_state_init(d)
-        assert compile_sweeps(d, reuse, st.message_stacks, st.separator_stacks).fallback == (1,)
+        program = compile_sweeps(d, reuse, st.message_stacks, st.separator_stacks)
+        assert {sweep.read_off.fallback for sweep in program.variants.values()} == {(1,)}
         assert_pass_bounds_match_dp(d, reuse)
 
     def test_diag_cells_count_end_tables_and_fallback_dp(self):
