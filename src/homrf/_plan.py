@@ -10,27 +10,27 @@ needs every outer factor in a chain: one in none has no window, so no
 message edges.
 
 Plan.  Each compile first derives what its program reads that the
-decomposition and the mode alone fix (`sweep_plan`): per edge its fresh
-update and the `after` and `before` updates it may take instead, what the
-bound after a sweep in each direction is read off (`PassBound`, with the
-chains it re-solves instead, see `homrf.trws`), and the table store: one
-read-only stack per table shape of the distinct tables (by identity) of
-the separators in `separator_order`, then of the message edges' sources.
+decomposition and the mode alone fix (`sweep_plan`): per edge its update in
+each variant of the program (below), what the bound after a sweep in each
+direction is read off (`PassBound`, with the chains it re-solves instead,
+see `homrf.trws`), and the table store: one read-only stack per table shape
+of the distinct tables (by identity) of the separators in `separator_order`,
+then of the message edges' sources.
 
-Program.  A reuse mode's sweeps compile from the plan onto one state's
-stacks (`compile_sweeps`): the walks pick and place each edge's update, and
-the emission binds their numpy calls.  Each message edge takes one update
-per sweep: it skips its trailing bound, consumes a preemptive refresh (a
-no-op), takes the `after` or the `before` nested reuse, or gets a fresh
-message.  Which one is fixed per mode and direction, up to one choice made
-per pass: a `lead` edge, whose window neighbour swept just before it is its
-trailing bound, may take `after` only once a sweep in the other direction
-has completed.  Sweeps alternate from a forward first pass (a state's
-direction is the parity of its pass count), so that is the case on every
-pass but the first, and the program holds three variants, compiled together:
-forward with lead edges not taking `after` (the first pass), forward with
-lead `after`, and backward with lead `after`.  Without a lead edge the first
-two are one variant.
+Program.  A program holds three variants of a sweep, compiled together:
+backward, forward on the first pass, and forward later.  Sweeps alternate
+from a forward first pass (a state's direction is the parity of its pass
+count).  The plan picks each message edge's update in each variant: none at
+its trailing bound, else the `after` nested reuse from the superset swept
+just before it, else the `before` nested reuse of the one swept just after,
+else a fresh message.  The one exception is a `lead` edge, whose window
+neighbour swept just before it is its trailing bound: it may take `after`
+only once a sweep in the other direction has completed, so not on the first
+pass.  The lead edges are thus where the two forward variants differ, and
+without one they are one variant.  A reuse mode's sweeps then compile from
+the plan onto one state's stacks (`compile_sweeps`): the walks place each
+update, a preemptive refresh consumed as a no-op, and the emission binds
+their numpy calls.
 
 Recipes.  Every update sums terms over a table and minimizes onto b
 (`_Emitter.reduce`): a fresh message over a's table, a read-off over the
@@ -88,7 +88,6 @@ from .errors import HomrfError, UnconsumedPreemptiveMessage
 from .model import _gc_paused
 
 FRESH, AFTER, BEFORE = "fresh", "after", "before"
-_FRESH_STEP = (None, None, False)  # the step of an edge without read-offs (see `sweep_plan`)
 
 
 class Layout(NamedTuple):
@@ -361,11 +360,11 @@ class _Emitter:
 def sweep_plan(decomp, reuse):
     """What a reuse mode's program reads that the decomposition fixes (see
     the module docstring): per separator b, per edge into b (sources in sigma
-    order) its fresh `_Update` and its step backward and forward, None where
-    b is the edge's trailing bound, else its `after` and `before` updates and
-    whether it is a lead edge; the store row of each separator's table; the
-    table store (table shape -> read-only stack); and the `PassBound` after a
-    sweep backward and forward."""
+    order) its fresh `_Update` and its `_Update` backward, forward on the
+    first pass and forward later, None where b is the edge's trailing bound;
+    the store row of each separator's table; the table store (table shape ->
+    read-only stack); and the `PassBound` after a sweep backward and
+    forward."""
     use_after, use_before = reuse in ("after", "before-after"), reuse == "before-after"
     d = decomp
     js = d.jstructure
@@ -463,20 +462,32 @@ def sweep_plan(decomp, reuse):
         key, op = (BEFORE, stack, sp, cls, rec.cls), (BEFORE, own.op, sup.op)
         return _Update(own.row, op, key, rec, None, (), *added, (*sup.reads, *reads, sup.op), sup)
 
-    def steps_of(fresh, k, near, trail, rows, coefs, ids):
-        # backward and forward, edge k's step: a backward sweep has lead
-        # edges current, and `before` is taken only without `after`
-        steps = []
+    def updates(fresh, k, near, trail, rows, coefs, ids):
+        # edge k's update backward, forward on the first pass and forward
+        # later: None where b is its trailing bound, else the `after` read-off
+        # from the superset swept just before, else the `before` refresh of
+        # the one swept just after, else fresh.  A lead edge takes no `after`
+        # on the first pass, which has not yet computed the trailing bound's
+        # message it reads; a backward sweep always follows a forward one.
+        # Each read-off is derived once per direction, so the two forward
+        # updates of an edge that is not a lead edge are one object.
+        own = fresh[k]
+        if near is None:  # no read-offs
+            ahead = None if k == trail[1] else own
+            return None if k == trail[0] else own, ahead, ahead
+        picked = []
         for forward, ((pred, succ), t) in enumerate(zip(near, trail)):
             if k == t:
-                steps.append(None)
+                picked.append((None, None))
                 continue
-            lead = pred is not None and pred[0] == t
-            after, before = pred and fold(fresh[k], pred, rows, coefs, ids), None
-            if use_before and succ is not None and (pred is None or lead and forward):
-                before = fold(fresh[k], succ, rows, coefs, ids, fresh[succ[0]])
-            steps.append((after, before, lead))
-        return tuple(steps)
+            lead = forward and pred is not None and pred[0] == t
+            after, before = pred and fold(own, pred, rows, coefs, ids), None
+            if use_before and succ is not None and (pred is None or lead):
+                before = fold(own, succ, rows, coefs, ids, fresh[succ[0]])
+            later = after or before or own
+            picked.append((before or own if lead else later, later))
+        (_, backward), (first, later) = picked
+        return backward, first, later
 
     structures = {}  # (table shape, places of the separator locals, window slots) -> `structure`
     for a in dict.fromkeys(source):
@@ -509,11 +520,8 @@ def sweep_plan(decomp, reuse):
         back = len(window) - 1 if window[-1] == d.sep_plus[a] else None
         front = 0 if window[0] == d.sep_minus[a] else None
         for k, c in enumerate(window):
-            if near[k] is None:  # fresh both ways
-                steps = (None if k == back else _FRESH_STEP, None if k == front else _FRESH_STEP)
-            else:
-                steps = steps_of(fresh, k, near[k], (back, front), rows, coefs, ids)
-            incoming.setdefault(c, []).append((fresh[k], steps))
+            picked = updates(fresh, k, near[k], (back, front), rows, coefs, ids)
+            incoming.setdefault(c, []).append((fresh[k], picked))
 
     # the `PassBound` after a sweep backward, then forward
     fallback = tuple(t for t, chain in enumerate(d.chains) if any(a not in js.outer for a in chain))
@@ -543,9 +551,9 @@ def sweep_plan(decomp, reuse):
 def compile_sweeps(decomp, reuse, M, T):
     """The `SweepProgram` of a reuse mode for a decomposition on a state's
     message and cache stacks M and T, from its `sweep_plan`; see the module
-    docstring.  Each variant is walked with one update rule per edge; the
-    forward variant with lead edges current is the first pass's own where
-    no edge is a lead edge."""
+    docstring.  The walks place each edge's update the plan picked for the
+    variant; the forward variant with lead edges current is the first pass's
+    own where no edge is a lead edge."""
     incoming, table_rows, store, bounds = sweep_plan(decomp, reuse)
     n, sep_row = len(decomp.message_edges), decomp._layout.sep_row
 
@@ -606,29 +614,24 @@ def compile_sweeps(decomp, reuse, M, T):
         calls = made_caches[bs] = em.group()
         return calls
 
-    def walk(forward, lead_current):
-        # the levels of one variant, each its message groups {key: `_Update`s
-        # placed} and its cache groups {key: separators}, and whether it met
-        # a lead edge
+    def walk(v):
+        # the levels of variant v (0 backward, 1 forward on the first pass,
+        # 2 forward later), each its message groups {key: `_Update`s placed}
+        # and its cache groups {key: separators}
         pending = set()  # edges refreshed preemptively
-        led = False
         last_write = [-1] * (n + len(decomp.jstructure.scopes))
         last_access = last_write[:]  # the last level that read or wrote it
         levels = []
-        for b in decomp.separator_order if forward else decomp.separator_order[::-1]:
+        for b in decomp.separator_order if v else decomp.separator_order[::-1]:
             ins = incoming.get(b, ())
             reads, writes, placed = [], [n + b], []
-            for own, steps in ins:
+            for own, updates in ins:
                 i = own.op
                 reads.append(i)  # the cache rebuild reads every message into b
-                step = steps[forward]
-                if step is None or i in pending:  # a trailing bound, or refreshed preemptively
+                update = updates[v]
+                if update is None or i in pending:  # a trailing bound, or refreshed preemptively
                     pending.discard(i)
                     continue
-                after, before, lead = step
-                if lead:  # its `after` reads the trailing bound's message
-                    led, after = True, after if lead_current else None
-                update = after or before or own
                 placed.append(update)
                 reads += update.reads
                 writes.append(i)
@@ -661,13 +664,12 @@ def compile_sweeps(decomp, reuse, M, T):
         if pending:
             unconsumed = sorted(decomp.message_edges[j] for j in pending)
             raise UnconsumedPreemptiveMessage(f"preemptive messages left unconsumed: {unconsumed}")
-        return levels, led
+        return levels
 
-    def variant(forward, lead_current):
-        # the compiled variant, and whether it met a lead edge
-        levels, led = walk(forward, lead_current)
+    def variant(v):
+        # variant v of `walk`, compiled
         phases, ops, cells = [], 0, 0
-        for messages, caches in levels:
+        for messages, caches in walk(v):
             if messages:
                 groups = []
                 for key, group in messages.items():
@@ -677,14 +679,12 @@ def compile_sweeps(decomp, reuse, M, T):
                     cells += len(group) * (head.rec.cells + (head.sup.rec.cells if head.sup else 0))
                 phases.append(tuple(groups))
             phases.append(tuple([cache_group(key, group) for key, group in caches.items()]))
-        return Variant(tuple(phases), ops, cells, bounds[forward]), led
+        return Variant(tuple(phases), ops, cells, bounds[v > 0])
 
-    first, led = variant(True, False)
-    variants = {
-        (True, False): first,
-        (True, True): variant(True, True)[0] if led else first,
-        (False, True): variant(False, True)[0],
-    }
+    # lead edges are those whose two forward updates differ
+    first = variant(1)
+    lead = any(picked[1] is not picked[2] for ins in incoming.values() for _, picked in ins)
+    variants = {(True, False): first, (True, True): variant(2) if lead else first, (False, True): variant(0)}
     return SweepProgram(decomp, (*M, *T), variants)
 
 

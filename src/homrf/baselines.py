@@ -257,7 +257,11 @@ def solve_subgradient(decomp, step_base=DEFAULT_STEP_BASE, passes=DEFAULT_PASSES
 
 
 def select_step_size(decomp, grid=(0.1, 1.0, 10.0), passes=DEFAULT_PASSES):
-    """Pick the step base from a grid by the best bound it reaches."""
+    """Pick the step base from a grid by the best bound it reaches.  Raises
+    `ValueError` for an empty grid, which has no step base to pick."""
+    grid = tuple(grid)
+    if not grid:
+        raise ValueError("the grid of step bases is empty")
     best_lam, best_val, best_state = None, -np.inf, None
     for lam in grid:
         _, state = solve_subgradient(decomp, lam, passes)

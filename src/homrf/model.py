@@ -268,7 +268,9 @@ def _close(scopes, edges, given):
 
 
 def message_edges(jstructure):
-    """All closed edges whose source is an outer factor."""
+    """Every closed edge out of an outer factor, unlike
+    `Decomposition.message_edges`, which holds only the edges into each
+    outer factor's window."""
     return frozenset(
         (a, b) for (a, b) in jstructure.closed_edges if a in jstructure.outer
     )

@@ -12,9 +12,10 @@ against live in `homrf.oracle`.
 Messages and separator caches are rows of stacked arrays, one stack per
 separator table shape.  Everything that reads a state reads the stacks it
 holds at that moment, through the decomposition's row layout: the read-only
-`messages` and `theta_sep` views, the per-factor tables behind the bound's
-fallback, the tree parameters and the primal rounding.  A state whose layout
-does not equal the decomposition's raises `StateNotInitialized`.
+`messages` and `theta_sep` views, and `chain_state_factor_tables`, the one
+reader of its per-factor tables, behind the tree parameters, the bound's
+fallback and the primal rounding.  A state whose layout does not equal the
+decomposition's raises `StateNotInitialized`.
 
 A pass runs the state's program of its reuse mode (`homrf._plan`): three
 sweep variants of batched numpy calls on fixed operands, byte-identical to a
@@ -38,8 +39,9 @@ cached table over that separator's appearance probability.  The bound is
 therefore, per chain, its probability times that minimum.  A chain of one
 singleton outer factor adds the constant minimum of its table.  A chain with a
 member that is not an outer factor falls back to the dynamic program on its
-current tables; `bound` and `_chain_dp` remain the reference.  The chain
-DP's stages are built on its first run and kept on the decomposition.
+tables in `chain_state_tree_params`; `bound` and `_chain_dp` remain the
+reference.  The chain DP's stages are built on its first run and kept on
+the decomposition.
 """
 
 import math
@@ -297,39 +299,34 @@ def _pass_bound(decomp, state, read_off):
     for s, rows, axes, coefs in read_off.ends:
         terms += map(mul, coefs, min_over(T[s][rows], axes).tolist())
     cells = read_off.cells
+    if read_off.fallback:
+        params = chain_state_tree_params(decomp, state)
     for t in read_off.fallback:
-        tables = {
-            c: _factor_table(decomp, state, c) / decomp.rho_factor[c]
-            for c in decomp.tree_factors[t]
-        }
-        v, _, c = _chain_dp(decomp, tables, t)
+        v, _, c = _chain_dp(decomp, params.tables[t], t)
         terms.append(decomp.rho[t] * v)
         cells += c
     return math.fsum(terms), cells
 
 
-def _factor_table(decomp, state, fid):
-    # a copy of factor fid's reparameterized table, read off the state's
-    # stacks: a separator's cache, or an outer factor's cost less the
-    # messages into its window
-    layout = state.layout
-    if fid not in decomp.jstructure.outer:
-        s, row = layout.sep_row[fid]
-        return state.separator_stacks[s][row].copy()
-    scopes = decomp.jstructure.scopes
-    out = decomp.model.table(fid).copy()
-    for c in decomp.local_separators[fid]:
-        s, row = layout.edge_row[(fid, c)]
-        out -= embed(state.message_stacks[s][row], scopes[c], scopes[fid])
-    return out
-
-
 def chain_state_factor_tables(decomp, state):
-    """Current reparameterized cost of every factor under the stored messages.
-    Raises `StateNotInitialized` for a state laid out for another
-    decomposition."""
+    """Current reparameterized cost of every factor under the stored messages,
+    read off the state's stacks: a separator's cache, or an outer factor's
+    cost less the messages into its window.  Raises `StateNotInitialized` for
+    a state laid out for another decomposition."""
     _check_state(decomp, state)
-    return [_factor_table(decomp, state, fid) for fid in range(len(decomp.model.factors))]
+    layout, scopes = state.layout, decomp.jstructure.scopes
+    out = []
+    for fid, f in enumerate(decomp.model.factors):
+        if fid not in decomp.jstructure.outer:
+            s, row = layout.sep_row[fid]
+            out.append(state.separator_stacks[s][row].copy())
+            continue
+        table = f.table.copy()
+        for c in decomp.local_separators[fid]:
+            s, row = layout.edge_row[(fid, c)]
+            table -= embed(state.message_stacks[s][row], scopes[c], scopes[fid])
+        out.append(table)
+    return out
 
 
 def chain_state_tree_params(decomp, state):

@@ -356,6 +356,12 @@ class TestSubgradient:
         assert lam in (0.1, 1.0)
         assert np.isfinite(state.best)
 
+    @pytest.mark.parametrize("grid", [(), []])
+    def test_step_size_selection_rejects_an_empty_grid(self, rng, grid):
+        d = random_decomposed(rng, n_nodes=4, n_extra=2)
+        with pytest.raises(ValueError, match="grid of step bases is empty"):
+            select_step_size(d, grid=grid, passes=30)
+
 
 class TestSolverAgreement:
     def test_all_three_bounds_close_on_submodular_grids(self, rng):

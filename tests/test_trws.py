@@ -19,7 +19,7 @@ from homrf.errors import (
 from homrf.decomposition import validate_decomposition
 from homrf._tables import drop_axes, embed_shape
 from homrf.generators import gen_potts_2x2, gen_stereo_second_order
-from homrf.model import build_model, close_j, energy
+from homrf.model import build_model, close_j, energy, reparameterized_costs
 from homrf.oracle import (
     average_factor,
     brute_force_map,
@@ -479,6 +479,19 @@ class TestChainPassMessageForm:
                 )
                 assert got == pytest.approx(want, abs=1e-9)
 
+    @pytest.mark.parametrize("reuse", ["none", "after", "before-after"])
+    def test_factor_tables_are_the_reparameterized_costs(self, reuse):
+        # the state's tables, read off its caches and window messages, and
+        # the model's costs under its messages must agree byte for byte
+        for make in schedule_instances():
+            d = make()
+            st = chain_state_init(d)
+            for _ in range(5):
+                trws_chain_pass(d, st, reuse=reuse)
+                want = reparameterized_costs(d.model, d.jstructure, st.messages)
+                got = chain_state_factor_tables(d, st)
+                assert [t.tobytes() for t in got] == [t.tobytes() for t in want]
+
     def test_separator_caches_match_messages(self, rng):
         d = random_decomposed(rng, nested=True)
         st = chain_state_init(d)
@@ -685,6 +698,23 @@ class TestPassBoundReadOff:
         # chain 0 reads its 3-label end table (node 3); chain 1 re-runs the DP
         # over its one member, the 3x2 table of (1, 2)
         assert st.diag_cells == 3 + 6
+
+
+def hand_built_cover():
+    """A cover the chain builder does not make: the chain ((0,1,2,4,5),
+    (0,1,3)) breaks the node order, and the window of (0,1,2,4,5) ends at
+    (0,1), so no message enters (2,), (4,) or (5,).  They are rows 1, 3 and 4
+    of the two-label singletons' stack, which only an index array names."""
+    rng = np.random.default_rng(7)
+    labels = [2, 3, 2, 2, 2, 2]
+    scopes = [(v,) for v in range(6)] + [(0, 1), (0, 1, 2, 4, 5), (0, 1, 3)]
+    model = build_model(
+        labels, [(s, rng.uniform(-2, 2, size=int(np.prod([labels[v] for v in s])))) for s in scopes]
+    )
+    a, b, ab = (model.factor_id(s) for s in ((0, 1, 2, 4, 5), (0, 1, 3), (0, 1)))
+    edges = {(model.factor_id(s), model.factor_id((v,))) for s in scopes if len(s) > 1 for v in s}
+    d = build_monotonic_chains(model, close_j(model.scopes, edges | {(a, ab), (b, ab)}))
+    return dataclasses.replace(d, chains=((a, b),), rho=(1.0,))
 
 
 def schedule_instances():
@@ -1000,6 +1030,24 @@ class TestLevelSchedule:
                     elif isinstance(x, np.ndarray) and any(x.base is s for s in stacks):
                         found.add("view")
         assert found == {"view", "index array", "reduce", "store view", "store take"}
+
+    def test_caches_no_message_enters_are_copied(self):
+        # the caches of (2,), (4,) and (5,) are their tables, copied as one
+        # staged group.  The forward sweeps also reach the write-after-read
+        # half of the walk's conflict rule: the update of (0,1,2,4,5) reads
+        # these caches at an earlier separator than their own steps.
+        d = hand_built_cover()
+        codes = validate_decomposition(d.model, d.jstructure, d).codes()
+        assert codes == ["monotonicity", "window-cover"]
+        idle = {d.model.factor_id((v,)) for v in (2, 4, 5)}
+        assert not idle & {b for _, b in d.message_edges}
+        for reuse in REUSE_MODES:
+            st = chain_state_init(d)
+            program = compile_sweeps(d, reuse, st.message_stacks, st.separator_stacks)
+            copies = [args[0] for f, args in compiled_calls(program) if f is np.copyto]
+            assert len(copies) == 1 and copies[0].shape[0] == len(idle)
+            assert not any(np.shares_memory(copies[0], stack) for stack in st.separator_stacks)
+            assert_sweeps_match_sequential(d, reuse)
 
     def test_table_store_holds_each_distinct_table_once(self):
         # per table shape, one read-only row per distinct table object of the
