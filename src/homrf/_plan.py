@@ -23,25 +23,28 @@ from a forward first pass (a state's direction is the parity of its pass
 count).  The plan picks each message edge's update in each variant: none at
 its trailing bound, else the `after` nested reuse from the superset swept
 just before it, else the `before` nested reuse of the one swept just after,
-else a fresh message.  The one exception is a `lead` edge, whose window
-neighbour swept just before it is its trailing bound: it may take `after`
-only once a sweep in the other direction has completed, so not on the first
-pass.  The lead edges are thus where the two forward variants differ, and
-without one they are one variant.  A reuse mode's sweeps then compile from
-the plan onto one state's stacks (`compile_sweeps`): the walks place each
-update, a preemptive refresh consumed as a no-op, and the emission binds
-their numpy calls.
+else a fresh message.  A `before` refreshes that superset's edge
+preemptively, whose pick is then none: a no-op, which refreshes nothing in
+turn.  The one exception is a `lead` edge, whose window neighbour swept just
+before it is its trailing bound: it may take `after` only once a sweep in
+the other direction has completed, so not on the first pass.  The lead edges
+are thus where the two forward variants differ, and without one they are one
+variant.  A reuse mode's sweeps then compile from the plan onto one state's
+stacks (`compile_sweeps`): the walks only place each update by its
+conflicts, and the emission binds their numpy calls.
 
 Recipes.  Every update sums terms over a table and minimizes onto b
 (`_Emitter.reduce`): a fresh message over a's table, a read-off over the
 table of the superset p next to b in a's window.  What it needs besides rows
 and coefficients follows from the structure of its source a: a's table
-shape, where the scopes of a's separator locals sit in a's scope, and which
-of them form a's window.  J is closed: it holds (B, C) wherever it holds
-(A, B) and (A, C) with scope(C) inside scope(B).  So p's locals are among
-a's, and a separator local c of a is a local of b exactly when c is b or
-c's axes in a are among b's.  Each distinct structure is derived once per
-plan into the fresh recipe (`_Recipe`) and read-offs of every window slot.
+shape, where the scopes of a's separator locals sit in a's scope, which of
+them form a's window, and which window slots are a's trailing bounds.  J is
+closed: it holds (B, C) wherever it holds (A, B) and (A, C) with scope(C)
+inside scope(B).  So p's locals are among a's, and a separator local c of a
+is a local of b exactly when c is b or c's axes in a are among b's.  Each
+distinct structure is derived once per plan into every window slot's pick
+in each variant, recipe (`_Recipe`) included and the consumed no-ops too,
+and one bind per source turns the picks into its `_Update`s.
 
 A separator step reads messages and separator caches and writes its
 messages (a preemptive `(a, p)` one included) and its cache.  Each step goes
@@ -78,7 +81,7 @@ chain DP's stages (`chain_stages`) are built on its first run.
 """
 
 import math
-from operator import is_
+from operator import is_, itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -360,11 +363,10 @@ class _Emitter:
 def sweep_plan(decomp, reuse):
     """What a reuse mode's program reads that the decomposition fixes (see
     the module docstring): per separator b, per edge into b (sources in sigma
-    order) its fresh `_Update` and its `_Update` backward, forward on the
-    first pass and forward later, None where b is the edge's trailing bound;
-    the store row of each separator's table; the table store (table shape ->
-    read-only stack); and the `PassBound` after a sweep backward and
-    forward."""
+    order) its number, its message row and its `_Update` backward, forward on
+    the first pass and forward later, None where it takes none; the store row
+    of each separator's table; the table store (table shape -> read-only
+    stack); and the `PassBound` after a sweep backward and forward."""
     use_after, use_before = reuse in ("after", "before-after"), reuse == "before-after"
     d = decomp
     js = d.jstructure
@@ -401,95 +403,76 @@ def sweep_plan(decomp, reuse):
         cls = classes.setdefault((shape, subtract, add, axes), len(classes))
         return _Recipe(cls, shape, subtract, add, axes, math.prod(shape))
 
-    def terms_at(shape, places):
-        # per place, (stack, shape in a `shape` table) of a separator over
-        # those axes of the table
-        terms = []
-        for place in places:
-            own = tuple([shape[x] for x in place])
-            embedded = tuple([c if x in place else 1 for x, c in enumerate(shape)])
-            terms.append((stack_of[own], embedded))
-        return tuple(terms)
+    def structure(shape, places, slots, trail):
+        # A source structure's picks, each (kind, slot k, superset slot w or
+        # None, `_Recipe`, separator locals added, group key), in the order a
+        # source binds them: the fresh ones by slot, then the read-offs a
+        # variant takes.  Per slot, an itemgetter of its picks backward, forward
+        # on the first pass and forward later, by their places in the bound
+        # list, where 0 is none and slot k's fresh pick is at 1 + k.  `trail`
+        # holds the slots of a's trailing bounds backward and forward, None
+        # outside the window.  A table's axes are its scope, so a separator
+        # local's scope is its places in a's table.
+        scope, sets = tuple(range(len(shape))), [set(place) for place in places]
+        # per separator local, (stack, shape in a's table)
+        own = [(stack_of[table_shape(q, shape)], embed_shape(q, scope, shape)) for q in places]
 
-    def outside(shape, place):
-        # the axes of a `shape` table not in `place`, behind the batch axis
-        return tuple([x + 1 for x in range(len(shape)) if x not in place])
+        def reduced(at, keep):
+            # the axes of a table over `at` not in `keep`, behind the batch axis
+            return tuple([x + 1 for x in drop_axes(at, keep)])
 
-    def structure(shape, places, slots):
-        # per window slot, with b there: the `_Recipe` of b's fresh update, the
-        # separator locals it adds (by their place in `places`) and its group
-        # key; and backward and forward, the read-off (slot, `_Recipe`, locals
-        # added) from the slot swept just before b, then from the one swept
-        # just after, None where b does not nest there or the mode takes none,
-        # or None for both where it has none.
-        terms = terms_at(shape, places)
-        sets = [set(place) for place in places]
-
-        def read_off(w, k):
-            # toward slot k from the superset p at slot w: p's locals outside b's
-            if not (use_after and 0 <= w < len(slots) and sets[slots[k]] < sets[slots[w]]):
-                return None
-            p, b = sets[slots[w]], sets[slots[k]]
-            at = {x: y for y, x in enumerate(places[slots[w]])}  # a's axes -> p's
-            p_shape = tuple([shape[x] for x in places[slots[w]]])
-            cs = tuple([x for x, c in enumerate(sets) if c <= p and not c <= b])
-            add = terms_at(p_shape, [[at[x] for x in places[c]] for c in cs])
-            place = [at[x] for x in places[slots[k]]]  # b's axes in p
-            return w, recipe(p_shape, (), add, outside(p_shape, place)), cs
-
-        entries, near = [], []
+        picks = [None]
         for k, y in enumerate(slots):
-            lack = tuple([x for x, c in enumerate(sets) if not c <= sets[y]])
-            subtract = tuple(map(terms.__getitem__, slots[:k] + slots[k + 1 :]))
-            add = tuple(map(terms.__getitem__, lack))
-            rec = recipe(shape, subtract, add, outside(shape, places[y]))
-            entries.append((rec, lack, (FRESH, terms[y][0], rec.cls)))
-            below, above = read_off(k - 1, k), read_off(k + 1, k)
-            near.append(((above, below), (below, above)) if below or above else None)
-        return entries, tuple(near)
+            lack = tuple([c for c, s in enumerate(sets) if not s <= sets[y]])
+            subtract = tuple(map(own.__getitem__, slots[:k] + slots[k + 1 :]))
+            add = tuple(map(own.__getitem__, lack))
+            rec = recipe(shape, subtract, add, reduced(scope, places[y]))
+            picks.append((FRESH, k, None, rec, lack, (FRESH, own[y][0], rec.cls)))
+        # slot k's update read off the superset p at slot w, adding p's
+        # locals outside b's
+        read_offs = {}  # (kind, k, w) -> its pick
+        for k, y in enumerate(slots):
+            for w in (k - 1, k + 1) if use_after else ():
+                if 0 <= w < len(slots) and sets[y] < sets[slots[w]]:
+                    p, ps = places[slots[w]], sets[slots[w]]
+                    cs = tuple([c for c, s in enumerate(sets) if s <= ps and not s <= sets[y]])
+                    add = tuple([(own[c][0], embed_shape(places[c], p, shape)) for c in cs])
+                    rec = recipe(table_shape(p, shape), (), add, reduced(p, places[y]))
+                    read_offs[AFTER, k, w] = (AFTER, k, w, rec, cs, (AFTER, own[y][0], rec.cls))
+                    if use_before:
+                        _, sp, cls = picks[1 + w][5]  # the group key of slot w's fresh pick
+                        key = (BEFORE, own[y][0], sp, cls, rec.cls)
+                        read_offs[BEFORE, k, w] = (BEFORE, k, w, rec, cs, key)
+        placed = {id(pick): i for i, pick in enumerate(picks)}  # id of a pick -> its place in picks
 
-    def fold(own, side, rows, coefs, ids, sup=None):
-        # the read-off update of `own`'s edge from `side`: `after`, or with
-        # `sup`, the fresh update of the superset's edge it refreshes, `before`
-        w, rec, cs = side
-        added = (tuple(map(rows.__getitem__, cs)), tuple(map(coefs.__getitem__, cs)))
-        reads = tuple(map(ids.__getitem__, cs))
-        _, stack, _ = own.key
-        if sup is None:
-            key, op = (AFTER, stack, rec.cls), (AFTER, own.op, w)
-            return _Update(own.row, op, key, rec, None, (), *added, reads)
-        _, sp, cls = sup.key
-        key, op = (BEFORE, stack, sp, cls, rec.cls), (BEFORE, own.op, sup.op)
-        return _Update(own.row, op, key, rec, None, (), *added, (*sup.reads, *reads, sup.op), sup)
+        def chosen(step, t, first):
+            # each slot's pick in a sweep of direction `step` with trailing
+            # bound t, by its place in picks; a read-off is placed when a
+            # variant first takes it
+            picked = []
+            for k in range(len(slots)):
+                after = not (first and k - step == t) and read_offs.get((AFTER, k, k - step))
+                before = read_offs.get((BEFORE, k, k + step))
+                pick = None if k == t else after or before or picks[1 + k]
+                if id(pick) not in placed:
+                    placed[id(pick)] = len(picks)
+                    picks.append(pick)
+                picked.append(placed[id(pick)])
+            # a `before` refreshes the slot swept just after it, whose own
+            # update is then a no-op that refreshes nothing
+            for k in range(len(slots))[::step] if use_before else ():
+                if picked[k] and picks[picked[k]][0] is BEFORE:
+                    picked[k + step] = 0
+            return picked
 
-    def updates(fresh, k, near, trail, rows, coefs, ids):
-        # edge k's update backward, forward on the first pass and forward
-        # later: None where b is its trailing bound, else the `after` read-off
-        # from the superset swept just before, else the `before` refresh of
-        # the one swept just after, else fresh.  A lead edge takes no `after`
-        # on the first pass, which has not yet computed the trailing bound's
-        # message it reads; a backward sweep always follows a forward one.
-        # Each read-off is derived once per direction, so the two forward
-        # updates of an edge that is not a lead edge are one object.
-        own = fresh[k]
-        if near is None:  # no read-offs
-            ahead = None if k == trail[1] else own
-            return None if k == trail[0] else own, ahead, ahead
-        picked = []
-        for forward, ((pred, succ), t) in enumerate(zip(near, trail)):
-            if k == t:
-                picked.append((None, None))
-                continue
-            lead = forward and pred is not None and pred[0] == t
-            after, before = pred and fold(own, pred, rows, coefs, ids), None
-            if use_before and succ is not None and (pred is None or lead):
-                before = fold(own, succ, rows, coefs, ids, fresh[succ[0]])
-            later = after or before or own
-            picked.append((before or own if lead else later, later))
-        (_, backward), (first, later) = picked
-        return backward, first, later
+        # the forward variants differ only where a lead slot, next after the
+        # trailing bound, takes `after` later but not on the first pass
+        lead = trail[1] is not None and (AFTER, trail[1] + 1, trail[1]) in read_offs
+        backward, later = chosen(-1, trail[0], False), chosen(1, trail[1], False)
+        variants = (backward, chosen(1, trail[1], True) if lead else later, later)
+        return picks[1:], tuple([itemgetter(*slot) for slot in zip(*variants)])
 
-    structures = {}  # (table shape, places of the separator locals, window slots) -> `structure`
+    structures = {}  # (table shape, separator locals' places, window slots, trail) -> `structure`
     for a in dict.fromkeys(source):
         t = tables[a]
         at = dict(zip(scopes[a], range(t.ndim)))
@@ -503,25 +486,34 @@ def sweep_plan(decomp, reuse):
                 ids.append(n + c)
                 coefs.append(ra / rho[c])
         window = d.local_separators[a]
-        key = (t.shape, tuple(places), tuple(map(slot.__getitem__, window)))
+        # the window holds a's trailing bounds, if at all, at its ends
+        back = len(window) - 1 if window[-1] == d.sep_plus[a] else None
+        trail = (back, 0 if window[0] == d.sep_minus[a] else None)
+        key = (t.shape, tuple(places), tuple(map(slot.__getitem__, window)), trail)
         made = structures.get(key)
         if made is None:
             made = structures[key] = structure(*key)
-        entries, near = made
+        picks, picked = made
         wids = tuple([eid[(a, c)] for c in window])
         wrows = tuple([edge_row[(a, c)][1] for c in window])
-        fresh, a_row = [], row_of[id(t)]
-        for k, (rec, lack, group) in enumerate(entries):
-            others = wrows[:k] + wrows[k + 1 :]
-            lacked = (tuple(map(rows.__getitem__, lack)), tuple(map(coefs.__getitem__, lack)))
-            reads = (*wids[:k], *wids[k + 1 :], *map(ids.__getitem__, lack))
-            fresh.append(_Update(wrows[k], wids[k], group, rec, a_row, others, *lacked, reads))
-        # the window holds a's bounds, if at all, at its ends
-        back = len(window) - 1 if window[-1] == d.sep_plus[a] else None
-        front = 0 if window[0] == d.sep_minus[a] else None
+        # bind: each pick as a's `_Update`, after none
+        bound, a_row = [None], row_of[id(t)]
+        for kind, k, w, rec, cs, group in picks:
+            added = (tuple(map(rows.__getitem__, cs)), tuple(map(coefs.__getitem__, cs)))
+            reads = tuple(map(ids.__getitem__, cs))
+            if kind is FRESH:
+                others = wrows[:k] + wrows[k + 1 :]
+                reads = (*wids[:k], *wids[k + 1 :], *reads)
+                update = _Update(wrows[k], wids[k], group, rec, a_row, others, *added, reads)
+            elif kind is AFTER:
+                update = _Update(wrows[k], (AFTER, wids[k], w), group, rec, None, (), *added, reads)
+            else:  # BEFORE, with the fresh update of the superset's edge it refreshes
+                sup = bound[1 + w]
+                op, reads = (BEFORE, wids[k], sup.op), (*sup.reads, *reads, sup.op)
+                update = _Update(wrows[k], op, group, rec, None, (), *added, reads, sup)
+            bound.append(update)
         for k, c in enumerate(window):
-            picked = updates(fresh, k, near[k], (back, front), rows, coefs, ids)
-            incoming.setdefault(c, []).append((fresh[k], picked))
+            incoming.setdefault(c, []).append((wids[k], wrows[k], picked[k](bound)))
 
     # the `PassBound` after a sweep backward, then forward
     fallback = tuple(t for t, chain in enumerate(d.chains) if any(a not in js.outer for a in chain))
@@ -552,10 +544,12 @@ def compile_sweeps(decomp, reuse, M, T):
     """The `SweepProgram` of a reuse mode for a decomposition on a state's
     message and cache stacks M and T, from its `sweep_plan`; see the module
     docstring.  The walks place each edge's update the plan picked for the
-    variant; the forward variant with lead edges current is the first pass's
-    own where no edge is a lead edge."""
+    variant, and raise `UnconsumedPreemptiveMessage` for a `before` refresh of
+    an edge into a separator the sweep order lacks; the forward variant with
+    lead edges current is the first pass's own where no edge is a lead edge."""
     incoming, table_rows, store, bounds = sweep_plan(decomp, reuse)
-    n, sep_row = len(decomp.message_edges), decomp._layout.sep_row
+    edges, sep_row = decomp.message_edges, decomp._layout.sep_row
+    n, swept = len(edges), set(decomp.separator_order)
 
     em = _Emitter(M, T, store)
     # a group's updates or separators -> its calls, for the variants and
@@ -608,7 +602,7 @@ def compile_sweeps(decomp, reuse, M, T):
         acc = em.read(store[shape[1:]], tuple([table_rows[b] for b in bs]), shape)
         if not indegree:
             em.emit(np.copyto, out, acc)
-        for rows in zip(*[[own.row for own, _ in incoming.get(b, ())] for b in bs]):
+        for rows in zip(*[[row for _, row, _ in incoming.get(b, ())] for b in bs]):
             em.emit(np.add, acc, em.read(M[s], rows, shape), out)
             acc = out
         calls = made_caches[bs] = em.group()
@@ -618,25 +612,23 @@ def compile_sweeps(decomp, reuse, M, T):
         # the levels of variant v (0 backward, 1 forward on the first pass,
         # 2 forward later), each its message groups {key: `_Update`s placed}
         # and its cache groups {key: separators}
-        pending = set()  # edges refreshed preemptively
+        refreshed = []  # edges refreshed preemptively
         last_write = [-1] * (n + len(decomp.jstructure.scopes))
         last_access = last_write[:]  # the last level that read or wrote it
         levels = []
         for b in decomp.separator_order if v else decomp.separator_order[::-1]:
             ins = incoming.get(b, ())
             reads, writes, placed = [], [n + b], []
-            for own, updates in ins:
-                i = own.op
+            for i, _, updates in ins:
                 reads.append(i)  # the cache rebuild reads every message into b
                 update = updates[v]
-                if update is None or i in pending:  # a trailing bound, or refreshed preemptively
-                    pending.discard(i)
+                if update is None:
                     continue
                 placed.append(update)
                 reads += update.reads
                 writes.append(i)
                 if update.sup is not None:  # `before` refreshes the superset's edge now
-                    pending.add(update.sup.op)
+                    refreshed.append(update.sup.op)
                     writes.append(update.sup.op)
 
             # the first level after every step this one conflicts with
@@ -661,8 +653,9 @@ def compile_sweeps(decomp, reuse, M, T):
             stack, row = sep_row[b]
             caches.setdefault((stack, len(ins)), []).append((row, b))
 
-        if pending:
-            unconsumed = sorted(decomp.message_edges[j] for j in pending)
+        # the no-op that consumes each refresh is the plan's: its edge must be swept
+        unconsumed = sorted(edges[j] for j in refreshed if edges[j][1] not in swept)
+        if unconsumed:
             raise UnconsumedPreemptiveMessage(f"preemptive messages left unconsumed: {unconsumed}")
         return levels
 
@@ -683,7 +676,7 @@ def compile_sweeps(decomp, reuse, M, T):
 
     # lead edges are those whose two forward updates differ
     first = variant(1)
-    lead = any(picked[1] is not picked[2] for ins in incoming.values() for _, picked in ins)
+    lead = any(picked[1] is not picked[2] for ins in incoming.values() for _, _, picked in ins)
     variants = {(True, False): first, (True, True): variant(2) if lead else first, (False, True): variant(0)}
     return SweepProgram(decomp, (*M, *T), variants)
 

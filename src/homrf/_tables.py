@@ -12,7 +12,7 @@ import numpy as np
 
 
 def table_shape(scope, label_counts):
-    return tuple(label_counts[v] for v in scope)
+    return tuple([label_counts[v] for v in scope])
 
 
 def embed_shape(scope, target_scope, label_counts):
@@ -34,7 +34,7 @@ def embed(table, scope, target_scope):
 
 def drop_axes(scope, keep_scope):
     """Axes of a `scope` table that are not in `keep_scope`."""
-    return tuple(i for i, v in enumerate(scope) if v not in keep_scope)
+    return tuple([i for i, v in enumerate(scope) if v not in keep_scope])
 
 
 def min_over(table, axes):

@@ -287,6 +287,23 @@ class TestBuildChains:
                     sum(d.rho[t] for t in ts), abs=1e-12
                 )
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="ROADMAP item 1: the builder chains (1,2), which becomes the joint separator "
+        "of ((0,1,2), (1,2,3)), so the cover fails outer-cover",
+    )
+    def test_a_later_joint_separator_is_not_chained(self):
+        # (1,2) is an outer factor when the chaining starts and the separator
+        # between (0,1,2) and (1,2,3) after it; the builder returns the chains
+        # ((0,1,2), (1,2,3)) and ((1,2),)
+        scopes = [(0,), (1,), (2,), (3,), (0, 1, 2), (1, 2, 3), (1, 2)]
+        model = build_model([2] * 4, [(s, np.zeros(2 ** len(s))) for s in scopes])
+        edges = {(model.factor_id(s), model.factor_id((v,))) for s in scopes if len(s) > 1 for v in s}
+        d = build_monotonic_chains(model, close_j(model.scopes, edges))
+        report = validate_decomposition(d.model, d.jstructure, d)
+        assert report.ok, report.codes()
+
 
 def _reference_cover(model, jstructure, node_order):
     """The builder's first-fit chain cover by definition: each outer factor

@@ -889,6 +889,29 @@ class TestLevelSchedule:
             for start in (0, 1):
                 assert_sweeps_match_sequential(d, reuse, start)
 
+    @pytest.mark.parametrize("seed", [262, 349])
+    def test_chained_preemptive_refreshes_match_a_sequential_sweep(self, seed):
+        # A `before` update refreshes the edge of the superset swept just
+        # after b, whose own update is then a no-op.  Here that edge's own
+        # pick is a `before` too: as a no-op it must refresh nothing, so the
+        # edge after it takes its own update.  These two seeds are the only
+        # ones in 0-399 whose nested models sweep such an edge; a sweep that
+        # still lets the no-op refresh diverges from `sequential_pass` on the
+        # first `before-after` pass.
+        d = build_monotonic_chains(*random_instance(np.random.default_rng(seed), nested=True))
+        scope = lambda b: set(d.model.scope(b))
+        windows = [d.local_separators[a] for a in dict.fromkeys(a for a, _ in d.message_edges)]
+        # three window slots nested in a row, in one sweep direction or the other
+        assert any(
+            scope(w[k]) < scope(w[k + 1]) < scope(w[k + 2])
+            or scope(w[k]) > scope(w[k + 1]) > scope(w[k + 2])
+            for w in windows
+            for k in range(len(w) - 2)
+        )
+        for reuse in REUSE_MODES:
+            for start in (0, 1):
+                assert_sweeps_match_sequential(d, reuse, start)
+
     @pytest.mark.parametrize("reuse", REUSE_MODES)
     def test_groups_of_a_level_run_in_any_order(self, reuse):
         multi = 0
