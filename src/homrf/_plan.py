@@ -43,8 +43,9 @@ closed: it holds (B, C) wherever it holds (A, B) and (A, C) with scope(C)
 inside scope(B).  So p's locals are among a's, and a separator local c of a
 is a local of b exactly when c is b or c's axes in a are among b's.  Each
 distinct structure is derived once per plan into every window slot's pick
-in each variant, recipe (`_Recipe`) included and the consumed no-ops too,
-and one bind per source turns the picks into its `_Update`s.
+in each variant, recipe (`_Recipe`) included and the consumed no-ops too.
+Each source binds as its `_Update`s only the picks a variant takes and the
+fresh ones a `before` refreshes; an update is named by the edge it writes.
 
 A separator step reads messages and separator caches and writes its
 messages (a preemptive `(a, p)` one included) and its cache.  Each step goes
@@ -81,7 +82,7 @@ chain DP's stages (`chain_stages`) are built on its first run.
 """
 
 import math
-from operator import is_, itemgetter
+from operator import is_
 from typing import NamedTuple
 
 import numpy as np
@@ -212,7 +213,7 @@ class _Update(NamedTuple):
     """A message update, as the walk places it and `_Emitter.reduce` sums it."""
 
     row: int  # of the message it writes
-    op: object  # a fresh update's edge number, else (kind, edge, the slot or edge it reads off)
+    op: int  # the number of the edge it writes
     key: tuple  # of its group: kind, message stack, then recipe classes
     rec: _Recipe
     table: object  # a's row in the table store, None for a read-off
@@ -404,15 +405,14 @@ def sweep_plan(decomp, reuse):
         return _Recipe(cls, shape, subtract, add, axes, math.prod(shape))
 
     def structure(shape, places, slots, trail):
-        # A source structure's picks, each (kind, slot k, superset slot w or
-        # None, `_Recipe`, separator locals added, group key), in the order a
-        # source binds them: the fresh ones by slot, then the read-offs a
-        # variant takes.  Per slot, an itemgetter of its picks backward, forward
-        # on the first pass and forward later, by their places in the bound
-        # list, where 0 is none and slot k's fresh pick is at 1 + k.  `trail`
-        # holds the slots of a's trailing bounds backward and forward, None
-        # outside the window.  A table's axes are its scope, so a separator
-        # local's scope is its places in a's table.
+        # A source structure's picks, each (kind, slot k, `_Recipe`, separator
+        # locals added, group key, the fresh pick a `before` refreshes or
+        # None): only those its variants take, each once by its id, a fresh
+        # pick ahead of the `before` that refreshes it.  Per slot, the ids of
+        # its picks backward, forward on the first pass and forward later,
+        # id(None) for none.  `trail` holds the slots of a's trailing bounds
+        # backward and forward, None outside the window.  A table's axes are
+        # its scope, so a separator local's scope is its places in a's table.
         scope, sets = tuple(range(len(shape))), [set(place) for place in places]
         # per separator local, (stack, shape in a's table)
         own = [(stack_of[table_shape(q, shape)], embed_shape(q, scope, shape)) for q in places]
@@ -421,13 +421,13 @@ def sweep_plan(decomp, reuse):
             # the axes of a table over `at` not in `keep`, behind the batch axis
             return tuple([x + 1 for x in drop_axes(at, keep)])
 
-        picks = [None]
+        fresh = []
         for k, y in enumerate(slots):
             lack = tuple([c for c, s in enumerate(sets) if not s <= sets[y]])
             subtract = tuple(map(own.__getitem__, slots[:k] + slots[k + 1 :]))
             add = tuple(map(own.__getitem__, lack))
             rec = recipe(shape, subtract, add, reduced(scope, places[y]))
-            picks.append((FRESH, k, None, rec, lack, (FRESH, own[y][0], rec.cls)))
+            fresh.append((FRESH, k, rec, lack, (FRESH, own[y][0], rec.cls), None))
         # slot k's update read off the superset p at slot w, adding p's
         # locals outside b's
         read_offs = {}  # (kind, k, w) -> its pick
@@ -438,31 +438,24 @@ def sweep_plan(decomp, reuse):
                     cs = tuple([c for c, s in enumerate(sets) if s <= ps and not s <= sets[y]])
                     add = tuple([(own[c][0], embed_shape(places[c], p, shape)) for c in cs])
                     rec = recipe(table_shape(p, shape), (), add, reduced(p, places[y]))
-                    read_offs[AFTER, k, w] = (AFTER, k, w, rec, cs, (AFTER, own[y][0], rec.cls))
+                    read_offs[AFTER, k, w] = (AFTER, k, rec, cs, (AFTER, own[y][0], rec.cls), None)
                     if use_before:
-                        _, sp, cls = picks[1 + w][5]  # the group key of slot w's fresh pick
+                        _, sp, cls = fresh[w][4]  # the group key of slot w's fresh pick
                         key = (BEFORE, own[y][0], sp, cls, rec.cls)
-                        read_offs[BEFORE, k, w] = (BEFORE, k, w, rec, cs, key)
-        placed = {id(pick): i for i, pick in enumerate(picks)}  # id of a pick -> its place in picks
+                        read_offs[BEFORE, k, w] = (BEFORE, k, rec, cs, key, fresh[w])
 
         def chosen(step, t, first):
-            # each slot's pick in a sweep of direction `step` with trailing
-            # bound t, by its place in picks; a read-off is placed when a
-            # variant first takes it
+            # each slot's pick in a sweep of direction `step` with trailing bound t
             picked = []
             for k in range(len(slots)):
                 after = not (first and k - step == t) and read_offs.get((AFTER, k, k - step))
                 before = read_offs.get((BEFORE, k, k + step))
-                pick = None if k == t else after or before or picks[1 + k]
-                if id(pick) not in placed:
-                    placed[id(pick)] = len(picks)
-                    picks.append(pick)
-                picked.append(placed[id(pick)])
+                picked.append(None if k == t else after or before or fresh[k])
             # a `before` refreshes the slot swept just after it, whose own
             # update is then a no-op that refreshes nothing
             for k in range(len(slots))[::step] if use_before else ():
-                if picked[k] and picks[picked[k]][0] is BEFORE:
-                    picked[k + step] = 0
+                if picked[k] is not None and picked[k][0] is BEFORE:
+                    picked[k + step] = None
             return picked
 
         # the forward variants differ only where a lead slot, next after the
@@ -470,7 +463,12 @@ def sweep_plan(decomp, reuse):
         lead = trail[1] is not None and (AFTER, trail[1] + 1, trail[1]) in read_offs
         backward, later = chosen(-1, trail[0], False), chosen(1, trail[1], False)
         variants = (backward, chosen(1, trail[1], True) if lead else later, later)
-        return picks[1:], tuple([itemgetter(*slot) for slot in zip(*variants)])
+        taken = {}  # id of a pick -> the pick
+        for pick in (pick for picked in variants for pick in picked if pick is not None):
+            if pick[5] is not None:
+                taken.setdefault(id(pick[5]), pick[5])
+            taken.setdefault(id(pick), pick)
+        return tuple(taken.items()), tuple(zip(*[list(map(id, picked)) for picked in variants]))
 
     structures = {}  # (table shape, separator locals' places, window slots, trail) -> `structure`
     for a in dict.fromkeys(source):
@@ -496,24 +494,23 @@ def sweep_plan(decomp, reuse):
         picks, picked = made
         wids = tuple([eid[(a, c)] for c in window])
         wrows = tuple([edge_row[(a, c)][1] for c in window])
-        # bind: each pick as a's `_Update`, after none
-        bound, a_row = [None], row_of[id(t)]
-        for kind, k, w, rec, cs, group in picks:
+        # bind: each pick as a's `_Update`, by the pick's id; id(None) binds none
+        bound, a_row = {id(None): None}, row_of[id(t)]
+        for i, (kind, k, rec, cs, group, sup) in picks:
             added = (tuple(map(rows.__getitem__, cs)), tuple(map(coefs.__getitem__, cs)))
             reads = tuple(map(ids.__getitem__, cs))
             if kind is FRESH:
-                others = wrows[:k] + wrows[k + 1 :]
-                reads = (*wids[:k], *wids[k + 1 :], *reads)
-                update = _Update(wrows[k], wids[k], group, rec, a_row, others, *added, reads)
-            elif kind is AFTER:
-                update = _Update(wrows[k], (AFTER, wids[k], w), group, rec, None, (), *added, reads)
-            else:  # BEFORE, with the fresh update of the superset's edge it refreshes
-                sup = bound[1 + w]
-                op, reads = (BEFORE, wids[k], sup.op), (*sup.reads, *reads, sup.op)
-                update = _Update(wrows[k], op, group, rec, None, (), *added, reads, sup)
-            bound.append(update)
+                others, reads = wrows[:k] + wrows[k + 1 :], (*wids[:k], *wids[k + 1 :], *reads)
+                bound[i] = _Update(wrows[k], wids[k], group, rec, a_row, others, *added, reads)
+                continue
+            sup = bound[id(sup)]  # of a `before`: the superset edge's fresh update it refreshes
+            if sup is not None:
+                reads = (*sup.reads, *reads, sup.op)
+            bound[i] = _Update(wrows[k], wids[k], group, rec, None, (), *added, reads, sup)
         for k, c in enumerate(window):
-            incoming.setdefault(c, []).append((wids[k], wrows[k], picked[k](bound)))
+            back, first, later = picked[k]
+            updates = (bound[back], bound[first], bound[later])
+            incoming.setdefault(c, []).append((wids[k], wrows[k], updates))
 
     # the `PassBound` after a sweep backward, then forward
     fallback = tuple(t for t, chain in enumerate(d.chains) if any(a not in js.outer for a in chain))
@@ -552,15 +549,15 @@ def compile_sweeps(decomp, reuse, M, T):
     n, swept = len(edges), set(decomp.separator_order)
 
     em = _Emitter(M, T, store)
-    # a group's updates or separators -> its calls, for the variants and
-    # directions that run the same group
+    # a group's updates (their ids) or separators -> its calls, for the
+    # variants and directions that run the same group
     made_messages, made_caches = {}, {}
 
     def message_group(key, placed):
         # the calls of the `_Update`s `placed` at one level under one key
         placed.sort()
-        ops = tuple([e.op for e in placed])
-        calls = made_messages.get(ops)
+        ids = tuple(map(id, placed))
+        calls = made_messages.get(ids)
         if calls is not None:
             return calls
         kind, s = key[0], key[1]
@@ -568,7 +565,7 @@ def compile_sweeps(decomp, reuse, M, T):
         if kind is FRESH:
             em.reduce(placed, None, em.write(M[s], rows, load=False))
         else:
-            batch = (len(ops),)
+            batch = (len(ids),)
             delta = em.scratch(batch + M[s].shape[1:])
             if kind is AFTER:
                 em.reduce(placed, None, delta)
@@ -585,7 +582,7 @@ def compile_sweeps(decomp, reuse, M, T):
                 em.emit(np.subtract, m_new, delta.reshape(b_in_p), old)
             out = em.write(M[s], rows, load=True)
             em.emit(np.add, out, delta, out)
-        calls = made_messages[ops] = em.group()
+        calls = made_messages[ids] = em.group()
         return calls
 
     def cache_group(key, rebuilt):

@@ -39,9 +39,9 @@ cached table over that separator's appearance probability.  The bound is
 therefore, per chain, its probability times that minimum.  A chain of one
 singleton outer factor adds the constant minimum of its table.  A chain with a
 member that is not an outer factor falls back to the dynamic program on its
-tables in `chain_state_tree_params`; `bound` and `_chain_dp` remain the
-reference.  The chain DP's stages are built on its first run and kept on
-the decomposition.
+own factors' tables, each over its appearance probability; `bound` and
+`_chain_dp` remain the reference.  The chain DP's stages are built on its
+first run and kept on the decomposition.
 """
 
 import math
@@ -293,16 +293,17 @@ def trws_chain_pass(decomp, state, reuse=DEFAULT_REUSE):
 
 def _pass_bound(decomp, state, read_off):
     # bound after a sweep and the table cells it reads: the end-table minima of
-    # `read_off`, plus the chain DP over its `fallback` chains
+    # `read_off`, plus the chain DP over its `fallback` chains, each on its own
+    # factors' tables over their appearance probabilities
     T = state.separator_stacks
     terms = [read_off.const]
     for s, rows, axes, coefs in read_off.ends:
         terms += map(mul, coefs, min_over(T[s][rows], axes).tolist())
     cells = read_off.cells
     if read_off.fallback:
-        params = chain_state_tree_params(decomp, state)
+        tables, rho = chain_state_factor_tables(decomp, state), decomp.rho_factor
     for t in read_off.fallback:
-        v, _, c = _chain_dp(decomp, params.tables[t], t)
+        v, _, c = _chain_dp(decomp, {f: tables[f] / rho[f] for f in decomp.tree_factors[t]}, t)
         terms.append(decomp.rho[t] * v)
         cells += c
     return math.fsum(terms), cells

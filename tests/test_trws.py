@@ -33,6 +33,7 @@ from homrf.oracle import (
     trws_explicit_pass,
     trws_general_pass,
 )
+from homrf import _plan
 from homrf._plan import compile_sweeps
 from homrf.trws import (
     ChainSolverState,
@@ -691,6 +692,18 @@ class TestPassBoundReadOff:
         assert {sweep.read_off.fallback for sweep in program.variants.values()} == {(1,)}
         assert_pass_bounds_match_dp(d, reuse)
 
+    def test_fallback_builds_no_tree_params(self, monkeypatch):
+        # a pass re-solves a fallback chain on that chain's own factors'
+        # tables: it splits no table of a chain it does not re-solve
+        def refuse(*args):
+            raise AssertionError("a pass built tree parameters")
+
+        monkeypatch.setattr("homrf.trws.chain_state_tree_params", refuse)
+        d = separator_chained_instance()
+        for reuse in REUSE_MODES:
+            # the reference bound calls this module's own chain_state_tree_params
+            assert_pass_bounds_match_dp(d, reuse)
+
     def test_diag_cells_count_end_tables_and_fallback_dp(self):
         d = separator_chained_instance()
         st = chain_state_init(d)
@@ -715,6 +728,22 @@ def hand_built_cover():
     edges = {(model.factor_id(s), model.factor_id((v,))) for s in scopes if len(s) > 1 for v in s}
     d = build_monotonic_chains(model, close_j(model.scopes, edges | {(a, ab), (b, ab)}))
     return dataclasses.replace(d, chains=((a, b),), rho=(1.0,))
+
+
+def write_after_read_cover(seed):
+    """A cover the chain builder does not make: chains ((0,2), (1,2,3)) and
+    ((0,1,2),), so the locals (1,) and (1,2) of (1,2,3) lie outside its
+    window ((2,), (3,)), in the other chain's.  Tables are drawn from `seed`."""
+    rng = np.random.default_rng(seed)
+    labels = [2, 3, 2, 3]
+    scopes = [(0,), (1,), (2,), (3,), (0, 2), (1, 2, 3), (0, 1, 2)]
+    model = build_model(
+        labels, [(s, rng.uniform(-2, 2, size=int(np.prod([labels[v] for v in s])))) for s in scopes]
+    )
+    edges = {(model.factor_id(s), model.factor_id((v,))) for s in scopes if len(s) > 1 for v in s}
+    d = build_monotonic_chains(model, close_j(model.scopes, edges))
+    f = model.factor_id
+    return dataclasses.replace(d, chains=((f((0, 2)), f((1, 2, 3))), (f((0, 1, 2)),)), rho=(0.5, 0.5))
 
 
 def schedule_instances():
@@ -1071,6 +1100,44 @@ class TestLevelSchedule:
             assert len(copies) == 1 and copies[0].shape[0] == len(idle)
             assert not any(np.shares_memory(copies[0], stack) for stack in st.separator_stacks)
             assert_sweeps_match_sequential(d, reuse)
+
+    def test_write_after_read_rule_orders_cache_rebuilds(self):
+        # Backward, the update of (1,2,3) into (2,) reads the caches of its
+        # locals (1,) and (1,2), whose own steps come later in the sweep: only
+        # the walk's write-after-read rule keeps those rebuilds at a later
+        # level.  No built decomposition needs the rule (a walk without it
+        # still matches `sequential_pass` on every built model tried), so it
+        # is checked on this hand-built cover, where such a walk diverges for
+        # every table seed below.
+        for seed in range(10):
+            d = write_after_read_cover(seed)
+            codes = validate_decomposition(d.model, d.jstructure, d).codes()
+            assert codes == ["monotonicity", "window-cover"]
+            for reuse in REUSE_MODES:
+                for start in (0, 1):
+                    assert_sweeps_match_sequential(d, reuse, start)
+
+    def test_plan_binds_only_updates_a_sweep_runs(self, monkeypatch):
+        # every `_Update` the plan binds is one a variant runs, or the fresh
+        # update of the superset edge a `before` refreshes
+        built = []
+
+        class Counted(_plan._Update):
+            __slots__ = ()
+
+            def __new__(cls, *args, **kwargs):
+                built.append(None)
+                return super().__new__(cls, *args, **kwargs)
+
+        monkeypatch.setattr(_plan, "_Update", Counted)
+        for make in schedule_instances():
+            d = make()
+            for reuse in REUSE_MODES:
+                built.clear()
+                incoming = _plan.sweep_plan(d, reuse)[0]
+                ran = [u for ins in incoming.values() for *_, updates in ins for u in updates if u]
+                reached = {id(u) for u in ran} | {id(u.sup) for u in ran if u.sup is not None}
+                assert len(built) == len(reached), reuse
 
     def test_table_store_holds_each_distinct_table_once(self):
         # per table shape, one read-only row per distinct table object of the
