@@ -88,7 +88,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._tables import drop_axes, embed_shape, table_shape
-from .errors import HomrfError, UnconsumedPreemptiveMessage
+from .errors import HomrfError
 from .model import _gc_paused
 
 FRESH, AFTER, BEFORE = "fresh", "after", "before"
@@ -541,12 +541,12 @@ def compile_sweeps(decomp, reuse, M, T):
     """The `SweepProgram` of a reuse mode for a decomposition on a state's
     message and cache stacks M and T, from its `sweep_plan`; see the module
     docstring.  The walks place each edge's update the plan picked for the
-    variant, and raise `UnconsumedPreemptiveMessage` for a `before` refresh of
-    an edge into a separator the sweep order lacks; the forward variant with
-    lead edges current is the first pass's own where no edge is a lead edge."""
+    variant.  Every edge a `before` refreshes is swept, and so consumed by its
+    no-op: a window holds only separators, and `separator_order` holds every
+    separator of the frozen decomposition.  The forward variant with lead
+    edges current is the first pass's own where no edge is a lead edge."""
     incoming, table_rows, store, bounds = sweep_plan(decomp, reuse)
-    edges, sep_row = decomp.message_edges, decomp._layout.sep_row
-    n, swept = len(edges), set(decomp.separator_order)
+    n, sep_row = len(decomp.message_edges), decomp._layout.sep_row
 
     em = _Emitter(M, T, store)
     # a group's updates (their ids) or separators -> its calls, for the
@@ -609,7 +609,6 @@ def compile_sweeps(decomp, reuse, M, T):
         # the levels of variant v (0 backward, 1 forward on the first pass,
         # 2 forward later), each its message groups {key: `_Update`s placed}
         # and its cache groups {key: separators}
-        refreshed = []  # edges refreshed preemptively
         last_write = [-1] * (n + len(decomp.jstructure.scopes))
         last_access = last_write[:]  # the last level that read or wrote it
         levels = []
@@ -625,7 +624,6 @@ def compile_sweeps(decomp, reuse, M, T):
                 reads += update.reads
                 writes.append(i)
                 if update.sup is not None:  # `before` refreshes the superset's edge now
-                    refreshed.append(update.sup.op)
                     writes.append(update.sup.op)
 
             # the first level after every step this one conflicts with
@@ -649,11 +647,6 @@ def compile_sweeps(decomp, reuse, M, T):
                 messages.setdefault(update.key, []).append(update)
             stack, row = sep_row[b]
             caches.setdefault((stack, len(ins)), []).append((row, b))
-
-        # the no-op that consumes each refresh is the plan's: its edge must be swept
-        unconsumed = sorted(edges[j] for j in refreshed if edges[j][1] not in swept)
-        if unconsumed:
-            raise UnconsumedPreemptiveMessage(f"preemptive messages left unconsumed: {unconsumed}")
         return levels
 
     def variant(v):

@@ -5,15 +5,18 @@ in a separator factor, with every node of the earlier factor's private part
 preceding the separator and the separator preceding the later factor's private
 part under a fixed total node order.  The node order is extended to a total
 order on separator factors; each outer factor then owns a contiguous window of
-separators that the solvers sweep.  Every entry point that takes a node order
-raises `ValueError` unless it is a permutation of the model's nodes, or, given
-a J structure alone, of the nodes its scopes hold.
+separators that the solvers sweep.  A one-node factor has no window bounds,
+so it can only be a chain of its own.  A `Decomposition` derives all of this
+once, when it is built, and is frozen, so no assignment leaves it stale.
+Every entry point that takes a node order raises `ValueError` unless it is a
+permutation of the model's nodes, or, given a J structure alone, of the
+nodes its scopes hold.
 """
 
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -136,20 +139,24 @@ def _eq15_holds(prev_scope, next_scope, pos):
     return left < lo and hi < right
 
 
-@dataclass
+@dataclass(frozen=True)
 class Decomposition:
     """A chain cover of the outer factors plus everything derived from it.
 
     The inputs are the model, its J structure, the node order, the chains,
     their probabilities `rho` and the augmented factors.  Every other field
-    follows from them and is derived in `__post_init__`: the node positions,
-    the separator order, each outer factor's window bounds `sep_minus` /
-    `sep_plus` and window, the per-factor probabilities, the subproblems and
-    the message edges.  `dataclasses.replace` therefore re-derives them all.
-    A node order that is not a permutation of the model's nodes raises
+    follows from them and is derived once, in `__post_init__`: the node
+    positions, the separator order, each outer factor's window bounds
+    `sep_minus` / `sep_plus` and window, the per-factor probabilities, the
+    subproblems and the message edges.  A decomposition is frozen: assigning
+    a field raises `FrozenInstanceError`, so none is left stale, and
+    `dataclasses.replace` builds a new decomposition that derives them all
+    anew.  A node order that is not a permutation of the model's nodes raises
     `ValueError`, a window bound that is not a separator factor of the J
     structure `MissingSeparatorFactor`, and a `rho` without one finite
-    positive entry per chain `HomrfError`.  `rho` is kept as Python floats.
+    positive entry per chain `HomrfError`.  So does a one-node member of a
+    chain of several: it has no window bounds, so no window that meets its
+    neighbours'.  `rho` is kept as Python floats.
     """
 
     model: Model
@@ -172,44 +179,49 @@ class Decomposition:
     message_edges: tuple = field(init=False)
 
     def __post_init__(self):
+        fix = partial(object.__setattr__, self)  # the one place fields are set
         if len(self.rho) != len(self.chains):
             raise HomrfError(f"{len(self.rho)} chain probabilities for {len(self.chains)} chains")
-        self.rho = tuple(map(float, self.rho))
+        fix("rho", tuple(map(float, self.rho)))
         for t, r in enumerate(self.rho):
             if not (math.isfinite(r) and r > 0):
                 raise HomrfError(f"chain {t} has probability {r}, not a finite positive number")
-        js = self.jstructure
-        pos = self.node_pos = _node_pos(self.node_order, range(self.model.node_count))
-        self.separator_order = tuple(sigma_sorted(js.scopes, pos, js.separators))
-        self.sep_rank = {b: i for i, b in enumerate(self.separator_order)}
+        js, chains = self.jstructure, self.chains
+        pos = _node_pos(self.node_order, range(self.model.node_count))
+        order = tuple(sigma_sorted(js.scopes, pos, js.separators))
+        fix("node_pos", pos)
+        fix("separator_order", order)
+        fix("sep_rank", {b: i for i, b in enumerate(order)})
+        fix("sep_minus", {})
+        fix("sep_plus", {})
         index = _scope_index(js)
-        self.sep_minus, self.sep_plus = {}, {}
-        for chain in self.chains:
+        for t, chain in enumerate(chains):
             for i, a in enumerate(chain):
+                if len(chain) > 1 and len(js.scope(a)) == 1:
+                    raise HomrfError(f"chain {t}: one-node member {a} has no window bounds")
                 self.sep_minus[a], self.sep_plus[a] = _sep_bounds(js, pos, index, chain, i)
-        self.local_separators = {
-            a: local_separator_window(self, a) for chain in self.chains for a in chain
-        }
-        self.tree_factors = tuple(
-            frozenset().union(*(js.locals[a] for a in chain)) for chain in self.chains
-        )
+        fix("local_separators", {
+            a: local_separator_window(self, a) for chain in chains for a in chain
+        })
+        fix("tree_factors", tuple(
+            frozenset().union(*(js.locals[a] for a in chain)) for chain in chains
+        ))
         trees_of = {}
         rho_factor = {}
         for t, fs in enumerate(self.tree_factors):
             for c in fs:
                 trees_of.setdefault(c, []).append(t)
                 rho_factor[c] = rho_factor.get(c, 0.0) + self.rho[t]
-        self.trees_of = {c: tuple(ts) for c, ts in trees_of.items()}
-        self.rho_factor = rho_factor
-        self.tree_nodes = tuple(
-            tuple(sorted({v for a in chain for v in js.scope(a)}))
-            for chain in self.chains
-        )
-        self.message_edges = tuple(
+        fix("trees_of", {c: tuple(ts) for c, ts in trees_of.items()})
+        fix("rho_factor", rho_factor)
+        fix("tree_nodes", tuple(
+            tuple(sorted({v for a in chain for v in js.scope(a)})) for chain in chains
+        ))
+        fix("message_edges", tuple(
             (a, b)
             for a in sigma_sorted(js.scopes, pos, js.outer)
             for b in self.local_separators.get(a, ())
-        )
+        ))
 
     @cached_property
     def _stages(self):

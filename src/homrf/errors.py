@@ -53,14 +53,6 @@ class StateNotInitialized(HomrfError):
     """Solver state was not created through the proper initializer."""
 
 
-class UnconsumedPreemptiveMessage(HomrfError):
-    """A sweep ended with a preemptively refreshed message it never reached."""
-
-
-class ExcessMessageOps(HomrfError):
-    """A sweep ran more message operations than there are message edges."""
-
-
 class InvalidStepSize(HomrfError):
     """Subgradient step-size base must be finite and positive."""
 

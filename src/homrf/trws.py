@@ -12,10 +12,11 @@ against live in `homrf.oracle`.
 Messages and separator caches are rows of stacked arrays, one stack per
 separator table shape.  Everything that reads a state reads the stacks it
 holds at that moment, through the decomposition's row layout: the read-only
-`messages` and `theta_sep` views, and `chain_state_factor_tables`, the one
-reader of its per-factor tables, behind the tree parameters, the bound's
-fallback and the primal rounding.  A state whose layout does not equal the
-decomposition's raises `StateNotInitialized`.
+`messages` and `theta_sep` views, and one reader of a factor's table, which
+`chain_state_factor_tables` runs for every factor (behind the tree
+parameters and the primal rounding) and the bound's fallback for its chains'
+factors alone.  A state whose layout does not equal the decomposition's
+raises `StateNotInitialized`.
 
 A pass runs the state's program of its reuse mode (`homrf._plan`): three
 sweep variants of batched numpy calls on fixed operands, byte-identical to a
@@ -25,7 +26,8 @@ sweep's direction is the parity of that count: forward after an even number
 of passes.  The program is kept out of the state's repr, and states compare
 by identity.  A copy of the state starts without a program, and a pass
 compiles again once the decomposition or the state's stacks are no longer
-those the program was compiled for.
+those the program was compiled for.  A decomposition is frozen, so the
+fields a program was compiled from cannot change under it.
 
 The message-form sweep reads its bound off the sweep, as TRW-S does, instead
 of re-solving every chain.  Messages are stored rather than accumulated, so
@@ -39,9 +41,9 @@ cached table over that separator's appearance probability.  The bound is
 therefore, per chain, its probability times that minimum.  A chain of one
 singleton outer factor adds the constant minimum of its table.  A chain with a
 member that is not an outer factor falls back to the dynamic program on its
-own factors' tables, each over its appearance probability; `bound` and
-`_chain_dp` remain the reference.  The chain DP's stages are built on its
-first run and kept on the decomposition.
+own factors' tables, read for those factors alone, each over its appearance
+probability; `bound` and `_chain_dp` remain the reference.  The chain DP's
+stages are built on its first run and kept on the decomposition.
 """
 
 import math
@@ -54,7 +56,7 @@ import numpy as np
 
 from ._plan import Bindings, Layout, compile_sweeps, same_objects
 from ._tables import embed, min_over
-from .errors import ExcessMessageOps, StateNotInitialized
+from .errors import StateNotInitialized
 from .model import _as_int
 
 REUSE_MODES = ("none", "after", "before-after")
@@ -274,10 +276,6 @@ def trws_chain_pass(decomp, state, reuse=DEFAULT_REUSE):
     # a lead edge's `after` reads the trailing bound's message, which this
     # sweep skips: it is current once a sweep has run the other way
     sweep = program.variants[state.passes % 2 == 0, state.passes > 0]
-    if sweep.ops > len(decomp.message_edges):
-        raise ExcessMessageOps(
-            f"{sweep.ops} message operations for {len(decomp.message_edges)} edges in one pass"
-        )
     for phase in sweep.phases:
         for group in phase:
             for f, args in group:
@@ -300,13 +298,27 @@ def _pass_bound(decomp, state, read_off):
     for s, rows, axes, coefs in read_off.ends:
         terms += map(mul, coefs, min_over(T[s][rows], axes).tolist())
     cells = read_off.cells
-    if read_off.fallback:
-        tables, rho = chain_state_factor_tables(decomp, state), decomp.rho_factor
+    rho = decomp.rho_factor
     for t in read_off.fallback:
-        v, _, c = _chain_dp(decomp, {f: tables[f] / rho[f] for f in decomp.tree_factors[t]}, t)
+        tables = {f: _factor_table(decomp, state, f) / rho[f] for f in decomp.tree_factors[t]}
+        v, _, c = _chain_dp(decomp, tables, t)
         terms.append(decomp.rho[t] * v)
         cells += c
     return math.fsum(terms), cells
+
+
+def _factor_table(decomp, state, fid):
+    # factor fid's current reparameterized cost, read off the state's stacks
+    layout = state.layout
+    if fid not in decomp.jstructure.outer:
+        s, row = layout.sep_row[fid]
+        return state.separator_stacks[s][row].copy()
+    scopes = decomp.jstructure.scopes
+    table = decomp.model.table(fid).copy()
+    for c in decomp.local_separators[fid]:
+        s, row = layout.edge_row[(fid, c)]
+        table -= embed(state.message_stacks[s][row], scopes[c], scopes[fid])
+    return table
 
 
 def chain_state_factor_tables(decomp, state):
@@ -315,19 +327,7 @@ def chain_state_factor_tables(decomp, state):
     cost less the messages into its window.  Raises `StateNotInitialized` for
     a state laid out for another decomposition."""
     _check_state(decomp, state)
-    layout, scopes = state.layout, decomp.jstructure.scopes
-    out = []
-    for fid, f in enumerate(decomp.model.factors):
-        if fid not in decomp.jstructure.outer:
-            s, row = layout.sep_row[fid]
-            out.append(state.separator_stacks[s][row].copy())
-            continue
-        table = f.table.copy()
-        for c in decomp.local_separators[fid]:
-            s, row = layout.edge_row[(fid, c)]
-            table -= embed(state.message_stacks[s][row], scopes[c], scopes[fid])
-        out.append(table)
-    return out
+    return [_factor_table(decomp, state, fid) for fid in range(len(decomp.model.factors))]
 
 
 def chain_state_tree_params(decomp, state):

@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -18,7 +20,8 @@ from homrf.decomposition import (
 from homrf.errors import HomrfError, MissingSeparatorFactor
 from homrf.generators import gen_potts_2x2, gen_stereo_second_order
 from homrf.model import build_model, close_j, energy
-from homrf.trws import chain_state_init, trws_chain_pass
+from homrf.oracle import brute_force_map
+from homrf.trws import bound, chain_state_init, init_tree_params, solve_trws, trws_chain_pass
 
 from conftest import (
     figure_chain_instance,
@@ -496,6 +499,38 @@ class TestValidate:
         dropped = dataclasses.replace(d, chains=d.chains[:1], rho=(1.0,))
         assert set(dropped.local_separators) == set(d.chains[0]) != set(d.local_separators)
         assert set(dropped.rho_factor) == set(d.tree_factors[0])
+
+    def test_assigning_a_field_is_refused(self):
+        # Assigning `rho` would leave every field derived from it on the old
+        # value: on this model the 50-pass bound then read -6.534, above the
+        # optimum -11.846.  A frozen decomposition refuses the assignment, and
+        # `replace` (or a copy or pickle of its result) derives them anew.
+        d = build_monotonic_chains(*random_instance(np.random.default_rng(7), nested=True))
+        assert len(d.chains) == 3
+        rho = tuple(np.array([1.0, 4.0, 9.0]) / 14)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            d.rho = rho
+        assert d.rho == (1 / 3,) * 3
+        e = dataclasses.replace(d, rho=rho)
+        _, optimum = brute_force_map(d.model)
+        phi = solve_trws(e, passes=50).bound
+        assert phi <= optimum + 1e-9
+        want = bound(e, init_tree_params(e))  # builds and caches the chain DP's stages
+        for twin in (copy.deepcopy(e), pickle.loads(pickle.dumps(e))):
+            assert twin.rho_factor == e.rho_factor
+            assert bound(twin, init_tree_params(twin)) == want
+            assert solve_trws(twin, passes=50).bound == phi
+
+    @pytest.mark.parametrize("chain", [(2, 0), (0, 2)])
+    def test_one_node_member_of_a_longer_chain_is_refused(self, rng, chain):
+        # (0,) has no window bounds, so no window that meets (0,1)'s.  Built
+        # anyway, ((2, 0),) made `validate_decomposition` raise `KeyError`,
+        # and ((0, 2),) made `solve_trws` and `bound` raise `TypeError`.
+        model, js = _pairwise_model(2, [(0, 1)], rng)
+        d = build_monotonic_chains(model, js)
+        assert d.model.scopes == ((0,), (1,), (0, 1)) and d.chains == ((2,),)
+        with pytest.raises(HomrfError, match="^chain 0: one-node member 0 has no window bounds$"):
+            dataclasses.replace(d, chains=(chain,))
 
     def test_missing_singleton_edge_is_flagged(self, rng):
         model, js = _pairwise_model(2, [(0, 1)], rng)
