@@ -527,16 +527,37 @@ class TestChainPassMessageForm:
                 )
                 assert got == pytest.approx(energy(d.model, lab), abs=1e-9)
 
-    def test_decomposition_fields_cannot_be_reassigned(self):
+    def test_separator_order_cannot_be_reassigned(self):
+        # the walk compiled for a pass relies on the sweep order holding every
+        # separator, so dropping one from a built decomposition is refused and
+        # leaves the order, and the state's passes, as they were
+        d = build_monotonic_chains(*figure_chain_instance(np.random.default_rng(3)))
+        st = chain_state_init(d)
+        trws_chain_pass(d, st, reuse="before-after")
+        order = d.separator_order
+        before = state_signature(st)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            d.separator_order = order[1:]
+        assert d.separator_order == order
+        assert set(order) == set(d.jstructure.separators)
+        assert state_signature(st) == before
+        trws_chain_pass(d, st, reuse="before-after")
+        assert st.msg_ops_last_pass <= len(d.message_edges)
+
+    def test_no_field_can_be_reassigned(self):
         # the program a pass runs is compiled from the decomposition's fields,
         # so none of them may change under a state: a frozen decomposition
         # refuses every assignment, and its passes sweep each edge at most once
         d = build_monotonic_chains(*gen_stereo_second_order(4, 4, labels=2, seed=1))
         st = chain_state_init(d)
         trws_chain_pass(d, st)
+        before = state_signature(st)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            d.message_edges = d.message_edges[:1]
         for f in dataclasses.fields(d):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(d, f.name, getattr(d, f.name))
+        assert state_signature(st) == before
         trws_chain_pass(d, st)
         assert st.msg_ops_last_pass <= len(d.message_edges) == 48
 
