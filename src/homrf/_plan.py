@@ -1,5 +1,5 @@
 """Sweep plans and programs: everything a message-form pass runs and reads,
-and the chain dynamic program's stages.
+and the compiled chain dynamic program.
 
 Storage.  A message-form state keeps its messages and separator caches as
 rows of stacked arrays, one stack per separator table shape (`Layout`).  A
@@ -77,11 +77,17 @@ message groups and then its cache groups, and the groups of one phase
 commute.  A group that two variants or both directions run is compiled once.
 
 Programs are compiled per state, on its first pass in a reuse mode, and
-kept in its `Bindings`; the plan is freed once the program is built.  The
-chain DP's stages (`chain_stages`) are built on its first run.
+kept in its `Bindings`; the plan is freed once the program is built.
+
+Chain DP.  Every exact chain solve runs a `ChainProgram`: the dynamic
+program of the chains it solves, over one flat buffer of their tables,
+compiled from each chain's `Stage`s (`chain_stages`) on first use and kept
+on the decomposition by the chains it solves (`chain_program`).  The chain
+DP one stage at a time it is checked against lives in the tests.
 """
 
 import math
+import threading
 from operator import is_
 from typing import NamedTuple
 
@@ -92,6 +98,7 @@ from .errors import HomrfError
 from .model import _gc_paused
 
 FRESH, AFTER, BEFORE = "fresh", "after", "before"
+_ALL = slice(None)
 
 
 class Layout(NamedTuple):
@@ -671,44 +678,228 @@ def compile_sweeps(decomp, reuse, M, T):
     return SweepProgram(decomp, (*M, *T), variants)
 
 
-@_gc_paused
-def chain_stages(decomp):
-    """Per chain, the `Stage`s of its dynamic program."""
+def chain_stages(decomp, t):
+    """The `Stage`s of chain t's dynamic program."""
     d = decomp
     js = d.jstructure
     counts = d.model.label_counts
     scopes = js.scopes
-    stages = []
-    for chain in d.chains:
-        labelled = [set()]  # per member, from the last: nodes later members hold
-        for a in reversed(chain[1:]):
-            labelled.append(labelled[-1] | set(scopes[a]))
-        labelled.reverse()
-        attributed = set()
-        members = []
-        for i, a in enumerate(chain):
-            terms = []
-            for c in sorted(js.locals[a]):
-                if c not in attributed:
-                    attributed.add(c)
-                    terms.append((c, embed_shape(scopes[c], scopes[a], counts)))
-            carry_axes = carry_shape = None
-            if i + 1 < len(chain):
-                s = d.sep_plus[a]
-                carry_axes = drop_axes(scopes[a], scopes[s])
-                carry_shape = embed_shape(scopes[s], scopes[chain[i + 1]], counts)
-            later = labelled[i]
-            members.append(
-                Stage(
-                    table_shape(scopes[a], counts),
-                    tuple(terms),
-                    carry_axes,
-                    carry_shape,
-                    tuple(v if v in later else None for v in scopes[a]),
-                    tuple((v, counts[v]) for v in scopes[a] if v not in later),
-                )
+    chain = d.chains[t]
+    labelled = [set()]  # per member, from the last: nodes later members hold
+    for a in reversed(chain[1:]):
+        labelled.append(labelled[-1] | set(scopes[a]))
+    labelled.reverse()
+    attributed = set()
+    members = []
+    for i, a in enumerate(chain):
+        terms = []
+        for c in sorted(js.locals[a]):
+            if c not in attributed:
+                attributed.add(c)
+                terms.append((c, embed_shape(scopes[c], scopes[a], counts)))
+        carry_axes = carry_shape = None
+        if i + 1 < len(chain):
+            s = d.sep_plus[a]
+            carry_axes = drop_axes(scopes[a], scopes[s])
+            carry_shape = embed_shape(scopes[s], scopes[chain[i + 1]], counts)
+        later = labelled[i]
+        members.append(
+            Stage(
+                table_shape(scopes[a], counts),
+                tuple(terms),
+                carry_axes,
+                carry_shape,
+                tuple(v if v in later else None for v in scopes[a]),
+                tuple((v, counts[v]) for v in scopes[a] if v not in later),
             )
-        stages.append(tuple(members))
-    return tuple(stages)
+        )
+    return tuple(members)
 
 
+def chain_program(decomp, chains=None):
+    """The decomposition's `ChainProgram` of `chains` (a tuple of chain
+    indices; all chains when None), compiled on first use."""
+    programs = decomp._chain_programs
+    program = programs.get(chains)
+    if program is None:
+        every = range(len(decomp.chains)) if chains is None else chains
+        program = programs[chains] = ChainProgram(decomp, tuple(every))
+    return program
+
+
+_PAD = np.zeros(1)
+_PAD.flags.writeable = False
+
+
+class _Space(NamedTuple):
+    """One thread's stage buffer of a `ChainProgram`, with its views."""
+
+    h: np.ndarray  # the stage buffer, then one +inf cell: the argmin matrix's pad
+    rounds: tuple  # per term rank, up to its reach: (its reads, scratch, what it adds to, stage buffer)
+    views: tuple  # per chain, its stage tables
+    links: tuple  # per carry: (stage, axes minimized out, carry, carry in the next stage, next stage)
+    last: np.ndarray  # every chain's last stage
+    single: np.ndarray  # the argmin matrix of the chains of one member
+
+
+class ChainProgram:
+    """The dynamic program of some of a decomposition's chains, compiled
+    onto one flat table buffer.
+
+    The table buffer holds each chain's factor tables, per chain in `chains`
+    and then in factor order (`layout`), and one +0.0 cell last.  `run`
+    fills one flat stage buffer: every stage's terms as one gather-add per
+    term rank, which runs up to the last stage with that many terms (a stage
+    before it with fewer terms reads the +0.0 cell), then the carries of the
+    chains of several members in stage order.  Every chain's
+    last stage sits at the end of the stage buffer, in chain order, so one
+    `np.minimum.reduceat` gives every chain's minimum.  Each cell's sum
+    starts from +0.0 and adds its terms and then its carry in the order a
+    chain at a time adds them, so the stage tables, minima and argmins are
+    byte-identical to one stage at a time; a sum from +0.0 is never -0.0, so
+    adding the +0.0 cell changes nothing.
+
+    After a run, the stage tables stay in place for `single_argmins` (the
+    first argmin of every chain of one member, from one `argmin` over a
+    +inf-padded matrix) and `labeling` (any chain's minimizing labeling, by
+    backtracking its stages).  Each thread runs on a stage buffer of its
+    own, so a program, like its decomposition, is safe to share.
+    """
+
+    @_gc_paused
+    def __init__(self, decomp, chains):
+        scopes, counts = decomp.jstructure.scopes, decomp.model.label_counts
+        at, layout, size = {}, [], 0
+        for t in chains:
+            row = []
+            for f in sorted(decomp.tree_factors[t]):
+                shape = table_shape(scopes[f], counts)
+                n = math.prod(shape)
+                row.append((f, size, n, shape))
+                at[t, f] = size
+                size += n
+            layout.append(tuple(row))
+        self.chains = chains
+        # per chain: (factor, buffer offset, cells, table shape) per factor
+        self.layout = tuple(layout)
+        self.size = size + 1
+        self.stages = stages = tuple([chain_stages(decomp, t) for t in chains])
+        self.cells = sum([math.prod(s.shape) for st in stages for s in st])
+
+        # stage buffer: every stage but each chain's last, those with more
+        # terms first, then the last ones in chain order; a term rank's
+        # gather-add runs up to the last stage that has that many terms
+        inner = [(i, k) for i, st in enumerate(stages) for k in range(len(st) - 1)]
+        inner.sort(key=lambda ik: -len(stages[ik[0]][ik[1]].terms))
+        start, reach, n_h = {}, [], 0
+        for i, k in inner + [(i, len(st) - 1) for i, st in enumerate(stages)]:
+            start[i, k] = n_h
+            n_h += math.prod(stages[i][k].shape)
+            m = len(stages[i][k].terms)
+            reach[:m] = [n_h] * m
+        reads = [np.full(n, size, dtype=np.intp) for n in reach]
+        for (i, k), p in start.items():
+            stage = stages[i][k]
+            q = p + math.prod(stage.shape)
+            for r, (c, shape) in enumerate(stage.terms):
+                o = at[chains[i], c]
+                cell = np.arange(o, o + math.prod(shape)).reshape(shape)
+                reads[r][p:q].reshape(stage.shape)[...] = cell
+        # per term rank, the table buffer cell each stage cell up to its end
+        # reads, and where that rank's reads begin in `reads`, flat
+        self._reads = tuple(reads)
+        self.reads = np.concatenate(reads) if reads else np.zeros(0, dtype=np.intp)
+        self.read_at = tuple(np.cumsum([0] + reach[:-1]).tolist())
+        self.starts = start  # (chain index, stage) -> its first stage buffer cell
+        self._n_h = n_h
+        ends = [start[i, len(st) - 1] for i, st in enumerate(stages)]
+        self._first_end = ends[0] if ends else 0
+        self._ends = np.array(ends, dtype=np.intp) - self._first_end
+
+        single = [i for i, st in enumerate(stages) if len(st) == 1]
+        # chain -> its row of `single_argmins`, for the chains of one member
+        self.single_row = {i: row for row, i in enumerate(single)}
+        sizes = [math.prod(stages[i][0].shape) for i in single]
+        src = np.full((len(single), max(sizes, default=1)), n_h, dtype=np.intp)
+        for row, (i, n) in enumerate(zip(single, sizes)):
+            src[row, :n] = np.arange(start[i, 0], start[i, 0] + n)
+        self._single_src = src
+        self._local = threading.local()
+
+    def _space(self):
+        # the calling thread's stage buffer, made on its first run
+        space = getattr(self._local, "space", None)
+        if space is None:
+            n_h, start = self._n_h, self.starts
+            h = np.empty(n_h + 1)
+            h[n_h] = np.inf
+            views = tuple(
+                [
+                    tuple([h[start[i, k] : start[i, k] + math.prod(s.shape)].reshape(s.shape) for k, s in enumerate(st)])
+                    for i, st in enumerate(self.stages)
+                ]
+            )
+            links = []
+            for st, hs in zip(self.stages, views):
+                for s, h_s, h_next in zip(st, hs, hs[1:]):
+                    carry = np.empty([n for ax, n in enumerate(s.shape) if ax not in s.carry_axes])
+                    links.append((h_s, s.carry_axes, carry, carry.reshape(s.carry_shape), h_next))
+            scratch = np.empty(n_h)
+            rounds = tuple(
+                [
+                    (reads, scratch[: reads.size], h[: reads.size] if r else 0.0, h[: reads.size])
+                    for r, reads in enumerate(self._reads)
+                ]
+            )
+            space = self._local.space = _Space(
+                h, rounds, views, tuple(links), h[self._first_end : n_h], np.empty(self._single_src.shape)
+            )
+        return space
+
+    def gather(self, tables):
+        """A table buffer of `tables[i]`, chain `chains[i]`'s mapping of
+        factor to table.  Raises `ValueError` for tables of other sizes."""
+        parts = [np.ravel(tables[i][f]) for i, row in enumerate(self.layout) for f, _, _, _ in row]
+        buffer = np.concatenate(parts + [_PAD])
+        if buffer.size != self.size:
+            raise ValueError(f"the tables hold {buffer.size - 1} cells, not {self.size - 1}")
+        return buffer
+
+    def run(self, buffer):
+        """Every chain's minimum over a table buffer, as an array in chain
+        order."""
+        space = self._space()
+        take, add = buffer.take, np.add
+        for reads, scratch, sum_from, body in space.rounds:
+            take(reads, None, scratch, "clip")
+            add(sum_from, scratch, body)
+        reduce = np.minimum.reduce
+        for h, axes, carry, into, h_next in space.links:
+            reduce(h, axes, None, carry)
+            add(h_next, into, h_next)
+        if not self.chains:
+            return np.zeros(0)
+        return np.minimum.reduceat(space.last, self._ends)
+
+    def single_argmins(self):
+        """After a run, the flat index of the first minimum of each chain of
+        one member, in its `single_row`."""
+        space = self._space()
+        space.h.take(self._single_src, None, space.single, "clip")
+        return space.single.argmin(1)
+
+    def labeling(self, i):
+        """After a run, a minimizing labeling of chain `chains[i]`: its last
+        stage's first argmin, then each earlier stage's given the labels of
+        the later ones."""
+        labeling = {}
+        for stage, h in zip(reversed(self.stages[i]), reversed(self._space().views[i])):
+            if stage.free:
+                sub = h[tuple([_ALL if v is None else labeling[v] for v in stage.pick])]
+                flat = int(sub.argmin())
+                coords = []
+                for v, size in reversed(stage.free):  # unravel the flat index
+                    flat, c = divmod(flat, size)
+                    coords.append((v, c))
+                labeling.update(reversed(coords))
+        return labeling

@@ -6,10 +6,9 @@ per-factor minima.  Subgradient ascent keeps explicit per-subproblem tables
 and steps shared factors toward agreement of the subproblem minimizers with a
 diminishing step size.
 
-Each solve compiles what its passes need once, in the closure of its pass
-step: the diffusion edges bound to the state's tables, and the shared
-factors of the subgradient step with their chains.  The public one-pass
-functions compile per call.
+Each diffusion solve binds its edges once, in the closure of its pass step;
+`msd_pass` binds them per call.  A subgradient state compiles its step once,
+on its first pass, and keeps it in its `Bindings`.
 
 A diffusion state keeps its tables as views of one flat buffer.  Binding an
 edge (a, b) fixes its operands: a's table, b's table, a scratch gap in b's
@@ -17,18 +16,37 @@ shape and the same gap in a's broadcast shape, and the axes minimized out of
 a; a sweep then makes five numpy calls per edge, all in place.  The bound is
 read off the buffer with one `np.minimum.reduceat` and summed in factor
 order, as `psi_bound`, which stays the reference, sums it.
+
+A subgradient state keeps its per-chain tables in the flat table buffer of
+the decomposition's `ChainProgram` of all chains, which solves every chain
+at once.  Each shared (factor, chain) pair's pick, the cell of its table at
+its chain's minimizer, is one gather for the chains of one member (their
+argmins index the program's term reads) and a backtrack for the others.
+The step then sums each factor's picks with one `np.bincount`, in
+`trees_of` order as the one-factor-at-a-time step did, and moves every
+shared copy with one gather, add and scatter, byte-identical to that step.
 """
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
+from operator import mul
+from typing import NamedTuple
 
 import numpy as np
 
-from ._plan import Bindings, same_objects
-from ._tables import drop_axes, embed_shape, min_over
+from ._plan import Bindings, chain_program, same_objects
+from ._tables import drop_axes, embed_shape, min_over, table_shape
 from .decomposition import _node_pos, _scope_nodes, sigma_sorted
 from .errors import InvalidEdge, InvalidStepSize
-from .trws import DEFAULT_EPS, DEFAULT_PASSES, TreeParams, _chain_dp, _run_passes, init_tree_params
+from .trws import (
+    DEFAULT_EPS,
+    DEFAULT_PASSES,
+    TreeParams,
+    _FlatParams,
+    _run_passes,
+    init_tree_params,
+)
 
 
 DEFAULT_STEP_BASE = 1.0  # the subgradient step base, which the command line shares
@@ -165,12 +183,23 @@ def solve_msd(decomp, passes=DEFAULT_PASSES, eps=DEFAULT_EPS):
 
 @dataclass
 class SubgradState:
+    """Subgradient state: per-subproblem tables, the step count that sets
+    the step size, and the best bound and tables so far.
+
+    `params` and `best_params` hold read-only views of flat table buffers
+    (one per best step, for `best_params`), which a step updates in place.
+    A state whose tables are not the views of its own buffer (built by hand,
+    or deep-copied) has them copied into a new buffer by its next pass, which
+    then replaces `params` with views of it."""
+
     params: TreeParams
     step_base: float
     inferior: int = 0
     best: float = -np.inf
     best_params: TreeParams = None
     meff: int = 0
+    # the chain program, the shared-factor step and the params it steps
+    _bound: Bindings = field(default_factory=Bindings, init=False, repr=False, compare=False)
 
 
 def subgrad_init(decomp, step_base=DEFAULT_STEP_BASE):
@@ -179,49 +208,137 @@ def subgrad_init(decomp, step_base=DEFAULT_STEP_BASE):
     return SubgradState(params=init_tree_params(decomp), step_base=step_base)
 
 
-def _subgrad_shared(decomp):
-    # the factors more than one chain holds, compiled once:
-    # (factor, scope, its chains, zero table, appearance probability)
-    model, js = decomp.model, decomp.jstructure
-    return tuple(
-        (f, js.scope(f), tuple(ts), np.zeros_like(model.table(f)), decomp.rho_factor[f])
-        for f, ts in decomp.trees_of.items()
-        if len(ts) >= 2
+class _SharedStep(NamedTuple):
+    """The step on the factors more than one chain holds, over the pairs
+    (factor, chain) in `trees_of` order, onto a `ChainProgram`'s buffer.
+    Each pair's pick is the buffer cell of its table at its chain's
+    minimizer."""
+
+    weights: np.ndarray  # per pair: its chain's probability
+    neg_rho: np.ndarray  # per average cell: minus its factor's appearance probability
+    avg_shift: np.ndarray  # per pair: its pick's average cell less its pick
+    src: np.ndarray  # per stepped buffer cell: its average cell
+    dst: np.ndarray  # the stepped buffer cells, pair by pair
+    dst_shift: np.ndarray  # per pair: its pick's place in `dst` less its pick
+    single: np.ndarray  # the pairs on chains of one member
+    read_at: np.ndarray  # per such pair: its read of its chain's first cell in the program's `reads`
+    rows: np.ndarray  # per such pair: its chain's row of `single_argmins`
+    several: tuple  # per chain of several members: (chain, its pairs' (position, scope, strides, table))
+
+
+def _ranges(starts, sizes):
+    # the concatenated ranges [start, start + size), and where each begins
+    at = np.cumsum(sizes) - sizes
+    return np.repeat(starts - at, sizes) + np.arange(at[-1] + sizes[-1]), at
+
+
+def _shared_step(decomp, program):
+    # the shared factors' step compiled onto the buffer of the program of
+    # all chains, whose chain indices are the chain numbers; None without a
+    # shared factor.  A chain of one member reads each of its factors in one
+    # term of its one stage, so that read at the stage's argmin is the pick.
+    scopes, counts = decomp.jstructure.scopes, decomp.model.label_counts
+    at = {(t, f): (o, n) for t, row in zip(program.chains, program.layout) for f, o, n, _ in row}
+    weights, avg_at, sizes, rho_f, tables, cells = [], [], [], [], [], []
+    single, read_at, rows, several = [], [], [], {}
+    for f, ts in decomp.trees_of.items():
+        if len(ts) < 2:
+            continue
+        shape = table_shape(scopes[f], counts)
+        n_avg = sum(sizes)
+        sizes.append(math.prod(shape))
+        rho_f.append(decomp.rho_factor[f])
+        for t in ts:
+            o, n = at[t, f]
+            position = len(weights)
+            weights.append(decomp.rho[t])
+            avg_at.append(n_avg)
+            tables.append(o)
+            cells.append(n)
+            stages = program.stages[t]
+            if len(stages) == 1:
+                rank = [c for c, _ in stages[0].terms].index(f)
+                read_at.append(program.read_at[rank] + program.starts[t, 0])
+                rows.append(program.single_row[t])
+                single.append(position)
+            else:
+                strides = np.cumprod((1,) + shape[:0:-1])[::-1].tolist()
+                several.setdefault(t, []).append((position, scopes[f], tuple(strides), o))
+    if not weights:
+        return None
+    ints = partial(np.array, dtype=np.intp)
+    tables, cells, avg_at = ints(tables), ints(cells), ints(avg_at)
+    dst, dst_at = _ranges(tables, cells)
+    return _SharedStep(
+        np.array(weights),
+        np.negative(np.repeat(rho_f, sizes)),
+        avg_at - tables,
+        _ranges(avg_at, cells)[0],
+        dst,
+        dst_at - tables,
+        ints(single),
+        ints(read_at),
+        ints(rows),
+        tuple(several.items()),
     )
 
 
-def _subgrad_step(decomp, state, shared):
-    # one subgradient step over the compiled shared factors
-    rho = decomp.rho
-    tables = state.params.tables
-    values, labelings = [], []
-    for t in range(len(decomp.chains)):
-        v, lab, cells = _chain_dp(decomp, tables[t], t, want_argmin=True)
-        values.append(v)
-        labelings.append(lab)
-        state.meff += cells
-    phi = float(sum(rho[t] * v for t, v in enumerate(values)))
+def _picks(step, program):
+    # per pair, the buffer cell of its table at its chain's minimizer
+    single = program.reads.take(step.read_at + program.single_argmins().take(step.rows))
+    if not step.several:
+        return single
+    picks = np.empty(len(step.weights), dtype=np.intp)
+    picks[step.single] = single
+    for t, pairs in step.several:
+        labeling = program.labeling(t)
+        for position, scope, strides, table in pairs:
+            picks[position] = table + sum([labeling[v] * s for v, s in zip(scope, strides)])
+    return picks
+
+
+def _subgrad_bind(decomp, state):
+    # (chain program, shared step, buffer) of the state: its tables are
+    # copied into a new buffer unless they are the views of its own
+    program = chain_program(decomp)
+    bound = state._bound
+    if bound.get("program") is not program:
+        bound.clear()
+        bound["program"], bound["step"] = program, _shared_step(decomp, program)
+    params = state.params
+    if bound.get("params") is not params or not params.intact():
+        params = _FlatParams(program.gather(params.tables), program.layout, params.cells)
+        state.params = bound["params"] = params
+    return program, bound["step"], params.buffer
+
+
+def _subgrad_step(decomp, state):
+    # one subgradient step on the state's buffer
+    program, step, buffer = _subgrad_bind(decomp, state)
+    state.meff += program.cells
+    phi = float(sum(map(mul, decomp.rho, program.run(buffer).tolist())))
 
     if phi < state.best:
         state.inferior += 1
     else:
         state.best = phi
-        # updates rebind table entries and never write into an array, so a
-        # shallow copy of the chain dicts is a snapshot
-        state.best_params = TreeParams([dict(d) for d in tables])
-        state.best_params.cells = state.params.cells
+        snapshot = buffer.copy()
+        snapshot.flags.writeable = False
+        state.best_params = _FlatParams(snapshot, program.layout, state.params.cells)
     alpha = state.step_base / (state.inferior + 1)
 
-    for fid, scope, ts, zero, rho_f in shared:
-        picks = [(t, tuple(labelings[t][v] for v in scope)) for t in ts]
-        avg = zero.copy()
-        for t, idx in picks:
-            avg[idx] += rho[t]
-        avg /= rho_f
-        for t, idx in picks:
-            g = -avg
-            g[idx] += 1.0
-            tables[t][fid] = tables[t][fid] + alpha * g
+    if step is not None:
+        # each shared factor's copies move by alpha times the indicator of
+        # their chain's pick less the probability-weighted average indicator
+        # (x / -r is -(x / r) bit for bit, so the division negates)
+        picks = _picks(step, program)
+        avg = np.bincount(picks + step.avg_shift, step.weights, len(step.neg_rho))
+        np.divide(avg, step.neg_rho, avg)
+        g = avg.take(step.src)
+        g[picks + step.dst_shift] += 1.0
+        np.multiply(alpha, g, g)
+        np.add(buffer.take(step.dst), g, g)
+        buffer.put(step.dst, g)
     return phi
 
 
@@ -230,20 +347,19 @@ def subgradient_pass(decomp, state):
 
     Each subproblem contributes a minimizing assignment; shared factors move
     toward the probability-weighted indicator average with step
-    base / (1 + number of inferior iterations so far).  Every update rebinds
-    a table entry, so `state.best_params` keeps the tables it was taken with.
+    base / (1 + number of inferior iterations so far).  The step updates the
+    state's buffer in place; `state.best_params` is a copy of it, so it
+    keeps the tables it was taken with (see `SubgradState`).
     """
-    return _subgrad_step(decomp, state, _subgrad_shared(decomp))
+    return _subgrad_step(decomp, state)
 
 
 def _subgrad_steps(decomp, step_base):
-    # subgradient state and its pass step for `_run_passes`, over shared
-    # factors compiled once for the solve
+    # subgradient state and its pass step for `_run_passes`
     state = subgrad_init(decomp, step_base)
-    shared = _subgrad_shared(decomp)
 
     def step(k):
-        return "forward", _subgrad_step(decomp, state, shared), state.meff
+        return "forward", _subgrad_step(decomp, state), state.meff
 
     return state, step
 

@@ -20,7 +20,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from ._plan import chain_stages, storage_layout
+from ._plan import Bindings, storage_layout
 from ._tables import table_shape
 from .errors import HomrfError, MissingSeparatorFactor
 from .model import Factor, Model, _as_int, _close, _gc_paused
@@ -139,6 +139,21 @@ def _eq15_holds(prev_scope, next_scope, pos):
     return left < lo and hi < right
 
 
+class FrozenDict(dict):
+    """A dict whose every mutator raises `TypeError`.  Pickles and copies
+    rebuild it from its items, so they stay read-only too (unlike a
+    `types.MappingProxyType`, which does not pickle)."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError(f"{type(self).__name__} is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
+
+
 @dataclass(frozen=True)
 class Decomposition:
     """A chain cover of the outer factors plus everything derived from it.
@@ -151,7 +166,8 @@ class Decomposition:
     subproblems and the message edges.  A decomposition is frozen: assigning
     a field raises `FrozenInstanceError`, so none is left stale, and
     `dataclasses.replace` builds a new decomposition that derives them all
-    anew.  A node order that is not a permutation of the model's nodes raises
+    anew.  Its mappings are `FrozenDict`s, so no entry can be edited either.
+    A node order that is not a permutation of the model's nodes raises
     `ValueError`, a window bound that is not a separator factor of the J
     structure `MissingSeparatorFactor`, and a `rho` without one finite
     positive entry per chain `HomrfError`.  So does a one-node member of a
@@ -189,20 +205,21 @@ class Decomposition:
         js, chains = self.jstructure, self.chains
         pos = _node_pos(self.node_order, range(self.model.node_count))
         order = tuple(sigma_sorted(js.scopes, pos, js.separators))
-        fix("node_pos", pos)
+        fix("node_pos", FrozenDict(pos))
         fix("separator_order", order)
-        fix("sep_rank", {b: i for i, b in enumerate(order)})
-        fix("sep_minus", {})
-        fix("sep_plus", {})
+        fix("sep_rank", FrozenDict({b: i for i, b in enumerate(order)}))
+        sep_minus, sep_plus = {}, {}
         index = _scope_index(js)
         for t, chain in enumerate(chains):
             for i, a in enumerate(chain):
                 if len(chain) > 1 and len(js.scope(a)) == 1:
                     raise HomrfError(f"chain {t}: one-node member {a} has no window bounds")
-                self.sep_minus[a], self.sep_plus[a] = _sep_bounds(js, pos, index, chain, i)
-        fix("local_separators", {
+                sep_minus[a], sep_plus[a] = _sep_bounds(js, pos, index, chain, i)
+        fix("sep_minus", FrozenDict(sep_minus))
+        fix("sep_plus", FrozenDict(sep_plus))
+        fix("local_separators", FrozenDict({
             a: local_separator_window(self, a) for chain in chains for a in chain
-        })
+        }))
         fix("tree_factors", tuple(
             frozenset().union(*(js.locals[a] for a in chain)) for chain in chains
         ))
@@ -212,8 +229,8 @@ class Decomposition:
             for c in fs:
                 trees_of.setdefault(c, []).append(t)
                 rho_factor[c] = rho_factor.get(c, 0.0) + self.rho[t]
-        fix("trees_of", {c: tuple(ts) for c, ts in trees_of.items()})
-        fix("rho_factor", rho_factor)
+        fix("trees_of", FrozenDict({c: tuple(ts) for c, ts in trees_of.items()}))
+        fix("rho_factor", FrozenDict(rho_factor))
         fix("tree_nodes", tuple(
             tuple(sorted({v for a in chain for v in js.scope(a)})) for chain in chains
         ))
@@ -224,10 +241,11 @@ class Decomposition:
         ))
 
     @cached_property
-    def _stages(self):
-        # per chain, its dynamic program's stages: built by the first chain
-        # DP, which a pass runs only on the chains its bound re-solves
-        return chain_stages(self)
+    def _chain_programs(self):
+        # compiled chain DPs by the chains they solve (`_plan.chain_program`),
+        # each built on first use; a pass builds one only for the chains its
+        # bound re-solves.  A copy or a pickle starts empty.
+        return Bindings()
 
     @cached_property
     def _layout(self):

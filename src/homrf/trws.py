@@ -40,21 +40,27 @@ locals, and the chain's minimum is the minimum of its far end separator's
 cached table over that separator's appearance probability.  The bound is
 therefore, per chain, its probability times that minimum.  A chain of one
 singleton outer factor adds the constant minimum of its table.  A chain with a
-member that is not an outer factor falls back to the dynamic program on its
-own factors' tables, read for those factors alone, each over its appearance
-probability; `bound` and `_chain_dp` remain the reference.  The chain DP's
-stages are built on its first run and kept on the decomposition.
+member that is not an outer factor falls back to the chain dynamic program
+on its own factors' tables, read for those factors alone, each over its
+appearance probability; `bound` remains the reference.
+
+Every exact chain solve (`bound`, `tree_argmin`, the fallback and the
+subgradient step of `homrf.baselines`) runs one compiled chain DP, a
+`homrf._plan.ChainProgram` of the chains it solves, which the decomposition
+compiles on first use and keeps.  The chain DP one stage at a time that it
+is checked against, byte for byte, lives in the tests.
 """
 
 import math
 import time
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import mul
 
 import numpy as np
 
-from ._plan import Bindings, Layout, compile_sweeps, same_objects
+from ._plan import Bindings, Layout, chain_program, compile_sweeps, same_objects
 from ._tables import embed, min_over
 from .errors import StateNotInitialized
 from .model import _as_int
@@ -64,7 +70,6 @@ REUSE_MODES = ("none", "after", "before-after")
 DEFAULT_PASSES = 500
 DEFAULT_EPS = 1e-7
 DEFAULT_REUSE = "after"
-_ALL = slice(None)
 
 
 class TreeParams:
@@ -84,6 +89,44 @@ class TreeParams:
         return out
 
 
+class _FlatParams(TreeParams):
+    """`TreeParams` whose tables are read-only views of one table buffer of
+    a `ChainProgram` (`layout` is the program's), made on first read.  A
+    pickle or copy holds a copy of the buffer, and its tables view that;
+    once an entry of `tables` is rebound, it is a plain `TreeParams`."""
+
+    def __init__(self, buffer, layout, cells=0):
+        self.buffer = buffer
+        self.layout = layout
+        self.cells = cells
+
+    def __reduce__(self):
+        if self.intact():
+            return _FlatParams, (self.buffer, self.layout, self.cells)
+        return TreeParams, (self.tables,), {"cells": self.cells}
+
+    @cached_property
+    def tables(self):
+        buffer = self.buffer
+        tables = []
+        for row in self.layout:
+            views = {}
+            for f, o, n, shape in row:
+                view = views[f] = buffer[o : o + n].reshape(shape)
+                view.flags.writeable = False
+            tables.append(views)
+        self._views = [v for d in tables for v in d.values()]
+        return tables
+
+    def intact(self):
+        """Whether `tables` still holds only the buffer's views: unread, or
+        with no entry rebound since."""
+        tables = vars(self).get("tables")
+        if tables is None:
+            return True
+        return same_objects(getattr(self, "_views", ()), [v for d in tables for v in d.values()])
+
+
 def _split(decomp, tables):
     # per-subproblem copies of per-factor tables, each over its appearance probability
     return TreeParams(
@@ -99,57 +142,19 @@ def init_tree_params(decomp):
     return _split(decomp, [f.table for f in decomp.model.factors])
 
 
-def _chain_dp(decomp, tables, t, want_argmin=False):
-    """Exact minimization of one subproblem by sweeping its chain.
-
-    `tables[c]` is factor c's table in subproblem `t`, as in a `TreeParams`
-    chain dict.  Every local table is folded into the first chain member that
-    covers it; the running intersection property guarantees a node never
-    reappears after it has been minimized out.  Returns (value, labeling or
-    None, cells).
-    """
-    cells = 0
-    carry = None
-    hs = []
-    stages = decomp._stages[t]
-    for stage in stages:
-        h = np.zeros(stage.shape)
-        for c, shape in stage.terms:
-            h += tables[c].reshape(shape)
-        if carry is not None:
-            h += carry
-        cells += h.size
-        hs.append(h)
-        if stage.carry_axes is not None:
-            carry = min_over(h, stage.carry_axes).reshape(stage.carry_shape)
-    value = float(min_over(hs[-1], None))
-    if not want_argmin:
-        return value, None, cells
-
-    labeling = {}
-    for stage, h in zip(reversed(stages), reversed(hs)):
-        if stage.free:
-            sub = h[tuple([_ALL if v is None else labeling[v] for v in stage.pick])]
-            flat = int(sub.argmin())
-            coords = []
-            for v, size in reversed(stage.free):  # unravel the flat index
-                flat, c = divmod(flat, size)
-                coords.append((v, c))
-            labeling.update(reversed(coords))
-    return value, labeling, cells
-
-
 def tree_argmin(decomp, params, t):
     """Exact minimum of one subproblem with a minimizing node assignment."""
-    value, labeling, _ = _chain_dp(decomp, params.tables[t], t, want_argmin=True)
-    return value, labeling
+    program = chain_program(decomp, (t,))
+    value = program.run(program.gather([params.tables[t]]))[0]
+    return float(value), program.labeling(0)
 
 
 def bound(decomp, params):
     """Lower bound: probability-weighted sum of exact subproblem minima."""
+    program = chain_program(decomp)
     total = 0.0
-    for t, tables in enumerate(params.tables):
-        total += decomp.rho[t] * _chain_dp(decomp, tables, t)[0]
+    for r, v in zip(decomp.rho, program.run(program.gather(params.tables)).tolist()):
+        total += r * v
     return float(total)
 
 
@@ -298,12 +303,16 @@ def _pass_bound(decomp, state, read_off):
     for s, rows, axes, coefs in read_off.ends:
         terms += map(mul, coefs, min_over(T[s][rows], axes).tolist())
     cells = read_off.cells
-    rho = decomp.rho_factor
-    for t in read_off.fallback:
-        tables = {f: _factor_table(decomp, state, f) / rho[f] for f in decomp.tree_factors[t]}
-        v, _, c = _chain_dp(decomp, tables, t)
-        terms.append(decomp.rho[t] * v)
-        cells += c
+    if read_off.fallback:
+        rho = decomp.rho_factor
+        program = chain_program(decomp, read_off.fallback)
+        tables = [
+            {f: _factor_table(decomp, state, f) / rho[f] for f in decomp.tree_factors[t]}
+            for t in read_off.fallback
+        ]
+        values = program.run(program.gather(tables)).tolist()
+        terms += [decomp.rho[t] * v for t, v in zip(read_off.fallback, values)]
+        cells += program.cells
     return math.fsum(terms), cells
 
 

@@ -8,6 +8,7 @@ from homrf._tables import embed, reduce_min
 
 from homrf.baselines import (
     MsdState,
+    SubgradState,
     _msd_steps,
     msd_init,
     msd_pass,
@@ -24,7 +25,7 @@ from homrf.generators import gen_potts_2x2, gen_stereo_second_order
 from homrf.errors import InvalidEdge, InvalidStepSize
 from homrf.model import build_model, close_j, energy
 from homrf.oracle import brute_force_map, cumulative_tables
-from homrf.trws import chain_state_init, trws_chain_pass
+from homrf.trws import TreeParams, chain_state_init, trws_chain_pass
 
 from conftest import random_decomposed, submodular_grid
 
@@ -265,17 +266,50 @@ class TestSubgradient:
             moved += _table_bytes(snapshots[0][0]) != _table_bytes(st.params)
         assert moved  # some instance's tables changed after its first snapshot
 
-    def test_tables_are_never_written_in_place(self, rng):
-        # every table read-only, the initial split included: updates rebind
-        # table entries, which is what makes a shallow `best_params` snapshot safe
+    def test_read_only_caller_tables_step_and_keep_their_bytes(self, rng):
+        # a step writes only the state's own buffer: tables the caller
+        # handed in stay as they were, and the views it hands out are
+        # read-only, so no caller can write into the buffer either
+        moved = 0
         for _ in range(4):
             d = random_decomposed(rng, nested=True)
             st = subgrad_init(d, 1.0)
+            given = st.params
+            for tables in given.tables:
+                for t in tables.values():
+                    t.setflags(write=False)
+            frozen = _table_bytes(given)
             for _ in range(50):
+                subgradient_pass(d, st)
                 for tables in st.params.tables:
                     for t in tables.values():
-                        t.setflags(write=False)
-                subgradient_pass(d, st)
+                        assert not t.flags.writeable
+                        with pytest.raises(ValueError, match="read-only"):
+                            t[...] = 0.0
+            assert st.params is not given
+            assert _table_bytes(given) == frozen
+            moved += _table_bytes(st.params) != frozen
+        assert moved  # some instance's tables moved off the caller's
+
+    def test_rebound_and_copied_tables_step_from_their_values(self, rng):
+        # a table rebound in `params`, or a deep copy of the state, is copied
+        # into a new buffer on the next pass, and steps as a fresh state would
+        d = random_decomposed(rng, nested=True)
+        st = subgrad_init(d, 1.0)
+        for _ in range(5):
+            subgradient_pass(d, st)
+        tables = st.params.tables[0]
+        f = next(iter(tables))
+        tables[f] = tables[f] + 1.0
+        twin = copy.deepcopy(st)
+        fresh = SubgradState(
+            params=TreeParams([{g: t.copy() for g, t in ts.items()} for ts in st.params.tables]),
+            step_base=st.step_base, inferior=st.inferior, best=st.best, meff=st.meff,
+        )
+        for _ in range(5):
+            phi = subgradient_pass(d, st)
+            assert subgradient_pass(d, twin) == phi == subgradient_pass(d, fresh)
+        assert _table_bytes(st.params) == _table_bytes(twin.params) == _table_bytes(fresh.params)
 
     def test_agreeing_trees_do_not_move(self):
         # strong unaries force both chains to the same labeling

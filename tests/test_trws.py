@@ -1347,9 +1347,9 @@ class TestBoundSweeps:
         d = build_monotonic_chains(*gen_stereo_second_order(6, 5, labels=3))
         for reuse in REUSE_MODES:
             solve_trws(d, passes=4, reuse=reuse)
-        assert "_stages" not in vars(d)
+        assert "_chain_programs" not in vars(d)
         bound(d, init_tree_params(d))
-        assert "_stages" in vars(d)
+        assert "_chain_programs" in vars(d)
 
     def test_bindings_stay_out_of_repr_and_comparisons(self):
         d = build_monotonic_chains(*gen_stereo_second_order(4, 4, labels=2, seed=1))
