@@ -750,8 +750,9 @@ class ChainProgram:
     and then in factor order (`layout`), and one +0.0 cell last.  `run`
     fills one flat stage buffer: every stage's terms as one gather-add per
     term rank, which runs up to the last stage with that many terms (a stage
-    before it with fewer terms reads the +0.0 cell), then the carries of the
-    chains of several members in stage order.  Every chain's
+    before it with fewer terms reads the +0.0 cell), the first rank's over
+    every stage, then the carries of the chains of several members in stage
+    order.  Every chain's
     last stage sits at the end of the stage buffer, in chain order, so one
     `np.minimum.reduceat` gives every chain's minimum.  Each cell's sum
     starts from +0.0 and adds its terms and then its carry in the order a
@@ -788,7 +789,9 @@ class ChainProgram:
 
         # stage buffer: every stage but each chain's last, those with more
         # terms first, then the last ones in chain order; a term rank's
-        # gather-add runs up to the last stage that has that many terms
+        # gather-add runs up to the last stage that has that many terms, and
+        # the first rank's over the whole buffer, so that it also starts the
+        # stages without terms
         inner = [(i, k) for i, st in enumerate(stages) for k in range(len(st) - 1)]
         inner.sort(key=lambda ik: -len(stages[ik[0]][ik[1]].terms))
         start, reach, n_h = {}, [], 0
@@ -797,7 +800,14 @@ class ChainProgram:
             n_h += math.prod(stages[i][k].shape)
             m = len(stages[i][k].terms)
             reach[:m] = [n_h] * m
-        reads = [np.full(n, size, dtype=np.intp) for n in reach]
+        if n_h:
+            reach[:1] = [n_h]
+        read_at = np.cumsum([0] + reach).tolist()
+        # per term rank, the table buffer cell each stage cell up to its
+        # reach reads, all ranks' in one flat array from `read_at[rank]` on
+        self.reads = np.full(read_at[-1], size, dtype=np.intp)
+        self.read_at = tuple(read_at[:-1])
+        reads = [self.reads[a : a + n] for a, n in zip(read_at, reach)]
         for (i, k), p in start.items():
             stage = stages[i][k]
             q = p + math.prod(stage.shape)
@@ -805,11 +815,7 @@ class ChainProgram:
                 o = at[chains[i], c]
                 cell = np.arange(o, o + math.prod(shape)).reshape(shape)
                 reads[r][p:q].reshape(stage.shape)[...] = cell
-        # per term rank, the table buffer cell each stage cell up to its end
-        # reads, and where that rank's reads begin in `reads`, flat
         self._reads = tuple(reads)
-        self.reads = np.concatenate(reads) if reads else np.zeros(0, dtype=np.intp)
-        self.read_at = tuple(np.cumsum([0] + reach[:-1]).tolist())
         self.starts = start  # (chain index, stage) -> its first stage buffer cell
         self._n_h = n_h
         ends = [start[i, len(st) - 1] for i, st in enumerate(stages)]

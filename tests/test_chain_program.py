@@ -3,6 +3,7 @@ DP and the subgradient step one chain at a time (`chain_dp_reference`),
 byte for byte."""
 
 import dataclasses
+import math
 import sys
 import threading
 
@@ -10,16 +11,18 @@ import numpy as np
 import pytest
 
 import chain_dp_reference as reference
-from homrf._plan import chain_program
+from homrf import trws
+from homrf._plan import chain_program, chain_stages
 from homrf.baselines import solve_subgradient
 from homrf.decomposition import build_monotonic_chains
 from homrf.generators import gen_potts_2x2, gen_stereo_second_order
 from homrf.model import build_model, close_j
-from homrf.trws import bound, chain_state_init, chain_state_tree_params, init_tree_params
+from homrf.errors import HomrfError
+from homrf.trws import REUSE_MODES, bound, chain_state_init, chain_state_tree_params, init_tree_params
 from homrf.trws import tree_argmin, trws_chain_pass
 
 from conftest import path_instance, random_instance
-from test_trws import schedule_instances
+from test_trws import hand_cut_cover, schedule_instances
 
 
 def _two_chains(unaries, pair_02=(0.0,) * 4):
@@ -107,6 +110,67 @@ def test_bound_and_tree_argmin_match_the_reference():
                 want, want_labeling = reference.tree_argmin(d, p, t)
                 assert value.hex() == want.hex()
                 assert list(labeling.items()) == list(want_labeling.items())
+
+
+class _ReferenceProgram:
+    # a `ChainProgram` stand-in that solves each chain with the reference DP
+
+    def __init__(self, d, chains=None):
+        self.d = d
+        self.chains = range(len(d.chains)) if chains is None else chains
+        self.cells = sum([math.prod(s.shape) for t in self.chains for s in chain_stages(d, t)])
+
+    def gather(self, tables):
+        return tables
+
+    def run(self, tables):
+        return np.array([reference.chain_dp(self.d, tables[i], t)[0] for i, t in enumerate(self.chains)])
+
+
+def _separator_last(seed):
+    # a nested model's outer factors as chains of one member, and last a
+    # chain (a, s) of an outer factor a and a separator s of two or more
+    # nodes inside it: s's stage has no terms of its own
+    d = build_monotonic_chains(*random_instance(np.random.default_rng(seed), nested=True))
+    js = d.jstructure
+    for a in sorted(js.outer):
+        for s in sorted(js.separators & js.locals[a]):
+            if len(js.scopes[s]) > 1:
+                chains = tuple((b,) for b in sorted(js.outer) if b != a) + ((a, s),)
+                return dataclasses.replace(d, chains=chains, rho=(1 / len(chains),) * len(chains))
+    return None
+
+
+def _fallback_covers():
+    covers = [d for d in map(_separator_last, range(20)) if d is not None]
+    for multi_node in (False, True):
+        for seed in range(250):
+            try:
+                covers.append(hand_cut_cover(seed, multi_node))
+            except HomrfError:
+                pass
+    return covers
+
+
+def test_bound_and_fallback_bound_match_the_reference_on_hand_cut_covers(monkeypatch):
+    # `bound` and the TRW-S pass bound, whose fallback re-solves the chains
+    # with a member that is not an outer factor, on covers the builder does
+    # not make; each pass runs the program again on its stage buffer
+    covers = _fallback_covers()
+    falls_back = [any(a not in d.jstructure.outer for chain in d.chains for a in chain) for d in covers]
+    assert sum(falls_back) >= 50
+    for d in covers:
+        got, want = [], []
+        for reuse in REUSE_MODES:
+            for solved, program in ((got, chain_program), (want, _ReferenceProgram)):
+                monkeypatch.setattr(trws, "chain_program", program)
+                st = chain_state_init(d)
+                solved += [trws_chain_pass(d, st, reuse).hex() for _ in range(4)]
+                solved.append(trws.bound(d, chain_state_tree_params(d, st)).hex())
+        assert got == want
+        monkeypatch.undo()
+        p = init_tree_params(d)
+        assert [bound(d, p).hex() for _ in range(2)] == [reference.bound(d, p).hex()] * 2
 
 
 def test_threads_run_on_stage_buffers_of_their_own():
