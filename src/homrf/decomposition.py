@@ -267,8 +267,10 @@ def build_monotonic_chains(model, jstructure, node_order=None):
     admit it, so only those are tried, in the order they were opened.
     Closure adds edges only into factors some edge already targets, so the
     outer factors are read off the raw edges and J is closed once, at the
-    end.  Chain probabilities are uniform.  The node order, by default id
-    order, must be a permutation of the model's nodes.
+    end: the closure it was given is extended by the new edges alone, which
+    are the only ones validated and propagated.  Chain probabilities are
+    uniform.  The node order, by default id order, must be a permutation of
+    the model's nodes.
     """
     nodes = range(model.node_count)
     pos = _node_pos(nodes if node_order is None else node_order, nodes)

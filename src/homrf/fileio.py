@@ -20,8 +20,12 @@ reproduces every double bit-exactly.
 
 The parser walks the text with a cursor that holds one line's tokens at a
 time, so the line an error names is the line the cursor is on.  Counts, ids
-and scopes are read token by token; each table is converted with one numpy
-call per line it spans, which accepts and rejects exactly the strings
+and scopes are read token by token, except the J section's 2m factor ids:
+they are split from the lines they fill and converted with one `map(int,
+...)`.  A section that fails that read is read again token by token for its
+message, and so is a section whose closure finds an edge that is not nested,
+to name the first such edge and its line.  Each table is converted with one
+numpy call per line it spans, which accepts and rejects exactly the strings
 `float()` does.  A table that starts a line and fills it exactly is converted
 once per distinct line text: a later line of the same text is not split
 again, and its factor gets the first one's read-only array.  Grid models,
@@ -30,10 +34,11 @@ line thousands of times.
 """
 
 import math
+from itertools import islice
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import NotNested, ParseError
 from .model import _gc_paused, build_model, close_j
 
 
@@ -45,11 +50,24 @@ class _Tokens:
     """
 
     def __init__(self, text):
-        self._lines = enumerate(text.splitlines(), start=1)
+        self._texts = text.splitlines()
+        self._lines = enumerate(self._texts, start=1)
         self.line = 0
         self._toks = ()
         self._i = 0
         self._filled = {}  # text of a line one table filled -> that table
+
+    def mark(self):
+        """The cursor's place, for `reset`."""
+        return self.line, self._toks, self._i
+
+    def reset(self, mark):
+        self.line, self._toks, self._i = mark
+        self._seek(self.line)
+
+    def _seek(self, pos):
+        # the lines from index `pos` on are the ones left to move onto
+        self._lines = enumerate(islice(self._texts, pos, None), start=pos + 1)
 
     def _next_line(self):
         # moves onto the next line holding a token, with none of its tokens
@@ -129,6 +147,41 @@ class _Tokens:
             self._filled[text] = parts[0]
         return parts[0]
 
+    def ids(self, count, below):
+        """The next `count` tokens as ints in [0, below), in one conversion of
+        the lines they fill, the cursor left on the line of the last one.
+        None, with the cursor unmoved, if a token is missing, not an integer
+        or out of range: a read one token at a time names it and its line."""
+        words = list(self._toks[self._i :])
+        texts = self._texts
+        pos = start = self.line  # the index of the line after the held one
+        while len(words) < count and pos < len(texts):
+            # as many lines as the serializer fills with the ids still wanted
+            end = min(pos + (count - len(words) + 1) // 2, len(texts))
+            words += " ".join(texts[pos:end]).split()
+            pos = end
+        if len(words) < count:
+            return None
+        try:
+            ids = list(map(int, words[:count]))
+        except ValueError:
+            return None
+        if ids and (min(ids) < 0 or max(ids) >= below):
+            return None
+        if pos == start:
+            self._i += count
+            return ids
+        surplus = len(words) - count
+        while True:  # back over the lines read past the last id
+            toks = texts[pos - 1].split()
+            if len(toks) > surplus:
+                break
+            surplus -= len(toks)
+            pos -= 1
+        self.line, self._toks, self._i = pos, toks, len(toks) - surplus
+        self._seek(pos)
+        return ids
+
 
 @_gc_paused
 def parse_model_file(text):
@@ -153,11 +206,11 @@ def parse_model_file(text):
         size = toks.next_int("scope size of factor {}", f)
         if size <= 0:
             raise ParseError(f"line {toks.line}: factor {f} has scope size {size}")
-        scope = tuple(toks.next_int("node id in factor {}", f) for _ in range(size))
+        scope = tuple([toks.next_int("node id in factor {}", f) for _ in range(size)])
         for v in scope:
             if v < 0 or v >= n:
                 raise ParseError(f"line {toks.line}: factor {f} references node {v}")
-        cells = math.prod(label_counts[v] for v in scope)
+        cells = math.prod([label_counts[v] for v in scope])
         factors.append((scope, toks.table(cells, f)))
 
     model = build_model(label_counts, factors)
@@ -169,16 +222,11 @@ def parse_model_file(text):
         if section == "J":
             if edges is not None:
                 raise ParseError(f"line {toks.line}: second J section")
-            edges = set()
             m = toks.next_int("edge count")
             if m < 0:
                 raise ParseError(f"line {toks.line}: edge count must be non-negative")
-            for e in range(m):
-                a = toks.next_int("source of edge {}", e)
-                b = toks.next_int("target of edge {}", e)
-                if not (0 <= a < k and 0 <= b < k):
-                    raise ParseError(f"line {toks.line}: edge {e} references factor {a} or {b}")
-                edges.add((a, b))
+            j_mark = toks.mark()
+            edges = _edges(toks, m, k)
         elif section == "ORDER":
             if node_order is not None:
                 raise ParseError(f"line {toks.line}: second ORDER section")
@@ -188,8 +236,42 @@ def parse_model_file(text):
         else:
             raise ParseError(f"line {toks.line}: unknown section {section!r}")
 
-    jstructure = close_j(model.scopes, edges or ())
+    del toks  # frees the text's lines; only an edge that is not nested reads them again
+    try:
+        jstructure = close_j(model.scopes, edges or ())
+    except NotNested:
+        toks = _Tokens(text)
+        toks.reset(j_mark)
+        _read_edges(toks, m, k, model.scopes)
+        raise
     return model, jstructure, node_order
+
+
+def _edges(toks, m, k):
+    # the J section's m edges as a set, from one block of 2m ids; a block
+    # that does not read so is read again one token at a time, which raises
+    # naming the token and its line
+    ids = toks.ids(2 * m, k)
+    if ids is None:
+        _read_edges(toks, m, k)
+    pairs = iter(ids)
+    return set(zip(pairs, pairs))
+
+
+def _read_edges(toks, m, k, scopes=None):
+    # the J section's m edges one token at a time, for the message and line
+    # of its first fault: a missing or non-integer token, an unknown factor,
+    # or, given the factors' scopes, an edge that is not nested
+    for e in range(m):
+        a = toks.next_int("source of edge {}", e)
+        b = toks.next_int("target of edge {}", e)
+        if not (0 <= a < k and 0 <= b < k):
+            raise ParseError(f"line {toks.line}: edge {e} references factor {a} or {b}")
+        if scopes is not None and not set(scopes[b]) < set(scopes[a]):
+            raise NotNested(
+                f"line {toks.line}: edge {e} ({a}, {b}): "
+                f"scope {scopes[b]} is not strictly inside {scopes[a]}"
+            )
 
 
 def serialize_model(model, jstructure, node_order=None):

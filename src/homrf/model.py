@@ -11,7 +11,7 @@ and by shared sources with nested targets.
 
 import gc
 import math
-from collections import deque
+from itertools import combinations
 from dataclasses import dataclass, field
 from functools import wraps
 
@@ -99,6 +99,18 @@ class Model:
         return f"Model(nodes={self.node_count}, factors={len(self.factors)})"
 
 
+_FINITE_BATCH = 1 << 16
+
+
+def _check_finite(batch):
+    # raises for the first (factor index, table) pair of `batch` whose table
+    # has a non-finite entry
+    if batch and not np.isfinite(np.concatenate([t.ravel() for _, t in batch])).all():
+        for k, table in batch:
+            if not np.isfinite(table).all():
+                raise NonFiniteCost(f"factor {k}: non-finite cost entry")
+
+
 def build_model(node_label_counts, factor_list):
     """Validate and canonicalize a model description.
 
@@ -117,41 +129,53 @@ def build_model(node_label_counts, factor_list):
     # (id of a given table, its shape, its axis order) -> (that table, its
     # copy); holding the given table keeps its id from being reused
     copies = {}
-    for k, (scope_in, table_in) in enumerate(factor_list):
-        scope_in = tuple([_as_int(v, "node") for v in scope_in])
-        if not scope_in:
-            raise ValueError(f"factor {k}: empty scope")
-        if len(set(scope_in)) != len(scope_in):
-            raise DuplicateNodeInScope(f"factor {k}: scope {scope_in} repeats a node")
-        if min(scope_in) < 0 or max(scope_in) >= n:
-            raise ValueError(f"factor {k}: scope {scope_in} references an unknown node")
-        scope = tuple(sorted(scope_in))
-        if scope in seen:
-            raise DuplicateFactor(
-                f"factors {seen[scope]} and {k} share scope {scope}"
-            )
-        seen[scope] = k
-
-        shape_in = table_shape(scope_in, label_counts)
-        axes = None if scope == scope_in else tuple(np.argsort(scope_in).tolist())
-        key = (id(table_in), shape_in, axes)
-        copy = copies.get(key)
-        if copy is None:
-            table = np.array(table_in, dtype=float)
-            want = math.prod(shape_in)
-            if table.size != want:
-                raise TableShapeMismatch(
-                    f"factor {k}: table has {table.size} entries, scope {scope_in} needs {want}"
+    # copies not yet checked for finite entries, with their factor indices;
+    # checked in one numpy call per batch of about `_FINITE_BATCH` cells, and
+    # before any later error is raised, so the first factor at fault is named
+    batch, batch_cells = [], 0
+    try:
+        for k, (scope_in, table_in) in enumerate(factor_list):
+            scope_in = tuple([v if type(v) is int else _as_int(v, "node") for v in scope_in])
+            if not scope_in:
+                raise ValueError(f"factor {k}: empty scope")
+            scope = tuple(sorted(scope_in))
+            if len(set(scope)) != len(scope):
+                raise DuplicateNodeInScope(f"factor {k}: scope {scope_in} repeats a node")
+            if scope[0] < 0 or scope[-1] >= n:
+                raise ValueError(f"factor {k}: scope {scope_in} references an unknown node")
+            if scope in seen:
+                raise DuplicateFactor(
+                    f"factors {seen[scope]} and {k} share scope {scope}"
                 )
-            if not np.isfinite(table).all():
-                raise NonFiniteCost(f"factor {k}: non-finite cost entry")
-            table = table.reshape(shape_in)
-            if axes is not None:
-                table = np.transpose(table, axes)
-            table = np.ascontiguousarray(table)
-            table.setflags(write=False)
-            copy = copies[key] = (table_in, table)
-        factors.append(Factor(scope, copy[1]))
+            seen[scope] = k
+
+            shape_in = tuple([label_counts[v] for v in scope_in])
+            axes = None if scope == scope_in else tuple(np.argsort(scope_in).tolist())
+            key = (id(table_in), shape_in, axes)
+            copy = copies.get(key)
+            if copy is None:
+                table = np.array(table_in, dtype=float)
+                want = math.prod(shape_in)
+                if table.size != want:
+                    raise TableShapeMismatch(
+                        f"factor {k}: table has {table.size} entries, scope {scope_in} needs {want}"
+                    )
+                batch.append((k, table))
+                batch_cells += want
+                if batch_cells >= _FINITE_BATCH:
+                    checked, batch, batch_cells = batch, [], 0
+                    _check_finite(checked)
+                table = table.reshape(shape_in)
+                if axes is not None:
+                    table = np.transpose(table, axes)
+                table = np.ascontiguousarray(table)
+                table.setflags(write=False)
+                copy = copies[key] = (table_in, table)
+            factors.append(Factor(scope, copy[1]))
+    except Exception:
+        _check_finite(batch)
+        raise
+    _check_finite(batch)
 
     return Model(label_counts, factors)
 
@@ -199,68 +223,175 @@ def close_j(scopes, edges):
     Starting from edges (A, B), repeatedly add (A, C) whenever (A, B), (B, C)
     are present, and (B, C) whenever (A, B), (A, C) are present with
     scope(C) strictly inside scope(B), until nothing changes.
+
+    Each factor's targets are kept as one bitset, a Python int, and the
+    factors are visited in increasing scope size; see `_close`.
     """
     return _close(tuple(tuple(s) for s in scopes), edges, ())
 
 
 def _close(scopes, edges, given):
     # `close_j` of `edges`, given edges of their closure that are closed
-    # already, such as the closure of a subset of `edges`.  Only the edges
-    # outside `given` are propagated.
+    # already, such as the closure of a subset of `edges`: only the edges
+    # outside `given` are validated and propagated.
+    #
+    # `targets[a]` is the bitset of a's targets, `listed[a]` the same ids as
+    # a list.  J is closed exactly when, for every edge (a, b),
+    # targets[b] == targets[a] & inside(b), with inside(b) the factors whose
+    # scope lies strictly inside b's: "⊆" is transitivity, "⊇" the nested
+    # targets of b.  Edges only go down in scope size, so a round visits the
+    # factors in increasing scope size: a factor ORs in its targets' bitsets,
+    # which are final unless a larger factor adds to them later, and then
+    # hands each target its share of its own bitset.  A factor is visited
+    # when it has new edges or a target that grew; a target that grows after
+    # its sources were visited calls for another round.
     scope_sets = [frozenset(s) for s in scopes]
     n = len(scopes)
 
-    edge_list = []
-    for a, b in edges:
-        a, b = _as_int(a, "factor id"), _as_int(b, "factor id")
-        if a < 0 or a >= n or b < 0 or b >= n:
-            raise ValueError(f"edge ({a}, {b}) references an unknown factor")
-        if not scope_sets[b] < scope_sets[a]:
-            raise NotNested(
-                f"edge ({a}, {b}): scope {scopes[b]} is not strictly inside {scopes[a]}"
-            )
-        edge_list.append((a, b))
+    if not isinstance(edges, (set, frozenset)):
+        edges = list(edges)
+    plain = True  # every edge a tuple of two ints
+    for e in edges:
+        a, b = e
+        if type(a) is not int or type(b) is not int or type(e) is not tuple:
+            a, b = _as_int(a, "factor id"), _as_int(b, "factor id")
+            plain = False
+        if e not in given:
+            if not (0 <= a < n and 0 <= b < n):
+                raise ValueError(f"edge ({a}, {b}) references an unknown factor")
+            if not scope_sets[b] < scope_sets[a]:
+                raise NotNested(
+                    f"edge ({a}, {b}): scope {scopes[b]} is not strictly inside {scopes[a]}"
+                )
+    if plain:
+        edge_set = frozenset(edges)
+    else:
+        edge_set = frozenset([(int(a), int(b)) for a, b in edges])
+    # the factors a round visits whether or not a target grew: first the
+    # sources of edges outside `given`, all of them (None) when none is given
+    pending = {a for a, _ in edge_set.difference(given)} if given else None
 
-    closed = set(edge_list)
-    queue = deque(closed.difference(given) if given else closed)
-    closed.update(given)
-    targets = {}
-    sources = {}
-    for a, b in closed:
-        targets.setdefault(a, set()).add(b)
-        sources.setdefault(b, set()).add(a)
+    # Bit positions: a factor's bitsets hold bit p - base[a] for the factor
+    # at position p, the factors taken in the order of their least nodes.  A
+    # factor inside a scope has a least node no smaller than the scope's own,
+    # so it lies at or after the scope's base, and a bitset spans the factors
+    # near its own instead of all factor ids.  Up to 64 factors, or with an
+    # empty scope (inside every other), positions are ids and every base 0.
+    empty = [f for f in range(n) if not scope_sets[f]]
+    if n <= 64 or empty:
+        ids = pos = range(n)
+        base = [0] * n
+    else:
+        least = [min(s) for s in scope_sets]
+        ids = sorted(range(n), key=least.__getitem__)  # factor at each position
+        pos = [0] * n
+        start = {}
+        for p, f in enumerate(ids):
+            pos[f] = p
+            start.setdefault(least[f], p)
+        base = [start[k] for k in least]
 
-    def add(a, b):
-        if (a, b) not in closed:
-            closed.add((a, b))
-            targets.setdefault(a, set()).add(b)
-            sources.setdefault(b, set()).add(a)
-            queue.append((a, b))
+    single = {}  # node -> the factors with that one-node scope
+    by_set = {}  # any other scope set -> the factors with it
+    for f, s in enumerate(scope_sets):
+        if len(s) == 1:
+            (v,) = s
+            single.setdefault(v, []).append(f)
+        elif s:
+            by_set.setdefault(s, []).append(f)
+    inside = [None] * n
 
-    while queue:
-        a, b = queue.popleft()
-        for c in list(targets.get(b, ())):
-            add(a, c)
-        for z in list(sources.get(a, ())):
-            add(z, b)
-        for c in list(targets.get(a, ())):
-            if c == b:
+    def inside_of(b):
+        # the bitset of the factors whose scope lies strictly inside b's:
+        # from b's subsets, or from every scope set when those are fewer
+        s = scope_sets[b]
+        found = list(empty)
+        if len(s) > 1:
+            for v in s:
+                found += single.get(v, ())
+        if 1 << len(s) <= len(by_set):
+            for r in range(2, len(s)):
+                for sub in combinations(s, r):
+                    found += by_set.get(frozenset(sub), ())
+        else:
+            for t, fs in by_set.items():
+                if t < s:
+                    found += fs
+        mask = 0
+        for c in found:
+            mask |= 1 << (pos[c] - base[b])
+        inside[b] = mask
+        return mask
+
+    # `listed[a]` holds a's targets, `inner[a]` those with a scope inside
+    # theirs: any other target has no targets of its own and no share of its
+    # sources' targets.  Only an empty scope lies inside a one-node scope.
+    inner_size = 1 if empty else 2
+    big = [len(s) >= inner_size for s in scope_sets]
+    listed = [[] for _ in range(n)]
+    inner = [[] for _ in range(n)]
+    for a, b in edge_set.union(given) if given else edge_set:
+        listed[a].append(b)
+        if big[b]:
+            inner[a].append(b)
+    targets = [0] * n  # a's targets as a bitset over the positions from base[a]
+    for a in range(n):
+        mask = 0
+        for b in listed[a]:
+            mask |= 1 << (pos[b] - base[a])
+        targets[a] = mask
+
+    added = []  # the edges the closure adds
+
+    def extend(a, new):
+        # adds the targets in bitset `new` of a's frame
+        while new:
+            low = new & -new
+            c = ids[low.bit_length() - 1 + base[a]]
+            listed[a].append(c)
+            if big[c]:
+                inner[a].append(c)
+            added.append((a, c))
+            new ^= low
+
+    sizes = [len(s) for s in scope_sets]
+    order = sorted(filter(big.__getitem__, range(n)), key=sizes.__getitem__)
+    while pending is None or pending:
+        grown = set()  # factors whose targets grew in this round
+        revisit = set()  # factors that grew after their sources' visit
+        for a in order:
+            t = targets[a]
+            if not (t and (pending is None or a in pending) or not grown.isdisjoint(inner[a])):
                 continue
-            if scope_sets[c] < scope_sets[b]:
-                add(b, c)
-            elif scope_sets[b] < scope_sets[c]:
-                add(c, b)
+            for b in inner[a]:
+                t |= targets[b] << (base[b] - base[a])
+            if t != targets[a]:
+                extend(a, t ^ targets[a])
+                targets[a] = t
+            elif pending is not None and a not in pending:
+                continue
+            if pending is not None:  # a round visiting all needs no `grown`
+                grown.add(a)
+            for b in inner[a]:
+                s = inside[b]
+                if s is None:
+                    s = inside_of(b)
+                share = t >> (base[b] - base[a]) & s
+                tb = targets[b]
+                if share & tb != share:
+                    extend(b, share & ~tb)
+                    targets[b] = tb | share
+                    revisit.add(b)
+        pending = revisit
 
-    incoming = {b for _, b in closed}
-    outer = frozenset(i for i in range(n) if i not in incoming)
-    separators = frozenset(range(n)) - outer
-    locals_ = {
-        a: frozenset(targets.get(a, ())) | {a} for a in range(n)
-    }
+    closed = edge_set.union(given, added) if given or added else edge_set
+    separators = frozenset().union(*listed)
+    outer = frozenset(range(n)).difference(separators)
+    locals_ = {a: frozenset([a, *bs]) for a, bs in enumerate(listed)}
     return JStructure(
         scopes=scopes,
-        edges=frozenset(edge_list),
-        closed_edges=frozenset(closed),
+        edges=edge_set,
+        closed_edges=closed,
         outer=outer,
         separators=separators,
         locals=locals_,

@@ -16,7 +16,7 @@ import homrf
 from homrf.baselines import solve_msd, solve_subgradient
 from homrf.cli import main
 from homrf.decomposition import build_monotonic_chains, local_separator_window
-from homrf.errors import NonFiniteCost, ParseError
+from homrf.errors import NonFiniteCost, NotNested, ParseError
 from homrf.fileio import parse_model_file, serialize_model
 from homrf.generators import (
     gen_potts_2x2,
@@ -112,6 +112,99 @@ def _parse_error(lines):
     with pytest.raises(ParseError) as exc:
         parse_model_file("\n".join(lines) + "\n")
     return str(exc.value)
+
+
+# three factors, (0,), (1,) and (0, 1); the J section follows
+_J_HEAD = ["HOMRF", "3", "2 2 2", "3", "1 0", "0 1", "1 1", "0 1", "2 0 1", "0 1 2 3", "J"]
+
+
+class TestJSection:
+    # the J section's edges are read as one block of integers; a file that
+    # is not a list of valid edges is read again token by token, so every
+    # message and line number is the token cursor's
+
+    def test_end_of_file_inside_an_edge(self):
+        lines = _J_HEAD + ["2", "2 0", "2"]
+        assert _parse_error(lines) == (
+            "line 14: unexpected end of file, expected target of edge 1"
+        )
+
+    def test_end_of_file_before_an_edge(self):
+        lines = _J_HEAD + ["3", "2 0", "2 1", ""]
+        assert _parse_error(lines) == (
+            "line 14: unexpected end of file, expected source of edge 2"
+        )
+
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            (["2 0", "2 x"], "line 14: expected target of edge 1, got 'x'"),
+            (["2 0", "1.0 1"], "line 14: expected source of edge 1, got '1.0'"),
+            (["2 0 2", "0x1"], "line 14: expected target of edge 1, got '0x1'"),
+        ],
+    )
+    def test_non_integer_names_its_line(self, edges, message):
+        assert _parse_error(_J_HEAD + [str(len(edges)), *edges]) == message
+
+    def test_unknown_factor_on_a_later_edge_names_that_edge(self):
+        lines = _J_HEAD + ["3", "2 0", "2 1", "", "2 3"]
+        assert _parse_error(lines) == "line 16: edge 2 references factor 2 or 3"
+
+    def test_first_bad_edge_in_file_order_is_reported(self):
+        # an unknown factor before a non-integer, and the other way round
+        lines = _J_HEAD + ["3", "2 0", "2 -1", "2 y"]
+        assert _parse_error(lines) == "line 14: edge 1 references factor 2 or -1"
+        lines = _J_HEAD + ["3", "2 0", "2 y", "2 -1"]
+        assert _parse_error(lines) == "line 14: expected target of edge 1, got 'y'"
+
+    @pytest.mark.parametrize(
+        "j_lines",
+        [
+            ["2", "2 0", "2 1"],
+            ["2", "2", "0", "2", "1"],  # edges split over two lines
+            ["2", "2 0 2 1"],  # two edges on one line
+            ["2 2 0", "2 1"],  # the count on the first edge's line
+            ["2", "", "2 0", "   ", "", "2 1", ""],  # blank lines inside J
+        ],
+    )
+    def test_edge_layouts_read_alike(self, j_lines):
+        _, js, order = parse_model_file("\n".join(_J_HEAD + j_lines) + "\n")
+        assert js.edges == {(2, 0), (2, 1)} and order is None
+
+    def test_order_on_the_last_edges_line(self):
+        text = "\n".join(_J_HEAD + ["2", "2 0", "2 1 ORDER 1", "2 0"]) + "\n"
+        _, js, order = parse_model_file(text)
+        assert js.edges == {(2, 0), (2, 1)} and order == (1, 2, 0)
+
+    def test_section_after_the_edges_names_its_line(self):
+        lines = _J_HEAD + ["2", "2 0", "2 1 FOO"]
+        assert _parse_error(lines) == "line 14: unknown section 'FOO'"
+
+    @pytest.mark.parametrize(
+        "j_lines, message",
+        [
+            (["1", "0 0"], "line 13: edge 0 (0, 0): scope (0,) is not strictly inside (0,)"),
+            # the first edge in file order, not in the closure's set order
+            (["4", "2 0", "1 0", "", "0 2", "2 2"],
+             "line 14: edge 1 (1, 0): scope (0,) is not strictly inside (1,)"),
+            (["3", "2 0 2 1", "0 2"], "line 14: edge 2 (0, 2): scope (0, 1) is not strictly inside (0,)"),
+        ],
+    )
+    def test_edge_not_nested_names_its_line(self, j_lines, message):
+        with pytest.raises(NotNested) as exc:
+            parse_model_file("\n".join(_J_HEAD + j_lines) + "\n")
+        assert str(exc.value) == message
+
+    def test_edge_not_nested_file_exit_1(self, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_text("HOMRF\n2\n2 2\n3\n1 0\n0 1\n1 1\n0 1\n2 0 1\n0 1 2 3\nJ\n1\n0 0\n")
+        code, err = _exit(["--input", str(path)])
+        assert code == 1
+        assert err == "error: line 13: edge 0 (0, 0): scope (0,) is not strictly inside (0,)\n"
+
+    def test_duplicate_edges_count_once(self):
+        _, js, _ = parse_model_file("\n".join(_J_HEAD + ["3", "2 0", "2 0", "2 1"]) + "\n")
+        assert js.edges == {(2, 0), (2, 1)}
 
 
 class TestParseCursor:

@@ -767,9 +767,8 @@ def hand_cut_cover(seed, multi_node):
     return dataclasses.replace(d, chains=tuple(map(tuple, chains)), rho=tuple(rho / rho.sum()))
 
 
-def schedule_instances():
-    """Factories of the decompositions the level-schedule tests sweep: a Potts
-    grid with pair separators, a stereo grid and random nested models."""
+def schedule_inputs():
+    """Factories of the (model, J structure) pairs of `schedule_instances`."""
     makes = [
         lambda: gen_potts_2x2(6, 6, labels=3, seed=1, separators="pair"),
         lambda: gen_stereo_second_order(6, 5, labels=4, seed=2),
@@ -778,7 +777,13 @@ def schedule_instances():
         lambda seed=seed: random_instance(np.random.default_rng(seed), nested=True)
         for seed in range(700, 712)
     ]
-    return [lambda make=make: build_monotonic_chains(*make()) for make in makes]
+    return makes
+
+
+def schedule_instances():
+    """Factories of the decompositions the level-schedule tests sweep: a Potts
+    grid with pair separators, a stereo grid and random nested models."""
+    return [lambda make=make: build_monotonic_chains(*make()) for make in schedule_inputs()]
 
 
 def sequential_pass(d, messages, theta, reuse, forward, lead_current):
