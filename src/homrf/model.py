@@ -275,8 +275,10 @@ def _close(scopes, edges, given):
     # at position p, the factors taken in the order of their least nodes.  A
     # factor inside a scope has a least node no smaller than the scope's own,
     # so it lies at or after the scope's base, and a bitset spans the factors
-    # near its own instead of all factor ids.  Up to 64 factors, or with an
-    # empty scope (inside every other), positions are ids and every base 0.
+    # near its own instead of all factor ids.  Up to 64 factors, where a
+    # bitset is a word or two anyway and the ordering would cost more than
+    # it saves, or with an empty scope (inside every other), positions are
+    # ids and every base 0.
     empty = [f for f in range(n) if not scope_sets[f]]
     if n <= 64 or empty:
         ids = pos = range(n)
