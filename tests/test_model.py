@@ -46,33 +46,6 @@ class TestBuildModel:
         with pytest.raises(NonFiniteCost):
             build_model([2], [((0,), [0.0, np.inf])])
 
-    @pytest.mark.parametrize(
-        "later",
-        [
-            ((1,), [0.0, 1.0, 2.0]),  # wrong table length
-            ((1, 1), np.zeros(9)),  # repeated node
-            ((2,), [0.0, 1.0]),  # unknown node
-            ((0,), [0.0, 1.0]),  # scope of factor 0 again
-            ((1,), [[0.0], [1.0, 2.0]]),  # not a table numpy can read
-        ],
-    )
-    def test_first_factor_at_fault_is_named(self, later):
-        # finite entries are checked a batch of tables at a time: a
-        # non-finite table is still reported before a later factor's fault
-        factors = [((1,), [0.0, 1.0, 2.0]), ((0,), [0.0, np.nan]), later]
-        with pytest.raises(NonFiniteCost, match="^factor 1: non-finite cost entry$"):
-            build_model([2, 3], factors)
-
-    @pytest.mark.parametrize("bad", [100, 25000])
-    def test_non_finite_entry_in_either_batch(self, bad):
-        # more cells than one batch of the finiteness check holds
-        tables = [np.zeros(3) for _ in range(30000)]
-        factors = [((v,), t) for v, t in enumerate(tables)]
-        assert len(build_model([3] * len(tables), factors).factors) == len(tables)
-        tables[bad][1] = -np.inf
-        with pytest.raises(NonFiniteCost, match=f"^factor {bad}: "):
-            build_model([3] * len(tables), factors)
-
     def test_table_length(self):
         with pytest.raises(TableShapeMismatch):
             build_model([2, 3], [((0, 1), np.zeros(5))])
