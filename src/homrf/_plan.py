@@ -387,9 +387,9 @@ def sweep_plan(decomp, reuse):
 
     # Message edges are numbered by their index in `message_edges` and
     # separator b by n + b; these numbers name what a step reads and writes.
+    # A source's window edges are consecutive there, in window order.
     edges = d.message_edges
     n = len(edges)
-    eid = {key: i for i, key in enumerate(edges)}
     source = [a for a, _ in edges]
 
     # the table store: a parsed or generated model shares tables
@@ -478,6 +478,7 @@ def sweep_plan(decomp, reuse):
         return tuple(taken.items()), tuple(zip(*[list(map(id, picked)) for picked in variants]))
 
     structures = {}  # (table shape, separator locals' places, window slots, trail) -> `structure`
+    offset = 0  # the number of a's first window edge
     for a in dict.fromkeys(source):
         t = tables[a]
         at = dict(zip(scopes[a], range(t.ndim)))
@@ -499,7 +500,8 @@ def sweep_plan(decomp, reuse):
         if made is None:
             made = structures[key] = structure(*key)
         picks, picked = made
-        wids = tuple([eid[(a, c)] for c in window])
+        wids = tuple(range(offset, offset + len(window)))
+        offset += len(window)
         wrows = tuple([edge_row[(a, c)][1] for c in window])
         # bind: each pick as a's `_Update`, by the pick's id; id(None) binds none
         bound, a_row = {id(None): None}, row_of[id(t)]

@@ -312,8 +312,15 @@ def _subgrad_bind(decomp, state):
     return program, bound["step"], params.buffer
 
 
-def _subgrad_step(decomp, state):
-    # one subgradient step on the state's buffer
+def subgradient_pass(decomp, state):
+    """One subgradient step; returns the bound of the current iterate.
+
+    Each subproblem contributes a minimizing assignment; shared factors move
+    toward the probability-weighted indicator average with step
+    base / (1 + number of inferior iterations so far).  The step updates the
+    state's buffer in place; `state.best_params` is a copy of it, so it
+    keeps the tables it was taken with (see `SubgradState`).
+    """
     program, step, buffer = _subgrad_bind(decomp, state)
     state.meff += program.cells
     phi = float(sum(map(mul, decomp.rho, program.run(buffer).tolist())))
@@ -342,24 +349,12 @@ def _subgrad_step(decomp, state):
     return phi
 
 
-def subgradient_pass(decomp, state):
-    """One subgradient step; returns the bound of the current iterate.
-
-    Each subproblem contributes a minimizing assignment; shared factors move
-    toward the probability-weighted indicator average with step
-    base / (1 + number of inferior iterations so far).  The step updates the
-    state's buffer in place; `state.best_params` is a copy of it, so it
-    keeps the tables it was taken with (see `SubgradState`).
-    """
-    return _subgrad_step(decomp, state)
-
-
 def _subgrad_steps(decomp, step_base):
     # subgradient state and its pass step for `_run_passes`
     state = subgrad_init(decomp, step_base)
 
     def step(k):
-        return "forward", _subgrad_step(decomp, state), state.meff
+        return "forward", subgradient_pass(decomp, state), state.meff
 
     return state, step
 

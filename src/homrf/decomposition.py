@@ -23,7 +23,7 @@ import numpy as np
 from ._plan import Bindings, storage_layout
 from ._tables import table_shape
 from .errors import HomrfError, MissingSeparatorFactor
-from .model import Factor, Model, _as_int, _close, _gc_paused
+from .model import Factor, Model, _as_int, _gc_paused, close_j
 
 
 def sigma_key(scope, pos):
@@ -266,9 +266,9 @@ def build_monotonic_chains(model, jstructure, node_order=None):
     new one.  Only the chains whose tail shares a node with the factor can
     admit it, so only those are tried, in the order they were opened.
     Closure adds edges only into factors some edge already targets, so the
-    outer factors are read off the raw edges and J is closed once, at the
-    end: the closure it was given is extended by the new edges alone, which
-    are the only ones validated and propagated.  Chain probabilities are
+    outer factors are read off the raw edges and J is closed at most once, at
+    the end: the augmented edges are closed from scratch, or the J it was
+    given is returned when it added nothing.  Chain probabilities are
     uniform.  The node order, by default id order, must be a permutation of
     the model's nodes.
     """
@@ -328,9 +328,8 @@ def build_monotonic_chains(model, jstructure, node_order=None):
             edges.add((chain[i + 1], fid))
 
     js = jstructure
-    given = js.closed_edges if js.scopes == model.scopes else None
-    if added or edges != js.edges or given is None:
-        js = _close(tuple(scopes), edges, given or ())
+    if added or edges != js.edges or js.scopes != model.scopes:
+        js = close_j(scopes, edges)
     if added:
         model = Model(
             model.label_counts,

@@ -34,7 +34,6 @@ line thousands of times.
 """
 
 import math
-from itertools import islice
 
 import numpy as np
 
@@ -51,7 +50,6 @@ class _Tokens:
 
     def __init__(self, text):
         self._texts = text.splitlines()
-        self._lines = enumerate(self._texts, start=1)
         self.line = 0
         self._toks = ()
         self._i = 0
@@ -63,16 +61,15 @@ class _Tokens:
 
     def reset(self, mark):
         self.line, self._toks, self._i = mark
-        self._seek(self.line)
-
-    def _seek(self, pos):
-        # the lines from index `pos` on are the ones left to move onto
-        self._lines = enumerate(islice(self._texts, pos, None), start=pos + 1)
 
     def _next_line(self):
         # moves onto the next line holding a token, with none of its tokens
-        # taken out yet, and returns its text; None at the end of the text
-        for ln, text in self._lines:
+        # taken out yet, and returns its text; None at the end of the text.
+        # Line `line` is at index `line` - 1, so index `line` is the next one.
+        texts, ln = self._texts, self.line
+        while ln < len(texts):
+            text = texts[ln]
+            ln += 1
             if text and not text.isspace():
                 self.line, self._toks, self._i = ln, (), 0
                 return text
@@ -179,7 +176,6 @@ class _Tokens:
             surplus -= len(toks)
             pos -= 1
         self.line, self._toks, self._i = pos, toks, len(toks) - surplus
-        self._seek(pos)
         return ids
 
 

@@ -198,19 +198,13 @@ def close_j(scopes, edges):
 
     Starting from edges (A, B), repeatedly add (A, C) whenever (A, B), (B, C)
     are present, and (B, C) whenever (A, B), (A, C) are present with
-    scope(C) strictly inside scope(B), until nothing changes.
+    scope(C) strictly inside scope(B), until nothing changes.  Every edge is
+    validated and propagated, including when the chain builder closes its
+    augmented edges.
 
     Each factor's targets are kept as one bitset, a Python int, and the
-    factors are visited in increasing scope size; see `_close`.
+    factors are visited in increasing scope size.
     """
-    return _close(tuple(tuple(s) for s in scopes), edges, ())
-
-
-def _close(scopes, edges, given):
-    # `close_j` of `edges`, given edges of their closure that are closed
-    # already, such as the closure of a subset of `edges`: only the edges
-    # outside `given` are validated and propagated.
-    #
     # `targets[a]` is the bitset of a's targets, `listed[a]` the same ids as
     # a list.  J is closed exactly when, for every edge (a, b),
     # targets[b] == targets[a] & inside(b), with inside(b) the factors whose
@@ -218,9 +212,10 @@ def _close(scopes, edges, given):
     # targets of b.  Edges only go down in scope size, so a round visits the
     # factors in increasing scope size: a factor ORs in its targets' bitsets,
     # which are final unless a larger factor adds to them later, and then
-    # hands each target its share of its own bitset.  A factor is visited
-    # when it has new edges or a target that grew; a target that grows after
-    # its sources were visited calls for another round.
+    # hands each target its share of its own bitset.  The first round visits
+    # every factor with targets; a later one, the factors that grew after
+    # their sources' visit and the sources of factors that grew in it.
+    scopes = tuple(tuple(s) for s in scopes)
     scope_sets = [frozenset(s) for s in scopes]
     n = len(scopes)
 
@@ -232,20 +227,16 @@ def _close(scopes, edges, given):
         if type(a) is not int or type(b) is not int or type(e) is not tuple:
             a, b = _as_int(a, "factor id"), _as_int(b, "factor id")
             plain = False
-        if e not in given:
-            if not (0 <= a < n and 0 <= b < n):
-                raise ValueError(f"edge ({a}, {b}) references an unknown factor")
-            if not scope_sets[b] < scope_sets[a]:
-                raise NotNested(
-                    f"edge ({a}, {b}): scope {scopes[b]} is not strictly inside {scopes[a]}"
-                )
+        if not (0 <= a < n and 0 <= b < n):
+            raise ValueError(f"edge ({a}, {b}) references an unknown factor")
+        if not scope_sets[b] < scope_sets[a]:
+            raise NotNested(
+                f"edge ({a}, {b}): scope {scopes[b]} is not strictly inside {scopes[a]}"
+            )
     if plain:
         edge_set = frozenset(edges)
     else:
         edge_set = frozenset([(int(a), int(b)) for a, b in edges])
-    # the factors a round visits whether or not a target grew: first the
-    # sources of edges outside `given`, all of them (None) when none is given
-    pending = {a for a, _ in edge_set.difference(given)} if given else None
 
     # Bit positions: a factor's bitsets hold bit p - base[a] for the factor
     # at position p, the factors taken in the order of their least nodes.  A
@@ -310,7 +301,7 @@ def _close(scopes, edges, given):
     big = [len(s) >= inner_size for s in scope_sets]
     listed = [[] for _ in range(n)]
     inner = [[] for _ in range(n)]
-    for a, b in edge_set.union(given) if given else edge_set:
+    for a, b in edge_set:
         listed[a].append(b)
         if big[b]:
             inner[a].append(b)
@@ -336,6 +327,9 @@ def _close(scopes, edges, given):
 
     sizes = [len(s) for s in scope_sets]
     order = sorted(filter(big.__getitem__, range(n)), key=sizes.__getitem__)
+    # the factors a round visits whether or not a target grew: all (None) in
+    # the first round, then those that grew after their sources' visit
+    pending = None
     while pending is None or pending:
         grown = set()  # factors whose targets grew in this round
         revisit = set()  # factors that grew after their sources' visit
@@ -364,7 +358,7 @@ def _close(scopes, edges, given):
                     revisit.add(b)
         pending = revisit
 
-    closed = edge_set.union(given, added) if given or added else edge_set
+    closed = edge_set.union(added) if added else edge_set
     separators = frozenset().union(*listed)
     outer = frozenset(range(n)).difference(separators)
     locals_ = {a: frozenset([a, *bs]) for a, bs in enumerate(listed)}

@@ -16,13 +16,7 @@ def close_j(scopes, edges):
     are present, and (B, C) whenever (A, B), (A, C) are present with
     scope(C) strictly inside scope(B), until nothing changes.
     """
-    return _close(tuple(tuple(s) for s in scopes), edges, ())
-
-
-def _close(scopes, edges, given):
-    # `close_j` of `edges`, given edges of their closure that are closed
-    # already, such as the closure of a subset of `edges`.  Only the edges
-    # outside `given` are propagated.
+    scopes = tuple(tuple(s) for s in scopes)
     scope_sets = [frozenset(s) for s in scopes]
     n = len(scopes)
 
@@ -38,8 +32,7 @@ def _close(scopes, edges, given):
         edge_list.append((a, b))
 
     closed = set(edge_list)
-    queue = deque(closed.difference(given) if given else closed)
-    closed.update(given)
+    queue = deque(closed)
     targets = {}
     sources = {}
     for a, b in closed:
@@ -83,12 +76,22 @@ def _close(scopes, edges, given):
     )
 
 
+calls = 0  # closures `build_monotonic_chains` here made with `close_j`
+
+
 def build_monotonic_chains(model, jstructure, node_order=None):
-    """`homrf.build_monotonic_chains` with its closure call made to `_close`
-    here."""
-    real = decomposition._close
-    decomposition._close = _close
+    """`homrf.build_monotonic_chains` with its closure call made to `close_j`
+    here, counted in `calls`: a builder that stopped closing through
+    `decomposition.close_j` would leave it at 0."""
+
+    def counted(scopes, edges):
+        global calls
+        calls += 1
+        return close_j(scopes, edges)
+
+    real = decomposition.close_j
+    decomposition.close_j = counted
     try:
         return decomposition.build_monotonic_chains(model, jstructure, node_order)
     finally:
-        decomposition._close = real
+        decomposition.close_j = real

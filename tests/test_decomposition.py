@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from homrf import decomposition as decomposition_module
-from homrf import model as model_module
 from homrf.baselines import msd_sweep_order
 from homrf.decomposition import (
     _eq15_holds,
@@ -248,10 +247,8 @@ class TestBuildChains:
             calls.append(args)
             return real(*args)
 
-        # `close_j` closes through `model._close`: count both entries
-        real = model_module._close
-        monkeypatch.setattr(model_module, "_close", counted)
-        monkeypatch.setattr(decomposition_module, "_close", counted)
+        real = decomposition_module.close_j
+        monkeypatch.setattr(decomposition_module, "close_j", counted)
         build_monotonic_chains(model, js)
         assert len(calls) == own_closures
         d = build_monotonic_chains(model, edgeless)

@@ -176,6 +176,15 @@ class TestJSection:
         _, js, order = parse_model_file(text)
         assert js.edges == {(2, 0), (2, 1)} and order == (1, 2, 0)
 
+    def test_blank_lines_around_order(self):
+        lines = _J_HEAD + ["2", "2 0", "2 1", "", "", "ORDER", "", "1 2", "", "0", ""]
+        _, js, order = parse_model_file("\n".join(lines) + "\n")
+        assert js.edges == {(2, 0), (2, 1)} and order == (1, 2, 0)
+        # cut after "1 2": the end of file is on the line of the last id read
+        assert _parse_error(lines[:-2]) == (
+            "line 19: unexpected end of file, expected node id in order"
+        )
+
     def test_section_after_the_edges_names_its_line(self):
         lines = _J_HEAD + ["2", "2 0", "2 1 FOO"]
         assert _parse_error(lines) == "line 14: unknown section 'FOO'"
@@ -183,16 +192,25 @@ class TestJSection:
     @pytest.mark.parametrize(
         "j_lines, message",
         [
-            (["1", "0 0"], "line 13: edge 0 (0, 0): scope (0,) is not strictly inside (0,)"),
+            (["J", "1", "0 0"], "line 13: edge 0 (0, 0): scope (0,) is not strictly inside (0,)"),
             # the first edge in file order, not in the closure's set order
-            (["4", "2 0", "1 0", "", "0 2", "2 2"],
+            (["J", "4", "2 0", "1 0", "", "0 2", "2 2"],
              "line 14: edge 1 (1, 0): scope (0,) is not strictly inside (1,)"),
-            (["3", "2 0 2 1", "0 2"], "line 14: edge 2 (0, 2): scope (0, 1) is not strictly inside (0,)"),
+            (["J", "3", "2 0 2 1", "0 2"], "line 14: edge 2 (0, 2): scope (0, 1) is not strictly inside (0,)"),
+            # the edges read again after an ORDER section, before one on the
+            # bad edge's line, and after blank lines
+            (["ORDER", "2 1 0", "J", "2", "2 0", "0 2"],
+             "line 16: edge 1 (0, 2): scope (0, 1) is not strictly inside (0,)"),
+            (["J", "2", "2 0", "0 2 ORDER 1", "2 0"],
+             "line 14: edge 1 (0, 2): scope (0, 1) is not strictly inside (0,)"),
+            (["J", "3", "2 0", "", "2 1", "", "", "1 2", "ORDER", "0 1 2"],
+             "line 18: edge 2 (1, 2): scope (0, 1) is not strictly inside (1,)"),
         ],
     )
     def test_edge_not_nested_names_its_line(self, j_lines, message):
+        # `j_lines` are the lines after the factors
         with pytest.raises(NotNested) as exc:
-            parse_model_file("\n".join(_J_HEAD + j_lines) + "\n")
+            parse_model_file("\n".join(_J_HEAD[:-1] + j_lines) + "\n")
         assert str(exc.value) == message
 
     def test_edge_not_nested_file_exit_1(self, tmp_path):
