@@ -28,10 +28,28 @@ from .model import Factor, Model, _as_int, _gc_paused, close_j
 
 def sigma_key(scope, pos):
     """Sort key for factor scopes: (min, max, remaining nodes ascending)."""
-    ranks = sorted(pos[v] for v in scope)
-    if len(ranks) == 1:
-        return (ranks[0], ranks[0])
+    return _rank_key(sorted(pos[v] for v in scope))
+
+
+def _rank_key(ranks):
+    # `sigma_key` of a scope whose node positions, sorted, are `ranks`
     return (ranks[0], ranks[-1], *ranks[1:-1])
+
+
+def _sigma_keys(scopes, pos):
+    # `sigma_key` of each scope; a one- or two-node scope, as most of a
+    # grid's are, is keyed without a sort
+    keys = []
+    for s in scopes:
+        if len(s) == 1:
+            r = pos[s[0]]
+            keys.append((r, r))
+        elif len(s) == 2:
+            x, y = pos[s[0]], pos[s[1]]
+            keys.append((x, y) if x < y else (y, x))
+        else:
+            keys.append(sigma_key(s, pos))
+    return keys
 
 
 def sigma_sorted(scopes, pos, fids):
@@ -73,28 +91,9 @@ def sep_bounds(jstructure, node_order, chain, outer_factor):
     and last fall back to the singleton of their minimal / maximal node.
     """
     pos = _node_pos(node_order, _scope_nodes(jstructure))
+    index = _scope_index(jstructure)
     i = list(chain).index(outer_factor)
-    return _sep_bounds(jstructure, pos, _scope_index(jstructure), chain, i)
-
-
-def _scope_index(jstructure):
-    return {s: f for f, s in enumerate(jstructure.scopes)}
-
-
-def _sep_bounds(jstructure, pos, index, chain, i):
-    # `sep_bounds` for chain member i, given the node positions and the
-    # scope -> factor index, which stay fixed across a whole decomposition
-    outer_factor = chain[i]
     scope = jstructure.scope(outer_factor)
-
-    def lookup(s, side):
-        fid = index.get(s)
-        if fid not in jstructure.separators:
-            raise MissingSeparatorFactor(
-                f"{side} separator {s} of factor {outer_factor} is not a separator factor"
-            )
-        return fid
-
     if len(scope) == 1:
         return None, None
     if i > 0:
@@ -105,7 +104,24 @@ def _sep_bounds(jstructure, pos, index, chain, i):
         right = tuple(sorted(set(scope) & set(jstructure.scope(chain[i + 1]))))
     else:
         right = (max(scope, key=lambda v: pos[v]),)
-    return lookup(left, "left"), lookup(right, "right")
+    return (
+        _bound(jstructure, index, left, "left", outer_factor),
+        _bound(jstructure, index, right, "right", outer_factor),
+    )
+
+
+def _scope_index(jstructure):
+    return {s: f for f, s in enumerate(jstructure.scopes)}
+
+
+def _bound(jstructure, index, s, side, outer_factor):
+    # the separator factor of scope s, the outer factor's `side` bound
+    fid = index.get(s)
+    if fid not in jstructure.separators:
+        raise MissingSeparatorFactor(
+            f"{side} separator {s} of factor {outer_factor} is not a separator factor"
+        )
+    return fid
 
 
 def local_separator_window(decomposition, outer_factor):
@@ -139,6 +155,18 @@ def _eq15_holds(prev_scope, next_scope, pos):
     return left < lo and hi < right
 
 
+def _joint(prev_ranks, prev_nodes, next_ranks, next_nodes):
+    """The nodes two factors share, sorted, if `_eq15_holds` for them, else
+    None; from each one's node set and sorted node positions.  It holds when
+    the k shared nodes are the earlier factor's last k positions and the
+    later one's first k, and each factor holds a node the other lacks."""
+    shared = prev_nodes & next_nodes
+    k = len(shared)
+    if 0 < k < len(prev_ranks) and k < len(next_ranks) and prev_ranks[-k:] == next_ranks[:k]:
+        return tuple(sorted(shared))
+    return None
+
+
 class FrozenDict(dict):
     """A dict whose every mutator raises `TypeError`.  Pickles and copies
     rebuild it from its items, so they stay read-only too (unlike a
@@ -163,7 +191,12 @@ class Decomposition:
     follows from them and is derived once, in `__post_init__`: the node
     positions, the separator order, each outer factor's window bounds
     `sep_minus` / `sep_plus` and window, the per-factor probabilities, the
-    subproblems and the message edges.  A decomposition is frozen: assigning
+    subproblems and the message edges.  Each factor's `sigma_key` is taken
+    once and orders both the separators and the outer factors.  One pass over
+    the chains then gives each member its bounds, as `sep_bounds` does, with
+    a member's left bound the joint separator its predecessor found as its
+    right one, and its window, as `local_separator_window` does, from the
+    separator ranks of its locals.  A decomposition is frozen: assigning
     a field raises `FrozenInstanceError`, so none is left stale, and
     `dataclasses.replace` builds a new decomposition that derives them all
     anew.  Its mappings are `FrozenDict`s, so no entry can be edited either.
@@ -203,41 +236,58 @@ class Decomposition:
             if not (math.isfinite(r) and r > 0):
                 raise HomrfError(f"chain {t} has probability {r}, not a finite positive number")
         js, chains = self.jstructure, self.chains
+        scopes, locals_ = js.scopes, js.locals
         pos = _node_pos(self.node_order, range(self.model.node_count))
-        order = tuple(sigma_sorted(js.scopes, pos, js.separators))
+        nodes = tuple(pos)  # the node at each position
+        key = _sigma_keys(scopes, pos)
+        order = tuple(sorted(js.separators, key=key.__getitem__))
+        rank = {b: i for i, b in enumerate(order)}
         fix("node_pos", FrozenDict(pos))
         fix("separator_order", order)
-        fix("sep_rank", FrozenDict({b: i for i, b in enumerate(order)}))
-        sep_minus, sep_plus = {}, {}
+        fix("sep_rank", FrozenDict(rank))
         index = _scope_index(js)
+        # each member's bounds, as `sep_bounds` gives them, and its window,
+        # as `local_separator_window` does; a member's left bound is the
+        # joint separator its predecessor found as its right bound
+        sep_minus, sep_plus, windows = {}, {}, {}
         for t, chain in enumerate(chains):
+            last = len(chain) - 1
             for i, a in enumerate(chain):
-                if len(chain) > 1 and len(js.scope(a)) == 1:
-                    raise HomrfError(f"chain {t}: one-node member {a} has no window bounds")
-                sep_minus[a], sep_plus[a] = _sep_bounds(js, pos, index, chain, i)
+                if len(scopes[a]) == 1:
+                    if last:
+                        raise HomrfError(f"chain {t}: one-node member {a} has no window bounds")
+                    sep_minus[a] = sep_plus[a] = None
+                    windows[a] = ()
+                    continue
+                left = right if i else _bound(js, index, (nodes[key[a][0]],), "left", a)
+                if i < last:
+                    s = tuple(sorted(set(scopes[a]).intersection(scopes[chain[i + 1]])))
+                else:
+                    s = (nodes[key[a][1]],)
+                right = _bound(js, index, s, "right", a)
+                sep_minus[a], sep_plus[a] = left, right
+                lo, hi = rank[left], rank[right]
+                ranks = [r for b in locals_[a] if lo <= (r := rank.get(b, -1)) <= hi]
+                windows[a] = tuple([order[r] for r in sorted(ranks)])
         fix("sep_minus", FrozenDict(sep_minus))
         fix("sep_plus", FrozenDict(sep_plus))
-        fix("local_separators", FrozenDict({
-            a: local_separator_window(self, a) for chain in chains for a in chain
-        }))
+        fix("local_separators", FrozenDict(windows))
         fix("tree_factors", tuple(
-            frozenset().union(*(js.locals[a] for a in chain)) for chain in chains
+            frozenset().union(*(locals_[a] for a in chain)) for chain in chains
         ))
         trees_of = {}
         rho_factor = {}
-        for t, fs in enumerate(self.tree_factors):
+        for t, (fs, r) in enumerate(zip(self.tree_factors, self.rho)):
             for c in fs:
                 trees_of.setdefault(c, []).append(t)
-                rho_factor[c] = rho_factor.get(c, 0.0) + self.rho[t]
+                rho_factor[c] = rho_factor.get(c, 0.0) + r
         fix("trees_of", FrozenDict({c: tuple(ts) for c, ts in trees_of.items()}))
         fix("rho_factor", FrozenDict(rho_factor))
         fix("tree_nodes", tuple(
-            tuple(sorted({v for a in chain for v in js.scope(a)})) for chain in chains
+            tuple(sorted(set().union(*(scopes[a] for a in chain)))) for chain in chains
         ))
         fix("message_edges", tuple(
-            (a, b)
-            for a in sigma_sorted(js.scopes, pos, js.outer)
-            for b in self.local_separators.get(a, ())
+            (a, b) for a in sorted(js.outer, key=key.__getitem__) for b in windows.get(a, ())
         ))
 
     @cached_property
@@ -264,7 +314,11 @@ def build_monotonic_chains(model, jstructure, node_order=None):
     untouched.  Outer factors are visited in scope order and appended to the
     first open chain whose tail admits them; a factor no chain admits opens a
     new one.  Only the chains whose tail shares a node with the factor can
-    admit it, so only those are tried, in the order they were opened.
+    admit it, so only those are tried, in the order they were opened.  Each
+    outer factor's node set and sorted node positions are taken once, and a
+    tail admits a factor when `_joint` finds them monotonic, which is
+    `_eq15_holds` on those positions; the shared nodes it returns name the
+    chain-intersection factor.
     Closure adds edges only into factors some edge already targets, so the
     outer factors are read off the raw edges and J is closed at most once, at
     the end: the augmented edges are closed from scratch, or the J it was
@@ -277,7 +331,6 @@ def build_monotonic_chains(model, jstructure, node_order=None):
     node_order = tuple(pos)
 
     scopes = list(model.scopes)
-    tables = [f.table for f in model.factors]
     index = {s: i for i, s in enumerate(scopes)}
     edges = set(jstructure.edges)
     added = []
@@ -287,7 +340,6 @@ def build_monotonic_chains(model, jstructure, node_order=None):
         if fid is None:
             fid = len(scopes)
             scopes.append(scope)
-            tables.append(np.zeros(table_shape(scope, model.label_counts)))
             index[scope] = fid
             added.append(scope)
         return fid
@@ -303,26 +355,30 @@ def build_monotonic_chains(model, jstructure, node_order=None):
     # Monotonicity alone keeps running intersection: a node a member does not
     # share with its successor precedes every node of that successor, hence
     # of every later member, so no later member can hold it again.
-    chains = []
+    outer = [f for f in range(len(scopes)) if f not in targets]
+    ranks = {a: sorted(map(pos.__getitem__, scopes[a])) for a in outer}
+    sets = {a: frozenset(scopes[a]) for a in outer}
+    chains, joints = [], []  # joints[c][i]: the nodes chains[c][i] and [i + 1] share
     at_tail = [[] for _ in nodes]  # node -> chains whose tail holds it
-    for a in sigma_sorted(scopes, pos, (f for f in range(len(scopes)) if f not in targets)):
-        scope_a = scopes[a]
-        for c in sorted({c for v in scope_a for c in at_tail[v]}):
-            tail = scopes[chains[c][-1]]
-            if _eq15_holds(tail, scope_a, pos):
-                for v in tail:
+    for a in sorted(outer, key=lambda f: _rank_key(ranks[f])):  # sigma_key
+        for c in sorted({c for v in sets[a] for c in at_tail[v]}):
+            tail = chains[c][-1]
+            joint = _joint(ranks[tail], sets[tail], ranks[a], sets[a])
+            if joint:
+                for v in sets[tail]:
                     at_tail[v].remove(c)
                 chains[c].append(a)
+                joints[c].append(joint)
                 break
         else:
             c = len(chains)
             chains.append([a])
-        for v in scope_a:
+            joints.append([])
+        for v in sets[a]:
             at_tail[v].append(c)
 
-    for chain in chains:
-        for i in range(len(chain) - 1):
-            s = tuple(sorted(set(scopes[chain[i]]) & set(scopes[chain[i + 1]])))
+    for chain, joint in zip(chains, joints):
+        for i, s in enumerate(joint):
             fid = ensure_factor(s)
             edges.add((chain[i], fid))
             edges.add((chain[i + 1], fid))
@@ -331,10 +387,12 @@ def build_monotonic_chains(model, jstructure, node_order=None):
     if added or edges != js.edges or js.scopes != model.scopes:
         js = close_j(scopes, edges)
     if added:
-        model = Model(
-            model.label_counts,
-            [Factor(s, np.ascontiguousarray(t)) for s, t in zip(scopes, tables)],
-        )
+        # the given factors as they are, unless a table needs a C-contiguous copy
+        counts = model.label_counts
+        model = Model(counts, [
+            f if f.table.flags.c_contiguous else Factor(f.scope, np.ascontiguousarray(f.table))
+            for f in model.factors
+        ] + [Factor(s, np.zeros(table_shape(s, counts))) for s in added])
 
     return Decomposition(
         model=model,

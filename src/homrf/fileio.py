@@ -19,26 +19,34 @@ Values are written with 17 significant digits so a serialize/parse round trip
 reproduces every double bit-exactly.
 
 The parser walks the text with a cursor that holds one line's tokens at a
-time, so the line an error names is the line the cursor is on.  Counts, ids
-and scopes are read token by token, except the J section's 2m factor ids:
-they are split from the lines they fill and converted with one `map(int,
-...)`.  A section that fails that read is read again token by token for its
-message, and so is a section whose closure finds an edge that is not nested,
-to name the first such edge and its line.  Each table is converted with one
-numpy call per line it spans, which accepts and rejects exactly the strings
-`float()` does.  A table that starts a line and fills it exactly is converted
-once per distinct line text: a later line of the same text is not split
-again, and its factor gets the first one's read-only array.  Grid models,
-whose pairwise or higher-order factors all carry one potential, repeat one
-line thousands of times.
+time, so the line an error names is the line the cursor is on.  The header,
+the section names and the node, factor and edge counts are read token by
+token; the three long sections are read as blocks.  The label counts and the J section's 2m factor ids are split from
+the lines they fill and converted with one `map(int, ...)`.  The factor
+section is read in the layout the serializer writes, a scope line and then a
+table line per factor: the scope lines' ids take one `map(int, ...)`, and
+each distinct table line one numpy call, which accepts and rejects exactly
+the strings `float()` does.  A section laid out otherwise, or one that fails
+its block read, is read again token by token, which gives the message and
+line of its first fault, and so is a J section whose closure finds an edge
+that is not nested, to name the first such edge and its line.  On that read
+a table is converted with one numpy call per line it spans.  On either read,
+a table that starts a line and fills it exactly is converted once per
+distinct line text: a later line of the same text is not split again, and
+its factor gets the first one's read-only array.  Grid models, whose
+pairwise or higher-order factors all carry one potential, repeat one line
+thousands of times.
 """
 
 import math
+from itertools import chain
 
 import numpy as np
 
 from .errors import NotNested, ParseError
 from .model import _gc_paused, build_model, close_j
+
+_MAX_DIM = np.iinfo(np.intp).max  # the largest numpy dimension
 
 
 class _Tokens:
@@ -144,17 +152,19 @@ class _Tokens:
             self._filled[text] = parts[0]
         return parts[0]
 
-    def ids(self, count, below):
+    def ids(self, count, below, per_line):
         """The next `count` tokens as ints in [0, below), in one conversion of
         the lines they fill, the cursor left on the line of the last one.
-        None, with the cursor unmoved, if a token is missing, not an integer
-        or out of range: a read one token at a time names it and its line."""
+        `per_line` is how many the serializer writes on a line.  None, with
+        the cursor unmoved, if a token is missing, not an integer or out of
+        range: a read one token at a time names it and its line."""
         words = list(self._toks[self._i :])
         texts = self._texts
         pos = start = self.line  # the index of the line after the held one
         while len(words) < count and pos < len(texts):
-            # as many lines as the serializer fills with the ids still wanted
-            end = min(pos + (count - len(words) + 1) // 2, len(texts))
+            # as many lines as the serializer fills with the ids still
+            # wanted: their count over `per_line`, rounded up
+            end = min(pos - (len(words) - count) // per_line, len(texts))
             words += " ".join(texts[pos:end]).split()
             pos = end
         if len(words) < count:
@@ -178,6 +188,49 @@ class _Tokens:
         self.line, self._toks, self._i = pos, toks, len(toks) - surplus
         return ids
 
+    def factors(self, k, label_counts):
+        """The next k factors as (scope, table) pairs, read as blocks from the
+        layout the serializer writes: one scope line and then one table line
+        per factor.  The scopes' ids take one conversion, and each distinct
+        table line one numpy call; a table line repeated later gives its
+        factor the first one's read-only array, as `table` does.  None, with
+        the cursor unmoved, if the lines are laid out otherwise or hold a
+        fault: a read one token at a time then reads them, naming the fault
+        and its line."""
+        start = self.line  # the index of the line after the held one
+        end = start + 2 * k
+        if self._i < len(self._toks) or end > len(self._texts):
+            return None
+        heads = [text.split() for text in self._texts[start:end:2]]
+        filled = {}
+        factors = []
+        last = None  # the previous table line; `table` still holds its table
+        try:
+            ids = list(map(int, chain.from_iterable(heads)))  # sizes and nodes
+            if ids and min(ids) < 0:
+                return None
+            i = 0
+            for head, text in zip(heads, self._texts[start + 1 : end : 2]):
+                size = len(head) - 1
+                if size <= 0 or ids[i] != size:
+                    return None
+                scope = tuple(ids[i + 1 : i + 1 + size])
+                i += 1 + size
+                cells = math.prod([label_counts[v] for v in scope])  # IndexError past the last node
+                if text != last:  # a line equal to the one before is not hashed again
+                    table = filled.get(text)
+                    if table is None:
+                        table = filled[text] = np.array(text.split(), dtype=float)
+                        table.setflags(write=False)
+                    last = text
+                if table.size != cells:
+                    return None
+                factors.append((scope, table))
+        except (ValueError, IndexError):
+            return None
+        self.line, self._toks, self._i = end, (), 0
+        return factors
+
 
 @_gc_paused
 def parse_model_file(text):
@@ -189,25 +242,19 @@ def parse_model_file(text):
     n = toks.next_int("node count")
     if n <= 0:
         raise ParseError(f"line {toks.line}: node count must be positive")
-    label_counts = [toks.next_int("label count of node {}", v) for v in range(n)]
+    label_counts = toks.ids(n, _MAX_DIM + 1, n)
+    if label_counts is None:
+        label_counts = [toks.next_int("label count of node {}", v) for v in range(n)]
     for v, c in enumerate(label_counts):
-        if not 0 < c <= np.iinfo(np.intp).max:  # a numpy dimension
+        if not 0 < c <= _MAX_DIM:
             raise ParseError(f"line {toks.line}: node {v} has label count {c}")
 
     k = toks.next_int("factor count")
     if k < 0:
         raise ParseError(f"line {toks.line}: factor count must be non-negative")
-    factors = []
-    for f in range(k):
-        size = toks.next_int("scope size of factor {}", f)
-        if size <= 0:
-            raise ParseError(f"line {toks.line}: factor {f} has scope size {size}")
-        scope = tuple([toks.next_int("node id in factor {}", f) for _ in range(size)])
-        for v in scope:
-            if v < 0 or v >= n:
-                raise ParseError(f"line {toks.line}: factor {f} references node {v}")
-        cells = math.prod([label_counts[v] for v in scope])
-        factors.append((scope, toks.table(cells, f)))
+    factors = toks.factors(k, label_counts)
+    if factors is None:
+        factors = _read_factors(toks, k, label_counts)
 
     model = build_model(label_counts, factors)
 
@@ -243,11 +290,30 @@ def parse_model_file(text):
     return model, jstructure, node_order
 
 
+def _read_factors(toks, k, label_counts):
+    # the k factors one token at a time, for a section `_Tokens.factors`
+    # does not read: one laid out otherwise, or one with a fault, whose
+    # message and line this read gives
+    n = len(label_counts)
+    factors = []
+    for f in range(k):
+        size = toks.next_int("scope size of factor {}", f)
+        if size <= 0:
+            raise ParseError(f"line {toks.line}: factor {f} has scope size {size}")
+        scope = tuple([toks.next_int("node id in factor {}", f) for _ in range(size)])
+        for v in scope:
+            if v < 0 or v >= n:
+                raise ParseError(f"line {toks.line}: factor {f} references node {v}")
+        cells = math.prod([label_counts[v] for v in scope])
+        factors.append((scope, toks.table(cells, f)))
+    return factors
+
+
 def _edges(toks, m, k):
     # the J section's m edges as a set, from one block of 2m ids; a block
     # that does not read so is read again one token at a time, which raises
     # naming the token and its line
-    ids = toks.ids(2 * m, k)
+    ids = toks.ids(2 * m, k, 2)
     if ids is None:
         _read_edges(toks, m, k)
     pairs = iter(ids)

@@ -11,9 +11,10 @@ and by shared sources with nested targets.
 
 import gc
 import math
-from itertools import combinations
+from itertools import chain, combinations
 from dataclasses import dataclass, field
 from functools import wraps
+from operator import itemgetter
 
 import numpy as np
 
@@ -106,11 +107,17 @@ def build_model(node_label_counts, factor_list):
     given in any order; the table, flat or shaped, is read row-major over the
     given order and re-indexed to the sorted scope.  Tables are copied, and
     factors given one table object under one layout share one read-only copy.
+    The scopes are checked together first, one property at a time over all of
+    them; only when one fails are they checked factor by factor, so that the
+    error names the first factor at fault.  Each table copy is checked for
+    finite entries on its own.
     """
     label_counts = tuple([_as_int(c, "label count") for c in node_label_counts])
     if any(c < 1 for c in label_counts):
         raise ValueError("every node needs at least one label")
     n = len(label_counts)
+    factor_list = list(factor_list)
+    canonical = _canonical_scopes(factor_list, n)
 
     factors = []
     seen = {}
@@ -118,26 +125,15 @@ def build_model(node_label_counts, factor_list):
     # copy); holding the given table keeps its id from being reused
     copies = {}
     for k, (scope_in, table_in) in enumerate(factor_list):
-        scope_in = tuple([v if type(v) is int else _as_int(v, "node") for v in scope_in])
-        if not scope_in:
-            raise ValueError(f"factor {k}: empty scope")
-        scope = tuple(sorted(scope_in))
-        if len(set(scope)) != len(scope):
-            raise DuplicateNodeInScope(f"factor {k}: scope {scope_in} repeats a node")
-        if scope[0] < 0 or scope[-1] >= n:
-            raise ValueError(f"factor {k}: scope {scope_in} references an unknown node")
-        if scope in seen:
-            raise DuplicateFactor(
-                f"factors {seen[scope]} and {k} share scope {scope}"
-            )
-        seen[scope] = k
-
+        if canonical:
+            scope, axes = scope_in, None
+        else:
+            scope_in, scope, axes = _checked_scope(k, scope_in, n, seen)
         shape_in = tuple([label_counts[v] for v in scope_in])
-        axes = None if scope == scope_in else tuple(np.argsort(scope_in).tolist())
         key = (id(table_in), shape_in, axes)
         copy = copies.get(key)
         if copy is None:
-            table = np.array(table_in, dtype=float)
+            table = np.array(table_in, dtype=float, order="C")
             want = math.prod(shape_in)
             if table.size != want:
                 raise TableShapeMismatch(
@@ -147,13 +143,51 @@ def build_model(node_label_counts, factor_list):
                 raise NonFiniteCost(f"factor {k}: non-finite cost entry")
             table = table.reshape(shape_in)
             if axes is not None:
-                table = np.transpose(table, axes)
-            table = np.ascontiguousarray(table)
+                table = np.ascontiguousarray(np.transpose(table, axes))
             table.setflags(write=False)
             copy = copies[key] = (table_in, table)
         factors.append(Factor(scope, copy[1]))
 
     return Model(label_counts, factors)
+
+
+def _canonical_scopes(factor_list, n):
+    # True when every scope passes `_checked_scope` as it is: a non-empty
+    # tuple of ints in range(n), strictly increasing, and no two equal.  Each
+    # property is checked over all scopes in one pass.  An entry that is no
+    # pair is left to the loop over the factors, to raise in its turn.
+    try:
+        scopes = [s for s, _ in factor_list]
+    except (TypeError, ValueError):
+        return False
+    return (
+        set(map(type, scopes)) == {tuple}
+        and all(scopes)
+        and set(map(type, chain.from_iterable(scopes))) == {int}
+        and list(map(tuple, map(sorted, map(set, scopes)))) == scopes
+        and min(map(itemgetter(0), scopes)) >= 0
+        and max(map(itemgetter(-1), scopes)) < n
+        and len(set(scopes)) == len(scopes)
+    )
+
+
+def _checked_scope(k, scope_in, n, seen):
+    # factor k's scope as given, as ints, its sorted form and the axis order
+    # that sorts it (None if sorted); raises on a fault, and on a scope
+    # `seen` holds (scope -> factor), to which it adds this one
+    scope_in = tuple([v if type(v) is int else _as_int(v, "node") for v in scope_in])
+    if not scope_in:
+        raise ValueError(f"factor {k}: empty scope")
+    scope = tuple(sorted(scope_in))
+    if len(set(scope)) != len(scope):
+        raise DuplicateNodeInScope(f"factor {k}: scope {scope_in} repeats a node")
+    if scope[0] < 0 or scope[-1] >= n:
+        raise ValueError(f"factor {k}: scope {scope_in} references an unknown node")
+    if scope in seen:
+        raise DuplicateFactor(f"factors {seen[scope]} and {k} share scope {scope}")
+    seen[scope] = k
+    axes = None if scope == scope_in else tuple(np.argsort(scope_in).tolist())
+    return scope_in, scope, axes
 
 
 def check_labeling(model, labeling):

@@ -9,6 +9,8 @@ from homrf import decomposition as decomposition_module
 from homrf.baselines import msd_sweep_order
 from homrf.decomposition import (
     _eq15_holds,
+    _joint,
+    _sigma_keys,
     build_monotonic_chains,
     extend_order_to_separators,
     local_separator_window,
@@ -403,6 +405,72 @@ class TestBuilderMatchesDefinition:
                 assert new.sep_minus == {a: sep_bounds(js, order, c, a)[0] for c in chains for a in c}
                 assert new.sep_plus == {a: sep_bounds(js, order, c, a)[1] for c in chains for a in c}
                 assert new.separator_order == extend_order_to_separators(js, order)
+
+
+def _scope_pairs(rng, order):
+    # (earlier, later) scope pairs over the nodes of `order` of every kind
+    # the builder meets: disjoint, nested either way, equal, one-node, and
+    # sharing 1 to 3 nodes with private nodes placed anywhere (most often
+    # interleaved) or monotonic under `order`
+    n = len(order)
+    nodes = rng.permutation(n).tolist()
+    a = sorted(nodes[: int(rng.integers(1, n))])
+    rest = nodes[len(a) :]
+    yield a, sorted(rest[: int(rng.integers(1, len(rest) + 1))])  # disjoint
+    if len(a) > 1:
+        sub = sorted(rng.choice(a, size=int(rng.integers(1, len(a))), replace=False).tolist())
+        yield a, sub
+        yield sub, a
+    yield a, list(a)
+    yield [int(rng.integers(n))], a
+    yield a, [int(rng.integers(n))]
+    for k in range(1, min(n, 3) + 1):
+        picked = rng.permutation(n).tolist()
+        shared = picked[:k]
+        others = picked[k:]
+        i = int(rng.integers(0, len(others) + 1))
+        j = int(rng.integers(i, len(others) + 1))
+        yield sorted(shared + others[:i]), sorted(shared + others[i:j])
+        # the same counts placed monotonic under `order`: the earlier
+        # factor's private nodes first, then the shared ones, then the later
+        # factor's private nodes
+        at = sorted(rng.choice(n, size=k + j, replace=False).tolist())
+        placed = [order[p] for p in at]
+        yield sorted(placed[: i + k]), sorted(placed[i:])
+
+
+class TestRankTest:
+    def test_joint_agrees_with_eq15(self):
+        # the builder's test on sorted node positions and node sets against
+        # its definition, under random node orders
+        rng = np.random.default_rng(41)
+        holds = fails = 0
+        for _ in range(400):
+            n = int(rng.integers(2, 9))
+            order = rng.permutation(n).tolist()
+            pos = {v: i for i, v in enumerate(order)}
+            for prev, nxt in _scope_pairs(rng, order):
+                ranks = [sorted(pos[v] for v in s) for s in (prev, nxt)]
+                got = _joint(ranks[0], frozenset(prev), ranks[1], frozenset(nxt))
+                want = _eq15_holds(tuple(prev), tuple(nxt), pos)
+                assert (got is not None) == want, (prev, nxt, order)
+                if want:
+                    assert got == tuple(sorted(set(prev) & set(nxt)))
+                    holds += 1
+                else:
+                    fails += 1
+        assert holds > 200 and fails > 200
+
+    def test_sigma_keys_are_sigma_key(self):
+        rng = np.random.default_rng(42)
+        for _ in range(200):
+            n = int(rng.integers(1, 9))
+            pos = {v: i for i, v in enumerate(rng.permutation(n).tolist())}
+            scopes = [
+                tuple(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False).tolist())
+                for _ in range(5)
+            ]
+            assert _sigma_keys(scopes, pos) == [sigma_key(s, pos) for s in scopes]
 
 
 class TestValidate:

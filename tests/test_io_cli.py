@@ -17,6 +17,7 @@ from homrf.baselines import solve_msd, solve_subgradient
 from homrf.cli import main
 from homrf.decomposition import build_monotonic_chains, local_separator_window
 from homrf.errors import NonFiniteCost, NotNested, ParseError
+from homrf import fileio
 from homrf.fileio import parse_model_file, serialize_model
 from homrf.generators import (
     gen_potts_2x2,
@@ -398,6 +399,137 @@ class TestSharedTables:
         lines = _SPLIT_TABLE[:7] + ["0 x 2 3 4 5", "2 0 1", "0 x 2 3 4 5"] + _SPLIT_TABLE[9:]
         lines[3] = "3"
         assert _parse_error(lines) == "line 8: expected table value of factor 1, got 'x'"
+
+
+def _stereo_lines():
+    # a 6x5 stereo file: 30 unary factors, then 38 triples whose table lines
+    # are one repeated line; factor f's scope is on line 5 + 2f
+    model, js = gen_stereo_second_order(6, 5, labels=4, smooth_weight=15.0, seed=0)
+    return serialize_model(model, js).splitlines()
+
+
+def _nested_lines(seed):
+    rng = np.random.default_rng(seed)
+    model, js = random_instance(rng, n_nodes=8, nested=True)
+    order = tuple(rng.permutation(model.node_count).tolist())
+    return serialize_model(model, js, order).splitlines()
+
+
+def _reflow(lines, section):
+    # the file with its factor section's lines replaced by `section(pairs)`,
+    # which gets each factor's (scope line, table line)
+    k = int(lines[3])
+    pairs = list(zip(lines[4 : 4 + 2 * k : 2], lines[5 : 5 + 2 * k : 2]))
+    return lines[:4] + section(pairs) + lines[4 + 2 * k :]
+
+
+def _split_in_two(line):
+    toks = line.split()
+    half = max(1, len(toks) // 2)
+    return [" ".join(toks[:half]), " ".join(toks[half:])]
+
+
+_LAYOUTS = {
+    "scope and table on one line": lambda pairs: [f"{s} {t}" for s, t in pairs],
+    "two factors on one line": lambda pairs: [
+        " ".join(s + " " + t for s, t in pairs[i : i + 2]) for i in range(0, len(pairs), 2)
+    ],
+    "blank lines between factors and inside a table": lambda pairs: [
+        line for s, t in pairs for line in ["", s, *_split_in_two(t)[:1], "", *_split_in_two(t)[1:]]
+    ],
+    "a scope split over two lines": lambda pairs: [
+        line for s, t in pairs for line in [*_split_in_two(s), t]
+    ],
+}
+
+
+def _assert_same_model(a, b):
+    assert b[0].label_counts == a[0].label_counts
+    assert b[0].scopes == a[0].scopes
+    for fa, fb in zip(a[0].factors, b[0].factors):
+        assert fb.table.shape == fa.table.shape
+        assert fb.table.tobytes() == fa.table.tobytes()
+    assert b[1].closed_edges == a[1].closed_edges
+    assert b[2] == a[2]
+
+
+def _drop_last_value(lines, f):
+    lines[5 + 2 * f] = lines[5 + 2 * f].rsplit(" ", 1)[0]
+
+
+def _set_token(lines, index, i, tok):
+    toks = lines[index].split()
+    toks[i] = tok
+    lines[index] = " ".join(toks)
+
+
+# edits of `_stereo_lines()` and the cursor's message for each
+_FAULTS = {
+    # factor 40's 64-value table takes factor 41's scope size as its last
+    # value; factor 41 then reads its first node as its size
+    "short-table": (lambda ls: _drop_last_value(ls, 40), "line 88: factor 41 references node 45"),
+    "short-unary-table": (
+        lambda ls: _drop_last_value(ls, 12),
+        "line 32: expected node id in factor 13, got '39.441790386481671'",
+    ),
+    "non-integer-node": (
+        lambda ls: _set_token(ls, 4 + 2 * 40, 2, "x"),
+        "line 85: expected node id in factor 40, got 'x'",
+    ),
+    "unknown-node": (
+        lambda ls: _set_token(ls, 4 + 2 * 40, 2, "99"), "line 85: factor 40 references node 99"
+    ),
+    "scope-size-0": (
+        lambda ls: ls.__setitem__(4 + 2 * 40, "0"), "line 85: factor 40 has scope size 0"
+    ),
+    "label-count": (
+        lambda ls: _set_token(ls, 2, 2, "x"), "line 3: expected label count of node 2, got 'x'"
+    ),
+}
+
+
+class TestFactorSection:
+    # the factor section is read as blocks when it is laid out as the
+    # serializer writes it; any other layout, and any fault, is read one token
+    # at a time, so a model and every message are the token cursor's
+
+    @pytest.mark.parametrize("layout", sorted(_LAYOUTS))
+    @pytest.mark.parametrize("lines", [_stereo_lines(), _nested_lines(3)], ids=["stereo", "nested"])
+    def test_layouts_parse_to_the_same_model(self, lines, layout):
+        a = parse_model_file("\n".join(lines) + "\n")
+        b = parse_model_file("\n".join(_reflow(lines, _LAYOUTS[layout])) + "\n")
+        _assert_same_model(a, b)
+
+    def test_reflowed_sections_parse_to_the_same_model(self):
+        rng = np.random.default_rng(41)
+        for lines in [_stereo_lines()] + [_nested_lines(seed) for seed in range(5)]:
+            a = parse_model_file("\n".join(lines) + "\n")
+            for _ in range(4):
+                width = int(rng.integers(1, 9))
+
+                def section(pairs):
+                    toks = " ".join(s + " " + t for s, t in pairs).split()
+                    out, i = [], 0
+                    while i < len(toks):
+                        j = i + int(rng.integers(1, width + 1))
+                        out.append(" ".join(toks[i:j]))
+                        i = j
+                    return out
+
+                _assert_same_model(a, parse_model_file("\n".join(_reflow(lines, section)) + "\n"))
+
+    def test_a_serialized_section_is_read_as_blocks(self, monkeypatch):
+        # the token-by-token read is never reached for the serializer's layout
+        monkeypatch.setattr(fileio, "_read_factors", None)
+        for lines in (_stereo_lines(), _nested_lines(4)):
+            parse_model_file("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("fault", sorted(_FAULTS))
+    def test_faults_name_the_cursors_line(self, fault):
+        edit, message = _FAULTS[fault]
+        lines = _stereo_lines()
+        edit(lines)
+        assert _parse_error(lines) == message
 
 
 class TestGenerators:

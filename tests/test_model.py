@@ -117,6 +117,24 @@ class TestBuildModel:
         with pytest.raises(NonFiniteCost, match="factor 0"):
             build_model([2, 2], [((0, 1), table), ((0,), [0.0, 1.0])])
 
+    @pytest.mark.parametrize(
+        "factors, error, match",
+        [
+            # the scopes are checked all at once and the tables one by one,
+            # yet a fault is raised in factor order
+            ([((0,), np.zeros(3)), ((1, 1), np.zeros(4))], TableShapeMismatch, "factor 0"),
+            ([((0, 0), np.zeros(4)), ((1,), np.zeros(3))], DuplicateNodeInScope, "factor 0"),
+            ([((0,), [np.inf, 0.0]), ((0,), [0.0, 0.0])], NonFiniteCost, "factor 0"),
+            ([((0,), [0.0, 0.0]), ((0,), [0.0, np.inf])], DuplicateFactor, "factors 0 and 1"),
+            ([((0,), [0.0, 0.0]), ((1, 2), np.zeros(4))], ValueError, "factor 1: .* unknown node"),
+            # an entry that is no (scope, table) pair raises in its turn
+            ([((0, 0), np.zeros(4)), "no pair"], DuplicateNodeInScope, "factor 0"),
+        ],
+    )
+    def test_the_first_fault_in_factor_order_is_raised(self, factors, error, match):
+        with pytest.raises(error, match=match):
+            build_model([2, 2], factors)
+
     def test_factors_from_a_generator_are_not_confused(self):
         # a table made for one factor and freed after it could lend its id
         # to a later one
