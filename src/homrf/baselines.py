@@ -39,6 +39,7 @@ from ._plan import Bindings, chain_program, same_objects
 from ._tables import drop_axes, embed_shape, min_over, table_shape
 from .decomposition import _node_pos, _scope_nodes, sigma_sorted
 from .errors import InvalidEdge, InvalidStepSize
+from .model import _is_finite_real
 from .trws import (
     DEFAULT_EPS,
     DEFAULT_PASSES,
@@ -203,8 +204,8 @@ class SubgradState:
 
 
 def subgrad_init(decomp, step_base=DEFAULT_STEP_BASE):
-    if not (math.isfinite(step_base) and step_base > 0):
-        raise InvalidStepSize(f"step-size base {step_base} must be finite and positive")
+    if not (_is_finite_real(step_base) and step_base > 0):
+        raise InvalidStepSize(f"step-size base {step_base!r} must be finite and positive")
     return SubgradState(params=init_tree_params(decomp), step_base=step_base)
 
 

@@ -13,7 +13,6 @@ permutation of the model's nodes, or, given a J structure alone, of the
 nodes its scopes hold.
 """
 
-import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, partial
@@ -23,7 +22,7 @@ import numpy as np
 from ._plan import Bindings, storage_layout
 from ._tables import table_shape
 from .errors import HomrfError, MissingSeparatorFactor
-from .model import Factor, Model, _as_int, _gc_paused, close_j
+from .model import Factor, Model, _as_int, _gc_paused, _is_finite_real, close_j
 
 
 def sigma_key(scope, pos):
@@ -203,9 +202,10 @@ class Decomposition:
     A node order that is not a permutation of the model's nodes raises
     `ValueError`, a window bound that is not a separator factor of the J
     structure `MissingSeparatorFactor`, and a `rho` without one finite
-    positive entry per chain `HomrfError`.  So does a one-node member of a
-    chain of several: it has no window bounds, so no window that meets its
-    neighbours'.  `rho` is kept as Python floats.
+    positive real number per chain, a string such as "0.5" included,
+    `HomrfError`.  So does a one-node member of a chain of several: it has
+    no window bounds, so no window that meets its neighbours'.  `rho` is
+    kept as Python floats.
     """
 
     model: Model
@@ -231,10 +231,10 @@ class Decomposition:
         fix = partial(object.__setattr__, self)  # the one place fields are set
         if len(self.rho) != len(self.chains):
             raise HomrfError(f"{len(self.rho)} chain probabilities for {len(self.chains)} chains")
-        fix("rho", tuple(map(float, self.rho)))
         for t, r in enumerate(self.rho):
-            if not (math.isfinite(r) and r > 0):
-                raise HomrfError(f"chain {t} has probability {r}, not a finite positive number")
+            if not (_is_finite_real(r) and r > 0):
+                raise HomrfError(f"chain {t} has probability {r!r}, not a finite positive number")
+        fix("rho", tuple(map(float, self.rho)))
         js, chains = self.jstructure, self.chains
         scopes, locals_ = js.scopes, js.locals
         pos = _node_pos(self.node_order, range(self.model.node_count))

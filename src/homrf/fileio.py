@@ -21,21 +21,20 @@ reproduces every double bit-exactly.
 The parser walks the text with a cursor that holds one line's tokens at a
 time, so the line an error names is the line the cursor is on.  The header,
 the section names and the node, factor and edge counts are read token by
-token; the three long sections are read as blocks.  The label counts and the J section's 2m factor ids are split from
-the lines they fill and converted with one `map(int, ...)`.  The factor
-section is read in the layout the serializer writes, a scope line and then a
-table line per factor: the scope lines' ids take one `map(int, ...)`, and
-each distinct table line one numpy call, which accepts and rejects exactly
-the strings `float()` does.  A section laid out otherwise, or one that fails
-its block read, is read again token by token, which gives the message and
-line of its first fault, and so is a J section whose closure finds an edge
-that is not nested, to name the first such edge and its line.  On that read
-a table is converted with one numpy call per line it spans.  On either read,
-a table that starts a line and fills it exactly is converted once per
-distinct line text: a later line of the same text is not split again, and
-its factor gets the first one's read-only array.  Grid models, whose
-pairwise or higher-order factors all carry one potential, repeat one line
-thousands of times.
+token.  The three long sections are read as blocks when they sit in exactly
+the lines the serializer writes: the label counts on one line, a scope line
+and then a table line per factor, and one edge per line.  The label counts,
+the J section's 2m factor ids and the scope lines' ids each take one
+`map(int, ...)`, and each distinct table line one numpy call, which accepts
+and rejects exactly the strings `float()` does.  A table line repeated later
+in the section is not split again: its factor gets the first one's read-only
+array.  Grid models, whose pairwise or higher-order factors all carry one
+potential, repeat one line thousands of times.  A section laid out otherwise,
+or one with a fault, is read by the cursor token by token, which gives the
+message and line of its first fault, and so is a J section whose closure
+finds an edge that is not nested, to name the first such edge and its line.
+The cursor converts a table with one numpy call per line it spans and shares
+no table between factors.
 """
 
 import math
@@ -61,7 +60,6 @@ class _Tokens:
         self.line = 0
         self._toks = ()
         self._i = 0
-        self._filled = {}  # text of a line one table filled -> that table
 
     def mark(self):
         """The cursor's place, for `reset`."""
@@ -70,29 +68,19 @@ class _Tokens:
     def reset(self, mark):
         self.line, self._toks, self._i = mark
 
-    def _next_line(self):
-        # moves onto the next line holding a token, with none of its tokens
-        # taken out yet, and returns its text; None at the end of the text.
-        # Line `line` is at index `line` - 1, so index `line` is the next one.
-        texts, ln = self._texts, self.line
-        while ln < len(texts):
-            text = texts[ln]
-            ln += 1
-            if text and not text.isspace():
-                self.line, self._toks, self._i = ln, (), 0
-                return text
-        return None
-
     def at_end(self):
         """True when no token is left; otherwise moves onto the next line
         holding one if the current line is used up."""
         if self._i < len(self._toks):
             return False
-        text = self._next_line()
-        if text is None:
-            return True
-        self._toks = text.split()
-        return False
+        # line `line` is at index `line` - 1, so index `line` is the next one
+        texts = self._texts
+        for ln in range(self.line, len(texts)):
+            toks = texts[ln].split()
+            if toks:
+                self.line, self._toks, self._i = ln + 1, toks, 0
+                return False
+        return True
 
     def next(self, what, arg=None):
         """The next token.  `what` names it in an error message, formatted
@@ -118,15 +106,7 @@ class _Tokens:
         """The next `count` tokens as factor f's table, a float array
         converted one line's slice at a time; the first token `float()`
         rejects is reported as not a table value, running out of tokens as a
-        truncated table.  A table that starts a line and fills it exactly is
-        the array of the earlier table that filled a line of the same text,
-        if any, read-only."""
-        text = self._next_line() if self._i >= len(self._toks) else None
-        if text is not None:
-            shared = self._filled.get(text)
-            if shared is not None and shared.size == count:
-                return shared
-            self._toks = text.split()
+        truncated table."""
         parts = []
         while count:
             if self.at_end():
@@ -145,47 +125,27 @@ class _Tokens:
                             f"line {self.line}: expected table value of factor {f}, got {tok!r}"
                         ) from None
                 raise
-        if len(parts) > 1:
-            return np.concatenate(parts)
-        if text is not None and self._i == len(self._toks):
-            parts[0].setflags(write=False)
-            self._filled[text] = parts[0]
-        return parts[0]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     def ids(self, count, below, per_line):
-        """The next `count` tokens as ints in [0, below), in one conversion of
-        the lines they fill, the cursor left on the line of the last one.
-        `per_line` is how many the serializer writes on a line.  None, with
-        the cursor unmoved, if a token is missing, not an integer or out of
-        range: a read one token at a time names it and its line."""
-        words = list(self._toks[self._i :])
-        texts = self._texts
-        pos = start = self.line  # the index of the line after the held one
-        while len(words) < count and pos < len(texts):
-            # as many lines as the serializer fills with the ids still
-            # wanted: their count over `per_line`, rounded up
-            end = min(pos - (len(words) - count) // per_line, len(texts))
-            words += " ".join(texts[pos:end]).split()
-            pos = end
-        if len(words) < count:
+        """The next `count` tokens as ints in [0, below), read as one block
+        from the lines the serializer writes them on: the count over
+        `per_line`, rounded up, after a held line whose tokens are all used.
+        The cursor is left on the block's last line.  None, with the cursor
+        unmoved, unless those lines hold exactly `count` integers in range: a
+        read one token at a time then reads them, naming any fault and its
+        line."""
+        start = self.line  # the index of the line after the held one
+        end = start - (-count // per_line)
+        if self._i < len(self._toks) or end > len(self._texts):
             return None
         try:
-            ids = list(map(int, words[:count]))
+            ids = list(map(int, " ".join(self._texts[start:end]).split()))
         except ValueError:
             return None
-        if ids and (min(ids) < 0 or max(ids) >= below):
+        if len(ids) != count or (ids and (min(ids) < 0 or max(ids) >= below)):
             return None
-        if pos == start:
-            self._i += count
-            return ids
-        surplus = len(words) - count
-        while True:  # back over the lines read past the last id
-            toks = texts[pos - 1].split()
-            if len(toks) > surplus:
-                break
-            surplus -= len(toks)
-            pos -= 1
-        self.line, self._toks, self._i = pos, toks, len(toks) - surplus
+        self.line, self._toks, self._i = end, (), 0
         return ids
 
     def factors(self, k, label_counts):
@@ -193,10 +153,10 @@ class _Tokens:
         layout the serializer writes: one scope line and then one table line
         per factor.  The scopes' ids take one conversion, and each distinct
         table line one numpy call; a table line repeated later gives its
-        factor the first one's read-only array, as `table` does.  None, with
-        the cursor unmoved, if the lines are laid out otherwise or hold a
-        fault: a read one token at a time then reads them, naming the fault
-        and its line."""
+        factor the first one's read-only array, the one table sharing in the
+        parser.  None, with the cursor unmoved, if the lines are laid out
+        otherwise or hold a fault: a read one token at a time then reads
+        them, naming the fault and its line."""
         start = self.line  # the index of the line after the held one
         end = start + 2 * k
         if self._i < len(self._toks) or end > len(self._texts):
@@ -310,20 +270,21 @@ def _read_factors(toks, k, label_counts):
 
 
 def _edges(toks, m, k):
-    # the J section's m edges as a set, from one block of 2m ids; a block
-    # that does not read so is read again one token at a time, which raises
-    # naming the token and its line
+    # the J section's m edges as a set, from one block of 2m ids, or one
+    # token at a time when the block does not read so
     ids = toks.ids(2 * m, k, 2)
     if ids is None:
-        _read_edges(toks, m, k)
+        return _read_edges(toks, m, k)
     pairs = iter(ids)
     return set(zip(pairs, pairs))
 
 
 def _read_edges(toks, m, k, scopes=None):
-    # the J section's m edges one token at a time, for the message and line
-    # of its first fault: a missing or non-integer token, an unknown factor,
-    # or, given the factors' scopes, an edge that is not nested
+    # the J section's m edges as a set, read one token at a time: for a
+    # section laid out otherwise, and for the message and line of its first
+    # fault, a missing or non-integer token, an unknown factor or, given the
+    # factors' scopes, an edge that is not nested
+    edges = set()
     for e in range(m):
         a = toks.next_int("source of edge {}", e)
         b = toks.next_int("target of edge {}", e)
@@ -334,6 +295,8 @@ def _read_edges(toks, m, k, scopes=None):
                 f"line {toks.line}: edge {e} ({a}, {b}): "
                 f"scope {scopes[b]} is not strictly inside {scopes[a]}"
             )
+        edges.add((a, b))
+    return edges
 
 
 def serialize_model(model, jstructure, node_order=None):

@@ -14,6 +14,7 @@ import math
 from itertools import chain, combinations
 from dataclasses import dataclass, field
 from functools import wraps
+from numbers import Real
 from operator import itemgetter
 
 import numpy as np
@@ -58,6 +59,16 @@ def _as_int(x, what, error=ValueError):
     if i is None or i != x:
         raise error(f"{what} {x!r} is not an integer")
     return i
+
+
+def _is_finite_real(x):
+    """True for a finite real number, numpy's included.  A string, None, a
+    complex number or a list is none, though `float()` takes some of them,
+    and nor is an int too large for a float."""
+    try:
+        return isinstance(x, Real) and math.isfinite(x)
+    except OverflowError:
+        return False
 
 
 @dataclass(frozen=True)

@@ -63,7 +63,7 @@ import numpy as np
 from ._plan import Bindings, Layout, chain_program, compile_sweeps, same_objects
 from ._tables import embed, min_over
 from .errors import StateNotInitialized
-from .model import _as_int
+from .model import _as_int, _is_finite_real
 
 REUSE_MODES = ("none", "after", "before-after")
 # the solvers' defaults, which the command line shares
@@ -356,10 +356,10 @@ class TraceRow:
 
 
 def _check_eps(eps):
-    """Raises `ValueError` unless `eps` is None or a finite non-negative
+    """Raises `ValueError` unless `eps` is None or a finite non-negative real
     number: a NaN, infinite or negative `eps` would silently run the whole
-    pass budget."""
-    if eps is not None and not (math.isfinite(eps) and eps >= 0):
+    pass budget, and a string or a complex number is no tolerance."""
+    if eps is not None and not (_is_finite_real(eps) and eps >= 0):
         raise ValueError(f"eps must be a finite non-negative number, not {eps!r}")
 
 

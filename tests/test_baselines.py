@@ -218,7 +218,7 @@ class TestMsd:
         with pytest.raises(InvalidEdge, match=r"\(0, 1\)"):
             msd_pass(d.model, d.jstructure, msd_init(d.model), order=[(0, 1)])
 
-    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -1e-3])
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -1e-3, "1e-7", [1e-7], 1e-7j, 10**400])
     def test_solve_rejects_bad_eps(self, eps):
         d = _ising_fixpoint_instance()
         with pytest.raises(ValueError, match="eps must be a finite non-negative number"):
@@ -245,7 +245,9 @@ class TestSubgradient:
         with pytest.raises(InvalidStepSize):
             subgrad_init(d, 0.0)
 
-    @pytest.mark.parametrize("step_base", [float("nan"), float("inf"), float("-inf")])
+    # "1", None and an int past the largest float are no finite number
+    # either, though `float()` takes "1"
+    @pytest.mark.parametrize("step_base", [float("nan"), float("inf"), float("-inf"), "1", None, 10**400])
     def test_rejects_non_finite_step(self, rng, step_base):
         d = random_decomposed(rng)
         with pytest.raises(InvalidStepSize):

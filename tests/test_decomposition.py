@@ -539,10 +539,12 @@ class TestValidate:
             runs.append((phis, [a.tobytes() for a in st.message_stacks + st.separator_stacks]))
         assert runs[0] == runs[1]
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -0.5])
+    # "0.5" is no probability either, though `float()` takes it, nor is an
+    # int past the largest float
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -0.5, "x", None, "0.5", 10**400])
     def test_probability_not_finite_and_positive(self, bad):
         d = build_monotonic_chains(*gen_stereo_second_order(4, 4, labels=3))
-        with pytest.raises(HomrfError, match=f"chain 1 has probability {bad}, not a finite"):
+        with pytest.raises(HomrfError, match=f"chain 1 has probability {bad!r}, not a finite"):
             dataclasses.replace(d, rho=(d.rho[0], bad) + d.rho[2:])
 
     def test_replace_rederives_windows_and_probabilities(self, rng):

@@ -119,10 +119,14 @@ def _parse_error(lines):
 _J_HEAD = ["HOMRF", "3", "2 2 2", "3", "1 0", "0 1", "1 1", "0 1", "2 0 1", "0 1 2 3", "J"]
 
 
+# the lines after the label counts of three nodes with 2, 3 and 2 labels
+_LABELS_TAIL = ["3", "1 0", "0 1", "1 1", "0 1 2", "2 1 2", "0 1 2 3 4 5", "J", "1", "2 1"]
+
+
 class TestJSection:
-    # the J section's edges are read as one block of integers; a file that
-    # is not a list of valid edges is read again token by token, so every
-    # message and line number is the token cursor's
+    # the J section's edges are read as one block of integers when they sit
+    # one edge a line; any other layout, and any fault, is read token by
+    # token, so every message and line number is the token cursor's
 
     def test_end_of_file_inside_an_edge(self):
         lines = _J_HEAD + ["2", "2 0", "2"]
@@ -171,6 +175,25 @@ class TestJSection:
     def test_edge_layouts_read_alike(self, j_lines):
         _, js, order = parse_model_file("\n".join(_J_HEAD + j_lines) + "\n")
         assert js.edges == {(2, 0), (2, 1)} and order is None
+
+    @pytest.mark.parametrize(
+        "count_lines",
+        [
+            ["3 2 3 2"],  # the counts on the node-count line
+            ["3", "2", "3", "2"],  # one count per line
+            ["3", "2 3", "2"],  # wrapped over two lines
+            ["3", "", "2", "   ", "3 2", ""],  # blank lines inside
+        ],
+    )
+    def test_label_layouts_read_alike(self, count_lines):
+        serialized = parse_model_file("\n".join(["HOMRF", "3", "2 3 2", *_LABELS_TAIL]) + "\n")
+        parsed = parse_model_file("\n".join(["HOMRF", *count_lines, *_LABELS_TAIL]) + "\n")
+        assert serialize_model(*parsed) == serialize_model(*serialized)
+        assert parsed[0].label_counts == (2, 3, 2)
+
+    def test_fault_in_wrapped_label_counts_names_its_line(self):
+        lines = ["HOMRF", "3", "2 3", "x", *_LABELS_TAIL]
+        assert _parse_error(lines) == "line 4: expected label count of node 2, got 'x'"
 
     def test_order_on_the_last_edges_line(self):
         text = "\n".join(_J_HEAD + ["2", "2 0", "2 1 ORDER 1", "2 0"]) + "\n"
@@ -388,8 +411,10 @@ class TestSharedTables:
             for g in range(f + 1, 6)
             if np.shares_memory(model.table(f), model.table(g))
         }
-        assert shared == {(0, 5), (2, 3)}
-        # a line that a table shares with the next scope is no key either
+        # only the factor section's block read shares tables, and only in the
+        # serializer's layout; the cursor that reads this one shares none
+        assert shared == set()
+        # a table whose line the next scope shares reads its own values
         text = "HOMRF\n4\n2 2 2 2\n4\n1 0\n0 1 1\n2\n5 6\n1 1\n0 1 1\n3\n7 8\nJ\n0\n"
         model, _, _ = parse_model_file(text)
         assert model.scopes == ((0,), (2,), (1,), (3,))
@@ -519,10 +544,20 @@ class TestFactorSection:
                 _assert_same_model(a, parse_model_file("\n".join(_reflow(lines, section)) + "\n"))
 
     def test_a_serialized_section_is_read_as_blocks(self, monkeypatch):
-        # the token-by-token read is never reached for the serializer's layout
+        # the token-by-token reads are never reached for the serializer's
+        # layout: not for the factors, the J edges or the label counts
         monkeypatch.setattr(fileio, "_read_factors", None)
+        monkeypatch.setattr(fileio, "_read_edges", None)
+        reads = []
+
+        def ids(self, *args, _ids=fileio._Tokens.ids):
+            reads.append(_ids(self, *args))
+            return reads[-1]
+
+        monkeypatch.setattr(fileio._Tokens, "ids", ids)
         for lines in (_stereo_lines(), _nested_lines(4)):
             parse_model_file("\n".join(lines) + "\n")
+        assert len(reads) == 4 and None not in reads
 
     @pytest.mark.parametrize("fault", sorted(_FAULTS))
     def test_faults_name_the_cursors_line(self, fault):

@@ -1473,9 +1473,11 @@ class TestSolveTrws:
         assert rows == [(np.float64(r.bound).tobytes(), r.meff) for r in result.rows]
         assert stacks_bytes(st) == stacks_bytes(result.state)
 
-    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -1e-3])
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -1e-3, "1e-7", [1e-7], 1e-7j, 10**400])
     def test_bad_eps_raises(self, eps):
-        # it would never stop the loop early, so it must not run the budget
+        # it would never stop the loop early, so it must not run the budget;
+        # a string, a list, a complex number or an int past the largest
+        # float is no tolerance either
         d = build_monotonic_chains(*gen_potts_2x2(2, 2))
         with pytest.raises(ValueError, match="eps must be a finite non-negative number"):
             solve_trws(d, passes=3, eps=eps)
