@@ -885,8 +885,6 @@ class ChainProgram:
         for h, axes, carry, into, h_next in space.links:
             reduce(h, axes, None, carry)
             add(h_next, into, h_next)
-        if not self.chains:
-            return np.zeros(0)
         return np.minimum.reduceat(space.last, self._ends)
 
     def single_argmins(self):

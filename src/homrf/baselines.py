@@ -6,9 +6,9 @@ per-factor minima.  Subgradient ascent keeps explicit per-subproblem tables
 and steps shared factors toward agreement of the subproblem minimizers with a
 diminishing step size.
 
-Each diffusion solve binds its edges once, in the closure of its pass step;
-`msd_pass` binds them per call.  A subgradient state compiles its step once,
-on its first pass, and keeps it in its `Bindings`.
+Each solve runs the public pass.  A diffusion state binds its sweep, and a
+subgradient state compiles its step, on its first pass and keeps it in its
+`Bindings`.
 
 A diffusion state keeps its tables as views of one flat buffer.  Binding an
 edge (a, b) fixes its operands: a's table, b's table, a scratch gap in b's
@@ -37,7 +37,7 @@ import numpy as np
 
 from ._plan import Bindings, chain_program, same_objects
 from ._tables import drop_axes, embed_shape, min_over, table_shape
-from .decomposition import _node_pos, _scope_nodes, sigma_sorted
+from .decomposition import _node_pos, sigma_sorted
 from .errors import InvalidEdge, InvalidStepSize
 from .model import _is_finite_real
 from .trws import (
@@ -66,75 +66,87 @@ class MsdState:
     sweep updates in place, and the cells it has minimized over.
 
     The tables are views of one flat buffer, in factor order.  A state whose
-    tables are not (built by hand, or deep-copied) has them copied into a new
-    buffer by its next pass, which then replaces `tables` with the views.
-    States compare by identity, as their tables are arrays."""
+    tables are not (built by hand, deep-copied or swapped) has them copied
+    into a new buffer by its next pass, which then replaces `tables` with the
+    views.  States compare by identity, as their tables are arrays."""
 
     tables: list
     meff: int = 0
-    # the buffer behind `tables`, the views into it and their offsets
+    # the sweep bound to the state's tables, and what it was bound for
     _bound: Bindings = field(default_factory=Bindings, init=False, repr=False)
-
-
-def _flat_tables(state):
-    # (buffer, table views, offsets) of the state's tables, moved into a new
-    # buffer unless they are the views of the state's own
-    flat = state._bound.get("tables")
-    tables = state.tables
-    if flat is None or not same_objects(flat[1], tables):
-        sizes = [t.size for t in tables]
-        offsets = np.cumsum([0] + sizes)[:-1]
-        buffer = np.empty(sum(sizes))
-        views = tuple(
-            [buffer[o : o + n].reshape(t.shape) for o, n, t in zip(offsets.tolist(), sizes, tables)]
-        )
-        for view, t in zip(views, tables):
-            view[...] = t
-        state.tables = list(views)
-        flat = state._bound["tables"] = (buffer, views, offsets)
-    return flat
 
 
 def msd_init(model):
     """Fresh diffusion state holding the model's tables, copied into one
     buffer."""
     state = MsdState(tables=[f.table for f in model.factors])
-    _flat_tables(state)
+    _msd_bind(model, None, (), state)  # binding an empty sweep copies the tables
     return state
 
 
 def msd_sweep_order(jstructure, node_order=None):
     """Closed edges ordered by target then source scope under `node_order`
     (by default id order), matching the separator sweep of the chain solver."""
-    nodes = _scope_nodes(jstructure)
+    nodes = jstructure._nodes
     pos = _node_pos(sorted(nodes) if node_order is None else node_order, nodes)
     fids = sigma_sorted(jstructure.scopes, pos, range(len(jstructure.scopes)))
     rank = {fid: i for i, fid in enumerate(fids)}
     return tuple(sorted(jstructure.closed_edges, key=lambda e: (rank[e[1]], rank[e[0]])))
 
 
-def _msd_bind(model, jstructure, order, state):
-    # the sweep's edges bound to the state's tables: (source, target, the
-    # gap toward the target in scratch, the same scratch in the source's
-    # shape, axes minimized out of the source), plus the cells one sweep
-    # minimizes over and the flat buffer with its offsets
-    buffer, tables, offsets = _flat_tables(state)
-    scopes = jstructure.scopes
-    counts = model.label_counts
+def _msd_bind(model, jstructure, given, state):
+    # binds the sweep of the edges `given` (None: the default order) to the
+    # state's tables, copied into a new buffer unless they are the views of
+    # its own: per edge (source, target, the gap toward the target in
+    # scratch, the same scratch in the source's shape, axes minimized out of
+    # the source), and the cells one sweep minimizes over.  An edge outside
+    # the closed J raises before anything changes.
+    order = msd_sweep_order(jstructure) if given is None else given
+    for a, b in order:
+        if (a, b) not in jstructure.closed_edges:
+            raise InvalidEdge(f"({a}, {b}) is not a closed marginalization edge")
+    bound, tables = state._bound, state.tables
+    if "views" not in bound or not same_objects(bound["views"], tables):
+        sizes = [t.size for t in tables]
+        offsets = np.cumsum([0] + sizes)[:-1]
+        buffer = np.empty(sum(sizes))
+        tables = [buffer[o : o + n].reshape(t.shape) for o, n, t in zip(offsets.tolist(), sizes, tables)]
+        for view, t in zip(tables, state.tables):
+            view[...] = t
+        state.tables = tables
+        bound["views"], bound["flat"] = tuple(tables), (buffer, offsets)
     scratch = np.empty(max([tables[b].size for _, b in order], default=0))
     edges = []
     for a, b in order:
+        scope_a, scope_b = jstructure.scope(a), jstructure.scope(b)
         gap = scratch[: tables[b].size].reshape(tables[b].shape)
-        in_a = gap.reshape(embed_shape(scopes[b], scopes[a], counts))
-        edges.append((tables[a], tables[b], gap, in_a, drop_axes(scopes[a], scopes[b])))
-    return tuple(edges), sum([tables[a].size for a, _ in order]), buffer, offsets
+        in_a = gap.reshape(embed_shape(scope_b, scope_a, model.label_counts))
+        edges.append((tables[a], tables[b], gap, in_a, drop_axes(scope_a, scope_b)))
+    bound["for"] = model, jstructure, given
+    bound["sweep"] = tuple(edges), sum([tables[a].size for a, _ in order])
 
 
-def _msd_sweep(bound, state):
-    # one diffusion sweep over bound edges, in place on the state's tables;
-    # returns the bound, the sum of per-factor minima in factor order as in
-    # `psi_bound`, read off the buffer with one reduction
-    edges, cells, buffer, offsets = bound
+def msd_pass(model, jstructure, state, order=None):
+    """One diffusion sweep; returns the per-factor bound afterwards.
+
+    For each edge, half the gap between the source's min-marginal and the
+    target moves from source to target, equalizing the two.  The state's
+    tables are updated in place (see `MsdState`), and the bound, their sum
+    of minima in factor order as in `psi_bound`, is read off their buffer
+    with one reduction.  The first pass on a state binds its sweep to the
+    tables; a later one binds it again only when the model, the J structure
+    or the value of `order` (an edit in place included) differs from the
+    bound one, or `tables` are no longer the views bound.  `order=None`
+    keeps the default order bound.  An `order` edge outside the closed edge
+    set raises `InvalidEdge`.
+    """
+    given = None if order is None else tuple(map(tuple, order))
+    bound = state._bound
+    held = bound.get("for", (None, None, None))
+    fresh = held[0] is model and held[1] is jstructure and held[2] == given
+    if not (fresh and same_objects(bound["views"], state.tables)):
+        _msd_bind(model, jstructure, given, state)
+    (edges, cells), (buffer, offsets) = bound["sweep"], bound["flat"]
     minimum, add, subtract, multiply = np.minimum.reduce, np.add, np.subtract, np.multiply
     for source, target, gap, in_source, axes in edges:
         minimum(source, axes, None, gap)
@@ -146,31 +158,14 @@ def _msd_sweep(bound, state):
     return float(sum(np.minimum.reduceat(buffer, offsets)))
 
 
-def msd_pass(model, jstructure, state, order=None):
-    """One diffusion sweep; returns the per-factor bound afterwards.
-
-    For each edge, half the gap between the source's min-marginal and the
-    target moves from source to target, equalizing the two.  The state's
-    tables are updated in place (see `MsdState`).  An `order` edge outside
-    the closed edge set raises `InvalidEdge`.
-    """
-    if order is None:
-        order = msd_sweep_order(jstructure)
-    for a, b in order:
-        if (a, b) not in jstructure.closed_edges:
-            raise InvalidEdge(f"({a}, {b}) is not a closed marginalization edge")
-    return _msd_sweep(_msd_bind(model, jstructure, order, state), state)
-
-
 def _msd_steps(decomp):
     # diffusion state on the decomposition's model and its pass step for
-    # `_run_passes`, sweeping an edge plan compiled once for the solve
-    state = msd_init(decomp.model)
-    order = msd_sweep_order(decomp.jstructure, decomp.node_order)
-    bound = _msd_bind(decomp.model, decomp.jstructure, order, state)
+    # `_run_passes`, sweeping in the decomposition's node order
+    model, js, state = decomp.model, decomp.jstructure, msd_init(decomp.model)
+    order = msd_sweep_order(js, decomp.node_order)
 
     def step(k):
-        return "forward", _msd_sweep(bound, state), state.meff
+        return "forward", msd_pass(model, js, state, order), state.meff
 
     return state, step
 

@@ -64,7 +64,7 @@ def extend_order_to_separators(jstructure, node_order):
     first on min and then on max guarantees that windows of consecutive chain
     factors meet exactly at their shared separator.
     """
-    pos = _node_pos(node_order, _scope_nodes(jstructure))
+    pos = _node_pos(node_order, jstructure._nodes)
     return tuple(sigma_sorted(jstructure.scopes, pos, jstructure.separators))
 
 
@@ -79,18 +79,13 @@ def _node_pos(node_order, nodes):
     return pos
 
 
-def _scope_nodes(jstructure):
-    return set().union(*jstructure.scopes)
-
-
 def sep_bounds(jstructure, node_order, chain, outer_factor):
     """Left and right separators of an outer factor within its chain.
 
     Interior chain members use the intersection with their neighbor; the first
     and last fall back to the singleton of their minimal / maximal node.
     """
-    pos = _node_pos(node_order, _scope_nodes(jstructure))
-    index = _scope_index(jstructure)
+    pos = _node_pos(node_order, jstructure._nodes)
     i = list(chain).index(outer_factor)
     scope = jstructure.scope(outer_factor)
     if len(scope) == 1:
@@ -104,18 +99,14 @@ def sep_bounds(jstructure, node_order, chain, outer_factor):
     else:
         right = (max(scope, key=lambda v: pos[v]),)
     return (
-        _bound(jstructure, index, left, "left", outer_factor),
-        _bound(jstructure, index, right, "right", outer_factor),
+        _bound(jstructure, left, "left", outer_factor),
+        _bound(jstructure, right, "right", outer_factor),
     )
 
 
-def _scope_index(jstructure):
-    return {s: f for f, s in enumerate(jstructure.scopes)}
-
-
-def _bound(jstructure, index, s, side, outer_factor):
+def _bound(jstructure, s, side, outer_factor):
     # the separator factor of scope s, the outer factor's `side` bound
-    fid = index.get(s)
+    fid = jstructure._index.get(s)
     if fid not in jstructure.separators:
         raise MissingSeparatorFactor(
             f"{side} separator {s} of factor {outer_factor} is not a separator factor"
@@ -245,7 +236,6 @@ class Decomposition:
         fix("node_pos", FrozenDict(pos))
         fix("separator_order", order)
         fix("sep_rank", FrozenDict(rank))
-        index = _scope_index(js)
         # each member's bounds, as `sep_bounds` gives them, and its window,
         # as `local_separator_window` does; a member's left bound is the
         # joint separator its predecessor found as its right bound
@@ -259,12 +249,12 @@ class Decomposition:
                     sep_minus[a] = sep_plus[a] = None
                     windows[a] = ()
                     continue
-                left = right if i else _bound(js, index, (nodes[key[a][0]],), "left", a)
+                left = right if i else _bound(js, (nodes[key[a][0]],), "left", a)
                 if i < last:
                     s = tuple(sorted(set(scopes[a]).intersection(scopes[chain[i + 1]])))
                 else:
                     s = (nodes[key[a][1]],)
-                right = _bound(js, index, s, "right", a)
+                right = _bound(js, s, "right", a)
                 sep_minus[a], sep_plus[a] = left, right
                 lo, hi = rank[left], rank[right]
                 ranks = [r for b in locals_[a] if lo <= (r := rank.get(b, -1)) <= hi]

@@ -13,7 +13,7 @@ import gc
 import math
 from itertools import chain, combinations
 from dataclasses import dataclass, field
-from functools import wraps
+from functools import cached_property, wraps
 from numbers import Real
 from operator import itemgetter
 
@@ -236,6 +236,16 @@ class JStructure:
 
     def scope(self, fid):
         return self.scopes[fid]
+
+    @cached_property
+    def _index(self):
+        # each scope's factor id, built on first use
+        return {s: f for f, s in enumerate(self.scopes)}
+
+    @cached_property
+    def _nodes(self):
+        # the nodes the scopes hold, built on first use
+        return frozenset().union(*self.scopes)
 
 
 def close_j(scopes, edges):

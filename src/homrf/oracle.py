@@ -161,7 +161,7 @@ def witness_j_relations(decomp, params, tol=1e-9):
 
     Under tree agreement the projection does not depend on which covering
     subproblem is used; these relations witness the relational consistency of
-    the collapsed vector."""
+    the collapsed vector.  A factor no subproblem holds gets none."""
     out = {}
     relations = _tree_argmin_relations(decomp, params, tol)
     for fid in range(len(decomp.jstructure.scopes)):
@@ -175,7 +175,8 @@ def witness_j_relations(decomp, params, tol=1e-9):
 def check_j_consistency_relational(tables, jstructure, relations, tol=1e-9):
     """Def-style relational consistency with supplied witness relations:
     every relation is a non-empty subset of its factor's minimizer set and
-    projects exactly onto the target's relation along every closed edge."""
+    projects exactly onto the target's relation along every closed edge
+    whose ends both have one."""
     js = jstructure
     per_edge, witnesses = {}, {}
     for fid, rel in relations.items():
@@ -362,7 +363,8 @@ def collect_local_sums(decomp, params, b):
 
 def average_factor(decomp, params, b, sums=None):
     """Replace each subproblem's local sum at a separator by their
-    probability-weighted mean, shifting only the separator's own table."""
+    probability-weighted mean, shifting only the separator's own table.
+    Returns the mean, or None, changing nothing, without a local sum."""
     if b not in decomp.jstructure.separators:
         raise NotASeparator(f"factor {b} is not a separator")
     if sums is None:

@@ -4,8 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from homrf._tables import embed, reduce_min
-
+from homrf import baselines
 from homrf.baselines import (
     MsdState,
     SubgradState,
@@ -28,6 +27,7 @@ from homrf.oracle import brute_force_map, cumulative_tables
 from homrf.trws import TreeParams, chain_state_init, trws_chain_pass
 
 from conftest import random_decomposed, submodular_grid
+from msd_reference import msd_pass as _reference_msd_pass
 
 
 def _ising_fixpoint_instance():
@@ -43,20 +43,6 @@ def _ising_fixpoint_instance():
 
 def _bits(x):
     return struct.pack("d", x)
-
-
-def _reference_msd_pass(model, jstructure, state, order):
-    # one diffusion sweep edge by edge, re-deriving every axis and shape from
-    # the scopes and rebinding each updated table
-    js = jstructure
-    for a, b in order:
-        scope_a, scope_b = js.scope(a), js.scope(b)
-        gap = reduce_min(state.tables[a], scope_a, scope_b) - state.tables[b]
-        state.meff += state.tables[a].size
-        delta = 0.5 * gap
-        state.tables[b] = state.tables[b] + delta
-        state.tables[a] = state.tables[a] - embed(delta, scope_b, scope_a)
-    return float(sum(t.min() for t in state.tables))
 
 
 def _table_bytes(params):
@@ -230,6 +216,123 @@ class TestMsd:
         d = _ising_fixpoint_instance()
         with pytest.raises(ValueError, match="passes"):
             solve_msd(d, passes=passes)
+
+
+class TestMsdBinding:
+    """A diffusion state binds its sweep on its first pass, and again only for
+    another model, J structure, order value or set of tables."""
+
+    @pytest.fixture
+    def binds(self, monkeypatch):
+        # the order each binding is made for, in call order
+        made, bind = [], baselines._msd_bind
+
+        def counted(model, jstructure, given, state):
+            made.append(given)
+            return bind(model, jstructure, given, state)
+
+        monkeypatch.setattr(baselines, "_msd_bind", counted)
+        return made
+
+    @staticmethod
+    def _same(st, ref):
+        assert st.meff == ref.meff
+        assert [t.tobytes() for t in st.tables] == [t.tobytes() for t in ref.tables]
+
+    @pytest.mark.parametrize("kind", ["default", "tuple", "list"])
+    def test_repeated_passes_keep_one_binding(self, rng, binds, kind):
+        for _ in range(4):
+            d = random_decomposed(rng, nested=True)
+            solve_order = msd_sweep_order(d.jstructure, d.node_order)
+            order = {"default": None, "tuple": solve_order, "list": list(solve_order)}[kind]
+            ref_order = msd_sweep_order(d.jstructure) if order is None else solve_order
+            st, ref = msd_init(d.model), msd_init(d.model)
+            del binds[:]
+            for _ in range(20):
+                got = msd_pass(d.model, d.jstructure, st, order)
+                assert _bits(got) == _bits(_reference_msd_pass(d.model, d.jstructure, ref, ref_order))
+            assert binds == [None if order is None else solve_order]
+            self._same(st, ref)
+
+    def test_a_solve_binds_once(self, rng, binds):
+        d = random_decomposed(rng, nested=True)
+        solve_msd(d, passes=30, eps=None)
+        assert binds == [(), msd_sweep_order(d.jstructure, d.node_order)]  # msd_init's, then the sweep's
+
+    @pytest.mark.parametrize("change", ["new value", "edit in place"])
+    def test_a_new_order_value_rebinds(self, rng, binds, change):
+        for _ in range(4):
+            d = random_decomposed(rng, nested=True)
+            order = list(msd_sweep_order(d.jstructure, d.node_order))
+            want = [tuple(order), tuple(order[::-1])][: 1 + (len(order) > 1)]
+            st, ref = msd_init(d.model), msd_init(d.model)
+            del binds[:]
+            for k in range(20):
+                if k == 10:
+                    if change == "edit in place":
+                        order.reverse()
+                    else:
+                        order = order[::-1]
+                got = msd_pass(d.model, d.jstructure, st, order)
+                assert _bits(got) == _bits(_reference_msd_pass(d.model, d.jstructure, ref, order))
+            assert binds == want
+            self._same(st, ref)
+
+    def test_another_j_structure_or_model_rebinds(self, rng, binds):
+        for _ in range(4):
+            d = random_decomposed(rng, nested=True)
+            js, model = copy.copy(d.jstructure), copy.deepcopy(d.model)
+            order = msd_sweep_order(d.jstructure)
+            st, ref = msd_init(d.model), msd_init(d.model)
+            del binds[:]
+            for k in range(30):
+                args = [(d.model, d.jstructure), (d.model, js), (model, js)][k // 10]
+                got = msd_pass(*args, st)
+                assert _bits(got) == _bits(_reference_msd_pass(d.model, d.jstructure, ref, order))
+            assert binds == [None] * 3
+            self._same(st, ref)
+
+    def test_swapped_tables_rebind(self, rng, binds):
+        for _ in range(4):
+            d = random_decomposed(rng, nested=True)
+            order = msd_sweep_order(d.jstructure)
+            st, ref = msd_init(d.model), msd_init(d.model)
+            del binds[:]
+            for k in range(30):
+                if k == 10:  # one table swapped
+                    st.tables[-1] = st.tables[-1].copy()
+                if k == 20:  # every table swapped
+                    st.tables = [t.copy() for t in st.tables]
+                got = msd_pass(d.model, d.jstructure, st)
+                assert _bits(got) == _bits(_reference_msd_pass(d.model, d.jstructure, ref, order))
+            assert binds == [None] * 3
+            self._same(st, ref)
+
+    def test_a_bad_order_on_a_bound_state_raises(self, rng, binds):
+        # a new order value or an edit in place is checked again, and a
+        # refused order leaves the state and its binding as they were
+        for _ in range(4):
+            d = random_decomposed(rng, nested=True)
+            order = list(msd_sweep_order(d.jstructure, d.node_order))
+            a, b = order[0]
+            st, ref = msd_init(d.model), msd_init(d.model)
+            for k in range(10):
+                msd_pass(d.model, d.jstructure, st, order)
+                _reference_msd_pass(d.model, d.jstructure, ref, order)
+            for bad in ([(b, a)], order[1:] + [(b, a)]):
+                with pytest.raises(InvalidEdge, match=rf"\({b}, {a}\) is not a closed marginalization edge"):
+                    msd_pass(d.model, d.jstructure, st, bad)
+            order.append((b, a))
+            with pytest.raises(InvalidEdge, match=rf"\({b}, {a}\)"):
+                msd_pass(d.model, d.jstructure, st, order)
+            order.pop()
+            self._same(st, ref)
+            del binds[:]
+            for _ in range(5):
+                got = msd_pass(d.model, d.jstructure, st, order)
+                assert _bits(got) == _bits(_reference_msd_pass(d.model, d.jstructure, ref, order))
+            assert binds == []
+            self._same(st, ref)
 
 
 class TestSubgradient:

@@ -112,6 +112,22 @@ def test_bound_and_tree_argmin_match_the_reference():
                 assert list(labeling.items()) == list(want_labeling.items())
 
 
+def test_tables_of_another_size_raise_through_bound():
+    d = build_monotonic_chains(*path_instance(np.random.default_rng(0)))
+    params = init_tree_params(d)
+    t, f = 0, max(params.tables[0])
+    params.tables[t][f] = np.zeros(params.tables[t][f].size + 1)
+    want = sum(ts[c].size for ts in init_tree_params(d).tables for c in ts)
+    with pytest.raises(ValueError, match=f"the tables hold {want + 1} cells, not {want}"):
+        bound(d, params)
+
+
+def test_a_chainless_decomposition_bounds_zero():
+    d = build_monotonic_chains(*path_instance(np.random.default_rng(0)))
+    empty = dataclasses.replace(d, chains=(), rho=())
+    assert bound(empty, init_tree_params(empty)) == 0.0
+
+
 class _ReferenceProgram:
     # a `ChainProgram` stand-in that solves each chain with the reference DP
 

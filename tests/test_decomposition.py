@@ -160,6 +160,16 @@ class TestWindows:
             ]
 
 
+    def test_a_one_node_member_has_no_window(self, rng):
+        # node 2 has only its unary factor, an outer factor chained on its own
+        model, js = _pairwise_model(3, [(0, 1)], rng)
+        d = build_monotonic_chains(model, js)
+        c = d.model.factor_id((2,))
+        assert (c,) in d.chains and c in d.jstructure.outer
+        assert d.sep_minus[c] is None and d.sep_plus[c] is None
+        assert local_separator_window(d, c) == ()
+
+
 class TestBuildChains:
     def test_path_becomes_single_chain(self, rng):
         model, js = _pairwise_model(4, [(0, 1), (1, 2), (2, 3)], rng)

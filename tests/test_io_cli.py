@@ -559,6 +559,20 @@ class TestFactorSection:
             parse_model_file("\n".join(lines) + "\n")
         assert len(reads) == 4 and None not in reads
 
+    def test_a_negative_node_leaves_the_section_to_the_cursor(self, monkeypatch):
+        # the block read refuses a negative id; the cursor names its line
+        reads = []
+
+        def factors(self, *args, _factors=fileio._Tokens.factors):
+            reads.append(_factors(self, *args))
+            return reads[-1]
+
+        monkeypatch.setattr(fileio._Tokens, "factors", factors)
+        lines = serialize_model(*gen_stereo_second_order(4, 3)).splitlines()
+        _set_token(lines, 30, 2, "-1")  # factor 13's scope line, line 31
+        assert _parse_error(lines) == "line 31: factor 13 references node -1"
+        assert reads == [None]
+
     @pytest.mark.parametrize("fault", sorted(_FAULTS))
     def test_faults_name_the_cursors_line(self, fault):
         edit, message = _FAULTS[fault]

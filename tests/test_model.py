@@ -34,6 +34,10 @@ class TestBuildModel:
         assert m.factors[0].table.size == 4
         assert m.factors[0].scope == (0, 1)
 
+    def test_repr_counts_nodes_and_factors(self):
+        m = build_model([2, 3, 2], [((0, 1), np.zeros(6)), ((2,), np.zeros(2))])
+        assert repr(m) == "Model(nodes=3, factors=2)"
+
     def test_duplicate_node_in_scope(self):
         with pytest.raises(DuplicateNodeInScope):
             build_model([2, 2], [((0, 0), [0, 1, 1, 0])])

@@ -182,6 +182,18 @@ class TestJConsistency:
         report = check_j_consistency_relational(tables, js, relations)
         assert report.failing() == [("subset", 0), (0, 1)]
 
+    def test_edges_without_a_relation_at_either_end_are_not_checked(self):
+        model = build_model(
+            [2, 2], [((0, 1), np.zeros(4)), ((0,), np.zeros(2)), ((1,), np.zeros(2))]
+        )
+        js = close_j(model.scopes, {(0, 1), (0, 2)})
+        tables = [f.table for f in model.factors]
+        relations = {f: argmin_relation(tables[f], js.scope(f)) for f in (0, 1)}
+        report = check_j_consistency_relational(tables, js, relations)
+        assert list(report.per_item) == [(0, 1)] and report.holds
+        del relations[0]
+        assert check_j_consistency_relational(tables, js, relations).per_item == {}
+
     def test_msd_fixpoint_holds(self, rng):
         hits = 0
         for _ in range(6):
@@ -287,6 +299,37 @@ class TestMappings:
             assert bound(d, back) == pytest.approx(phi, abs=1e-9)
             done += 1
         assert done >= 4
+
+
+class TestPartialCover:
+    # a cover of the first chain alone: the factors only the others held are
+    # in no subproblem
+
+    @staticmethod
+    def _first_chain_alone(rng):
+        while True:
+            d = random_decomposed(rng, nested=True)
+            if len(d.chains) > 1:
+                part = dataclasses.replace(d, chains=d.chains[:1], rho=(1.0,))
+                left_out = set(range(len(d.jstructure.scopes))) - set(part.trees_of)
+                if left_out & d.jstructure.separators:
+                    return part, left_out
+
+    def test_witness_relations_skip_factors_no_subproblem_holds(self, rng):
+        for _ in range(4):
+            d, left_out = self._first_chain_alone(rng)
+            relations = witness_j_relations(d, init_tree_params(d))
+            assert set(relations) == set(d.trees_of)
+            assert not set(relations) & left_out
+
+    def test_averaging_a_separator_no_subproblem_holds_changes_nothing(self, rng):
+        for _ in range(4):
+            d, left_out = self._first_chain_alone(rng)
+            params = init_tree_params(d)
+            before = [{f: t.tobytes() for f, t in ts.items()} for ts in params.tables]
+            for b in sorted(left_out & d.jstructure.separators):
+                assert average_factor(d, params, b) is None
+            assert [{f: t.tobytes() for f, t in ts.items()} for ts in params.tables] == before
 
 
 class TestStagnationBehaviour:
