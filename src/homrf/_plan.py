@@ -58,7 +58,18 @@ one-edge update in the same order, so the results are byte-identical to a
 sweep one separator at a time.  The separator caches of one shape and
 in-degree are then rebuilt as one group.  Every group, one of a single row
 included, is one batch of g >= 1 rows: a leading axis of length g on every
-shape, ahead of every reduced axis.
+shape, ahead of every reduced axis (a memory-outer buffer, below, keeps it
+behind them in memory only).  A chain is monotonic in the node order, so a
+forward sweep minimizes out a table's leading nodes and a backward sweep its
+trailing ones, its innermost C-order axes, which numpy reduces one short
+inner loop per output cell.  So a group of at least `_OUTER_CELLS` cells
+whose reduced axes do not lead copies its summed terms into a buffer laid
+out memory-outer: the reduced axes first, then the batch axis and the kept
+axes, each in table order.  It then minimizes them there.  A finite minimum
+other than zero has one bit pattern, whichever kernel finds it, but which of
++0.0 and -0.0 a tie at zero keeps depends on the kernel and on numpy's SIMD
+dispatch.  So a group with a zero minimum minimizes its terms in place
+again, as a sweep one separator at a time does.
 
 Each group compiles to a short run of numpy calls on fixed operands.  Rows
 named by a basic slice (one row, or rows that step evenly) are read as
@@ -99,6 +110,17 @@ from .model import _gc_paused
 
 FRESH, AFTER, BEFORE = "fresh", "after", "before"
 _ALL = slice(None)
+
+# The fewest cells (rows times table cells) of a group that `_Emitter.reduce`
+# minimizes memory-outer.  A one-row group's reduce of its trailing axis in
+# place against the copy and `_outer_minimum`, min of 15 on a 2-core Xeon VM
+# (numpy 2.4.6): 18 cells 1.14 -> 3.07 us, 64 cells 1.54 -> 3.08 us, 256
+# cells 3.16 -> 3.32 us, 512 cells 5.34 -> 3.50 us.  With no threshold,
+# nested-mix `solve_s` (`perfbench/run.py`, 10 alternating pairs, seeds
+# 2300-2309) read 1.45 -> 1.71 s, higher in 10 of 10 pairs, and its pass time
+# summed over pool instances 0-199 rose 10 %; at 128, 256 and 512 that pass
+# time and the grids' read alike, and at 512 no nested-mix group is copied.
+_OUTER_CELLS = 512
 
 
 class Layout(NamedTuple):
@@ -231,6 +253,15 @@ class _Update(NamedTuple):
     sup: object = None  # of a `before` update: the fresh update of the superset it refreshes
 
 
+def _outer_minimum(copy, axes, out, terms):
+    # `terms` minimized over `axes` into `out`, from their `copy` laid out
+    # memory-outer; where a minimum is zero, from `terms` in place, to keep
+    # the zero a sweep one separator at a time keeps
+    np.minimum.reduce(copy, axes, None, out)
+    if not out.all():
+        np.minimum.reduce(terms, axes, None, out)
+
+
 class _Emitter:
     """Collects the numpy calls of one group at a time on a state's message
     and cache stacks M and T and the plan's table store (table shape -> its
@@ -247,7 +278,14 @@ class _Emitter:
     array can name are staged in scratch (`read`, `write`), unless they all
     name one row.  Groups never run at the same time, so each group's scratch
     starts at the start of one shared scratch buffer; a group that outgrows
-    the buffer moves on to a new one twice as large."""
+    the buffer moves on to a new one twice as large.
+
+    A reduce whose axes do not lead, over at least `_OUTER_CELLS` cells,
+    minimizes memory-outer (see the module docstring): it copies its terms
+    into a scratch region whose memory holds the reduced axes first, through
+    a view of it in the terms' axis order, and minimizes that view's reduced
+    axes into the same rows (`_outer_minimum`).  The memory order is fixed
+    once per (shape, axes), and each region in it is bound once."""
 
     def __init__(self, M, T, store):
         self.M, self.T, self.store = M, T, store
@@ -255,23 +293,41 @@ class _Emitter:
         self.top = 0  # scratch cells of the buffer the current group uses
         self.calls = []  # (function, arguments) of the current group
         self.stores = []  # staged rows the group writes, stored back when it ends
-        self.regions = {}  # (offset, shape) -> view of the buffer
+        self.regions = {}  # (offset, shape, memory order) -> view of the buffer
         self.index = {}  # rows -> what names them in a stack (`_index`)
         self.views = {}  # (stack id, rows, shape) -> view of those rows
         self.coefs = {}  # the one coefficient, or (coefficients, dimensions) -> multiplier; None for 1.0
+        self.orders = {}  # (shape, reduced axes) of a large group -> memory-outer order (`outer`), None if they lead
 
-    def scratch(self, shape):
+    def scratch(self, shape, order=None):
+        # a region of `shape`, its axes laid out in memory in `order` if given
         n = math.prod(shape)
         if self.top + n > len(self.buffer):
             self.buffer = np.empty(max(2 * len(self.buffer), n))
             self.regions = {}
             self.top = 0
-        view = self.regions.get((self.top, shape))
+        key = (self.top, shape, order)
+        view = self.regions.get(key)
         if view is None:
-            view = self.buffer[self.top : self.top + n].reshape(shape)
-            self.regions[(self.top, shape)] = view
+            view = self.buffer[self.top : self.top + n]
+            if order is None:
+                view = view.reshape(shape)
+            else:
+                view = view.reshape([shape[x] for x in order]).transpose(np.argsort(order))
+            self.regions[key] = view
         self.top += n
         return view
+
+    def outer(self, shape, axes):
+        # the memory order to minimize `axes` of a group's `shape` in: the
+        # reduced axes first, then the batch axis and the kept axes; None
+        # where they lead already
+        key = (shape, axes)
+        if key not in self.orders:
+            rest = [x for x in range(len(shape)) if x not in axes]
+            lead = axes == tuple(range(1, 1 + len(axes)))
+            self.orders[key] = None if lead else (*axes, *rest)
+        return self.orders[key]
 
     def emit(self, f, *args):
         self.calls.append((f, args))
@@ -359,7 +415,13 @@ class _Emitter:
         for (s, shape), rows, coef in zip(rec.add, add, coefs):
             self.emit(np.add, acc, self.weighted(self.T[s], rows, coef, batch + shape), work)
             acc = work
-        self.emit(np.minimum.reduce, acc, rec.axes, None, out)
+        order = None if len(updates) * rec.cells < _OUTER_CELLS else self.outer(batch + rec.shape, rec.axes)
+        if order is None:
+            self.emit(np.minimum.reduce, acc, rec.axes, None, out)
+        else:
+            into = self.scratch(batch + rec.shape, order)
+            self.emit(np.copyto, into, acc)
+            self.emit(_outer_minimum, into, rec.axes, out, acc)
 
     def group(self):
         # the calls emitted since the last group, staged rows stored last

@@ -42,7 +42,9 @@ def min_over(table, axes):
     are none.
 
     Calls the ufunc reduction that `ndarray.min` dispatches to, without its
-    Python wrapper: this runs on every message and every chain stage."""
+    Python wrapper.  Its callers are the bound read-off after a pass, MSD's
+    bound and the oracle (through `reduce_min`); the sweep emits its own
+    reduce and `ChainProgram.run` binds its own."""
     return np.minimum.reduce(table, axis=axes)
 
 

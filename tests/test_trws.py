@@ -714,6 +714,35 @@ class TestPassBoundReadOff:
         assert st.diag_cells == 3 + 6
 
 
+def signed_zero_instance():
+    """Tables of +0.0 and -0.0 alternating along every axis, with one cell in
+    four set to 1.0 instead, on (0,1), (0,1,2) and (0,1,3), and of -0.0 on
+    the singletons; 8 labels, but 9 on node 2 and 3 on node 3.  On the first
+    forward pass, the update of (0,1,2) toward (0,1) sums its table, zero
+    messages and the cache of (2,), which is still its table: a sum keeps
+    -0.0 only where all its terms do.  So its minima over node 2 tie between
+    +0.0 and -0.0: 576 cells, at least `_plan._OUTER_CELLS`, minimized along
+    the innermost axis.  Here numpy's reduce in place and its reduce of a
+    memory-outer copy keep some zeros of opposite sign, with numpy's x86
+    SIMD dispatch at AVX-512, at AVX2 and at its X86_V2 baseline alike."""
+    rng = np.random.default_rng(8)
+    labels = [8, 8, 9, 3]
+    scopes = [(0,), (1,), (2,), (3,), (0, 1), (0, 1, 2), (0, 1, 3)]
+    tables = [np.full(labels[v], -0.0) for v in range(4)]
+    for shape in [tuple(labels[v] for v in s) for s in scopes[4:]]:
+        zeros = np.where(np.indices(shape).sum(0) % 2, -0.0, 0.0)
+        tables.append(np.where(rng.random(shape) < 0.25, 1.0, zeros))
+    model = build_model(labels, zip(scopes, tables))
+    f = model.factor_id
+    edges = {(f(big), f(s)) for big in scopes[5:] for s in ((0,), (0, 1))}
+    return build_monotonic_chains(model, close_j(model.scopes, edges | {(f((0, 1)), f((0,)))}))
+
+
+def outer_reduces(program):
+    # the memory-outer reduces of a program's calls
+    return [args for f, args in compiled_calls(program) if f is _plan._outer_minimum]
+
+
 def hand_built_cover():
     """A cover the chain builder does not make: the chain ((0,1,2,4,5),
     (0,1,3)) breaks the node order, and the window of (0,1,2,4,5) ends at
@@ -1108,6 +1137,47 @@ class TestLevelSchedule:
                     elif isinstance(x, np.ndarray) and any(x.base is s for s in stacks):
                         found.add("view")
         assert found == {"view", "index array", "reduce", "store view", "store take"}
+
+    @pytest.mark.parametrize("reuse", REUSE_MODES)
+    def test_memory_outer_reduces_match_a_sequential_sweep(self, reuse):
+        # stereo 8x8 with 8 labels: its backward groups reduce axis 3 of
+        # (g, 8, 8, 8), so they minimize a copy of their terms whose reduced
+        # axes are outermost in memory, and never the batch axis
+        d = build_monotonic_chains(*gen_stereo_second_order(8, 8, labels=8, seed=3))
+        st = chain_state_init(d)
+        program = compile_sweeps(d, reuse, st.message_stacks, st.separator_stacks)
+        outer = outer_reduces(program)
+        assert outer
+        for copy, axes, out, terms in outer:
+            kept = [n for x, n in enumerate(copy.strides) if x not in axes]
+            assert 0 not in axes and min(copy.strides[x] for x in axes) >= max(kept)
+            assert copy.shape == terms.shape and not np.shares_memory(copy, terms)
+        for start in (0, 1):
+            assert_sweeps_match_sequential(d, reuse, start)
+
+    @pytest.mark.parametrize("reuse", REUSE_MODES)
+    def test_signed_zero_ties_match_a_sequential_sweep(self, reuse):
+        # a group of at least `_OUTER_CELLS` cells whose reduced axes do not
+        # lead minimizes a copy of its terms laid out memory-outer, with
+        # another numpy kernel than a reduce in place; where its minima tie
+        # between +0.0 and -0.0 it must still keep the zero a sweep one
+        # separator at a time keeps, sign bit included, whatever numpy's SIMD
+        # dispatch
+        d = signed_zero_instance()
+        st = chain_state_init(d)
+        program = compile_sweeps(d, reuse, st.message_stacks, st.separator_stacks)
+        assert outer_reduces(program)
+        for start in (0, 1):
+            assert_sweeps_match_sequential(d, reuse, start)
+        trws_chain_pass(d, st, reuse=reuse)
+        zeros = np.concatenate([m[m == 0.0] for m in st.message_stacks])
+        assert np.signbit(zeros).any() and not np.signbit(zeros).all()
+        # a nested instance's groups sit below the threshold: it reduces in place
+        d = schedule_instances()[2]()
+        st = chain_state_init(d)
+        program = compile_sweeps(d, reuse, st.message_stacks, st.separator_stacks)
+        cells = [args[0].size for f, args in compiled_calls(program) if f.__name__ == "reduce"]
+        assert cells and max(cells) < _plan._OUTER_CELLS and not outer_reduces(program)
 
     def test_caches_no_message_enters_are_copied(self):
         # the caches of (2,), (4,) and (5,) are their tables, copied as one
