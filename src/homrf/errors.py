@@ -62,7 +62,8 @@ class NotAtFixpoint(HomrfError):
 
 
 class TooLarge(HomrfError):
-    """State space exceeds the exhaustive-search guard."""
+    """State space exceeds the exhaustive-search guard, or a label count is
+    too large for any cost table."""
 
 
 class ParseError(HomrfError):

@@ -164,7 +164,6 @@ class _Tokens:
         heads = [text.split() for text in self._texts[start:end:2]]
         filled = {}
         factors = []
-        last = None  # the previous table line; `table` still holds its table
         try:
             ids = list(map(int, chain.from_iterable(heads)))  # sizes and nodes
             if ids and min(ids) < 0:
@@ -177,12 +176,10 @@ class _Tokens:
                 scope = tuple(ids[i + 1 : i + 1 + size])
                 i += 1 + size
                 cells = math.prod([label_counts[v] for v in scope])  # IndexError past the last node
-                if text != last:  # a line equal to the one before is not hashed again
-                    table = filled.get(text)
-                    if table is None:
-                        table = filled[text] = np.array(text.split(), dtype=float)
-                        table.setflags(write=False)
-                    last = text
+                table = filled.get(text)
+                if table is None:
+                    table = filled[text] = np.array(text.split(), dtype=float)
+                    table.setflags(write=False)
                 if table.size != cells:
                     return None
                 factors.append((scope, table))

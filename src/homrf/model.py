@@ -28,7 +28,10 @@ from .errors import (
     NonFiniteCost,
     NotNested,
     TableShapeMismatch,
+    TooLarge,
 )
+
+_MAX_CELLS = np.iinfo(np.intp).max // np.dtype(float).itemsize  # numpy's largest float table
 
 
 def _gc_paused(build):
@@ -121,11 +124,15 @@ def build_model(node_label_counts, factor_list):
     The scopes are checked together first, one property at a time over all of
     them; only when one fails are they checked factor by factor, so that the
     error names the first factor at fault.  Each table copy is checked for
-    finite entries on its own.
+    finite entries on its own.  A label count too large for any cost table
+    raises `TooLarge`.
     """
     label_counts = tuple([_as_int(c, "label count") for c in node_label_counts])
     if any(c < 1 for c in label_counts):
         raise ValueError("every node needs at least one label")
+    for v, c in enumerate(label_counts):
+        if c > _MAX_CELLS:
+            raise TooLarge(f"node {v}: label count {c} is too large for a cost table")
     n = len(label_counts)
     factor_list = list(factor_list)
     canonical = _canonical_scopes(factor_list, n)
@@ -257,8 +264,8 @@ def close_j(scopes, edges):
     validated and propagated, including when the chain builder closes its
     augmented edges.
 
-    Each factor's targets are kept as one bitset, a Python int, and the
-    factors are visited in increasing scope size.
+    Each factor's targets are kept as one bitset, a Python int whose bit c
+    is factor c, and the factors are visited in increasing scope size.
     """
     # `targets[a]` is the bitset of a's targets, `listed[a]` the same ids as
     # a list.  J is closed exactly when, for every edge (a, b),
@@ -293,30 +300,7 @@ def close_j(scopes, edges):
     else:
         edge_set = frozenset([(int(a), int(b)) for a, b in edges])
 
-    # Bit positions: a factor's bitsets hold bit p - base[a] for the factor
-    # at position p, the factors taken in the order of their least nodes.  A
-    # factor inside a scope has a least node no smaller than the scope's own,
-    # so it lies at or after the scope's base, and a bitset spans the factors
-    # near its own instead of all factor ids.  Up to 64 factors, where a
-    # bitset is a word or two anyway, or with an empty scope (inside every
-    # other), positions are ids and every base 0: there the ordering costs
-    # more than it saves (the 640 nested-mix benchmark models, 8-24 factors
-    # each, close in 27.7 ms on plain ids and 31.4 ms ordered; min of 9 runs
-    # on a 2-core Xeon VM, Python 3.11).
     empty = [f for f in range(n) if not scope_sets[f]]
-    if n <= 64 or empty:
-        ids = pos = range(n)
-        base = [0] * n
-    else:
-        least = [min(s) for s in scope_sets]
-        ids = sorted(range(n), key=least.__getitem__)  # factor at each position
-        pos = [0] * n
-        start = {}
-        for p, f in enumerate(ids):
-            pos[f] = p
-            start.setdefault(least[f], p)
-        base = [start[k] for k in least]
-
     single = {}  # node -> the factors with that one-node scope
     by_set = {}  # any other scope set -> the factors with it
     for f, s in enumerate(scope_sets):
@@ -345,7 +329,7 @@ def close_j(scopes, edges):
                     found += fs
         mask = 0
         for c in found:
-            mask |= 1 << (pos[c] - base[b])
+            mask |= 1 << c
         inside[b] = mask
         return mask
 
@@ -356,24 +340,20 @@ def close_j(scopes, edges):
     big = [len(s) >= inner_size for s in scope_sets]
     listed = [[] for _ in range(n)]
     inner = [[] for _ in range(n)]
+    targets = [0] * n  # a's targets as a bitset: bit c is factor c
     for a, b in edge_set:
         listed[a].append(b)
+        targets[a] |= 1 << b
         if big[b]:
             inner[a].append(b)
-    targets = [0] * n  # a's targets as a bitset over the positions from base[a]
-    for a in range(n):
-        mask = 0
-        for b in listed[a]:
-            mask |= 1 << (pos[b] - base[a])
-        targets[a] = mask
 
     added = []  # the edges the closure adds
 
     def extend(a, new):
-        # adds the targets in bitset `new` of a's frame
+        # adds the targets in bitset `new` to a's
         while new:
             low = new & -new
-            c = ids[low.bit_length() - 1 + base[a]]
+            c = low.bit_length() - 1
             listed[a].append(c)
             if big[c]:
                 inner[a].append(c)
@@ -393,7 +373,7 @@ def close_j(scopes, edges):
             if not (t and (pending is None or a in pending) or not grown.isdisjoint(inner[a])):
                 continue
             for b in inner[a]:
-                t |= targets[b] << (base[b] - base[a])
+                t |= targets[b]
             if t != targets[a]:
                 extend(a, t ^ targets[a])
                 targets[a] = t
@@ -405,7 +385,7 @@ def close_j(scopes, edges):
                 s = inside[b]
                 if s is None:
                     s = inside_of(b)
-                share = t >> (base[b] - base[a]) & s
+                share = t & s
                 tb = targets[b]
                 if share & tb != share:
                     extend(b, share & ~tb)

@@ -62,7 +62,7 @@ import numpy as np
 
 from ._plan import Bindings, Layout, chain_program, compile_sweeps, same_objects
 from ._tables import embed, min_over
-from .errors import StateNotInitialized
+from .errors import NonFiniteCost, StateNotInitialized
 from .model import _as_int, _is_finite_real
 
 REUSE_MODES = ("none", "after", "before-after")
@@ -272,7 +272,8 @@ def trws_chain_pass(decomp, state, reuse=DEFAULT_REUSE):
 
     The sweep runs the state's program of its mode (`homrf._plan`),
     compiled by the state's first pass in that mode on this decomposition.
-    A state laid out for another decomposition raises `StateNotInitialized`.
+    A state laid out for another decomposition raises `StateNotInitialized`,
+    and a bound that is not finite, `NonFiniteCost`.
     """
     _check_state(decomp, state)
     if reuse not in REUSE_MODES:  # a misspelt mode must not silently run as another one
@@ -297,7 +298,9 @@ def trws_chain_pass(decomp, state, reuse=DEFAULT_REUSE):
 def _pass_bound(decomp, state, read_off):
     # bound after a sweep and the table cells it reads: the end-table minima of
     # `read_off`, plus the chain DP over its `fallback` chains, each on its own
-    # factors' tables over their appearance probabilities
+    # factors' tables over their appearance probabilities.  Raises
+    # `NonFiniteCost` when the bound is not finite: finite costs whose sums
+    # overflow
     T = state.separator_stacks
     terms = [read_off.const]
     for s, rows, axes, coefs in read_off.ends:
@@ -313,7 +316,13 @@ def _pass_bound(decomp, state, read_off):
         values = program.run(program.gather(tables)).tolist()
         terms += [decomp.rho[t] * v for t, v in zip(read_off.fallback, values)]
         cells += program.cells
-    return math.fsum(terms), cells
+    try:
+        phi = math.fsum(terms)
+    except (OverflowError, ValueError):  # an overflow, or inf and -inf
+        phi = math.nan
+    if not math.isfinite(phi):
+        raise NonFiniteCost(f"pass {state.passes - 1}: the bound is not finite; a cost sum overflows")
+    return phi, cells
 
 
 def _factor_table(decomp, state, fid):
@@ -380,7 +389,8 @@ def _run_passes(step, passes, eps, method):
     times each into a `TraceRow`.  Stops after `passes` passes, or once the
     relative per-pass bound change is at most `eps`; `eps=None` never stops
     early.  Returns the rows and why the loop stopped: `"eps"` or `"passes"`.
-    Raises `ValueError` for a `passes` that is not an integer of at least 1
+    Raises `NonFiniteCost` for a pass whose bound is not finite, and
+    `ValueError` for a `passes` that is not an integer of at least 1
     (`_check_passes`), and for any other `eps` than None or a finite
     non-negative number (`_check_eps`).
     """
@@ -391,6 +401,8 @@ def _run_passes(step, passes, eps, method):
     for k in range(passes):
         t0 = time.perf_counter()
         direction, phi, meff = step(k)
+        if not math.isfinite(phi):
+            raise NonFiniteCost(f"pass {k}: the bound is not finite; a cost sum overflows")
         rows.append(TraceRow(k, direction, method, phi, meff, (time.perf_counter() - t0) * 1e3))
         if eps is not None and prev is not None and abs(phi - prev) <= eps * max(1.0, abs(phi)):
             return rows, "eps"

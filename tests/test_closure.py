@@ -124,7 +124,6 @@ class TestSameClosure:
 
     @pytest.mark.parametrize("with_empty", [False, True])
     def test_large_random_edge_sets(self, with_empty):
-        # past 64 factors the bitsets are ordered by least node
         rng = np.random.default_rng(3942)
         subsets = [s for r in range(1, 6) for s in itertools.combinations(range(9), r)]
         fired = 0

@@ -16,7 +16,7 @@ import homrf
 from homrf.baselines import solve_msd, solve_subgradient
 from homrf.cli import main
 from homrf.decomposition import build_monotonic_chains, local_separator_window
-from homrf.errors import NonFiniteCost, NotNested, ParseError
+from homrf.errors import NonFiniteCost, NotNested, ParseError, TooLarge
 from homrf import fileio
 from homrf.fileio import parse_model_file, serialize_model
 from homrf.generators import (
@@ -25,9 +25,9 @@ from homrf.generators import (
     potts_block_table,
     second_order_table,
 )
-from homrf.model import energy
-from homrf.oracle import brute_force_map, extract_primal, trws_general_pass
-from homrf.trws import init_tree_params, solve_trws
+from homrf.model import build_model, energy
+from homrf.oracle import _general_steps, brute_force_map, extract_primal, trws_general_pass
+from homrf.trws import _run_passes, chain_state_init, init_tree_params, solve_trws, trws_chain_pass
 
 from conftest import figure_chain_instance, random_instance
 
@@ -1134,3 +1134,86 @@ class TestCliMatchesLibrary:
         assert len(rows) == 7
         bounds, _ = solve_subgradient(self._decomp(), 1.0, passes=7)
         assert [r[3] for r in rows] == [f"{b:.12g}" for b in bounds]
+
+
+# two ternary factors whose finite costs sum past the largest float
+OVERFLOW = (
+    "HOMRF\n4\n2 2 2 2\n4\n2 0 1\n0 0 0 0\n1 1\n1e308 1e308\n"
+    "2 2 3\n0 0 0 0\n1 3\n1e308 1e308\n"
+)
+METHODS = ["trws", "trws-general", "msd", "subgrad"]
+
+
+class TestBoundOverflow:
+    """A bound that overflows raises `NonFiniteCost` naming the pass; numpy
+    may overflow first, so its warnings are silenced here."""
+
+    def _decomp(self):
+        return build_monotonic_chains(*parse_model_file(OVERFLOW))
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_library_raises(self, method):
+        d = self._decomp()
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteCost, match="^pass 0: the bound is not finite"):
+                if method == "trws":
+                    solve_trws(d, passes=3)
+                elif method == "trws-general":
+                    _run_passes(_general_steps(d)[1], 3, None, method)
+                elif method == "msd":
+                    solve_msd(d, passes=3)
+                else:
+                    solve_subgradient(d, passes=3)
+
+    def test_lone_chain_pass_raises(self):
+        # a pass outside the pass/stop loop checks its own bound
+        d = self._decomp()
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteCost, match="^pass 0: the bound is not finite"):
+                trws_chain_pass(d, chain_state_init(d))
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_cli_exit_1(self, tmp_path, method):
+        path = tmp_path / "m.txt"
+        path.write_text(OVERFLOW)
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, err = _exit(["--input", str(path), "--passes", "3", "--method", method])
+        assert code == 1
+        assert err == "error: pass 0: the bound is not finite; a cost sum overflows\n"
+
+
+class TestLabelCountTooLarge:
+    """A label count whose float table numpy cannot size raises `TooLarge`
+    naming the node; one that fits but cannot be allocated is out of memory."""
+
+    CELLS = np.iinfo(np.intp).max // 8
+
+    def _text(self, count):
+        return f"HOMRF\n2\n2 {count}\n1\n1 0\n0.5 1.5\n"
+
+    @pytest.mark.parametrize("count", [CELLS + 1, np.iinfo(np.intp).max])
+    def test_library_raises(self, count):
+        message = f"^node 1: label count {count} is too large for a cost table$"
+        with pytest.raises(TooLarge, match=message):
+            build_model([2, count], [((0,), [0.5, 1.5])])
+        with pytest.raises(TooLarge, match=message):
+            parse_model_file(self._text(count))
+
+    def test_largest_table_count_is_accepted(self):
+        model = build_model([2, self.CELLS], [((0,), [0.5, 1.5])])
+        assert model.label_counts == (2, self.CELLS)
+
+    def test_cli_exit_1(self, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_text(self._text(np.iinfo(np.intp).max))
+        code, err = _exit(["--input", str(path)])
+        assert code == 1
+        assert err == f"error: node 1: label count {np.iinfo(np.intp).max} is too large for a cost table\n"
+
+    def test_cli_count_that_fits_is_out_of_memory(self, tmp_path):
+        # the added singleton's 8 EiB table cannot be allocated
+        path = tmp_path / "m.txt"
+        path.write_text(self._text(self.CELLS))
+        code, err = _exit(["--input", str(path)])
+        assert code == 1
+        assert err.startswith("error: out of memory")
